@@ -11,7 +11,6 @@ real spectral parameter ``1/dt``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,7 +26,7 @@ from .core import (
     TangentialGrid,
     sector_contains,
 )
-from .norms import lp_norm
+from .norms import lp_norm, normal_derivative
 from .symbols import ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m1, kpp_m2
 
 __all__ = [
@@ -120,17 +119,31 @@ def _tau_modes(grid: TangentialGrid, mu: complex) -> np.ndarray:
     return np.sqrt(1.0 + grid.freq_norm_sq + mu * mu)
 
 
-@functools.lru_cache(maxsize=2)
-def _green_tensor(grid: TangentialGrid, ngrid: NormalGrid, mu: complex) -> np.ndarray:
-    """Reflected Green kernel G(x, y) per mode, flattened over modes."""
-    tau = _tau_modes(grid, mu).ravel()
+def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflected Green quadrature per mode, and its boundary flux.
+
+    ``fspec`` holds one mode per row along the last axis and ``tau`` one
+    decay rate per mode.  Returns the solution samples, shaped like
+    ``fspec``, and the flux ``sum_j exp(-tau y_j) w_j f_j``, shaped like
+    ``tau``.
+    """
+    t = np.ravel(tau)
     x = ngrid.nodes
-    diff = np.abs(x[:, None] - x[None, :])
-    summ = x[:, None] + x[None, :]
-    out = np.empty((tau.size, x.size, x.size), dtype=complex)
-    for i, t in enumerate(tau):
-        out[i] = (np.exp(-t * diff) - np.exp(-t * summ)) / (2.0 * t)
-    return out
+    wf = np.ascontiguousarray((fspec.reshape(t.size, ngrid.M) * ngrid.weights).T)
+    decay = np.exp(-np.diff(x)[:, None] * t)
+    image = np.exp(-x[:, None] * t)
+    fwd = wf.copy()  # sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j
+    for i in range(1, ngrid.M):
+        fwd[i] += decay[i - 1] * fwd[i - 1]
+    bwd = wf.copy()  # the same over y_j >= x_i, with exp(-tau (y_j - x_i))
+    for i in range(ngrid.M - 2, -1, -1):
+        bwd[i] += decay[i] * bwd[i + 1]
+    flux = np.sum(image * wf, axis=0)
+    u = fwd - image * flux
+    u[:-1] += decay * bwd[1:]
+    u /= 2.0 * t
+    u[0] = 0.0  # the Dirichlet condition, exactly
+    return u.T.reshape(fspec.shape), flux.reshape(np.shape(tau))
 
 
 def dirichlet_resolvent(f: HalfSpaceField, mu: complex) -> HalfSpaceField:
@@ -138,32 +151,24 @@ def dirichlet_resolvent(f: HalfSpaceField, mu: complex) -> HalfSpaceField:
 
     Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
     infinity is the integral of the reflected kernel
-    ``(exp(-tau|x-y|) - exp(-tau(x+y))) / (2 tau)`` against the data.
+    ``(exp(-tau|x-y|) - exp(-tau(x+y))) / (2 tau)`` against the data.  The
+    trapezoid sum is evaluated recursively in O(modes * M) work and memory
+    (Greengard & Rokhlin, "On the numerical solution of two-point boundary
+    value problems", CPAM 44, 1991): the forward recursion
+    ``F_i = exp(-tau (x_i - x_{i-1})) F_{i-1} + w_i f_i`` covers ``y <= x``,
+    the backward recursion
+    ``B_i = exp(-tau (x_{i+1} - x_i)) (B_{i+1} + w_{i+1} f_{i+1})`` covers
+    ``y > x``, and the image is the rank-one term
+    ``exp(-tau x_i) * sum_j exp(-tau y_j) w_j f_j``, whose sum is the
+    boundary flux of the solution.  The boundary node is set to zero exactly.
     """
     mu = _check_mu(mu, heat_kernel.sector)
     grid, ngrid = f.tangential, f.normal
-    fspec = np.fft.fftn(f.samples, axes=tuple(range(grid.dim)), norm="ortho")
-    flat = fspec.reshape(-1, ngrid.M)
-    green = _green_tensor(grid, ngrid, mu)
-    uspec = np.einsum("myx,mx->my", green, flat * ngrid.weights)
-    uspec = uspec.reshape(fspec.shape)
-    samples = np.fft.ifftn(uspec, axes=tuple(range(grid.dim)), norm="ortho")
+    axes = tuple(range(grid.dim))
+    fspec = np.fft.fftn(f.samples, axes=axes, norm="ortho")
+    uspec, _ = _green_sweep(fspec, ngrid, _tau_modes(grid, mu))
+    samples = np.fft.ifftn(uspec, axes=axes, norm="ortho")
     return HalfSpaceField(tangential=grid, normal=ngrid, samples=samples)
-
-
-def _dirichlet_flux(f: HalfSpaceField, mu: complex) -> np.ndarray:
-    """Per-mode normal derivative at the boundary of the Dirichlet solution.
-
-    Differentiating the Green kernel at ``x = 0`` collapses both images onto
-    ``exp(-tau y)``, so the flux is a single quadrature per mode.
-    """
-    grid, ngrid = f.tangential, f.normal
-    fspec = np.fft.fftn(f.samples, axes=tuple(range(grid.dim)), norm="ortho")
-    flat = fspec.reshape(-1, ngrid.M)
-    tau = _tau_modes(grid, mu).ravel()
-    kern = np.exp(-tau[:, None] * ngrid.nodes[None, :])
-    flux = np.sum(kern * flat * ngrid.weights, axis=-1)
-    return flux.reshape(grid.shape)
 
 
 def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> ResolventOutput:
@@ -171,50 +176,41 @@ def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> Re
 
     Reduction: a Dirichlet interior solve absorbs ``f``, its boundary flux
     corrects ``g``, the boundary multiplier produces the trace dynamics ``v``,
-    and the Poisson extension lifts ``v`` back to the half space.
+    and the Poisson extension lifts ``v`` back to the half space.  The whole
+    reduction runs per mode in spectral space: ``f`` and ``g`` are
+    transformed once, ``u`` and ``v`` transformed back once.
     """
     mu = _check_mu(mu, heat_kernel.sector)
     grid, ngrid = f.tangential, f.normal
     if g.grid != grid:
         raise ValueError("boundary and interior data live on different grids")
+    axes = tuple(range(grid.dim))
     mu2 = mu * mu
     tau = _tau_modes(grid, mu)
     gspec = np.fft.fftn(g.samples, norm="ortho")
-
-    has_f = bool(np.any(f.samples))
-    if has_f:
-        u1 = dirichlet_resolvent(f, mu)
-        flux1 = _dirichlet_flux(f, mu)  # per-mode du1/dxn at 0, analytic
-    else:
-        u1 = HalfSpaceField.zero(grid, ngrid)
-        flux1 = np.zeros(grid.shape, dtype=complex)
+    fspec = np.fft.fftn(f.samples, axes=axes, norm="ortho")
+    u1spec, flux1 = _green_sweep(fspec, ngrid, tau)  # flux1 = du1/dxn at 0
 
     gtil = gspec + flux1  # g - gamma_1 u1 with gamma_1 = -flux
     vspec = gtil / (mu2 + tau)
     v = BoundaryField(grid, np.fft.ifftn(vspec, norm="ortho"))
 
     kprof = np.exp(-tau[..., None] * ngrid.nodes)
-    uspec = np.fft.fftn(u1.samples, axes=tuple(range(grid.dim)), norm="ortho") + vspec[..., None] * kprof
-    usamp = np.fft.ifftn(uspec, axes=tuple(range(grid.dim)), norm="ortho")
-    u = HalfSpaceField(grid, ngrid, usamp)
+    uspec = u1spec + vspec[..., None] * kprof
+    u = HalfSpaceField(grid, ngrid, np.fft.ifftn(uspec, axes=axes, norm="ortho"))
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
     res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
-    # line 3: trace matching; the Green kernel vanishes at the boundary exactly
+    # line 3: trace matching; the interior solve vanishes at the boundary exactly
     res3 = float(np.max(np.abs(uspec[..., 0] - vspec)))
     # line 1: the Poisson part solves the interior equation identically, so
     # only the quadrature interior solve contributes, checked by differences
-    if has_f:
-        from .norms import normal_derivative
-
-        fspec = np.fft.fftn(f.samples, axes=tuple(range(grid.dim)), norm="ortho")
-        u1spec = uspec - vspec[..., None] * kprof
-        d2 = normal_derivative(u1spec, ngrid, 2)
-        r = (tau**2)[..., None] * u1spec - d2 - fspec
+    # (which need three nodes; without interior data the line holds exactly)
+    res1 = 0.0
+    if np.any(f.samples):
+        r = (tau**2)[..., None] * u1spec - normal_derivative(u1spec, ngrid, 2) - fspec
         scale = max(float(np.max(np.abs(fspec))), 1e-30)
         res1 = float(np.max(np.abs(r[..., 1:-1]))) / scale
-    else:
-        res1 = 0.0
     diags = {"interior": res1, "dynamic_bc": res2, "trace": res3}
     return ResolventOutput(u=u, v=v, diagnostics=diags)
 

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonops.core import BoundaryField, HalfSpaceField, SectorError, make_grids
 from poissonops.dynbc import (
     DynBCProblem,
+    _green_sweep,
     boundary_symbol_gain,
     ch_boundary_resolvent,
     ch_residual,
@@ -50,6 +54,55 @@ def test_dirichlet_resolvent_zero_data():
     assert np.all(u.samples == 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    M=st.integers(2, 64),
+    r=st.floats(1.0005, 1.2),
+    X_max=st.floats(0.5, 16.0),
+    mu_abs=st.floats(0.1, 10.0),
+    mu_arg=st.floats(-0.44 * math.pi, 0.44 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed):
+    tg, ng = make_grids(dim=dim, N=8, M=M, X_max=X_max, r=r)
+    mu = mu_abs * complex(math.cos(mu_arg), math.sin(mu_arg))
+    tau = np.sqrt(1.0 + tg.freq_norm_sq + mu * mu).ravel()
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((tau.size, M)) + 1j * rng.standard_normal((tau.size, M))
+    u, flux = _green_sweep(f, ng, tau)
+
+    # dense reflected-kernel trapezoid sum, O(modes * M^2)
+    x, t = ng.nodes, tau[:, None, None]
+    green = (np.exp(-t * np.abs(x[:, None] - x[None, :])) - np.exp(-t * (x[:, None] + x[None, :]))) / (2.0 * t)
+    want = np.einsum("myx,mx->my", green, f * ng.weights)
+    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(u[:, 0] == 0.0)
+
+    terms = np.exp(-tau[:, None] * x) * ng.weights * f
+    assert np.all(np.abs(flux - terms.sum(axis=-1)) <= 1e-12 * np.abs(terms).sum(axis=-1))
+
+
+def test_heat_dynbc_interior_solve_memory_linear_in_modes_times_M():
+    # a dense (modes, M, M) Green kernel would take about 4.3 GB on this grid
+    tg, ng = make_grids(dim=2, N=64, M=256)
+    x1, x2 = np.meshgrid(tg.points_1d, tg.points_1d, indexing="ij")
+    tangential = np.cos(x1) + 0.5j * np.sin(2.0 * x2)
+    f = HalfSpaceField(tg, ng, tangential[..., None] * np.exp(-ng.nodes))
+    tracemalloc.start()
+    try:
+        out = heat_dynbc_resolvent(f, _const_boundary(tg), math.sqrt(3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = tg.shape[0] * tg.shape[1] * ng.M * np.dtype(complex).itemsize
+    assert peak <= 16 * field_bytes
+    assert np.all(np.isfinite(out.u.samples)) and np.all(np.isfinite(out.v.samples))
+    assert out.diagnostics["dynamic_bc"] <= 1e-8
+    assert out.diagnostics["trace"] == 0.0
+    assert out.diagnostics["interior"] <= 1e-2
+
+
 def test_heat_dynbc_worked_point():
     tg, ng = make_grids(N=16, M=64)
     out = heat_dynbc_resolvent(HalfSpaceField.zero(tg, ng), _const_boundary(tg), 1.0)
@@ -61,6 +114,15 @@ def test_heat_dynbc_worked_point():
     assert out.diagnostics["interior"] == 0.0
     assert out.diagnostics["dynamic_bc"] <= 1e-12
     assert out.diagnostics["trace"] <= 1e-12
+
+
+def test_heat_dynbc_two_node_normal_grid():
+    tg, ng = make_grids(N=8, M=2)
+    out = heat_dynbc_resolvent(HalfSpaceField.zero(tg, ng), _const_boundary(tg), 1.0)
+    np.testing.assert_allclose(out.v.samples, 1.0 / (1.0 + SQRT2), rtol=1e-12)
+    assert out.diagnostics["interior"] == 0.0
+    assert out.diagnostics["dynamic_bc"] <= 1e-12
+    assert out.diagnostics["trace"] == 0.0
 
 
 def test_heat_dynbc_with_interior_forcing():
