@@ -27,7 +27,8 @@ from .core import (
     sector_contains,
 )
 from .norms import lp_norm, normal_derivative
-from .symbols import ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m1, kpp_m2
+from .symbols import _road_symbol, _tau, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
+from .transforms import _itfft, _tfft
 
 __all__ = [
     "DynBCProblem",
@@ -53,7 +54,8 @@ class DynBCProblem:
     The road-field parameters ``d`` (bulk diffusivity), ``dprime`` (road
     diffusivity), and ``kcoef`` (exchange rate) must be positive; they are
     ignored by the other variants.  The sector keeps ``|arg mu|`` strictly
-    below a half-angle under pi/2.
+    below a half-angle under pi/2; ``solve`` and ``boundary_symbol_gain``
+    reject parameters outside it.
     """
 
     variant: str
@@ -74,6 +76,7 @@ class DynBCProblem:
             raise ValueError("sector half-angle must stay under pi/2")
 
     def solve(self, f: Optional[HalfSpaceField], g: BoundaryField, mu: complex) -> "ResolventOutput":
+        mu = _check_mu(mu, self.sector)
         if self.variant == "HeatDynBC":
             if f is None:
                 f = HalfSpaceField.zero(self.tangential, self.normal)
@@ -113,10 +116,6 @@ def _check_mu(mu: complex, sector: Sector) -> complex:
     if not sector_contains(sector, mu):
         raise SectorError(f"mu={mu} outside the admissible sector")
     return mu
-
-
-def _tau_modes(grid: TangentialGrid, mu: complex) -> np.ndarray:
-    return np.sqrt(1.0 + grid.freq_norm_sq + mu * mu)
 
 
 def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +163,9 @@ def dirichlet_resolvent(f: HalfSpaceField, mu: complex) -> HalfSpaceField:
     """
     mu = _check_mu(mu, heat_kernel.sector)
     grid, ngrid = f.tangential, f.normal
-    axes = tuple(range(grid.dim))
-    fspec = np.fft.fftn(f.samples, axes=axes, norm="ortho")
-    uspec, _ = _green_sweep(fspec, ngrid, _tau_modes(grid, mu))
-    samples = np.fft.ifftn(uspec, axes=axes, norm="ortho")
+    fspec = _tfft(f.samples, grid.dim)
+    uspec, _ = _green_sweep(fspec, ngrid, _tau(grid.freq_vectors, mu))
+    samples = _itfft(uspec, grid.dim)
     return HalfSpaceField(tangential=grid, normal=ngrid, samples=samples)
 
 
@@ -184,20 +182,19 @@ def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> Re
     grid, ngrid = f.tangential, f.normal
     if g.grid != grid:
         raise ValueError("boundary and interior data live on different grids")
-    axes = tuple(range(grid.dim))
     mu2 = mu * mu
-    tau = _tau_modes(grid, mu)
-    gspec = np.fft.fftn(g.samples, norm="ortho")
-    fspec = np.fft.fftn(f.samples, axes=axes, norm="ortho")
+    tau = _tau(grid.freq_vectors, mu)
+    gspec = _tfft(g.samples, grid.dim)
+    fspec = _tfft(f.samples, grid.dim)
     u1spec, flux1 = _green_sweep(fspec, ngrid, tau)  # flux1 = du1/dxn at 0
 
     gtil = gspec + flux1  # g - gamma_1 u1 with gamma_1 = -flux
     vspec = gtil / (mu2 + tau)
-    v = BoundaryField(grid, np.fft.ifftn(vspec, norm="ortho"))
+    v = BoundaryField(grid, _itfft(vspec, grid.dim))
 
     kprof = np.exp(-tau[..., None] * ngrid.nodes)
     uspec = u1spec + vspec[..., None] * kprof
-    u = HalfSpaceField(grid, ngrid, np.fft.ifftn(uspec, axes=axes, norm="ortho"))
+    u = HalfSpaceField(grid, ngrid, _itfft(uspec, grid.dim))
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
     res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
@@ -219,8 +216,8 @@ def ch_boundary_resolvent(g: BoundaryField, mu: complex) -> BoundaryField:
     """Boundary dynamics resolvent: ``v`` with ``mu^2 v = b(D', mu) g``."""
     mu = _check_mu(mu, ch_b.sector)
     bvals = np.asarray(ch_b.func(g.grid.freq_vectors, mu), dtype=complex)
-    spec = np.fft.fftn(g.samples, norm="ortho")
-    out = np.fft.ifftn(bvals * spec / (mu * mu), norm="ortho")
+    spec = _tfft(g.samples, g.grid.dim)
+    out = _itfft(bvals * spec / (mu * mu), g.grid.dim)
     return BoundaryField(grid=g.grid, samples=out)
 
 
@@ -231,8 +228,8 @@ def ch_residual(g: BoundaryField, v: BoundaryField, mu: complex) -> float:
     mu2 = mu * mu
     tau1 = np.sqrt(s + 1j * mu)
     tau2 = np.sqrt(s - 1j * mu)
-    gspec = np.fft.fftn(g.samples, norm="ortho")
-    vspec = np.fft.fftn(v.samples, norm="ortho")
+    gspec = _tfft(g.samples, g.grid.dim)
+    vspec = _tfft(v.samples, g.grid.dim)
     lhs = ((mu2 + s) * (tau1 + tau2) + 2.0 * tau1 * tau2) * mu2 * vspec
     rhs = mu2 * (tau1 + tau2) * gspec
     scale = max(float(np.max(np.abs(rhs))), 1e-30)
@@ -261,20 +258,16 @@ def kpp_resolvent(
     grid = g.grid
     mu2 = mu * mu
     s = grid.freq_norm_sq
-    gspec = np.fft.fftn(g.samples, norm="ortho")
+    gspec = _tfft(g.samples, grid.dim)
 
-    root = np.sqrt(d * mu2 + d * d * s) + 1.0
-    den = (mu2 + kcoef + dprime * s) * root - kcoef
+    den, root = _road_symbol(s, mu2, d, dprime, kcoef)
     trace_spec = kcoef / den * gspec
     vspec = root / den * gspec
-
-    trace = BoundaryField(grid, np.fft.ifftn(trace_spec, norm="ortho"))
-    v = BoundaryField(grid, np.fft.ifftn(vspec, norm="ortho"))
+    v = BoundaryField(grid, _itfft(vspec, grid.dim))
 
     rate = np.sqrt(mu2 / d + s)
     usamp_spec = trace_spec[..., None] * np.exp(-rate[..., None] * ngrid.nodes)
-    usamp = np.fft.ifftn(usamp_spec, axes=tuple(range(grid.dim)), norm="ortho")
-    u = HalfSpaceField(grid, ngrid, usamp)
+    u = HalfSpaceField(grid, ngrid, _itfft(usamp_spec, grid.dim))
 
     # two-by-two system rows and the Robin transmission line, per mode
     row1 = -trace_spec + (mu2 + kcoef + dprime * s) * vspec - gspec
@@ -380,9 +373,7 @@ def road_symbol_scan(
     z = zs[:, None]
     mu = mus[None, :]
     mu2 = mu * mu
-    root = np.sqrt(d * mu2 + d * d * z * z) + 1.0
-    f = (mu2 + kcoef + dprime * z * z) * root
-    den = f - kcoef
+    den, root = _road_symbol(z * z, mu2, d, dprime, kcoef)
     m1 = np.abs(mu2 * kcoef / den)
     m2 = np.abs(mu2 * root / den)
     radius = np.hypot(np.abs(z), np.abs(mu))
@@ -391,7 +382,7 @@ def road_symbol_scan(
     return {
         "sup_m1": float(np.max(m1)),
         "sup_m2": float(np.max(m2)),
-        "min_f_minus_k": float(np.min(np.abs(f - kcoef))),
+        "min_f_minus_k": float(np.min(np.abs(den))),
         "inner_max_m1": float(np.max(m1[inner])) if np.any(inner) else 0.0,
         "outer_max_m1": float(np.max(m1[outer])) if np.any(outer) else 0.0,
         "n": n,

@@ -23,7 +23,6 @@ __all__ = [
     "RademacherSampler",
     "RBoundEstimate",
     "ScanResult",
-    "sample_rademacher",
     "eps_p_norm",
     "rbound_lower",
     "decay_fit",
@@ -58,11 +57,6 @@ class RademacherSampler:
             np.random.Philox(key=[self.seed % 2**64, (self.stream + 2**32) % 2**64])
         )
         return gen.integers(low, high, size=count)
-
-
-def sample_rademacher(sampler: RademacherSampler, count: int) -> np.ndarray:
-    """Draw ``count`` unit-modulus signs from the sampler's stream."""
-    return sampler.unit(count)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,8 @@ __all__ = [
     "mikhlin_fnorm",
     "lemma_max_eval",
     "heat_kernel",
-    "dtn_symbol",
     "heat_dynbc_b",
     "ch_b",
-    "kpp_m1",
     "kpp_m2",
     "kpp_kernel",
     "constant_one",
@@ -487,13 +485,6 @@ heat_kernel = SymbolKernel(
 )
 
 
-def _dtn_eval(xi, mu):
-    return _tau(xi, mu)
-
-
-dtn_symbol = MultiplierSymbol(name="dtn", func=_dtn_eval, sector=_HALF_SECTOR)
-
-
 def _heat_dynbc_eval(xi, mu):
     mu2 = np.asarray(mu, dtype=complex) ** 2
     return mu2 / (mu2 + _tau(xi, mu))
@@ -514,22 +505,16 @@ def _ch_eval(xi, mu):
 ch_b = MultiplierSymbol(name="ch-b", func=_ch_eval, sector=_HALF_SECTOR)
 
 
-def _kpp_denominator(s, mu2, d, dprime, kcoef):
+def _road_symbol(s, mu2, d, dprime, kcoef):
+    """Road-field denominator and root at ``|xi|^2 = s``, ``mu^2 = mu2``.
+
+    ``root = sqrt(d mu^2 + d^2 |xi|^2) + 1`` and
+    ``den = (mu^2 + kcoef + dprime |xi|^2) root - kcoef``; per mode the bulk
+    trace is ``kcoef / den`` and the road density ``root / den`` times the
+    road data.  Returns ``(den, root)``.
+    """
     root = np.sqrt(d * mu2 + d * d * s) + 1.0
     return (mu2 + kcoef + dprime * s) * root - kcoef, root
-
-
-def kpp_m1(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> MultiplierSymbol:
-    """Multiplier sending road data to the bulk trace in the road-field model."""
-    if min(d, dprime, kcoef) <= 0:
-        raise ValueError("road-field parameters must be positive")
-
-    def f(xi, mu):
-        mu2 = np.asarray(mu, dtype=complex) ** 2
-        den, _ = _kpp_denominator(_xi_sq(xi), mu2, d, dprime, kcoef)
-        return mu2 * kcoef / den
-
-    return MultiplierSymbol(name="kpp-m1", func=f, sector=_HALF_SECTOR)
 
 
 def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> MultiplierSymbol:
@@ -539,7 +524,7 @@ def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> Multiplie
 
     def f(xi, mu):
         mu2 = np.asarray(mu, dtype=complex) ** 2
-        den, root = _kpp_denominator(_xi_sq(xi), mu2, d, dprime, kcoef)
+        den, root = _road_symbol(_xi_sq(xi), mu2, d, dprime, kcoef)
         return mu2 * root / den
 
     return MultiplierSymbol(name="kpp-m2", func=f, sector=_HALF_SECTOR)

@@ -25,14 +25,24 @@ __all__ = [
 ]
 
 
+def _tfft(a: np.ndarray, dim: int) -> np.ndarray:
+    """Unscaled orthonormal FFT over the first ``dim`` (tangential) axes of ``a``."""
+    return np.fft.fftn(a, axes=tuple(range(dim)), norm="ortho")
+
+
+def _itfft(a: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`_tfft`; trailing (normal) axes are left alone."""
+    return np.fft.ifftn(a, axes=tuple(range(dim)), norm="ortho")
+
+
 def forward_fft(g: BoundaryField) -> np.ndarray:
     """Spectral array of ``g``; unitary FFT scaled so Plancherel is physical."""
-    return np.fft.fftn(g.samples, norm="ortho") * math.sqrt(g.grid.cell)
+    return _tfft(g.samples, g.grid.dim) * math.sqrt(g.grid.cell)
 
 
 def inverse_fft(spec: np.ndarray, grid: TangentialGrid) -> BoundaryField:
     """Inverse of :func:`forward_fft`."""
-    samples = np.fft.ifftn(spec, norm="ortho") / math.sqrt(grid.cell)
+    samples = _itfft(spec, grid.dim) / math.sqrt(grid.cell)
     return BoundaryField(grid=grid, samples=samples)
 
 
@@ -40,8 +50,8 @@ def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField
     """Apply the tangential multiplier ``a(., mu)`` to ``g`` spectrally."""
     _require_mu(a.sector, mu)
     avals = np.asarray(a.func(g.grid.freq_vectors, mu), dtype=complex)
-    spec = np.fft.fftn(g.samples, norm="ortho")
-    out = np.fft.ifftn(avals * spec, norm="ortho")
+    spec = _tfft(g.samples, g.grid.dim)
+    out = _itfft(avals * spec, g.grid.dim)
     return BoundaryField(grid=g.grid, samples=out)
 
 
@@ -53,12 +63,10 @@ def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> 
     """
     _require_mu(k.sector, mu)
     grid = g.grid
-    dim = grid.dim
-    spec = np.fft.fftn(g.samples, norm="ortho")
+    spec = _tfft(g.samples, grid.dim)
     fv = grid.freq_vectors[..., None, :]  # broadcast a normal axis before components
     kvals = np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
-    uspec = kvals * spec[..., None]
-    samples = np.fft.ifftn(uspec, axes=tuple(range(dim)), norm="ortho")
+    samples = _itfft(kvals * spec[..., None], grid.dim)
     return HalfSpaceField(tangential=grid, normal=normal, samples=samples)
 
 
@@ -102,10 +110,10 @@ def lp_blocks(g: BoundaryField, part: LPPartition | None = None) -> list[Boundar
     """Dyadic frequency blocks of ``g``; they sum back to ``g`` exactly."""
     part = part or LPPartition.for_grid(g.grid)
     r = np.sqrt(g.grid.freq_norm_sq)
-    spec = np.fft.fftn(g.samples, norm="ortho")
+    spec = _tfft(g.samples, g.grid.dim)
     blocks = []
     for j in range(part.J + 1):
         w = part.block_weight(j, r)
-        samples = np.fft.ifftn(w * spec, norm="ortho")
+        samples = _itfft(w * spec, g.grid.dim)
         blocks.append(BoundaryField(grid=g.grid, samples=samples))
     return blocks

@@ -27,7 +27,6 @@ from poissonops.rbound import (
     RademacherSampler,
     ScanResult,
     eps_p_norm,
-    sample_rademacher,
 )
 from poissonops.symbols import heat_kernel, lemma_max_eval
 from poissonops.transforms import forward_fft, lp_blocks
@@ -294,7 +293,7 @@ def test_infrastructure_invariants(tmp_path):
     ]
     exact = eps_p_norm(fields, 2.0, NormSpec("Lp", p=2.0))
     trials = 512
-    eps = sample_rademacher(RademacherSampler(seed=11), trials * len(fields)).reshape(trials, len(fields))
+    eps = RademacherSampler(seed=11).unit(trials * len(fields)).reshape(trials, len(fields))
     stack = np.stack([f.samples for f in fields])
     draws = np.array(
         [float(np.sum(np.abs(np.tensordot(e, stack, axes=(0, 0))) ** 2) * grid.cell) for e in eps]

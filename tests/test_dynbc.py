@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import BoundaryField, HalfSpaceField, SectorError, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, Sector, SectorError, make_grids
 from poissonops.dynbc import (
     DynBCProblem,
     _green_sweep,
@@ -23,6 +23,8 @@ from poissonops.dynbc import (
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm
+from poissonops.symbols import kpp_m2
+from poissonops.transforms import forward_fft
 
 SQRT2 = math.sqrt(2.0)
 
@@ -186,6 +188,19 @@ def test_kpp_worked_point():
         assert out.diagnostics[key] <= 1e-10
 
 
+def test_kpp_resolvent_matches_road_density_multiplier():
+    # the solver and kpp_m2 share one road-field symbol: per mode the road
+    # density is m2(xi, mu) / mu^2 times the road data
+    tg, ng = make_grids(dim=2, N=16, M=8)
+    rng = np.random.default_rng(4)
+    g = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
+    mu = 1.3 * complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
+    d, dprime, kcoef = 1.7, 0.4, 2.5
+    out = kpp_resolvent(g, mu, d=d, dprime=dprime, kcoef=kcoef, ngrid=ng)
+    want = kpp_m2(d, dprime, kcoef).func(tg.freq_vectors, mu) / mu**2
+    np.testing.assert_allclose(forward_fft(out.v) / forward_fft(g), want, rtol=1e-13)
+
+
 def test_kpp_zero_data():
     tg, ng = make_grids(N=8, M=32)
     out = kpp_resolvent(_const_boundary(tg, 0.0), 1.0, ngrid=ng)
@@ -219,6 +234,21 @@ def test_solve_single_mode_residuals(variant):
         assert value <= 1e-8
 
 
+@pytest.mark.parametrize("variant", ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"])
+def test_solve_honours_problem_sector(variant):
+    tg, ng = make_grids(N=8, M=16)
+    g = _const_boundary(tg)
+    narrow = DynBCProblem(variant, tg, ng, sector=Sector.symmetric(0.1))
+    with pytest.raises(SectorError):
+        narrow.solve(None, g, 1 + 1j)
+    with pytest.raises(SectorError):
+        boundary_symbol_gain(narrow, 1 + 1j)
+    default = DynBCProblem(variant, tg, ng)
+    for mu in (1.0, 1 + 1j):
+        out = default.solve(None, g, mu)
+        assert max(out.diagnostics.values()) <= 1e-8
+
+
 def test_evolve_zero_data_stays_zero():
     tg, ng = make_grids(N=8, M=32)
     prob = DynBCProblem("HeatDynBC", tg, ng)
@@ -237,6 +267,21 @@ def test_evolve_constant_data_settles(variant):
     records = implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.125, 1.0)
     deltas = [r.delta for r in records]
     assert all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="on the default normal grid (last spacing 0.76) the discrete Euler step "
+    "map has spectral radius 3.70 at xi = 0; the trapezoid Green quadrature "
+    "amplifies where h * tau is large",
+)
+def test_evolve_heat_interior_stays_bounded_on_default_normal_grid():
+    # the README evolve (dt 0.01, T 1, constant data) on two tangential modes
+    tg, ng = make_grids(N=2)
+    prob = DynBCProblem("HeatDynBC", tg, ng)
+    records = implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.01, 1.0)
+    final = records[-1].output
+    assert lp_norm(final.u, 2.0) <= 10.0 * lp_norm(final.v, 2.0)
 
 
 def test_evolve_divisibility_check():

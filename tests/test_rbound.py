@@ -17,7 +17,6 @@ from poissonops.rbound import (
     eps_p_norm,
     probe_dictionary,
     rbound_lower,
-    sample_rademacher,
 )
 from poissonops.symbols import MultiplierSymbol, heat_kernel
 from poissonops.transforms import apply_multiplier
@@ -29,7 +28,7 @@ L2 = NormSpec("Lp", p=2.0)
 
 def test_sampler_unit_modulus_and_determinism():
     s = RademacherSampler(seed=42)
-    draws = sample_rademacher(s, 1000)
+    draws = s.unit(1000)
     np.testing.assert_allclose(np.abs(draws), 1.0, atol=1e-12)
     np.testing.assert_array_equal(draws, RademacherSampler(seed=42).unit(1000))
     assert not np.array_equal(draws, RademacherSampler(seed=43).unit(1000))

@@ -10,6 +10,8 @@ from poissonops.core import BoundaryField, Sector, SectorError, make_grids
 from poissonops.symbols import MultiplierSymbol, heat_kernel, kernel_catalog
 from poissonops.transforms import (
     LPPartition,
+    _itfft,
+    _tfft,
     apply_multiplier,
     apply_poisson,
     forward_fft,
@@ -24,12 +26,27 @@ def _rng_field(grid, seed=5):
     return BoundaryField(grid, samples)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_fft_round_trip(dim):
+@pytest.mark.parametrize(
+    "dim, halfspace",
+    [pytest.param(1, False, id="1"), pytest.param(2, False, id="2")]
+    + [pytest.param(dim, True, id=f"halfspace-{dim}") for dim in (1, 2, 3)],
+)
+def test_fft_round_trip(dim, halfspace):
     grid, _ = make_grids(dim=dim, N=16)
     g = _rng_field(grid)
     back = inverse_fft(forward_fft(g), grid)
     np.testing.assert_allclose(back.samples, g.samples, atol=1e-12)
+    if halfspace:
+        # on a half-space array the tangential pair transforms the first
+        # ``dim`` axes only: each normal slice maps as forward_fft unscaled
+        rng = np.random.default_rng(dim)
+        shape = grid.shape + (3,)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = _tfft(a, dim)
+        for j in range(shape[-1]):
+            want = forward_fft(BoundaryField(grid, a[..., j])) / math.sqrt(grid.cell)
+            np.testing.assert_allclose(spec[..., j], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_itfft(spec, dim), a, rtol=0, atol=1e-12)
 
 
 def test_fft_plancherel():
