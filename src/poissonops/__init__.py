@@ -17,7 +17,6 @@ from .core import (
     TangentialGrid,
     bracket,
     make_grids,
-    sector_contains,
 )
 from .dynbc import (
     DynBCProblem,
@@ -83,7 +82,6 @@ __all__ = [
     "probe_dictionary",
     "rbound_lower",
     "road_symbol_scan",
-    "sector_contains",
     "seminorm",
     "__version__",
 ]

@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; entries override flags")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".")
-    common.add_argument("--grid-dim", type=int, default=1)
+    common.add_argument("--grid-dim", type=int, choices=(1, 2, 3), default=1)
     common.add_argument("--grid-N", type=int, default=256)
     common.add_argument("--grid-M", type=int, default=256)
     common.add_argument("--grid-L", type=float, default=2.0 * math.pi)

@@ -62,10 +62,20 @@ class Sector:
                 return True
         return False
 
+    def require(self, mu) -> complex | None:
+        """The one admissibility check: ``complex(mu)`` for ``mu`` inside the sector.
 
-def sector_contains(sector: Sector, mu: complex) -> bool:
-    """True iff ``mu`` is nonzero and its argument lies strictly inside the sector."""
-    return sector.contains(mu)
+        A missing ``mu`` is admissible exactly when the sector is empty, and
+        then ``None`` comes back.  Any other ``mu`` outside the sector, the
+        origin included, raises :class:`SectorError`.
+        """
+        if mu is None:
+            if not self.is_empty:
+                raise SectorError("spectral parameter required for a nonempty sector")
+            return None
+        if not self.contains(mu):
+            raise SectorError(f"mu={mu} outside the admissible sector")
+        return complex(mu)
 
 
 def bracket(xi, mu: complex | None = None) -> float:

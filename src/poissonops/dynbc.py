@@ -22,13 +22,11 @@ from .core import (
     HalfSpaceField,
     NormalGrid,
     Sector,
-    SectorError,
     TangentialGrid,
-    sector_contains,
 )
 from .norms import lp_norm, normal_derivative
-from .symbols import _road_symbol, _tau, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
-from .transforms import _itfft, _tfft
+from .symbols import _ch_symbol, _road_symbol, _tau, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
+from .transforms import _itfft, _lift, _tfft
 
 __all__ = [
     "DynBCProblem",
@@ -76,20 +74,18 @@ class DynBCProblem:
             raise ValueError("sector half-angle must stay under pi/2")
 
     def solve(self, f: Optional[HalfSpaceField], g: BoundaryField, mu: complex) -> "ResolventOutput":
-        mu = _check_mu(mu, self.sector)
+        mu = self.sector.require(mu)
         if self.variant == "HeatDynBC":
             if f is None:
                 f = HalfSpaceField.zero(self.tangential, self.normal)
             return heat_dynbc_resolvent(f, g, mu)
+        if f is not None and np.any(f.samples):
+            raise ValueError("interior data is out of scope for this variant")
         if self.variant == "CahnHilliardBoundary":
-            if f is not None and np.any(f.samples):
-                raise ValueError("interior data is out of scope for this variant")
             v = ch_boundary_resolvent(g, mu)
             u = HalfSpaceField.zero(self.tangential, self.normal)
             diags = {"boundary_dynamics": ch_residual(g, v, mu)}
             return ResolventOutput(u=u, v=v, diagnostics=diags)
-        if f is not None and np.any(f.samples):
-            raise ValueError("interior data is out of scope for this variant")
         return kpp_resolvent(
             g, mu, d=self.d, dprime=self.dprime, kcoef=self.kcoef, ngrid=self.normal
         )
@@ -107,15 +103,6 @@ class ResolventOutput:
         for name, val in self.diagnostics.items():
             if not math.isfinite(val):
                 raise ValueError(f"nonfinite residual for {name}")
-
-
-def _check_mu(mu: complex, sector: Sector) -> complex:
-    mu = complex(mu)
-    if mu == 0:
-        raise ValueError("resolvent formulas divide by the squared parameter; mu=0 excluded")
-    if not sector_contains(sector, mu):
-        raise SectorError(f"mu={mu} outside the admissible sector")
-    return mu
 
 
 def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +148,7 @@ def dirichlet_resolvent(f: HalfSpaceField, mu: complex) -> HalfSpaceField:
     ``exp(-tau x_i) * sum_j exp(-tau y_j) w_j f_j``, whose sum is the
     boundary flux of the solution.  The boundary node is set to zero exactly.
     """
-    mu = _check_mu(mu, heat_kernel.sector)
+    mu = heat_kernel.sector.require(mu)
     grid, ngrid = f.tangential, f.normal
     fspec = _tfft(f.samples, grid.dim)
     uspec, _ = _green_sweep(fspec, ngrid, _tau(grid.freq_vectors, mu))
@@ -174,11 +161,11 @@ def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> Re
 
     Reduction: a Dirichlet interior solve absorbs ``f``, its boundary flux
     corrects ``g``, the boundary multiplier produces the trace dynamics ``v``,
-    and the Poisson extension lifts ``v`` back to the half space.  The whole
-    reduction runs per mode in spectral space: ``f`` and ``g`` are
+    and the heat kernel's Poisson lift extends ``v`` to the half space.  The
+    whole reduction runs per mode in spectral space: ``f`` and ``g`` are
     transformed once, ``u`` and ``v`` transformed back once.
     """
-    mu = _check_mu(mu, heat_kernel.sector)
+    mu = heat_kernel.sector.require(mu)
     grid, ngrid = f.tangential, f.normal
     if g.grid != grid:
         raise ValueError("boundary and interior data live on different grids")
@@ -192,8 +179,7 @@ def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> Re
     vspec = gtil / (mu2 + tau)
     v = BoundaryField(grid, _itfft(vspec, grid.dim))
 
-    kprof = np.exp(-tau[..., None] * ngrid.nodes)
-    uspec = u1spec + vspec[..., None] * kprof
+    uspec = u1spec + _lift(heat_kernel, mu, vspec, grid, ngrid)
     u = HalfSpaceField(grid, ngrid, _itfft(uspec, grid.dim))
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
@@ -214,7 +200,7 @@ def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> Re
 
 def ch_boundary_resolvent(g: BoundaryField, mu: complex) -> BoundaryField:
     """Boundary dynamics resolvent: ``v`` with ``mu^2 v = b(D', mu) g``."""
-    mu = _check_mu(mu, ch_b.sector)
+    mu = ch_b.sector.require(mu)
     bvals = np.asarray(ch_b.func(g.grid.freq_vectors, mu), dtype=complex)
     spec = _tfft(g.samples, g.grid.dim)
     out = _itfft(bvals * spec / (mu * mu), g.grid.dim)
@@ -224,14 +210,11 @@ def ch_boundary_resolvent(g: BoundaryField, mu: complex) -> BoundaryField:
 def ch_residual(g: BoundaryField, v: BoundaryField, mu: complex) -> float:
     """Denominator-cleared per-mode residual of the boundary dynamics line."""
     mu = complex(mu)
-    s = g.grid.freq_norm_sq
-    mu2 = mu * mu
-    tau1 = np.sqrt(s + 1j * mu)
-    tau2 = np.sqrt(s - 1j * mu)
+    num, den = _ch_symbol(g.grid.freq_norm_sq, mu)
     gspec = _tfft(g.samples, g.grid.dim)
     vspec = _tfft(v.samples, g.grid.dim)
-    lhs = ((mu2 + s) * (tau1 + tau2) + 2.0 * tau1 * tau2) * mu2 * vspec
-    rhs = mu2 * (tau1 + tau2) * gspec
+    lhs = den * (mu * mu) * vspec
+    rhs = num * gspec
     scale = max(float(np.max(np.abs(rhs))), 1e-30)
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -248,12 +231,13 @@ def kpp_resolvent(
 
     The per-mode two-by-two system couples the bulk trace and the road
     density; its solution is given by two explicit multipliers, and the bulk
-    is recovered through the decay kernel.  Interior forcing is out of scope.
+    is the Poisson lift of its trace through ``kpp_kernel(d)``.  Interior
+    forcing is out of scope.
     """
     if min(d, dprime, kcoef) <= 0:
         raise ValueError("road-field parameters must be positive")
     kern = kpp_kernel(d)
-    mu = _check_mu(mu, kern.sector)
+    mu = kern.sector.require(mu)
     ngrid = ngrid or NormalGrid()
     grid = g.grid
     mu2 = mu * mu
@@ -265,14 +249,13 @@ def kpp_resolvent(
     vspec = root / den * gspec
     v = BoundaryField(grid, _itfft(vspec, grid.dim))
 
-    rate = np.sqrt(mu2 / d + s)
-    usamp_spec = trace_spec[..., None] * np.exp(-rate[..., None] * ngrid.nodes)
-    u = HalfSpaceField(grid, ngrid, _itfft(usamp_spec, grid.dim))
+    u = HalfSpaceField(grid, ngrid, _itfft(_lift(kern, mu, trace_spec, grid, ngrid), grid.dim))
 
     # two-by-two system rows and the Robin transmission line, per mode
     row1 = -trace_spec + (mu2 + kcoef + dprime * s) * vspec - gspec
     row2 = root * trace_spec - kcoef * vspec
-    robin = d * rate * trace_spec + trace_spec - kcoef * vspec
+    dn = kern.xn_derivative(grid.freq_vectors, mu, 0.0, 1)  # d_n of the unit-trace profile at 0
+    robin = -d * dn * trace_spec + trace_spec - kcoef * vspec
     scale = max(float(np.max(np.abs(gspec))), 1e-30)
     diags = {
         "bulk_row": float(np.max(np.abs(row1))) / scale,
@@ -336,13 +319,10 @@ def implicit_euler_evolve(
         gdat = g_of_t(t) if g_of_t is not None else None
         gsamp = gdat.samples if gdat is not None else 0.0
         gstep = BoundaryField(grid, invdt * prev.v.samples + gsamp)
+        fstep = fdat
         if heat_variant:
             fsamp = fdat.samples if fdat is not None else 0.0
             fstep = HalfSpaceField(grid, ngrid, invdt * prev.u.samples + fsamp)
-        else:
-            if fdat is not None and np.any(fdat.samples):
-                raise ValueError("interior data is out of scope for this variant")
-            fstep = None
         out = problem.solve(fstep, gstep, mu)
         records.append(EvolveRecord(t=t, output=out, delta=_state_delta(prev, out)))
         prev = out
@@ -397,12 +377,8 @@ def boundary_symbol_gain(problem: DynBCProblem, mu: complex, shift: float = 0.0)
     all three variants decrease away from frequency zero, so the grid maximum
     is the sup.
     """
-    mu = complex(mu)
-    if mu == 0:
-        raise ValueError("gain undefined at mu=0")
-    mu_eff = complex(np.sqrt(mu * mu + shift))
-    if not sector_contains(problem.sector, mu_eff):
-        raise SectorError(f"shifted parameter {mu_eff} outside the admissible sector")
+    mu = problem.sector.require(mu)
+    mu_eff = problem.sector.require(np.sqrt(mu * mu + shift))
     fv = problem.tangential.freq_vectors
     mu2 = mu_eff * mu_eff
     if problem.variant == "HeatDynBC":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
-from .symbols import SymbolKernel, _require_mu
+from .symbols import SymbolKernel
 from .transforms import LPPartition, forward_fft, lp_blocks
 
 __all__ = [
@@ -224,7 +224,7 @@ def opnorm_hilbert(
     """
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
-    _require_mu(k.sector, mu)
+    k.sector.require(mu)
     if grid is None or ngrid is None:
         dg, dn = make_grids()
         grid = grid or dg

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Sector, SectorError, bracket, sector_contains
+from .core import Sector, bracket
 
 __all__ = [
     "SymbolKernel",
@@ -121,22 +121,13 @@ class MultiplierSymbol:
     sector: Sector
 
 
-def _require_mu(kernel_sector: Sector, mu) -> None:
-    if mu is None:
-        if not kernel_sector.is_empty:
-            raise SectorError("spectral parameter required for a nonempty sector")
-    else:
-        if not sector_contains(kernel_sector, mu):
-            raise SectorError(f"mu={mu} outside the admissible sector")
-
-
 def eval_kernel(k: SymbolKernel, xi, mu, xn):
     """Evaluate ``k(xi, mu, xn)`` with sector and domain checks.
 
     ``xn`` must be nonnegative; ``mu`` may be omitted exactly when the sector
     is empty.  Scalar inputs give a complex scalar back.
     """
-    _require_mu(k.sector, mu)
+    k.sector.require(mu)
     xn_arr = np.asarray(xn, dtype=float)
     if np.any(xn_arr < 0):
         raise ValueError("normal coordinate must be nonnegative")
@@ -401,7 +392,7 @@ def mikhlin_fnorm(a_sym: MultiplierSymbol, mu, dim: int = 1, probe: ProbeSpec | 
     """
     if not 1 <= dim <= 3:
         raise ValueError("dim must lie in 1..3")
-    _require_mu(a_sym.sector, mu)
+    a_sym.sector.require(mu)
     probe = probe or ProbeSpec()
     axis = probe.mikhlin_axis_values()
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
@@ -493,13 +484,24 @@ def _heat_dynbc_eval(xi, mu):
 heat_dynbc_b = MultiplierSymbol(name="heat-dynbc-b", func=_heat_dynbc_eval, sector=_HALF_SECTOR)
 
 
-def _ch_eval(xi, mu):
+def _ch_symbol(s, mu):
+    """Cahn-Hilliard boundary numerator and denominator at ``|xi|^2 = s``.
+
+    With the roots ``tau_1,2 = sqrt(|xi|^2 +- i mu)``,
+    ``num = mu^2 (tau_1 + tau_2)`` and
+    ``den = (mu^2 + |xi|^2)(tau_1 + tau_2) + 2 tau_1 tau_2``; the boundary
+    multiplier is ``num / den``.  Returns ``(num, den)``.
+    """
     mu_c = np.asarray(mu, dtype=complex)
-    s = _xi_sq(xi)
     tau1 = np.sqrt(s + 1j * mu_c)
     tau2 = np.sqrt(s - 1j * mu_c)
     mu2 = mu_c**2
-    return mu2 * (tau1 + tau2) / ((mu2 + s) * (tau1 + tau2) + 2.0 * tau1 * tau2)
+    return mu2 * (tau1 + tau2), (mu2 + s) * (tau1 + tau2) + 2.0 * tau1 * tau2
+
+
+def _ch_eval(xi, mu):
+    num, den = _ch_symbol(_xi_sq(xi), mu)
+    return num / den
 
 
 ch_b = MultiplierSymbol(name="ch-b", func=_ch_eval, sector=_HALF_SECTOR)
@@ -592,8 +594,8 @@ def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKe
     seminorms then involve the frequency alone.  ``kind`` optionally relabels
     the claimed class of the frozen family.
     """
-    if not sector_contains(k.sector, mu):
-        raise SectorError(f"mu={mu} outside the admissible sector")
+    if k.sector.require(mu) is None:
+        raise ValueError(f"kernel {k.name!r} has the empty sector: no parameter to freeze")
 
     def f(xi, _mu, xn):
         return k.func(xi, mu, xn)

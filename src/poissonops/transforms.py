@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from .symbols import MultiplierSymbol, SymbolKernel, _require_mu
+from .symbols import MultiplierSymbol, SymbolKernel
 
 __all__ = [
     "LPPartition",
@@ -48,11 +48,22 @@ def inverse_fft(spec: np.ndarray, grid: TangentialGrid) -> BoundaryField:
 
 def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField:
     """Apply the tangential multiplier ``a(., mu)`` to ``g`` spectrally."""
-    _require_mu(a.sector, mu)
+    a.sector.require(mu)
     avals = np.asarray(a.func(g.grid.freq_vectors, mu), dtype=complex)
     spec = _tfft(g.samples, g.grid.dim)
     out = _itfft(avals * spec, g.grid.dim)
     return BoundaryField(grid=g.grid, samples=out)
+
+
+def _lift(k: SymbolKernel, mu, spec: np.ndarray, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
+    """Poisson lift in spectral space: ``spec`` times the kernel profile of each mode.
+
+    Returns the half-space spectrum ``k(xi, mu; x_j) * spec(xi)`` with the
+    normal nodes on a new last axis; ``mu`` is not checked here.
+    """
+    fv = grid.freq_vectors[..., None, :]  # broadcast a normal axis before components
+    kvals = np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
+    return kvals * spec[..., None]
 
 
 def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> HalfSpaceField:
@@ -61,13 +72,10 @@ def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> 
     Per normal node the kernel acts as a tangential multiplier on the spectrum
     of ``g``, so single Fourier modes map through exactly.
     """
-    _require_mu(k.sector, mu)
+    k.sector.require(mu)
     grid = g.grid
-    spec = _tfft(g.samples, grid.dim)
-    fv = grid.freq_vectors[..., None, :]  # broadcast a normal axis before components
-    kvals = np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
-    samples = _itfft(kvals * spec[..., None], grid.dim)
-    return HalfSpaceField(tangential=grid, normal=normal, samples=samples)
+    spec = _lift(k, mu, _tfft(g.samples, grid.dim), grid, normal)
+    return HalfSpaceField(tangential=grid, normal=normal, samples=_itfft(spec, grid.dim))
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,12 @@ def test_solve_rejects_mu_zero(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+def test_grid_dim_flag_is_bounded(tmp_path):
+    # the config schema caps grid_dim at 3; the flag route must agree
+    argv = ["solve", "--problem", "ch", "--grid-dim", "4", "--grid-N", "8", "--grid-M", "16"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
 def test_solve_rejects_unknown_data(tmp_path):
     code = main(["solve", "--problem", "ch", "--g", "wiggle", "--out", str(tmp_path)] + SMALL_GRID)
     assert code == 2

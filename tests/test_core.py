@@ -15,7 +15,6 @@ from poissonops.core import (
     TangentialGrid,
     bracket,
     make_grids,
-    sector_contains,
 )
 
 
@@ -44,7 +43,6 @@ def test_bracket_complex_parameter():
 def test_symmetric_sector_membership(mu, inside):
     sec = Sector.symmetric(0.25 * math.pi)
     assert sec.contains(mu) is inside
-    assert sector_contains(sec, mu) is inside
 
 
 def test_sector_wraps_branch_cut():
@@ -59,6 +57,18 @@ def test_empty_sector_contains_nothing():
     sec = Sector.empty()
     for mu in (1.0, -1.0, 1j, complex(2.0, -3.0)):
         assert not sec.contains(mu)
+
+
+def test_sector_require():
+    sec = Sector.symmetric(0.25 * math.pi)
+    got = sec.require(1.0)
+    assert type(got) is complex and got == 1.0
+    for mu in (None, 0.0, -1.0, 1j):
+        with pytest.raises(SectorError):
+            sec.require(mu)
+    assert Sector.empty().require(None) is None
+    with pytest.raises(SectorError):
+        Sector.empty().require(1.0)
 
 
 def test_sector_validation():

@@ -23,8 +23,8 @@ from poissonops.dynbc import (
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm
-from poissonops.symbols import kpp_m2
-from poissonops.transforms import forward_fft
+from poissonops.symbols import heat_kernel, kpp_kernel, kpp_m2
+from poissonops.transforms import apply_poisson, forward_fft
 
 SQRT2 = math.sqrt(2.0)
 
@@ -201,6 +201,23 @@ def test_kpp_resolvent_matches_road_density_multiplier():
     np.testing.assert_allclose(forward_fft(out.v) / forward_fft(g), want, rtol=1e-13)
 
 
+def test_solvers_extend_through_the_one_poisson_operator():
+    # the heat and road-field bulks are the catalog kernels' Poisson
+    # extensions of their traces, the same operator apply_poisson applies
+    tg, ng = make_grids(dim=2, N=16, M=32)
+    rng = np.random.default_rng(7)
+    g = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
+    mu = 1.3 * complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
+    d, dprime, kcoef = 1.7, 0.4, 2.5
+    heat = heat_dynbc_resolvent(HalfSpaceField.zero(tg, ng), g, mu)
+    want = apply_poisson(heat_kernel, mu, heat.v, ng).samples
+    np.testing.assert_allclose(heat.u.samples, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    kpp = kpp_resolvent(g, mu, d=d, dprime=dprime, kcoef=kcoef, ngrid=ng)
+    want = apply_poisson(kpp_kernel(d), mu, kpp.u.trace(), ng).samples
+    np.testing.assert_allclose(kpp.u.samples, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    assert max(kpp.diagnostics.values()) <= 1e-10
+
+
 def test_kpp_zero_data():
     tg, ng = make_grids(N=8, M=32)
     out = kpp_resolvent(_const_boundary(tg, 0.0), 1.0, ngrid=ng)
@@ -244,6 +261,10 @@ def test_solve_honours_problem_sector(variant):
     with pytest.raises(SectorError):
         boundary_symbol_gain(narrow, 1 + 1j)
     default = DynBCProblem(variant, tg, ng)
+    # -mu squares to mu^2, so only a check on mu itself rejects these
+    for mu in (-1.0, complex(math.cos(0.6 * math.pi), math.sin(0.6 * math.pi))):
+        with pytest.raises(SectorError):
+            boundary_symbol_gain(default, mu)
     for mu in (1.0, 1 + 1j):
         out = default.solve(None, g, mu)
         assert max(out.diagnostics.values()) <= 1e-8
@@ -318,8 +339,8 @@ def test_boundary_symbol_gain_bounded():
 
 
 def test_boundary_symbol_gain_origin_rejected():
-    # sqrt(mu^2 + shift) folds any nonzero argument into the right half
-    # plane, so the only rejectable input here is the origin itself
+    # the origin lies outside every sector; sqrt(mu^2 + shift) alone would
+    # fold -mu back inside, so the gain checks mu itself as well
     tg, ng = make_grids(N=8, M=16)
     prob = DynBCProblem("HeatDynBC", tg, ng)
     with pytest.raises(ValueError):

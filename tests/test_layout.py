@@ -1,4 +1,4 @@
-"""Package layout guards: public names resolve, one tangential FFT pair."""
+"""Package layout guards: public names resolve, one tangential FFT pair, one sector check."""
 from __future__ import annotations
 
 import ast
@@ -46,3 +46,17 @@ def test_fft_calls_only_in_the_tangential_pair():
     for path in sorted(PKG_DIR.glob("*.py")):
         sites.update((path.name, fn) for fn in _fft_call_sites(ast.parse(path.read_text())))
     assert sites == {("transforms.py", "_tfft"), ("transforms.py", "_itfft")}
+
+
+
+def _raised_names(tree: ast.Module):
+    """Name of the exception in every ``raise X`` / ``raise X(...)`` statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+
+def test_sector_error_raised_only_in_core():
+    raisers = {p.name for p in PKG_DIR.glob("*.py") if "SectorError" in _raised_names(ast.parse(p.read_text()))}
+    assert raisers == {"core.py"}

@@ -20,7 +20,7 @@ from poissonops.norms import (
     tot_char_norm,
     weak_lp_norm,
 )
-from poissonops.symbols import heat_kernel
+from poissonops.symbols import freeze_mu, heat_kernel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -223,6 +223,13 @@ def test_opnorm_derivative_hook_matches_fd():
     hook = opnorm_hilbert(heat_kernel, 2.0, 0.5, 1.0, tg, ng)
     fd = opnorm_hilbert(fd_kernel, 2.0, 0.5, 1.0, tg, ng)
     assert fd == pytest.approx(hook, rel=2e-2)
+
+
+def test_opnorm_frozen_kernel_keeps_derivative_hook():
+    # the frozen kernel forwards its analytic normal derivative unchanged
+    tg, ng = make_grids(N=16, M=256)
+    frozen = opnorm_hilbert(freeze_mu(heat_kernel, 2.0), None, 0.5, 1.0, tg, ng)
+    assert frozen == opnorm_hilbert(heat_kernel, 2.0, 0.5, 1.0, tg, ng)
 
 
 def test_opnorm_domain_checks():

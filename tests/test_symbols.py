@@ -113,14 +113,17 @@ def test_weak_seminorm_frozen_heat_uniform_in_mu():
     assert vals[-1] <= 1.1 * max(vals[0], vals[1])
 
 
-def test_char_lp_bound_heat_p2_real_rays():
-    # real-parameter L^2 profile: tau cancels the bracket weight exactly
-    got = char_lp_bound(heat_kernel, 2.0, 0, 0, 0, probe=ProbeSpec(rays=(0.0,)))
+@pytest.mark.parametrize("lp", [0, 1, 2])
+def test_char_lp_bound_heat_p2_real_rays(lp):
+    # real-parameter L^2 profile: tau cancels the bracket weight exactly, and
+    # each normal derivative (the analytic hook for l' > 0) cancels one more
+    got = char_lp_bound(heat_kernel, 2.0, 0, lp, 0, probe=ProbeSpec(rays=(0.0,)))
     assert got == pytest.approx(2.0 ** (-0.5), rel=5e-3)
 
 
-def test_char_lp_bound_heat_p1_real_rays():
-    got = char_lp_bound(heat_kernel, 1.0, 0, 0, 0, probe=ProbeSpec(rays=(0.0,)))
+@pytest.mark.parametrize("lp", [0, 1, 2])
+def test_char_lp_bound_heat_p1_real_rays(lp):
+    got = char_lp_bound(heat_kernel, 1.0, 0, lp, 0, probe=ProbeSpec(rays=(0.0,)))
     assert got == pytest.approx(1.0, rel=1e-2)
 
 
@@ -221,6 +224,8 @@ def test_freeze_mu_round_trip():
         eval_kernel(frozen, 0.0, 1.0, 1.0)
     with pytest.raises(SectorError):
         freeze_mu(heat_kernel, -1.0)
+    with pytest.raises(ValueError):
+        freeze_mu(zero_kernel, None)
     assert freeze_mu(heat_kernel, 1.0, kind="weak").kind == "weak"
 
 
