@@ -29,7 +29,6 @@ from .norms import NormSpec, field_norm, opnorm_hilbert
 from .rbound import (
     RademacherSampler,
     ScanResult,
-    decay_fit,
     eps_p_norm,
     probe_dictionary,
     rbound_lower,
@@ -69,7 +68,6 @@ __all__ = [
     "boundary_symbol_gain",
     "bracket",
     "char_lp_bound",
-    "decay_fit",
     "eps_p_norm",
     "field_norm",
     "implicit_euler_evolve",

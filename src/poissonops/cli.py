@@ -18,13 +18,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
-from jsonschema import ValidationError
-from jsonschema import validate as _validate_schema
+from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
 from .core import BoundaryField, HalfSpaceField, SectorError, TangentialGrid, make_grids
@@ -81,6 +79,8 @@ CONFIG_SCHEMA = {
     },
 }
 
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 # config keys whose argparse destination differs from the key itself
 _CONFIG_DEST = {"class": "symbol_class", "k": "kcoef"}
 
@@ -93,21 +93,13 @@ _VARIANT_BY_NAME = {
 }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("POISSONOPS_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay the JSON config on top of the parsed flags; config wins."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
-    _validate_schema(instance=cfg, schema=CONFIG_SCHEMA)
+    _VALIDATOR.validate(cfg)
     for key, value in cfg.items():
         setattr(args, _CONFIG_DEST.get(key, key), value)
 
@@ -135,12 +127,18 @@ def _grids(args: argparse.Namespace):
 
 
 def _echo(args: argparse.Namespace, keys: Sequence[str]) -> dict:
+    """The run's config after the overlay, checked against ``CONFIG_SCHEMA``.
+
+    Flags and config entries pass the same bounds; unset (``None``) entries
+    are echoed but not checked.
+    """
     cfg = {}
     for key in keys:
         val = getattr(args, _CONFIG_DEST.get(key, key))
         if isinstance(val, tuple):
             val = list(val)
         cfg[key] = val
+    _VALIDATOR.validate({k: v for k, v in cfg.items() if v is not None})
     return cfg
 
 
@@ -184,7 +182,6 @@ def rbound_batch_scan(
     restarts: int = 8,
     seed: int = 0,
     batch: int = 4,
-    workers: int = 1,
 ) -> ScanResult:
     """Randomized-bound scan: batch the parameter family, one row per batch.
 
@@ -202,8 +199,7 @@ def rbound_batch_scan(
         for lo in range(0, len(mus), batch):
             jobs.append((float(ray), mus[lo : lo + batch]))
 
-    def one(item):
-        idx, (ray, mus) = item
+    def one(idx, ray, mus):
         ops = [(f"mu{j}", _scaled_poisson_op(kern, mu, exponent, ngrid)) for j, mu in enumerate(mus)]
         est = rbound_lower(
             ops,
@@ -217,19 +213,16 @@ def rbound_batch_scan(
         )
         return (abs(mus[-1]), ray, est.value)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, enumerate(jobs)))
+    rows = [one(idx, ray, mus) for idx, (ray, mus) in enumerate(jobs)]
     meta = {"seed": seed, "trials": trials, "restarts": restarts, "batch": batch}
     return ScanResult.from_rows(rows, metadata=meta)
 
 
 def cmd_verify_symbol(args: argparse.Namespace) -> int:
+    cfg = _echo(args, ("kernel", "class", "N", "d", "seed"))
     kern = kernel_catalog(args.kernel, d=args.d)
     if args.symbol_class:
         kern = replace(kern, kind=args.symbol_class)
-    if not 0 <= args.N <= 4:
-        raise ValueError("seminorm order N must lie in 0..4")
-    cfg = _echo(args, ("kernel", "class", "N", "d", "seed"))
     print(f"config {json.dumps(cfg, sort_keys=True)}")
     probe = ProbeSpec()
     refined = probe.refined()
@@ -252,12 +245,8 @@ def cmd_verify_symbol(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    grid, ngrid = _grids(args)
-    kern = kernel_catalog(args.kernel, d=args.d)
     rays = _normalize_rays(args.rays)
     args.rays = [float(r) for r in rays]
-    mus = np.geomspace(args.mu_min, args.mu_max, args.mu_points)
-    workers = _worker_count()
     cfg = _echo(
         args,
         (
@@ -266,20 +255,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "d", "seed", "out",
         ) + _GRID_KEYS,
     )
+    grid, ngrid = _grids(args)
+    kern = kernel_catalog(args.kernel, d=args.d)
+    mus = np.geomspace(args.mu_min, args.mu_max, args.mu_points)
     print(f"config {json.dumps(cfg, sort_keys=True)}")
 
     if args.mode == "opnorm":
-        jobs = [(float(ray), float(m)) for ray in rays for m in mus]
-
-        def one(job):
-            ray, m = job
+        def one(ray, m):
             mu = m * complex(math.cos(ray), math.sin(ray))
             val = opnorm_hilbert(kern, mu, args.s, args.t, grid, ngrid)
             pref = (1.0 + m * m) ** (0.5 * args.prefactor_exponent)
             return (m, ray, pref * val)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, jobs))
+        rows = [one(ray, float(m)) for ray in rays for m in mus]
         scan = ScanResult.from_rows(rows, metadata={"seed": args.seed})
     else:
         scan = rbound_batch_scan(
@@ -296,7 +284,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             restarts=args.restarts,
             seed=args.seed,
             batch=args.batch_size,
-            workers=workers,
         )
 
     os.makedirs(args.out, exist_ok=True)
@@ -312,6 +299,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    cfg = _echo(
+        args,
+        ("problem", "mu", "d", "dprime", "k", "g", "evolve", "dt", "T", "seed", "out")
+        + _GRID_KEYS,
+    )
     grid, ngrid = _grids(args)
     problem = DynBCProblem(
         _VARIANT_BY_NAME[args.problem],
@@ -320,11 +312,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         d=args.d,
         dprime=args.dprime,
         kcoef=args.kcoef,
-    )
-    cfg = _echo(
-        args,
-        ("problem", "mu", "d", "dprime", "k", "g", "evolve", "dt", "T", "seed", "out")
-        + _GRID_KEYS,
     )
     print(f"config {json.dumps(cfg, sort_keys=True)}")
     records: list[dict] = [
@@ -337,9 +324,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ]
 
     if args.evolve:
-        if args.dt <= 0 or args.T <= 0:
-            raise ValueError("evolve requires positive dt and T")
-
         def g_of_t(t: float) -> BoundaryField:
             return _boundary_data(args.g, grid)
 

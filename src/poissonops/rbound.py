@@ -9,7 +9,6 @@ bracket weight of the spectral parameter.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,7 +24,6 @@ __all__ = [
     "ScanResult",
     "eps_p_norm",
     "rbound_lower",
-    "decay_fit",
     "probe_dictionary",
 ]
 
@@ -74,8 +72,8 @@ class ScanResult:
     """Norm scan along parameter rays with its fitted decay rate.
 
     ``rows`` holds ``(abs_mu, arg_mu, norm)`` triples, strictly increasing in
-    modulus within each ray; ``slope`` and ``residual`` come from
-    :func:`decay_fit`.
+    modulus within each ray; ``slope`` and ``residual`` are the least-squares
+    slope of log norm against the log bracket weight and its RMS residual.
     """
 
     rows: tuple
@@ -99,32 +97,14 @@ class ScanResult:
         return cls(rows=tuple(tuple(r) for r in rows), slope=slope, residual=residual,
                    metadata=dict(metadata or {}))
 
-    def _records(self) -> list[dict]:
-        seed = self.metadata.get("seed", 0)
-        return [
-            {
-                "abs_mu": abs_mu,
-                "arg_mu": arg_mu,
-                "norm": norm,
-                "slope": self.slope,
-                "residual": self.residual,
-                "seed": seed,
-            }
-            for abs_mu, arg_mu, norm in self.rows
-        ]
-
     def to_csv(self, path) -> None:
-        cols = ["abs_mu", "arg_mu", "norm", "slope", "residual", "seed"]
+        seed = self.metadata.get("seed", 0)
         with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols)
-            w.writeheader()
-            for rec in self._records():
-                w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in rec.items()})
-
-    def to_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for rec in self._records():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            w = csv.writer(fh)
+            w.writerow(["abs_mu", "arg_mu", "norm", "slope", "residual", "seed"])
+            for row in self.rows:
+                rec = (*row, self.slope, self.residual, seed)
+                w.writerow([repr(v) if isinstance(v, float) else v for v in rec])
 
 
 def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
@@ -139,11 +119,6 @@ def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     return float(slope), float(np.sqrt(np.mean(resid**2)))
-
-
-def decay_fit(scan: ScanResult) -> tuple[float, float]:
-    """Least-squares slope of log norm against the log bracket weight."""
-    return _fit_rows(scan.rows)
 
 
 # ---------------------------------------------------------------------------

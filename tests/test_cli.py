@@ -5,8 +5,9 @@ import json
 import math
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from poissonops.cli import main
+from poissonops.cli import CONFIG_SCHEMA, main
 
 SMALL_GRID = ["--grid-N", "8", "--grid-M", "32"]
 
@@ -90,6 +91,26 @@ def test_grid_dim_flag_is_bounded(tmp_path):
     # the config schema caps grid_dim at 3; the flag route must agree
     argv = ["solve", "--problem", "ch", "--grid-dim", "4", "--grid-N", "8", "--grid-M", "16"]
     assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "--road-n", "4"],
+        ["solve", "--problem", "ch", "--seed", "-3"] + SMALL_GRID,
+        ["verify-symbol", "--kernel", "heat", "--d", "-1"],
+    ],
+    ids=["road-n", "seed", "verify-d"],
+)
+def test_flags_pass_the_config_schema(tmp_path, capsys, argv):
+    # a flag value outside CONFIG_SCHEMA is rejected as its config twin is
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "config rejected" in capsys.readouterr().err
+
+
+def test_config_schema_is_valid():
+    # the validator is built once, so nothing re-checks the schema per call
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 def test_solve_rejects_unknown_data(tmp_path):

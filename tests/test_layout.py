@@ -1,4 +1,5 @@
-"""Package layout guards: public names resolve, one tangential FFT pair, one sector check."""
+"""Package layout guards: public names resolve, one tangential FFT pair, one sector check,
+and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -10,6 +11,7 @@ import poissonops
 
 PKG_DIR = Path(poissonops.__file__).parent
 FFT_CALLS = {"fft", "ifft", "fftn", "ifftn"}
+CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 
 
 def _fft_call_sites(tree: ast.Module) -> set[str]:
@@ -60,3 +62,34 @@ def _raised_names(tree: ast.Module):
 def test_sector_error_raised_only_in_core():
     raisers = {p.name for p in PKG_DIR.glob("*.py") if "SectorError" in _raised_names(ast.parse(p.read_text()))}
     assert raisers == {"core.py"}
+
+
+def _run_inputs_outside_config(tree: ast.Module):
+    """Imports of thread or process pools and reads of ``os.environ`` / ``os.getenv``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in CONCURRENCY_MODULES:
+                    yield f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] in CONCURRENCY_MODULES:
+                yield f"from {node.module} import"
+            elif node.module == "os" and {a.name for a in node.names} & {"environ", "getenv"}:
+                yield "from os import environ/getenv"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            yield f"os.{node.attr}"
+
+
+def test_scans_are_serial_and_read_no_environment():
+    # every input of a run is in its config echo: no worker-count knob, no pool
+    found = {
+        (p.name, use)
+        for p in PKG_DIR.glob("*.py")
+        for use in _run_inputs_outside_config(ast.parse(p.read_text()))
+    }
+    assert found == set()

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
     RademacherSampler,
     ScanResult,
-    decay_fit,
     eps_p_norm,
     probe_dictionary,
     rbound_lower,
@@ -183,17 +181,13 @@ def test_scan_result_round_trip(tmp_path):
     rows = [(float(m), 0.0, 2.0 * m**-0.5) for m in (1.0, 2.0, 4.0, 8.0, 16.0)]
     scan = ScanResult.from_rows(rows, metadata={"seed": 3})
     csv_path = tmp_path / "scan.csv"
-    jsonl_path = tmp_path / "scan.jsonl"
     scan.to_csv(csv_path)
-    scan.to_jsonl(jsonl_path)
     with open(csv_path, newline="") as fh:
         recs = list(csv.DictReader(fh))
     assert [r["abs_mu"] for r in recs] == [repr(m) for m, _, _ in rows]
     assert float(recs[0]["slope"]) == pytest.approx(scan.slope, rel=1e-12)
-    lines = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
-    assert len(lines) == 5
-    assert lines[2]["norm"] == pytest.approx(rows[2][2], rel=1e-15)
-    assert lines[2]["seed"] == 3
+    assert recs[2]["norm"] == repr(rows[2][2])
+    assert recs[2]["seed"] == "3"
 
 
 def test_scan_result_validation():
@@ -209,7 +203,8 @@ def test_scan_result_validation():
 def test_decay_fit_exact_bracket_power_law():
     mags = np.geomspace(1.0, 1000.0, 12)
     rows = [(float(m), 0.0, 7.0 * (1.0 + m * m) ** -0.25) for m in mags]
-    slope, residual = decay_fit(ScanResult.from_rows(rows))
+    scan = ScanResult.from_rows(rows)
+    slope, residual = scan.slope, scan.residual
     assert slope == pytest.approx(-0.5, abs=1e-12)
     assert residual < 1e-10
 
@@ -219,13 +214,14 @@ def test_decay_fit_plain_power_law_close():
     # so away from mu ~ 1 the fitted slope lands near the modulus exponent
     mags = np.geomspace(4.0, 1000.0, 12)
     rows = [(float(m), 0.0, float(m) ** -0.5) for m in mags]
-    slope, _ = decay_fit(ScanResult.from_rows(rows))
+    slope = ScanResult.from_rows(rows).slope
     assert slope == pytest.approx(-0.5, abs=1e-2)
 
 
 def test_decay_fit_flat_rows():
     rows = [(float(m), 0.0, 4.2) for m in (1, 3, 9, 27, 81)]
-    slope, residual = decay_fit(ScanResult.from_rows(rows))
+    scan = ScanResult.from_rows(rows)
+    slope, residual = scan.slope, scan.residual
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert residual < 1e-12
 
@@ -236,5 +232,5 @@ def test_decay_fit_heat_opnorm_scan():
         (float(m), 0.0, opnorm_hilbert(heat_kernel, float(m), 0.0, 0.0, tg, ng))
         for m in np.geomspace(1.0, 1000.0, 8)
     ]
-    slope, _ = decay_fit(ScanResult.from_rows(rows))
+    slope = ScanResult.from_rows(rows).slope
     assert slope == pytest.approx(-0.5, abs=0.03)
