@@ -42,6 +42,7 @@ from .symbols import (
     lemma_max_eval,
     mikhlin_fnorm,
     seminorm,
+    seminorm_table,
 )
 from .transforms import LPPartition, apply_multiplier, apply_poisson, lp_blocks
 
@@ -81,5 +82,6 @@ __all__ = [
     "rbound_lower",
     "road_symbol_scan",
     "seminorm",
+    "seminorm_table",
     "__version__",
 ]

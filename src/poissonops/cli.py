@@ -25,11 +25,11 @@ import numpy as np
 from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
-from .core import BoundaryField, HalfSpaceField, SectorError, TangentialGrid, make_grids
+from .core import TWO_PI, BoundaryField, HalfSpaceField, SectorError, TangentialGrid, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, lp_norm, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, probe_dictionary, rbound_lower
-from .symbols import ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm
+from .symbols import ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
 from .transforms import apply_poisson
 
 __all__ = ["CONFIG_SCHEMA", "main", "rbound_batch_scan"]
@@ -143,15 +143,14 @@ def _echo(args: argparse.Namespace, keys: Sequence[str]) -> dict:
 
 
 def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
-    """Named boundary data: const, zero, or mode<m> (tangential exponential)."""
+    """Named boundary data: const, zero, or mode<m> (the lattice mode ``exp(2 pi i m x / L)``)."""
     if name == "const":
         return BoundaryField(grid, np.ones(grid.shape, dtype=complex))
     if name == "zero":
         return BoundaryField(grid, np.zeros(grid.shape, dtype=complex))
     if name.startswith("mode"):
-        m = int(name[4:])
-        phase = np.exp(1j * m * grid.points_1d)
-        samples = phase
+        freq = int(name[4:]) * (TWO_PI / grid.L)  # exactly m at L = 2 pi
+        samples = np.exp(1j * freq * grid.points_1d)
         for _ in range(grid.dim - 1):
             samples = samples[..., None] * np.ones(grid.N)
         return BoundaryField(grid, samples)
@@ -229,9 +228,8 @@ def cmd_verify_symbol(args: argparse.Namespace) -> int:
     print(f"kernel={args.kernel} class={kern.kind} order={kern.order}")
     print("   n         base      refined    ratio")
     all_ok = True
-    for n in range(args.N + 1):
-        base = seminorm(kern, n, probe)
-        fine = seminorm(kern, n, refined)
+    table = zip(seminorm_table(kern, args.N, probe), seminorm_table(kern, args.N, refined))
+    for n, (base, fine) in enumerate(table):
         if base == 0.0:
             ratio = 1.0 if fine == 0.0 else math.inf
         else:

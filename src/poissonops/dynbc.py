@@ -238,7 +238,7 @@ def kpp_resolvent(
         raise ValueError("road-field parameters must be positive")
     kern = kpp_kernel(d)
     mu = kern.sector.require(mu)
-    ngrid = ngrid or NormalGrid()
+    ngrid = ngrid or NormalGrid(256)
     grid = g.grid
     mu2 = mu * mu
     s = grid.freq_norm_sq

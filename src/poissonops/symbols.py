@@ -16,6 +16,8 @@ the empty sector, and ``xn`` broadcasts against the leading axes of ``xi``.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -31,6 +33,7 @@ __all__ = [
     "eval_kernel",
     "eval_scaled",
     "seminorm",
+    "seminorm_table",
     "char_lp_bound",
     "mikhlin_fnorm",
     "lemma_max_eval",
@@ -97,7 +100,8 @@ class SymbolKernel:
         Evaluator ``func(xi, mu, xn)`` as described in the module docstring.
     xn_derivative : callable, optional
         Analytic normal derivative ``(xi, mu, xn, order) -> value`` when the
-        kernel has one in closed form; finite differences otherwise.
+        kernel has one in closed form; ``char_lp_bound`` needs it for
+        ``l' > 0``.
     """
 
     name: str
@@ -160,8 +164,9 @@ class ProbeSpec:
     factor of four, the refinement step used for finiteness certificates.
     Finite-difference steps are ``h_rel`` times the local bracket weight.
     ``rays`` optionally pins the spectral samples to explicit argument angles
-    (used as given, e.g. ``(0.0,)`` for a real-parameter scan) instead of the
-    default three rays spread across the sector interior.
+    (e.g. ``(0.0,)`` for a real-parameter scan) instead of the default three
+    rays spread across the sector interior; every sample must lie in the
+    sector.
     """
 
     xi_max: float = 8.0
@@ -193,8 +198,9 @@ class ProbeSpec:
     def mu_values(self, sector: Sector) -> list:
         """Spectral samples on rays inside the sector, or ``[None]`` if empty.
 
-        Rays keep an angular distance of at least ``margin`` from the sector
-        boundary to avoid grazing branch cuts.
+        Default rays keep an angular distance of at least ``margin`` from the
+        sector boundary to avoid grazing branch cuts; a sample outside the
+        sector raises ``SectorError``.
         """
         if sector.is_empty:
             return [None]
@@ -209,7 +215,7 @@ class ProbeSpec:
                 angles = [lo + f * (hi - lo) for f in (0.05, 0.5, 0.95)]
         n = 2 * self.density + 2
         mags = np.geomspace(0.5, self.mu_max, n)
-        return [m * complex(math.cos(a), math.sin(a)) for a in angles for m in mags]
+        return [sector.require(m * complex(math.cos(a), math.sin(a))) for a in angles for m in mags]
 
     def mikhlin_axis_values(self) -> np.ndarray:
         """Per-axis samples for the multiplier norm; zero excluded."""
@@ -220,6 +226,19 @@ class ProbeSpec:
 
 # ---------------------------------------------------------------------------
 # seminorm estimation
+
+
+def _central_difference(at: Callable, orders, h):
+    """Mixed central difference of orders ``orders``, one ``_STEN`` stencil per axis.
+
+    ``at(offsets)`` samples the function at integer multiples ``offsets`` of
+    the step ``h`` along each axis; the weighted samples are summed over the
+    product of the stencils and divided by ``h ** sum(orders)``.
+    """
+    acc = 0.0
+    for taps in itertools.product(*(_STEN[o] for o in orders)):
+        acc = acc + math.prod(c for _, c in taps) * at(tuple(off for off, _ in taps))
+    return acc / h ** sum(orders)
 
 
 def seminorm(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> float:
@@ -235,47 +254,38 @@ def seminorm(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> float:
     Returns a lower bound; compare against a refined probe to certify
     finiteness.
     """
+    return seminorm_table(k, N, probe)[N]
+
+
+def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> list[float]:
+    """``[seminorm(k, n, probe) for n in 0..N]`` from one lattice sweep per spectral point."""
     if not 0 <= N <= 4:
         raise ValueError("derivative budget N must lie in 0..4")
     probe = probe or ProbeSpec()
-    best = 0.0
+    per_order = [0.0] * (N + 1)
     for mu in probe.mu_values(k.sector):
-        best = max(best, _seminorm_at_mu(k, N, probe, mu))
-    return best
+        per_order = list(map(max, per_order, _seminorm_at_mu(k, N, probe, mu)))
+    return list(itertools.accumulate(per_order, max))
 
 
-def _seminorm_at_mu(k: SymbolKernel, N: int, probe: ProbeSpec, mu) -> float:
+def _seminorm_at_mu(k: SymbolKernel, N: int, probe: ProbeSpec, mu) -> list[float]:
+    """Largest seminorm term of each total order ``0..N`` at one spectral point."""
     xi = probe.xi_values()[:, None]  # (nx, 1)
     t = probe.t_values()[None, :]  # (1, nt)
     br = np.sqrt(1.0 + xi * xi + _abs_sq(mu))
     h = probe.h_rel * br
 
-    cache: dict[tuple[int, int, int, int], np.ndarray] = {}
+    @functools.cache
+    def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
+        i, p, q, s = offsets
+        xs = xi + i * h
+        ms = None if mu is None else mu + (p + 1j * q) * h
+        brs = np.sqrt(1.0 + xs * xs + _abs_sq(ms))
+        ts = np.maximum(t + s * h, 0.0)
+        return np.asarray(k.func(xs[..., None], ms, ts / brs), dtype=complex)
 
-    def shifted_eval(i: int, p: int, q: int, s: int) -> np.ndarray:
-        key = (i, p, q, s)
-        if key not in cache:
-            xs = xi + i * h
-            ms = None if mu is None else mu + (p + 1j * q) * h
-            brs = np.sqrt(1.0 + xs * xs + _abs_sq(ms))
-            ts = np.maximum(t + s * h, 0.0)
-            cache[key] = np.asarray(k.func(xs[..., None], ms, ts / brs), dtype=complex)
-        return cache[key]
-
-    def d_mixed(a: int, b1: int, b2: int, jt: int) -> np.ndarray:
-        acc = np.zeros(np.broadcast_shapes(xi.shape, t.shape), dtype=complex)
-        for i, ci in _STEN[a]:
-            for p, cp in _STEN[b1]:
-                for q, cq in _STEN[b2]:
-                    for s, cs in _STEN[jt]:
-                        acc = acc + (ci * cp * cq * cs) * shifted_eval(i, p, q, s)
-        return acc / h ** (a + b1 + b2 + jt)
-
-    def valid_mask(jt: int) -> np.ndarray:
-        # central t-stencils must not reach below t = 0
-        return t - _STEN_RADIUS[jt] * h >= 0.0
-
-    best = 0.0
+    strong = k.kind == "strong"
+    per_order = [0.0] * (N + 1)
     max_mu_order = N if mu is not None else 0
     for a in range(N + 1):
         for b1 in range(max_mu_order + 1):
@@ -284,24 +294,20 @@ def _seminorm_at_mu(k: SymbolKernel, N: int, probe: ProbeSpec, mu) -> float:
                 if rem < 0:
                     continue
                 wscale = br ** (-k.order + a + b1 + b2)
-                if k.kind == "strong":
-                    for jt in range(rem + 1):
-                        g = d_mixed(a, b1, b2, jt)
-                        ok = valid_mask(jt) if jt else np.ones_like(g, dtype=bool)
-                        for l in range(rem - jt + 1):
+                gs = [_central_difference(at, (a, b1, b2, j), h) for j in range(rem + 1)]
+                for m in range(rem + 1):
+                    # order-m normal term: D_t^m (strong) or (t D_t)^m (weak)
+                    g = gs[m] if strong else sum(c * t**j * gs[j] for j, c in _STIRLING2[m].items())
+                    # central t-stencils must not reach below t = 0
+                    ok = t - _STEN_RADIUS[m] * h >= 0.0
+                    for l in range(rem - m + 1):
+                        if strong:
                             vals = np.abs(t**l * g) * wscale
-                            best = max(best, float(np.max(np.where(ok, vals, 0.0))))
-                else:
-                    gs = [d_mixed(a, b1, b2, j) for j in range(rem + 1)]
-                    for m in range(rem + 1):
-                        acc = np.zeros_like(gs[0])
-                        for j, c in _STIRLING2[m].items():
-                            acc = acc + c * t**j * gs[j]
-                        ok = valid_mask(m) if m else np.ones_like(acc, dtype=bool)
-                        for l in range(rem - m + 1):
-                            vals = np.abs(acc) * (1.0 + t * t) ** (0.5 * l) * wscale
-                            best = max(best, float(np.max(np.where(ok, vals, 0.0))))
-    return best
+                        else:
+                            vals = np.abs(g) * (1.0 + t * t) ** (0.5 * l) * wscale
+                        n = a + b1 + b2 + m + l
+                        per_order[n] = max(per_order[n], float(np.max(np.where(ok, vals, 0.0))))
+    return per_order
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +345,8 @@ def char_lp_bound(
         raise ValueError("derivative orders must be nonnegative")
     if lp + a > 3:
         raise ValueError("derivative budget l' + |alpha| is capped at 3")
+    if lp > 0 and k.xn_derivative is None:
+        raise ValueError(f"kernel {k.name!r} has no xn_derivative, which l' > 0 needs")
     probe = probe or ProbeSpec()
     ngrid = ngrid or NormalGrid(256)
     x = ngrid.nodes
@@ -350,10 +358,9 @@ def char_lp_bound(
         for xiv in probe.xi_values():
             br = bracket(xiv, mu)
             h_xi = probe.h_rel * br
-            phi = np.zeros_like(x, dtype=complex)
-            for i, ci in _STEN[a]:
-                phi = phi + ci * _normal_profile(k, xiv + i * h_xi, mu, x, lp, probe.h_rel)
-            phi = phi / h_xi**a
+            phi = _central_difference(
+                lambda offs: _normal_profile(k, xiv + offs[0] * h_xi, mu, x, lp), (a,), h_xi
+            )
             vals = np.abs(x**l * phi)
             if math.isinf(p):
                 nrm = float(np.max(vals))
@@ -363,20 +370,12 @@ def char_lp_bound(
     return best
 
 
-def _normal_profile(k: SymbolKernel, xi_s: float, mu, x: np.ndarray, order: int, h_rel: float):
+def _normal_profile(k: SymbolKernel, xi_s: float, mu, x: np.ndarray, order: int):
     """Order-th normal derivative of the kernel profile at frequency ``xi_s``."""
     xi_vec = np.array([xi_s])
     if order == 0:
         return np.asarray(k.func(xi_vec, mu, x), dtype=complex)
-    if k.xn_derivative is not None:
-        return np.asarray(k.xn_derivative(xi_vec, mu, x, order), dtype=complex)
-    # fallback: central differences on the decay scale; nodes hugging x = 0
-    # get clamped stencils, tolerable because their quadrature weights vanish
-    h = h_rel / bracket(xi_s, mu)
-    acc = np.zeros_like(x, dtype=complex)
-    for s, cs in _STEN[order]:
-        acc = acc + cs * np.asarray(k.func(xi_vec, mu, np.maximum(x + s * h, 0.0)), dtype=complex)
-    return acc / h**order
+    return np.asarray(k.xn_derivative(xi_vec, mu, x, order), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +399,16 @@ def mikhlin_fnorm(a_sym: MultiplierSymbol, mu, dim: int = 1, probe: ProbeSpec | 
     norms = np.sqrt(np.sum(pts * pts, axis=-1))
     h = probe.h_rel * np.sqrt(1.0 + norms * norms)  # (P,)
 
-    import itertools
+    def at(offsets: tuple[int, ...]) -> np.ndarray:
+        shift = np.stack([off * h for off in offsets], axis=-1)
+        return np.asarray(a_sym.func(pts + shift, mu), dtype=complex)
 
     best = 0.0
     for alpha in itertools.product(range(dim + 1), repeat=dim):
         total = sum(alpha)
         if total > dim:
             continue
-        acc = np.zeros(pts.shape[0], dtype=complex)
-        for offs_coeffs in itertools.product(*(_STEN[o] for o in alpha)):
-            coeff = 1.0
-            shift = np.zeros_like(pts)
-            for axis_i, (off, c) in enumerate(offs_coeffs):
-                coeff *= c
-                shift[:, axis_i] = off * h
-            acc = acc + coeff * np.asarray(a_sym.func(pts + shift, mu), dtype=complex)
-        deriv = acc / h**total
+        deriv = _central_difference(at, alpha, h)
         best = max(best, float(np.max(norms**total * np.abs(deriv))))
     return best
 

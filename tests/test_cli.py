@@ -4,10 +4,13 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from poissonops.cli import CONFIG_SCHEMA, main
+from poissonops.cli import CONFIG_SCHEMA, _boundary_data, main
+from poissonops.core import TangentialGrid
+from poissonops.transforms import forward_fft
 
 SMALL_GRID = ["--grid-N", "8", "--grid-M", "32"]
 
@@ -79,6 +82,17 @@ def test_solve_mode_data(tmp_path):
     assert code == 0
     body = _read_jsonl(tmp_path / "solve.jsonl")[1]
     assert all(v <= 1e-8 for v in body["diagnostics"].values())
+
+
+def test_mode_data_is_a_lattice_mode():
+    # mode<m> is exp(2 pi i m x / L): one spectral coefficient on any box
+    grid = TangentialGrid(dim=1, N=16, L=4.0)
+    spec = forward_fft(_boundary_data("mode1", grid))
+    assert np.count_nonzero(np.abs(spec) > 1e-12 * np.max(np.abs(spec))) == 1
+    # at the default L = 2 pi the frequency is exactly m
+    grid = TangentialGrid(dim=2, N=16, L=2.0 * math.pi)
+    want = np.exp(1j * -3 * grid.points_1d)[:, None] * np.ones(16)
+    assert np.array_equal(_boundary_data("mode-3", grid).samples, want)
 
 
 def test_solve_rejects_mu_zero(tmp_path, capsys):

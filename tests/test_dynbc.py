@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import BoundaryField, HalfSpaceField, Sector, SectorError, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Sector, SectorError, make_grids
 from poissonops.dynbc import (
     DynBCProblem,
     _green_sweep,
@@ -216,6 +216,15 @@ def test_solvers_extend_through_the_one_poisson_operator():
     want = apply_poisson(kpp_kernel(d), mu, kpp.u.trace(), ng).samples
     np.testing.assert_allclose(kpp.u.samples, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
     assert max(kpp.diagnostics.values()) <= 1e-10
+
+
+def test_kpp_resolvent_default_normal_grid():
+    tg, _ = make_grids(N=8)
+    g = _const_boundary(tg)
+    out = kpp_resolvent(g, 1.0)
+    want = kpp_resolvent(g, 1.0, ngrid=NormalGrid(256))
+    assert np.array_equal(out.u.samples, want.u.samples)
+    assert np.array_equal(out.v.samples, want.v.samples)
 
 
 def test_kpp_zero_data():

@@ -1,5 +1,5 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-and no threads, processes or environment reads."""
+one central difference, and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -93,3 +93,28 @@ def test_scans_are_serial_and_read_no_environment():
         for use in _run_inputs_outside_config(ast.parse(p.read_text()))
     }
     assert found == set()
+
+
+def _sten_readers(tree: ast.Module) -> set[str]:
+    """Top-level function or assignment target reading the ``_STEN`` stencil table."""
+    readers = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            owner = top.name
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            owner = ",".join(t.id for t in targets if isinstance(t, ast.Name))
+        else:
+            owner = "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "_STEN" and isinstance(node.ctx, ast.Load):
+                readers.add(owner)
+    return readers
+
+
+def test_one_central_difference():
+    # every finite-difference stencil is applied by symbols._central_difference
+    readers = {
+        (p.name, owner) for p in PKG_DIR.glob("*.py") for owner in _sten_readers(ast.parse(p.read_text()))
+    }
+    assert readers == {("symbols.py", "_central_difference"), ("symbols.py", "_STEN_RADIUS")}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from poissonops.symbols import (
     lemma_max_eval,
     mikhlin_fnorm,
     seminorm,
+    seminorm_table,
     zero_kernel,
 )
 
@@ -111,6 +113,42 @@ def test_weak_seminorm_frozen_heat_uniform_in_mu():
     ]
     assert all(v <= 5.0 for v in vals)
     assert vals[-1] <= 1.1 * max(vals[0], vals[1])
+
+
+@pytest.mark.parametrize(
+    "kernel, N",
+    [
+        (heat_kernel, 4),
+        (replace(heat_kernel, kind="weak"), 4),
+        (kpp_kernel(1.0), 2),
+        (freeze_mu(heat_kernel, 2 + 1j), 4),
+        (constant_one, 4),
+        (zero_kernel, 4),
+    ],
+    ids=["heat", "heat-weak", "kpp", "heat-frozen", "constant-one", "zero"],
+)
+def test_seminorm_table_is_the_seminorm_per_order(kernel, N):
+    # one sweep per spectral point gives every order's seminorm exactly
+    table = seminorm_table(kernel, N)
+    assert table == [seminorm(kernel, n) for n in range(N + 1)]
+    assert all(lo <= hi for lo, hi in zip(table, table[1:]))
+
+
+def test_probe_rays_outside_the_sector_raise():
+    # heat's sector is |arg mu| < 0.45 pi; a pinned ray must not leave it
+    with pytest.raises(SectorError):
+        seminorm(heat_kernel, 1, ProbeSpec(rays=(3.0,)))
+    with pytest.raises(SectorError):
+        char_lp_bound(heat_kernel, 2.0, 0, 0, 0, ProbeSpec(rays=(-2.0,)))
+
+
+def test_char_lp_bound_needs_the_normal_derivative_hook():
+    # normal derivatives come from the analytic hook only; without it l' > 0 is refused
+    bare = replace(heat_kernel, xn_derivative=None)
+    probe = ProbeSpec(rays=(0.0,))
+    with pytest.raises(ValueError, match="xn_derivative"):
+        char_lp_bound(bare, math.inf, 0, 2, 0, probe)
+    assert char_lp_bound(bare, 2.0, 0, 0, 1, probe) == char_lp_bound(heat_kernel, 2.0, 0, 0, 1, probe)
 
 
 @pytest.mark.parametrize("lp", [0, 1, 2])
