@@ -19,18 +19,18 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
-from .core import TWO_PI, BoundaryField, HalfSpaceField, SectorError, TangentialGrid, make_grids
+from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, lp_norm, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, probe_dictionary, rbound_lower
 from .symbols import ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
-from .transforms import apply_poisson
+from .transforms import _profile
 
 __all__ = ["CONFIG_SCHEMA", "main", "rbound_batch_scan"]
 
@@ -157,16 +157,6 @@ def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
     raise ValueError(f"unknown boundary data {name!r}; use const, zero, or mode<m>")
 
 
-def _scaled_poisson_op(kern: SymbolKernel, mu: complex, exponent: float, ngrid) -> Callable:
-    fac = (1.0 + abs(mu) ** 2) ** (0.5 * exponent)
-
-    def op(g: BoundaryField) -> HalfSpaceField:
-        out = apply_poisson(kern, mu, g, ngrid)
-        return replace(out, samples=fac * out.samples)
-
-    return op
-
-
 def rbound_batch_scan(
     kern: SymbolKernel,
     p: float,
@@ -184,9 +174,10 @@ def rbound_batch_scan(
 ) -> ScanResult:
     """Randomized-bound scan: batch the parameter family, one row per batch.
 
-    Each batch of consecutive |mu| values on a ray forms one operator family
-    scaled by <mu>^exponent; the row magnitude is the batch's largest |mu|,
-    so per-ray rows stay strictly increasing.
+    Each batch of consecutive |mu| values on a ray forms one operator family,
+    the multipliers ``<mu>^exponent k(xi, mu; x)``, each evaluated once; the
+    row magnitude is the batch's largest |mu|, so per-ray rows stay strictly
+    increasing.
     """
     inputs = probe_dictionary(grid)
     in_norm = NormSpec("Lp", p=2.0)
@@ -198,11 +189,15 @@ def rbound_batch_scan(
         for lo in range(0, len(mus), batch):
             jobs.append((float(ray), mus[lo : lo + batch]))
 
+    def multiplier(mu):
+        kern.sector.require(mu)
+        return (1.0 + abs(mu) ** 2) ** (0.5 * exponent) * _profile(kern, mu, grid, ngrid)
+
     def one(idx, ray, mus):
-        ops = [(f"mu{j}", _scaled_poisson_op(kern, mu, exponent, ngrid)) for j, mu in enumerate(mus)]
         est = rbound_lower(
-            ops,
+            [multiplier(mu) for mu in mus],
             inputs,
+            ngrid,
             p=p,
             in_norm=in_norm,
             out_norm=out_norm,

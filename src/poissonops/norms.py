@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
 from .symbols import SymbolKernel
-from .transforms import LPPartition, forward_fft, lp_blocks
+from .transforms import LPPartition, _profile, forward_fft, lp_blocks
 
 __all__ = [
     "NormSpec",
@@ -98,9 +98,20 @@ def weak_lp_norm(values, measures, p: float) -> float:
         raise ValueError("values must be nonnegative")
     if np.any(m <= 0):
         raise ValueError("measures must be positive")
-    order = np.argsort(v)[::-1]
-    cum = np.cumsum(m[order])
-    return float(np.max(v[order] * cum ** (1.0 / p)))
+    return float(_normal_lp(v, m, p, weak=True))
+
+
+def _normal_lp(slices: np.ndarray, weights: np.ndarray, p: float, weak: bool) -> np.ndarray:
+    """(Weak) L^p along the last axis against ``weights``, batched over leading axes.
+
+    The weak branch sorts each row descending and takes ``max_k v_k M_k^{1/p}``
+    as :func:`weak_lp_norm` does; a 1-D row gives the single-field value.
+    """
+    if weak:
+        order = np.argsort(slices, axis=-1)[..., ::-1]
+        cum = np.cumsum(weights[order], axis=-1)
+        return np.max(np.take_along_axis(slices, order, axis=-1) * cum ** (1.0 / p), axis=-1)
+    return np.sum(slices**p * weights, axis=-1) ** (1.0 / p)
 
 
 def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> np.ndarray:
@@ -141,9 +152,7 @@ def _slice_then_normal(samples: np.ndarray, u: HalfSpaceField, p: float, q: floa
     """Tangential L^q per normal slice, then (weak) L^p against node weights."""
     tan_axes = tuple(range(u.tangential.dim))
     slices = (np.sum(np.abs(samples) ** q, axis=tan_axes) * u.tangential.cell) ** (1.0 / q)
-    if weak:
-        return weak_lp_norm(slices, u.normal.weights, p)
-    return float(np.sum(slices**p * u.normal.weights) ** (1.0 / p))
+    return float(_normal_lp(slices, u.normal.weights, p, weak))
 
 
 def mixed_norm(u: HalfSpaceField, p: float, q: float, m: int = 0, weak: bool = False) -> float:
@@ -230,7 +239,7 @@ def opnorm_hilbert(
         grid = grid or dg
         ngrid = ngrid or dn
     fv = grid.freq_vectors[..., None, :]
-    kv = np.asarray(k.func(fv, mu, ngrid.nodes), dtype=complex)
+    kv = _profile(k, mu, grid, ngrid)
     l2 = np.sqrt(np.sum(np.abs(kv) ** 2 * ngrid.weights, axis=-1))
     bxi = np.sqrt(1.0 + grid.freq_norm_sq)
     if t == 0:
@@ -248,6 +257,23 @@ def opnorm_hilbert(
         surr = l2 ** (1.0 - theta) * l2d**theta
     vals = bxi ** (-s) * np.sqrt(bxi ** (2.0 * t) * l2**2 + surr**2)
     return float(np.max(vals))
+
+
+def _slice_form(spec: NormSpec) -> tuple[float, float, bool, int]:
+    """``spec`` as ``(q, p, weak, m)``: tangential L^q slices, then (weak) L^p across them.
+
+    The slices are taken of every normal derivative of order up to ``m``,
+    and the terms are summed as in :func:`mixed_norm`; a boundary field is
+    one slice.  Besov, totally characteristic and Bessel norms have no such
+    form and raise ``ValueError``.
+    """
+    if spec.family == "Lp":
+        return spec.p, spec.p, False, 0
+    if spec.family == "WeakLp":
+        return spec.q, spec.p, True, 0
+    if spec.family == "Mixed":
+        return spec.q, spec.p, spec.weak, spec.m
+    raise ValueError(f"{spec.family} norms have no slice form")
 
 
 def field_norm(f, spec: NormSpec, part: LPPartition | None = None) -> float:

@@ -2,9 +2,11 @@
 
 An operator family is probed from below: random subsets act on random
 dictionary inputs, the ratio of randomized output to input norms is maximized
-over restarts, and the best observed ratio is a certified lower bound.  Decay
-claims are quantified by least-squares slopes of log norm against the log
-bracket weight of the spectral parameter.
+over restarts, and the best observed ratio is a certified lower bound.  The
+family is given as spectral multipliers, and sign sums are evaluated in
+spectral space, every trial at once.  Decay claims are quantified by
+least-squares slopes of log norm against the log bracket weight of the
+spectral parameter.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoundaryField, TangentialGrid
-from .norms import NormSpec, field_norm
+from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
+from .norms import NormSpec, _normal_lp, _slice_form, normal_derivative
+from .transforms import _itfft, _tfft
 
 __all__ = [
     "RademacherSampler",
@@ -125,16 +128,13 @@ def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
 # randomized norms
 
 
-def _is_hilbert(spec: NormSpec) -> bool:
-    # families whose norm comes from an inner product, where the mean square
-    # of a random sign sum collapses to the sum of squares exactly
-    if spec.family == "Lp" and spec.p == 2:
-        return True
-    if spec.family == "Bessel2":
-        return True
-    if spec.family == "Mixed" and spec.p == 2 and spec.q == 2 and spec.m == 0 and not spec.weak:
-        return True
-    return False
+def _check_counts(p: float, trials: int, restarts: int = 0) -> None:
+    if not 1 <= p < math.inf:
+        raise ValueError(f"need 1 <= p < inf, got p={p}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
 
 
 def _check_common_grid(fields: Sequence) -> None:
@@ -147,35 +147,99 @@ def _check_common_grid(fields: Sequence) -> None:
             raise ValueError("fields must share one grid")
 
 
-def _eps_p_stats(
-    fields: Sequence,
+class _StackNorm:
+    """A norm of sign sums ``sum_k eps_k O_k`` of spectral arrays, every trial at once.
+
+    A stack is laid out ``(M, size, modes)``: normal nodes first (``M = 1``
+    on the boundary), then the summands, then the flattened modes of the
+    unscaled orthonormal tangential transform.  For tangential ``q = 2`` each
+    slice is the Gram form ``cell * Re(eps^* G[x] eps)`` with
+    ``G[x] = conj(O_x) O_x^T`` (Plancherel); any other ``q`` transforms the
+    stack back once and forms every trial in one matmul.
+    """
+
+    def __init__(self, spec: NormSpec, grid: TangentialGrid, normal: NormalGrid | None) -> None:
+        self.q, self.p, self.weak, self.m = _slice_form(spec)
+        if normal is None and spec.family != "Lp":
+            raise TypeError(f"{spec.family} norms need a half-space field")
+        self.grid, self.normal = grid, normal
+        # the mean square of a sign sum is then exactly the sum of squares
+        self.hilbert = self.q == 2 and self.p == 2 and not self.weak and self.m == 0
+
+    def orders(self, a: np.ndarray) -> list[np.ndarray]:
+        """Stacks of ``a`` (laid out ``(size, modes, M)``) and its normal derivatives up to ``m``."""
+        derivs = [a] + [normal_derivative(a, self.normal, l) for l in range(1, self.m + 1)]
+        return [np.ascontiguousarray(np.moveaxis(d, -1, 0)) for d in derivs]
+
+    def _total(self, slices: list[np.ndarray]) -> np.ndarray:
+        """Normal (weak) L^p of slices shaped ``(..., M)``, summed over derivative orders."""
+        if self.normal is None:
+            return slices[0][..., 0]
+        return sum(_normal_lp(s, self.normal.weights, self.p, self.weak) for s in slices)
+
+    def _physical(self, o: np.ndarray) -> np.ndarray:
+        a = np.moveaxis(o.reshape(o.shape[:2] + self.grid.shape), (0, 1), (-2, -1))
+        return np.moveaxis(_itfft(a, self.grid.dim), (-2, -1), (0, 1)).reshape(o.shape)
+
+    def of_sums(self, stacks: list[np.ndarray], eps: np.ndarray) -> np.ndarray:
+        """Norm of ``sum_k eps[t, k] O_k`` for every trial ``t``, from the stacks of :meth:`orders`."""
+        cell, q = self.grid.cell, self.q
+        slices = []
+        for o in stacks:
+            if q == 2:
+                gram = o.conj() @ o.transpose(0, 2, 1)
+                sq = np.einsum("tk,xkl,tl->tx", eps.conj(), gram, eps).real
+                # a nearly cancelling sum can round to a tiny negative square
+                slices.append(np.sqrt(np.maximum(sq, 0.0) * cell))
+            else:
+                combo = eps @ self._physical(o)
+                slices.append(((np.sum(np.abs(combo) ** q, axis=-1) * cell) ** (1.0 / q)).T)
+        return self._total(slices)
+
+    def of_products(self, mults: list[np.ndarray], spec: np.ndarray) -> np.ndarray:
+        """Norm of every product ``m_j * g_i``, shape ``(n_ops, n_in)``.
+
+        ``mults`` are the :meth:`orders` stacks of the multipliers, ``spec``
+        holds one spectrum per row.  For ``q = 2`` the slices of all pairs are
+        one matmul ``cell * |m_j|^2 @ |g_i|^2``.
+        """
+        if self.q == 2:
+            power = np.abs(spec.T) ** 2
+            slices = [np.sqrt(self.grid.cell * (np.abs(m) ** 2 @ power)) for m in mults]
+            return self._total([s.transpose(1, 2, 0) for s in slices])
+        eye = np.eye(len(spec))
+        n_ops = mults[0].shape[1]
+        return np.stack([self.of_sums([m[:, j, None] * spec for m in mults], eye) for j in range(n_ops)])
+
+
+def _spectra(fields: Sequence, grid: TangentialGrid) -> np.ndarray:
+    """One transform of every field: spectra laid out ``(n, modes, M)``, ``M = 1`` on the boundary."""
+    spec = _tfft(np.stack([f.samples for f in fields], axis=-1), grid.dim)
+    return spec.reshape(math.prod(grid.shape), -1, len(fields)).transpose(2, 0, 1)
+
+
+def _sign_sum(
+    norm: _StackNorm,
+    singles: np.ndarray,
+    stacks: Callable[[], list],
     p: float,
-    norm: NormSpec,
     trials: int,
     sampler: RademacherSampler,
 ) -> tuple[float, float]:
-    if not fields:
-        raise ValueError("need at least one field")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _check_common_grid(fields)
-    if len(fields) == 1:
-        return field_norm(fields[0], norm), 0.0
-    if p == 2 and _is_hilbert(norm):
-        sq = sum(field_norm(f, norm) ** 2 for f in fields)
-        return math.sqrt(sq), 0.0
-    n = len(fields)
+    """``(E ||sum_k eps_k O_k||^p)^(1/p)`` and its standard error.
+
+    ``singles`` are the norms of the summands.  One summand needs no
+    sampling (unit modulus drops out), and for ``p = 2`` with a Hilbert norm
+    the expectation is exactly the square sum; otherwise ``stacks()`` gives
+    the summands and ``trials`` sign vectors are drawn in one call.
+    """
+    n = len(singles)
+    if n == 1:
+        return float(singles[0]), 0.0
+    if p == 2 and norm.hilbert:
+        return math.sqrt(sum(float(s) ** 2 for s in singles)), 0.0
     eps = sampler.unit(trials * n).reshape(trials, n)
-    stack = np.stack([f.samples for f in fields])
-    make = type(fields[0])
-    draws = np.empty(trials)
-    for t in range(trials):
-        combo = np.tensordot(eps[t], stack, axes=(0, 0))
-        if isinstance(fields[0], BoundaryField):
-            fld = make(fields[0].grid, combo)
-        else:
-            fld = make(fields[0].tangential, fields[0].normal, combo)
-        draws[t] = field_norm(fld, norm) ** p
+    draws = norm.of_sums(stacks(), eps) ** p
     mean = float(np.mean(draws))
     if mean == 0.0:
         return 0.0, 0.0
@@ -195,10 +259,20 @@ def eps_p_norm(
 
     A single field needs no sampling (unit modulus drops out), and for ``p=2``
     with a Hilbert norm the expectation collapses exactly to the square sum;
-    everything else is Monte-Carlo with the deterministic sampler.
+    everything else is Monte-Carlo with the deterministic sampler.  ``norm``
+    must be an Lp, weak-Lp or mixed norm; ``1 <= p < inf``.
     """
-    sampler = sampler or RademacherSampler(seed=0)
-    value, _ = _eps_p_stats(fields, p, norm, trials, sampler)
+    _check_counts(p, trials)
+    if not fields:
+        raise ValueError("need at least one field")
+    _check_common_grid(fields)
+    first = fields[0]
+    half = isinstance(first, HalfSpaceField)
+    grid = first.tangential if half else first.grid
+    form = _StackNorm(norm, grid, first.normal if half else None)
+    stacks = form.orders(_spectra(fields, grid))
+    singles = form.of_sums(stacks, np.eye(len(fields)))
+    value, _ = _sign_sum(form, singles, lambda: stacks, p, trials, sampler or RademacherSampler(seed=0))
     return value
 
 
@@ -246,8 +320,9 @@ def probe_dictionary(grid: TangentialGrid) -> list[BoundaryField]:
 
 
 def rbound_lower(
-    ops: Sequence[tuple],
+    multipliers: Sequence[np.ndarray],
     inputs: Sequence[BoundaryField],
+    normal: NormalGrid | None = None,
     p: float = 2.0,
     in_norm: NormSpec | None = None,
     out_norm: NormSpec | None = None,
@@ -257,54 +332,58 @@ def rbound_lower(
 ) -> RBoundEstimate:
     """Certified lower bound on the randomized bound of an operator family.
 
-    ``ops`` pairs each operator handle with its parameter label.  Every
-    dictionary input is first swept through every single operator (the exact
-    singleton floor), then ``restarts`` random selections with repetition
-    search for sign-sum ratios above that floor.  The maximum ratio observed
-    is returned; it never exceeds the true randomized bound.
+    Operator ``j`` is the spectral multiplier ``multipliers[j]`` on the grid
+    of ``inputs``: shape ``grid.shape`` for a boundary multiplier, or
+    ``grid.shape + (normal.M,)`` for a Poisson operator onto ``normal``, and
+    it maps ``g`` to ``m_j * g^``.  Every dictionary input is first swept
+    through every single operator (the exact singleton floor), then
+    ``restarts`` random selections with repetition search for sign-sum
+    ratios above that floor.  The maximum ratio observed is returned; it
+    never exceeds the true randomized bound.  Norms must be Lp, weak-Lp or
+    mixed norms; ``1 <= p < inf``.
     """
-    if not ops:
+    if len(multipliers) == 0:
         raise ValueError("operator family must be nonempty")
     if not inputs:
         raise ValueError("input dictionary must be nonempty")
-    sampler = sampler or RademacherSampler(seed=0)
+    _check_counts(p, trials, restarts)
+    _check_common_grid(inputs)
+    grid = inputs[0].grid
     in_norm = in_norm or NormSpec("Lp", p=2.0)
     out_norm = out_norm or NormSpec("Lp", p=2.0)
+    in_form = _StackNorm(in_norm, grid, None)
+    out_form = _StackNorm(out_norm, grid, normal)
+    shape = grid.shape + (() if normal is None else (normal.M,))
+    if any(np.shape(m) != shape for m in multipliers):
+        raise ValueError(f"every multiplier must have shape {shape}")
+    sampler = sampler or RademacherSampler(seed=0)
 
-    handles: list[Callable] = [h for _, h in ops]
-    applied: dict[tuple[int, int], object] = {}
+    n_ops, n_in = len(multipliers), len(inputs)
+    ins = in_form.orders(_spectra(inputs, grid))
+    spec = ins[0][0]  # one spectrum per row
+    mults = out_form.orders(np.asarray(multipliers, dtype=complex).reshape(n_ops, spec.shape[1], -1))
+    in_norms = in_form.of_sums(ins, np.eye(n_in))
+    out_norms = out_form.of_products(mults, spec)
 
-    def apply(j: int, i: int):
-        key = (j, i)
-        if key not in applied:
-            applied[key] = handles[j](inputs[i])
-        return applied[key]
-
-    in_norms = [field_norm(g, in_norm) for g in inputs]
-
-    best = 0.0
+    nonzero = in_norms != 0.0
+    ratios = out_norms[:, nonzero] / in_norms[nonzero]
+    best = max(0.0, float(np.max(ratios))) if ratios.size else 0.0
     best_err = 0.0
-    for j in range(len(handles)):
-        for i in range(len(inputs)):
-            if in_norms[i] == 0.0:
-                continue
-            ratio = field_norm(apply(j, i), out_norm) / in_norms[i]
-            if ratio > best:
-                best, best_err = ratio, 0.0
-
-    n_ops = len(handles)
-    n_in = len(inputs)
     for r in range(restarts):
         sub = sampler.with_stream(1 + 3 * r)
         size = 1 + int(sub.integers(0, max(n_ops, 2), 1)[0] % n_ops)
         sel_ops = sub.with_stream(2 + 3 * r).integers(0, n_ops, size)
         sel_in = sub.with_stream(3 + 3 * r).integers(0, n_in, size)
-        chosen_in = [inputs[i] for i in sel_in]
-        den, _ = _eps_p_stats(chosen_in, p, in_norm, trials, sub.with_stream(10_000 + r))
+        den, _ = _sign_sum(
+            in_form, in_norms[sel_in], lambda: [s[:, sel_in] for s in ins], p, trials,
+            sub.with_stream(10_000 + r),
+        )
         if den == 0.0:
             continue
-        chosen_out = [apply(j, i) for j, i in zip(sel_ops, sel_in)]
-        num, num_err = _eps_p_stats(chosen_out, p, out_norm, trials, sub.with_stream(20_000 + r))
+        num, num_err = _sign_sum(
+            out_form, out_norms[sel_ops, sel_in], lambda: [m[:, sel_ops] * spec[sel_in] for m in mults],
+            p, trials, sub.with_stream(20_000 + r),
+        )
         ratio = num / den
         if ratio > best:
             best, best_err = ratio, num_err / den
@@ -312,8 +391,8 @@ def rbound_lower(
         "p": p,
         "trials": trials,
         "restarts": restarts,
-        "n_ops": len(handles),
-        "n_inputs": len(inputs),
+        "n_ops": n_ops,
+        "n_inputs": n_in,
         "seed": sampler.seed,
         "in_norm": in_norm.family,
         "out_norm": out_norm.family,

@@ -55,15 +55,18 @@ def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField
     return BoundaryField(grid=g.grid, samples=out)
 
 
-def _lift(k: SymbolKernel, mu, spec: np.ndarray, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
-    """Poisson lift in spectral space: ``spec`` times the kernel profile of each mode.
+def _profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
+    """Kernel profile ``k(xi, mu; x_j)`` of every mode, the normal nodes on a new last axis.
 
-    Returns the half-space spectrum ``k(xi, mu; x_j) * spec(xi)`` with the
-    normal nodes on a new last axis; ``mu`` is not checked here.
+    This is the Poisson operator's spectral multiplier; ``mu`` is not checked here.
     """
     fv = grid.freq_vectors[..., None, :]  # broadcast a normal axis before components
-    kvals = np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
-    return kvals * spec[..., None]
+    return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
+
+
+def _lift(k: SymbolKernel, mu, spec: np.ndarray, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
+    """Poisson lift in spectral space: ``spec`` times the kernel profile of each mode."""
+    return _profile(k, mu, grid, normal) * spec[..., None]
 
 
 def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> HalfSpaceField:

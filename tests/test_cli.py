@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from poissonops.cli import CONFIG_SCHEMA, _boundary_data, main
-from poissonops.core import TangentialGrid
+from poissonops.cli import CONFIG_SCHEMA, _boundary_data, main, rbound_batch_scan
+from poissonops.core import TangentialGrid, make_grids
+from poissonops.rbound import RademacherSampler
+from poissonops.symbols import heat_kernel
 from poissonops.transforms import forward_fft
 
 SMALL_GRID = ["--grid-N", "8", "--grid-M", "32"]
@@ -189,6 +192,51 @@ def test_scan_rbound_structure(tmp_path):
     norms = [float(r[2]) for r in rows]
     assert all(v > 0 and math.isfinite(v) for v in norms)
     assert any(ln.startswith("# slope=") for ln in footer)
+
+
+def test_readme_rbound_scan_evaluates_each_kernel_once():
+    # one multiplier per mu serves every probe input: 20 evaluations, not 20 * 19
+    seen = []
+
+    def func(xi, mu, xn):
+        seen.append(mu)
+        return heat_kernel.func(xi, mu, xn)
+
+    grid, ngrid = make_grids()
+    rbound_batch_scan(
+        replace(heat_kernel, func=func), p=2.0, q=2.0, weak=True, exponent=0.5,
+        mu_values=np.geomspace(1.0, 1000.0, 20), rays=(0.0,), grid=grid, ngrid=ngrid,
+    )
+    assert len(seen) == 20 and len(set(seen)) == 20
+
+
+RBOUND_JOB = ("scan", "--mode", "rbound", "--prefactor-exponent", "0.5")
+RBOUND_JOB_ARGS = (
+    ("--p", "2", "--normal-class", "weak"),
+    ("--p", "2", "--normal-class", "strong"),
+    ("--p", "1.5", "--normal-class", "strong"),
+    ("--rays", "0.6", "--grid-N", "64", "--grid-M", "192"),
+)
+
+
+@pytest.mark.parametrize("seed, draws", [(0, [32, 0, 64, 32]), (1, [27, 0, 54, 27])])
+def test_rbound_scans_draw_one_sign_batch_per_sampled_sum(tmp_path, monkeypatch, seed, draws):
+    # the per-trial engine drew these counts on the same scans; the Philox
+    # streams, draw counts and restart order are part of the output
+    calls = []
+    unit = RademacherSampler.unit
+
+    def counted(self, count):
+        calls.append(count)
+        return unit(self, count)
+
+    monkeypatch.setattr(RademacherSampler, "unit", counted)
+    got = []
+    for args in RBOUND_JOB_ARGS:
+        calls.clear()
+        assert main([*RBOUND_JOB, *args, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        got.append(len(calls))
+    assert got == draws
 
 
 def test_scan_rays_parsing(tmp_path):

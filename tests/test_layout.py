@@ -1,5 +1,6 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-one central difference, and no threads, processes or environment reads."""
+one central difference, sign sums without per-trial contractions, and no threads,
+processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -118,3 +119,18 @@ def test_one_central_difference():
         (p.name, owner) for p in PKG_DIR.glob("*.py") for owner in _sten_readers(ast.parse(p.read_text()))
     }
     assert readers == {("symbols.py", "_central_difference"), ("symbols.py", "_STEN_RADIUS")}
+
+
+def test_sign_sums_have_no_per_trial_contraction():
+    # rbound_lower takes the family as spectral multipliers and sums every trial
+    # at once: no tensordot call and no operator closure factory remain
+    found = set()
+    for p in PKG_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            call = node.func if isinstance(node, ast.Call) else None
+            if isinstance(call, ast.Attribute) and call.attr == "tensordot":
+                found.add((p.name, "tensordot"))
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "_scaled_poisson_op":
+                found.add((p.name, name))
+    assert found == set()

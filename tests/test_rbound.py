@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poissonops.core import BoundaryField, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, make_grids
 from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
     RademacherSampler,
@@ -17,7 +19,7 @@ from poissonops.rbound import (
     rbound_lower,
 )
 from poissonops.symbols import MultiplierSymbol, heat_kernel
-from poissonops.transforms import apply_multiplier
+from poissonops.transforms import _itfft, _tfft
 
 from poissonops.core import Sector
 
@@ -114,7 +116,7 @@ def test_probe_dictionary_two_dimensional():
 def test_rbound_lower_scaled_identities():
     tg, _ = make_grids(N=64)
     inputs = probe_dictionary(tg)
-    ops = [(f"c{c}", lambda g, c=c: BoundaryField(g.grid, c * g.samples)) for c in (1.0, 2.0, 3.0)]
+    ops = [c * np.ones(tg.shape) for c in (1.0, 2.0, 3.0)]
     est = rbound_lower(ops, inputs, p=2.0, in_norm=L2, out_norm=L2, trials=8, restarts=4)
     assert est.value == pytest.approx(3.0, rel=1e-9)
     assert est.config["n_ops"] == 3
@@ -127,7 +129,7 @@ def test_rbound_lower_contraction_multiplier():
         lambda xi, mu: (1.0 + np.sum(np.asarray(xi) ** 2, axis=-1)) ** -0.5,
         Sector.empty(),
     )
-    ops = [("a", lambda g: apply_multiplier(a, None, g))]
+    ops = [a.func(tg.freq_vectors, None)]
     est = rbound_lower(ops, probe_dictionary(tg), p=2.0, in_norm=L2, out_norm=L2, trials=8, restarts=4)
     # the constant probe is untouched by the symbol, so the bound is sharp
     assert est.value == pytest.approx(1.0, rel=1e-6)
@@ -137,10 +139,10 @@ def test_rbound_lower_monotone_in_restarts():
     tg, _ = make_grids(N=32)
     inputs = probe_dictionary(tg)
     ops = [
-        ("heat1", lambda g: apply_multiplier(
-            MultiplierSymbol("m", lambda xi, mu: np.exp(-np.sum(np.asarray(xi) ** 2, axis=-1)), Sector.empty()), None, g
-        )),
-        ("double", lambda g: BoundaryField(g.grid, 2.0 * g.samples)),
+        MultiplierSymbol("m", lambda xi, mu: np.exp(-np.sum(np.asarray(xi) ** 2, axis=-1)), Sector.empty()).func(
+            tg.freq_vectors, None
+        ),
+        2.0 * np.ones(tg.shape),
     ]
     vals = [
         rbound_lower(ops, inputs, p=1.5, in_norm=L2, out_norm=L2, trials=8, restarts=r).value
@@ -152,10 +154,7 @@ def test_rbound_lower_monotone_in_restarts():
 def test_rbound_lower_restartless_floor():
     tg, _ = make_grids(N=16)
     inputs = probe_dictionary(tg)[:3]
-    ops = [
-        ("up", lambda g: BoundaryField(g.grid, 1.5 * g.samples)),
-        ("down", lambda g: BoundaryField(g.grid, 0.5 * g.samples)),
-    ]
+    ops = [1.5 * np.ones(tg.shape), 0.5 * np.ones(tg.shape)]
     est = rbound_lower(ops, inputs, p=2.0, in_norm=L2, out_norm=L2, trials=4, restarts=0)
     assert est.value == pytest.approx(1.5, rel=1e-12)
 
@@ -163,7 +162,7 @@ def test_rbound_lower_restartless_floor():
 def test_rbound_lower_deterministic():
     tg, _ = make_grids(N=32)
     inputs = probe_dictionary(tg)
-    ops = [("c", lambda g: BoundaryField(g.grid, 0.7 * g.samples))]
+    ops = [0.7 * np.ones(tg.shape)]
     kw = dict(p=1.5, in_norm=L2, out_norm=L2, trials=8, restarts=8, sampler=RademacherSampler(seed=9))
     assert rbound_lower(ops, inputs, **kw).value == rbound_lower(ops, inputs, **kw).value
 
@@ -174,7 +173,158 @@ def test_rbound_lower_empty_errors():
     with pytest.raises(ValueError):
         rbound_lower([], inputs)
     with pytest.raises(ValueError):
-        rbound_lower([("id", lambda g: g)], [])
+        rbound_lower([np.ones(tg.shape)], [])
+
+
+@pytest.mark.parametrize("p", [math.inf, 0.0, -1.0, 0.5])
+def test_eps_p_norm_rejects_exponents_outside_one_to_inf(p):
+    # mean ** (1 / inf) is 1 whatever the fields are, and p = 0 would divide by zero
+    tg, _ = make_grids(N=16)
+    fields = [BoundaryField(tg, np.ones(tg.shape)), BoundaryField(tg, np.arange(16.0))]
+    with pytest.raises(ValueError):
+        eps_p_norm(fields, p, L2)
+
+
+def test_eps_p_norm_rejects_zero_trials():
+    tg, _ = make_grids(N=16)
+    with pytest.raises(ValueError):
+        eps_p_norm([BoundaryField(tg, np.ones(tg.shape))], 1.5, L2, trials=0)
+
+
+@pytest.mark.parametrize(
+    "kw", [{"p": math.inf}, {"p": 0.0}, {"p": -1.0}, {"restarts": -5}, {"trials": 0}],
+    ids=["p-inf", "p-0", "p-neg", "restarts-neg", "trials-0"],
+)
+def test_rbound_lower_rejects_invalid_exponent_and_counts(kw):
+    # refused before any work, also where no restart would reach a sampled sum
+    tg, _ = make_grids(N=16)
+    with pytest.raises(ValueError):
+        rbound_lower([np.ones(tg.shape)], probe_dictionary(tg), **kw)
+
+
+@pytest.mark.parametrize(
+    "norm",
+    [NormSpec("Besov", p=2.0, q=2.0, s=0.5), NormSpec("TotChar", s=1), NormSpec("Bessel2", s=1.0)],
+    ids=["besov", "totchar", "bessel2"],
+)
+def test_norms_without_a_stack_form_are_refused(norm):
+    tg, ng = make_grids(N=16, M=8)
+    inputs = probe_dictionary(tg)
+    with pytest.raises(ValueError):
+        eps_p_norm(inputs[:2], 1.5, norm)
+    with pytest.raises(ValueError):
+        rbound_lower([np.ones(tg.shape + (ng.M,))], inputs, ng, out_norm=norm)
+    with pytest.raises(ValueError):
+        rbound_lower([np.ones(tg.shape)], inputs, in_norm=norm)
+
+
+def test_rbound_lower_rejects_multipliers_off_the_grid():
+    tg, ng = make_grids(N=16, M=8)
+    with pytest.raises(ValueError):
+        rbound_lower([np.ones(tg.shape)], probe_dictionary(tg), ng)
+
+
+# ---------------------------------------------------------------------------
+# the per-trial physical algorithm the spectral engine replaces
+
+
+def _ref_sign_sum(fields, p, norm, trials, sampler):
+    """One tensordot and one ``field_norm`` per trial, on physical fields."""
+    if len(fields) == 1:
+        return field_norm(fields[0], norm)
+    hilbert = (norm.family == "Lp" and norm.p == 2) or (
+        norm.family == "Mixed" and norm.p == norm.q == 2 and norm.m == 0 and not norm.weak
+    )
+    if p == 2 and hilbert:
+        return math.sqrt(sum(field_norm(f, norm) ** 2 for f in fields))
+    eps = sampler.unit(trials * len(fields)).reshape(trials, len(fields))
+    stack = np.stack([f.samples for f in fields])
+    first = fields[0]
+    draws = []
+    for e in eps:
+        combo = np.tensordot(e, stack, axes=(0, 0))
+        if isinstance(first, BoundaryField):
+            fld = BoundaryField(first.grid, combo)
+        else:
+            fld = HalfSpaceField(first.tangential, first.normal, combo)
+        draws.append(field_norm(fld, norm) ** p)
+    return float(np.mean(draws)) ** (1.0 / p)
+
+
+def _ref_rbound(mults, inputs, normal, p, in_norm, out_norm, trials, restarts, sampler):
+    grid = inputs[0].grid
+    outs = {}
+    for j, m in enumerate(mults):
+        for i, g in enumerate(inputs):
+            u = _itfft(m * _tfft(g.samples, grid.dim)[..., None], grid.dim)
+            outs[j, i] = HalfSpaceField(grid, normal, u)
+    in_norms = [field_norm(g, in_norm) for g in inputs]
+    best = 0.0
+    for (j, i), u in outs.items():
+        if in_norms[i] != 0.0:
+            best = max(best, field_norm(u, out_norm) / in_norms[i])
+    n_ops, n_in = len(mults), len(inputs)
+    for r in range(restarts):
+        sub = sampler.with_stream(1 + 3 * r)
+        size = 1 + int(sub.integers(0, max(n_ops, 2), 1)[0] % n_ops)
+        sel_ops = sub.with_stream(2 + 3 * r).integers(0, n_ops, size)
+        sel_in = sub.with_stream(3 + 3 * r).integers(0, n_in, size)
+        den = _ref_sign_sum([inputs[i] for i in sel_in], p, in_norm, trials, sub.with_stream(10_000 + r))
+        if den == 0.0:
+            continue
+        chosen = [outs[j, i] for j, i in zip(sel_ops, sel_in)]
+        num = _ref_sign_sum(chosen, p, out_norm, trials, sub.with_stream(20_000 + r))
+        best = max(best, num / den)
+    return best, outs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    M=st.integers(3, 12),
+    p=st.one_of(st.just(2.0), st.floats(1.0, 4.0)),
+    r=st.one_of(st.just(2.0), st.floats(1.0, 4.0, exclude_min=True)),
+    family=st.sampled_from(["Lp", "WeakLp", "Mixed"]),
+    weak=st.booleans(),
+    q=st.sampled_from([2.0, 3.0]),
+    m=st.integers(0, 1),
+    in_p=st.sampled_from([2.0, 3.0]),
+    n_ops=st.integers(1, 4),
+    n_in=st.integers(1, 5),
+    zero_input=st.booleans(),
+    trials=st.integers(1, 6),
+    restarts=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_rbound_engine_matches_per_trial_physical_reference(
+    dim, M, p, r, family, weak, q, m, in_p, n_ops, n_in, zero_input, trials, restarts, seed
+):
+    grid, normal = make_grids(dim=dim, N=8, M=M, X_max=4.0, r=1.2)
+    rng = np.random.default_rng(seed)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    mults = [noise(grid.shape + (M,)) for _ in range(n_ops)]
+    inputs = [BoundaryField(grid, noise(grid.shape)) for _ in range(n_in)]
+    if zero_input:
+        inputs[0] = BoundaryField.zero(grid)
+    in_norm = NormSpec("Lp", p=in_p)
+    out_norm = {
+        "Lp": NormSpec("Lp", p=r),
+        "WeakLp": NormSpec("WeakLp", p=r, q=q),
+        "Mixed": NormSpec("Mixed", p=r, q=q, m=m, weak=weak),
+    }[family]
+    kw = dict(p=p, in_norm=in_norm, out_norm=out_norm, trials=trials, restarts=restarts)
+
+    want, outs = _ref_rbound(mults, inputs, normal, sampler=RademacherSampler(seed), **kw)
+    got = rbound_lower(mults, inputs, normal, sampler=RademacherSampler(seed), **kw).value
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    for fields, norm in ((list(outs.values())[: 1 + seed % 4], out_norm), (inputs, in_norm)):
+        want = _ref_sign_sum(fields, p, norm, trials, RademacherSampler(seed, 5))
+        got = eps_p_norm(fields, p, norm, trials, RademacherSampler(seed, 5))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_scan_result_round_trip(tmp_path):
