@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from jsonschema import Draft202012Validator, ValidationError
@@ -36,108 +36,93 @@ __all__ = ["CONFIG_SCHEMA", "main", "rbound_batch_scan"]
 
 SCHEMA_VERSION = 1
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-        "grid_dim": {"type": "integer", "minimum": 1, "maximum": 3},
-        "grid_N": {"type": "integer", "minimum": 2},
-        "grid_M": {"type": "integer", "minimum": 2},
-        "grid_L": {"type": "number", "exclusiveMinimum": 0},
-        "grid_X_max": {"type": "number", "exclusiveMinimum": 0},
-        "grid_r": {"type": "number", "exclusiveMinimum": 1},
-        "kernel": {"type": "string"},
-        "class": {"type": "string", "enum": ["strong", "weak"]},
-        "N": {"type": "integer", "minimum": 0, "maximum": 4},
-        "mode": {"type": "string", "enum": ["opnorm", "rbound"]},
-        "s": {"type": "number"},
-        "t": {"type": "number"},
-        "p": {"type": "number", "minimum": 1},
-        "q": {"type": "number", "minimum": 1},
-        "normal_class": {"type": "string", "enum": ["weak", "strong"]},
-        "prefactor_exponent": {"type": "number"},
-        "mu_min": {"type": "number", "exclusiveMinimum": 0},
-        "mu_max": {"type": "number", "exclusiveMinimum": 0},
-        "mu_points": {"type": "integer", "minimum": 1},
-        "rays": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "batch_size": {"type": "integer", "minimum": 1},
-        "trials": {"type": "integer", "minimum": 1},
-        "restarts": {"type": "integer", "minimum": 0},
-        "problem": {"type": "string", "enum": ["heat-dynbc", "ch", "kpp"]},
-        "mu": {"type": "number"},
-        "d": {"type": "number", "exclusiveMinimum": 0},
-        "dprime": {"type": "number", "exclusiveMinimum": 0},
-        "k": {"type": "number", "exclusiveMinimum": 0},
-        "g": {"type": "string"},
-        "evolve": {"type": "boolean"},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "road_n": {"type": "integer", "minimum": 8},
-    },
-}
-
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
-
-# config keys whose argparse destination differs from the key itself
-_CONFIG_DEST = {"class": "symbol_class", "k": "kcoef"}
-
-_GRID_KEYS = ("grid_dim", "grid_N", "grid_M", "grid_L", "grid_X_max", "grid_r")
-
 _VARIANT_BY_NAME = {
     "heat-dynbc": "HeatDynBC",
     "ch": "CahnHilliardBoundary",
     "kpp": "KPPRoadField",
 }
 
+# The one declaration of every option: its flag is ``--`` plus the key with
+# ``_`` spelled ``-``, its flag type follows the schema type, and its default
+# and help text are the ``default`` and ``description`` annotations.
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
+        "out": {"type": "string", "default": "."},
+        "grid_dim": {"type": "integer", "minimum": 1, "maximum": 3, "default": 1},
+        "grid_N": {"type": "integer", "minimum": 2, "default": 256},
+        "grid_M": {"type": "integer", "minimum": 2, "default": 256},
+        "grid_L": {"type": "number", "exclusiveMinimum": 0, "default": TWO_PI},
+        "grid_X_max": {"type": "number", "exclusiveMinimum": 0, "default": 16.0},
+        "grid_r": {"type": "number", "exclusiveMinimum": 1, "default": 1.05},
+        "kernel": {"type": "string", "default": "heat"},
+        "class": {"type": "string", "enum": ["strong", "weak"]},
+        "N": {"type": "integer", "minimum": 0, "maximum": 4, "default": 2},
+        "mode": {"type": "string", "enum": ["opnorm", "rbound"], "default": "opnorm"},
+        "s": {"type": "number", "default": 0.0},
+        "t": {"type": "number", "default": 0.0},
+        "p": {"type": "number", "minimum": 1, "default": 2.0},
+        "q": {"type": "number", "minimum": 1, "default": 2.0},
+        "normal_class": {"type": "string", "enum": ["weak", "strong"], "default": "weak"},
+        "prefactor_exponent": {"type": "number", "default": 0.0},
+        "mu_min": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "mu_max": {"type": "number", "exclusiveMinimum": 0, "default": 1000.0},
+        "mu_points": {"type": "integer", "minimum": 1, "default": 20},
+        "rays": {
+            "type": "array",
+            "items": {"type": "number"},
+            "minItems": 1,
+            "default": [0.0],
+            "description": "comma-separated arg(mu) values in radians",
+        },
+        "batch_size": {"type": "integer", "minimum": 1, "default": 4},
+        "trials": {"type": "integer", "minimum": 1, "default": 24},
+        "restarts": {"type": "integer", "minimum": 0, "default": 8},
+        "problem": {"type": "string", "enum": list(_VARIANT_BY_NAME)},
+        "mu": {"type": "number", "default": 1.0},
+        "d": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "dprime": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "k": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "g": {"type": "string", "default": "const"},
+        "evolve": {"type": "boolean", "default": False},
+        "dt": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
+        "T": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "road_n": {"type": "integer", "minimum": 8, "default": 120},
+    },
+}
+
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay the JSON config on top of the parsed flags; config wins."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
     _VALIDATOR.validate(cfg)
     for key, value in cfg.items():
-        setattr(args, _CONFIG_DEST.get(key, key), value)
+        setattr(args, key, value)
 
 
-def _normalize_rays(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        rays = tuple(float(p) for p in parts)
-    else:
-        rays = tuple(float(v) for v in value)
-    if not rays:
-        raise ValueError("at least one scan ray is required")
-    return rays
+# the arguments of make_grids, each key prefixed with grid_
+_GRID = ("grid_dim", "grid_N", "grid_M", "grid_L", "grid_X_max", "grid_r")
 
 
 def _grids(args: argparse.Namespace):
-    return make_grids(
-        dim=args.grid_dim,
-        L=args.grid_L,
-        N=args.grid_N,
-        M=args.grid_M,
-        X_max=args.grid_X_max,
-        r=args.grid_r,
-    )
+    return make_grids(**{key.removeprefix("grid_"): getattr(args, key) for key in _GRID})
 
 
-def _echo(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    """The run's config after the overlay, checked against ``CONFIG_SCHEMA``.
+def _echo(args: argparse.Namespace) -> dict:
+    """The keys the command takes after the overlay, checked against ``CONFIG_SCHEMA``.
 
     Flags and config entries pass the same bounds; unset (``None``) entries
     are echoed but not checked.
     """
-    cfg = {}
-    for key in keys:
-        val = getattr(args, _CONFIG_DEST.get(key, key))
-        if isinstance(val, tuple):
-            val = list(val)
-        cfg[key] = val
+    cfg = {key: getattr(args, key) for key in _COMMANDS[args.command].keys}
     _VALIDATOR.validate({k: v for k, v in cfg.items() if v is not None})
     return cfg
 
@@ -213,10 +198,10 @@ def rbound_batch_scan(
 
 
 def cmd_verify_symbol(args: argparse.Namespace) -> int:
-    cfg = _echo(args, ("kernel", "class", "N", "d", "seed"))
+    cfg = _echo(args)
     kern = kernel_catalog(args.kernel, d=args.d)
-    if args.symbol_class:
-        kern = replace(kern, kind=args.symbol_class)
+    if cfg["class"]:
+        kern = replace(kern, kind=cfg["class"])
     print(f"config {json.dumps(cfg, sort_keys=True)}")
     probe = ProbeSpec()
     refined = probe.refined()
@@ -238,16 +223,8 @@ def cmd_verify_symbol(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    rays = _normalize_rays(args.rays)
-    args.rays = [float(r) for r in rays]
-    cfg = _echo(
-        args,
-        (
-            "mode", "kernel", "s", "t", "p", "q", "normal_class", "prefactor_exponent",
-            "mu_min", "mu_max", "mu_points", "rays", "batch_size", "trials", "restarts",
-            "d", "seed", "out",
-        ) + _GRID_KEYS,
-    )
+    rays = args.rays = [float(r) for r in args.rays]
+    cfg = _echo(args)
     grid, ngrid = _grids(args)
     kern = kernel_catalog(args.kernel, d=args.d)
     mus = np.geomspace(args.mu_min, args.mu_max, args.mu_points)
@@ -292,11 +269,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _echo(
-        args,
-        ("problem", "mu", "d", "dprime", "k", "g", "evolve", "dt", "T", "seed", "out")
-        + _GRID_KEYS,
-    )
+    cfg = _echo(args)
     grid, ngrid = _grids(args)
     problem = DynBCProblem(
         _VARIANT_BY_NAME[args.problem],
@@ -304,7 +277,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ngrid,
         d=args.d,
         dprime=args.dprime,
-        kcoef=args.kcoef,
+        kcoef=args.k,
     )
     print(f"config {json.dumps(cfg, sort_keys=True)}")
     records: list[dict] = [
@@ -316,11 +289,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
     ]
 
+    g = _boundary_data(args.g, grid)
     if args.evolve:
-        def g_of_t(t: float) -> BoundaryField:
-            return _boundary_data(args.g, grid)
-
-        for rec in implicit_euler_evolve(problem, None, g_of_t, args.dt, args.T):
+        for rec in implicit_euler_evolve(problem, None, lambda t: g, args.dt, args.T):
             records.append(
                 {
                     "record": "step",
@@ -334,7 +305,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         if abs(args.mu) < 1e-6:
             raise ValueError("the resolvent formulas divide by mu^2; mu=0 is excluded")
-        g = _boundary_data(args.g, grid)
         out = problem.solve(None, g, complex(args.mu))
         records.append(
             {
@@ -358,7 +328,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    cfg = _echo(args, ("road_n", "seed", "out"))
+    cfg = _echo(args)
     print(f"config {json.dumps(cfg, sort_keys=True)}")
 
     # closed form vs brute force on the full acceptance lattice
@@ -388,8 +358,7 @@ def cmd_lemma(args: argparse.Namespace) -> int:
         f"{'PASS' if ok_road else 'FAIL'}"
     )
 
-    if args.out != ".":
-        os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     report = {
         "record": "lemma",
         "schema_version": SCHEMA_VERSION,
@@ -408,67 +377,80 @@ def cmd_lemma(args: argparse.Namespace) -> int:
     return 0 if (ok_closed and ok_road) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; entries override flags")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=".")
-    common.add_argument("--grid-dim", type=int, choices=(1, 2, 3), default=1)
-    common.add_argument("--grid-N", type=int, default=256)
-    common.add_argument("--grid-M", type=int, default=256)
-    common.add_argument("--grid-L", type=float, default=2.0 * math.pi)
-    common.add_argument("--grid-X-max", type=float, default=16.0)
-    common.add_argument("--grid-r", type=float, default=1.05)
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    keys: tuple[str, ...]  # the CONFIG_SCHEMA keys it takes, one flag each
+    required: tuple[str, ...] = ()
 
+
+_COMMANDS = {
+    "verify-symbol": _Command(
+        cmd_verify_symbol,
+        "seminorm refinement table",
+        # --out is taken though unused, so every command accepts one (perfbench appends it)
+        ("kernel", "class", "N", "d", "seed", "out"),
+        required=("kernel",),
+    ),
+    "scan": _Command(
+        cmd_scan,
+        "norm or randomized-bound scan",
+        (
+            "mode", "kernel", "s", "t", "p", "q", "normal_class", "prefactor_exponent",
+            "mu_min", "mu_max", "mu_points", "rays", "batch_size", "trials", "restarts",
+            "d", "seed", "out", *_GRID,
+        ),
+    ),
+    "solve": _Command(
+        cmd_solve,
+        "one resolvent or a trajectory",
+        ("problem", "mu", "d", "dprime", "k", "g", "evolve", "dt", "T", "seed", "out", *_GRID),
+        required=("problem",),
+    ),
+    "lemma": _Command(
+        cmd_lemma, "envelope max check and road lattice scan", ("road_n", "seed", "out")
+    ),
+}
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+_FLAG_TYPE = {"integer": int, "number": float, "string": str, "array": _float_list}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One flag per key a command takes, typed and defaulted by ``CONFIG_SCHEMA``.
+
+    Values are not range-checked here: ``_echo`` checks every one against
+    the schema, flags and config entries alike.
+    """
     parser = argparse.ArgumentParser(
         prog="poissonops",
         description="Poisson operator calculus: symbol checks, norm scans, model solves.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("verify-symbol", parents=[common], help="seminorm refinement table")
-    ps.add_argument("--kernel", required=True)
-    ps.add_argument("--class", dest="symbol_class", choices=("strong", "weak"), default=None)
-    ps.add_argument("--N", type=int, default=2)
-    ps.add_argument("--d", type=float, default=1.0)
-    ps.set_defaults(func=cmd_verify_symbol)
-
-    ps = sub.add_parser("scan", parents=[common], help="norm or randomized-bound scan")
-    ps.add_argument("--mode", choices=("opnorm", "rbound"), default="opnorm")
-    ps.add_argument("--kernel", default="heat")
-    ps.add_argument("--s", type=float, default=0.0)
-    ps.add_argument("--t", type=float, default=0.0)
-    ps.add_argument("--p", type=float, default=2.0)
-    ps.add_argument("--q", type=float, default=2.0)
-    ps.add_argument("--normal-class", choices=("weak", "strong"), default="weak")
-    ps.add_argument("--prefactor-exponent", type=float, default=0.0)
-    ps.add_argument("--mu-min", type=float, default=1.0)
-    ps.add_argument("--mu-max", type=float, default=1000.0)
-    ps.add_argument("--mu-points", type=int, default=20)
-    ps.add_argument("--rays", default="0.0", help="comma-separated arg(mu) values in radians")
-    ps.add_argument("--batch-size", type=int, default=4)
-    ps.add_argument("--trials", type=int, default=24)
-    ps.add_argument("--restarts", type=int, default=8)
-    ps.add_argument("--d", type=float, default=1.0)
-    ps.set_defaults(func=cmd_scan)
-
-    ps = sub.add_parser("solve", parents=[common], help="one resolvent or a trajectory")
-    ps.add_argument("--problem", required=True, choices=tuple(_VARIANT_BY_NAME))
-    ps.add_argument("--mu", type=float, default=1.0)
-    ps.add_argument("--d", type=float, default=1.0)
-    ps.add_argument("--dprime", type=float, default=1.0)
-    ps.add_argument("--k", dest="kcoef", type=float, default=1.0)
-    ps.add_argument("--g", default="const")
-    ps.add_argument("--evolve", action="store_true")
-    ps.add_argument("--dt", type=float, default=0.01)
-    ps.add_argument("--T", type=float, default=1.0)
-    ps.set_defaults(func=cmd_solve)
-
-    ps = sub.add_parser("lemma", parents=[common], help="envelope max check and road lattice scan")
-    ps.add_argument("--road-n", type=int, default=120)
-    ps.set_defaults(func=cmd_lemma)
-
+    for name, command in _COMMANDS.items():
+        ps = sub.add_parser(name, help=command.help)
+        ps.add_argument("--config", help="JSON config file; entries override flags")
+        for key in command.keys:
+            prop = CONFIG_SCHEMA["properties"][key]
+            if prop["type"] == "boolean":
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": _FLAG_TYPE[prop["type"]]}
+            if "enum" in prop:
+                kind["metavar"] = "{" + ",".join(prop["enum"]) + "}"
+            ps.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                default=prop.get("default"),
+                required=key in command.required,
+                help=prop.get("description"),
+                **kind,
+            )
     return parser
 
 
@@ -483,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         _apply_config(args)
-        return args.func(args)
+        return _COMMANDS[args.command].handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -209,7 +209,7 @@ def ch_boundary_resolvent(g: BoundaryField, mu: complex) -> BoundaryField:
 
 def ch_residual(g: BoundaryField, v: BoundaryField, mu: complex) -> float:
     """Denominator-cleared per-mode residual of the boundary dynamics line."""
-    mu = complex(mu)
+    mu = ch_b.sector.require(mu)
     num, den = _ch_symbol(g.grid.freq_norm_sq, mu)
     gspec = _tfft(g.samples, g.grid.dim)
     vspec = _tfft(v.samples, g.grid.dim)
@@ -329,14 +329,12 @@ def implicit_euler_evolve(
     return records
 
 
-def road_symbol_scan(
-    d: float = 1.0,
-    dprime: float = 1.0,
-    kcoef: float = 1.0,
-    n: int = 120,
-    z_angle: float = 0.02,
-    mu_angles: tuple = (0.0, 0.35 * math.pi, -0.35 * math.pi, 0.44 * math.pi, -0.44 * math.pi),
-) -> dict:
+# road lattice rays: z just off the real axis, mu spread over the sector's half-angle 0.45 pi
+_ROAD_Z_ANGLE = 0.02
+_ROAD_MU_ANGLES = (0.0, 0.35 * math.pi, -0.35 * math.pi, 0.44 * math.pi, -0.44 * math.pi)
+
+
+def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n: int = 120) -> dict:
     """Boundedness scan of the two road-field multipliers on a (z, mu) lattice.
 
     Magnitudes are log-spaced over six decades on rays slightly off the real
@@ -348,8 +346,8 @@ def road_symbol_scan(
     if min(d, dprime, kcoef) <= 0:
         raise ValueError("road-field parameters must be positive")
     mags = np.geomspace(1e-3, 1e3, n)
-    zs = np.concatenate([mags * np.exp(1j * z_angle), mags * np.exp(-1j * z_angle)])
-    mus = np.concatenate([mags * np.exp(1j * a) for a in mu_angles])
+    zs = np.concatenate([mags * np.exp(1j * _ROAD_Z_ANGLE), mags * np.exp(-1j * _ROAD_Z_ANGLE)])
+    mus = np.concatenate([mags * np.exp(1j * a) for a in _ROAD_MU_ANGLES])
     z = zs[:, None]
     mu = mus[None, :]
     mu2 = mu * mu

@@ -1,15 +1,18 @@
 """End-to-end runs of the console entry point, in process."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from poissonops.cli import CONFIG_SCHEMA, _boundary_data, main, rbound_batch_scan
+from poissonops.cli import CONFIG_SCHEMA, _boundary_data, _echo, build_parser, main, rbound_batch_scan
 from poissonops.core import TangentialGrid, make_grids
 from poissonops.rbound import RademacherSampler
 from poissonops.symbols import heat_kernel
@@ -123,6 +126,112 @@ def test_flags_pass_the_config_schema(tmp_path, capsys, argv):
     # a flag value outside CONFIG_SCHEMA is rejected as its config twin is
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "config rejected" in capsys.readouterr().err
+
+
+# the least argv each subcommand parses: its required flags
+REQUIRED = {
+    "verify-symbol": ["--kernel", "heat"],
+    "scan": [],
+    "solve": ["--problem", "ch"],
+    "lemma": [],
+}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(parser: argparse.ArgumentParser) -> dict:
+    """Destination -> option string of every flag but ``--config`` and ``-h``."""
+    return {
+        a.dest: a.option_strings[0]
+        for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+
+def _out_of_range(prop: dict):
+    """Flag values just outside each bound and enum of a schema property."""
+    if "enum" in prop:
+        yield "bogus"
+    if "minimum" in prop:
+        yield str(prop["minimum"] - 1)
+    if "exclusiveMinimum" in prop:
+        yield str(prop["exclusiveMinimum"])
+    if "maximum" in prop:
+        yield str(prop["maximum"] + 1)
+    if "minItems" in prop:
+        yield ",".join(["0"] * (prop["minItems"] - 1))
+
+
+OUT_OF_RANGE = [
+    (command, key, value)
+    for command, parser in _subparsers().items()
+    for key in _flags(parser)
+    for value in _out_of_range(CONFIG_SCHEMA["properties"][key])
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-symbol", "--kernel", "heat", "--grid-N", "3"], ["lemma", "--grid-r", "0.5"]],
+    ids=["verify-symbol", "lemma"],
+)
+def test_commands_refuse_grid_flags_they_ignore(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_flags_are_the_echoed_schema_keys(command):
+    # every flag a command accepts is echoed, and is spelled after its schema key
+    flags = _flags(_subparsers()[command])
+    assert set(flags) == set(_echo(build_parser().parse_args([command, *REQUIRED[command]])))
+    for key, flag in flags.items():
+        assert key in CONFIG_SCHEMA["properties"]
+        assert flag == "--" + key.replace("_", "-")
+
+
+def test_schema_constraints_are_all_generated():
+    # _out_of_range must know every constraint keyword the schema uses
+    known = {"type", "default", "description", "items", "enum", "minimum", "exclusiveMinimum",
+             "maximum", "minItems"}
+    for prop in CONFIG_SCHEMA["properties"].values():
+        assert set(prop) <= known
+
+
+@pytest.mark.parametrize(
+    "command, key, value", OUT_OF_RANGE, ids=[f"{c}-{k}={v}" for c, k, v in OUT_OF_RANGE]
+)
+def test_out_of_range_flags_are_rejected(tmp_path, capsys, command, key, value):
+    flag = "--" + key.replace("_", "-")
+    argv = [command, *REQUIRED[command], "--out", str(tmp_path), flag, value]
+    assert main(argv) == 2
+    assert "config rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-symbol", "solve"])
+def test_required_flags(tmp_path, command):
+    assert main([command, "--out", str(tmp_path)]) == 2
+
+
+def _readme_command_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("poissonops ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert {line.split()[1] for line in lines} == set(REQUIRED)
+    for line in lines:
+        _echo(build_parser().parse_args(shlex.split(line)[1:]))
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_subcommand_help(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert f"usage: poissonops {command}" in capsys.readouterr().out
 
 
 def test_config_schema_is_valid():

@@ -155,6 +155,14 @@ def test_ch_boundary_worked_point():
     assert ch_residual(_const_boundary(tg), v, 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("mu", [-1.0, 3j])
+def test_ch_residual_rejects_mu_outside_the_sector(mu):
+    tg, _ = make_grids(N=16)
+    g = _const_boundary(tg)
+    with pytest.raises(SectorError):
+        ch_residual(g, g, mu)
+
+
 def test_ch_boundary_linearity():
     tg, _ = make_grids(N=16)
     rng = np.random.default_rng(0)
