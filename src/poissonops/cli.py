@@ -29,7 +29,7 @@ from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, lp_norm, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, probe_dictionary, rbound_lower
-from .symbols import ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
+from .symbols import _KERNELS, ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
 from .transforms import _profile
 
 __all__ = ["CONFIG_SCHEMA", "main", "rbound_batch_scan"]
@@ -58,7 +58,7 @@ CONFIG_SCHEMA = {
         "grid_L": {"type": "number", "exclusiveMinimum": 0, "default": TWO_PI},
         "grid_X_max": {"type": "number", "exclusiveMinimum": 0, "default": 16.0},
         "grid_r": {"type": "number", "exclusiveMinimum": 1, "default": 1.05},
-        "kernel": {"type": "string", "default": "heat"},
+        "kernel": {"type": "string", "enum": list(_KERNELS), "default": "heat"},
         "class": {"type": "string", "enum": ["strong", "weak"]},
         "N": {"type": "integer", "minimum": 0, "maximum": 4, "default": 2},
         "mode": {"type": "string", "enum": ["opnorm", "rbound"], "default": "opnorm"},
@@ -389,7 +389,7 @@ _COMMANDS = {
         cmd_verify_symbol,
         "seminorm refinement table",
         # --out is taken though unused, so every command accepts one (perfbench appends it)
-        ("kernel", "class", "N", "d", "seed", "out"),
+        ("kernel", "class", "N", "d", "out"),
         required=("kernel",),
     ),
     "scan": _Command(
@@ -408,7 +408,7 @@ _COMMANDS = {
         required=("problem",),
     ),
     "lemma": _Command(
-        cmd_lemma, "envelope max check and road lattice scan", ("road_n", "seed", "out")
+        cmd_lemma, "envelope max check and road lattice scan", ("road_n", "out")
     ),
 }
 

@@ -42,7 +42,14 @@ __all__ = [
     "boundary_symbol_gain",
 ]
 
-_VARIANTS = ("HeatDynBC", "CahnHilliardBoundary", "KPPRoadField")
+# variant -> its boundary multiplier ``b(xi, mu)``, built from the road-field
+# parameters ``(d, dprime, kcoef)`` (which only the road field reads); per mode
+# the boundary dynamics give ``v-hat = b g-hat / mu^2``
+_BOUNDARY_SYMBOL = {
+    "HeatDynBC": lambda d, dprime, kcoef: heat_dynbc_b,
+    "CahnHilliardBoundary": lambda d, dprime, kcoef: ch_b,
+    "KPPRoadField": kpp_m2,
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class DynBCProblem:
     sector: Sector = field(default_factory=lambda: Sector.symmetric(0.45 * math.pi))
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in _BOUNDARY_SYMBOL:
             raise ValueError(f"unknown variant {self.variant!r}")
         if min(self.d, self.dprime, self.kcoef) <= 0:
             raise ValueError("problem parameters must be positive")
@@ -377,13 +384,6 @@ def boundary_symbol_gain(problem: DynBCProblem, mu: complex, shift: float = 0.0)
     """
     mu = problem.sector.require(mu)
     mu_eff = problem.sector.require(np.sqrt(mu * mu + shift))
-    fv = problem.tangential.freq_vectors
-    mu2 = mu_eff * mu_eff
-    if problem.variant == "HeatDynBC":
-        vals = np.asarray(heat_dynbc_b.func(fv, mu_eff), dtype=complex) / mu2
-    elif problem.variant == "CahnHilliardBoundary":
-        vals = np.asarray(ch_b.func(fv, mu_eff), dtype=complex) / mu2
-    else:
-        m2 = kpp_m2(problem.d, problem.dprime, problem.kcoef)
-        vals = np.asarray(m2.func(fv, mu_eff), dtype=complex) / mu2
-    return float(np.max(np.abs(vals)))
+    b = _BOUNDARY_SYMBOL[problem.variant](problem.d, problem.dprime, problem.kcoef)
+    vals = np.asarray(b.func(problem.tangential.freq_vectors, mu_eff), dtype=complex)
+    return float(np.max(np.abs(vals / (mu_eff * mu_eff))))

@@ -122,6 +122,8 @@ def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> 
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
+    if ngrid.M < 3:
+        raise ValueError(f"normal derivatives need at least three normal nodes, got M={ngrid.M}")
     x = ngrid.nodes
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]

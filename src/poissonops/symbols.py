@@ -156,35 +156,36 @@ def eval_scaled(k: SymbolKernel, xi, mu, t):
 # probe lattices
 
 
+# finite-difference steps relative to the local bracket weight, and the
+# angular distance of the default spectral rays from the sector boundary
+_H_REL = 1e-3
+_MARGIN = 0.01
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Sampling lattice for seminorm and characterization estimates.
 
-    ``refined()`` doubles the sampling density and widens every range by a
-    factor of four, the refinement step used for finiteness certificates.
-    Finite-difference steps are ``h_rel`` times the local bracket weight.
-    ``rays`` optionally pins the spectral samples to explicit argument angles
-    (e.g. ``(0.0,)`` for a real-parameter scan) instead of the default three
-    rays spread across the sector interior; every sample must lie in the
-    sector.
+    ``level`` counts refinements: each ``refined()`` doubles the sampling
+    density and widens every range by a factor of four, the refinement step
+    used for finiteness certificates.  ``rays`` optionally pins the spectral
+    samples to explicit argument angles (e.g. ``(0.0,)`` for a real-parameter
+    scan) instead of the default three rays spread across the sector
+    interior; every sample must lie in the sector.
     """
 
-    xi_max: float = 8.0
-    mu_max: float = 8.0
-    t_max: float = 8.0
-    density: int = 1
-    h_rel: float = 1e-3
-    margin: float = 0.01
+    level: int = 0
     rays: tuple | None = None
 
+    # upper ends of the xi, mu and t ranges: 8 at level 0, four times wider per level
+    xi_max = mu_max = t_max = property(lambda self: 8.0 * 4.0**self.level)
+
+    @property
+    def density(self) -> int:
+        return 2**self.level
+
     def refined(self) -> "ProbeSpec":
-        return replace(
-            self,
-            xi_max=4.0 * self.xi_max,
-            mu_max=4.0 * self.mu_max,
-            t_max=4.0 * self.t_max,
-            density=2 * self.density,
-        )
+        return replace(self, level=self.level + 1)
 
     def xi_values(self) -> np.ndarray:
         n = 4 * self.density + 1
@@ -198,7 +199,7 @@ class ProbeSpec:
     def mu_values(self, sector: Sector) -> list:
         """Spectral samples on rays inside the sector, or ``[None]`` if empty.
 
-        Default rays keep an angular distance of at least ``margin`` from the
+        Default rays keep an angular distance of at least ``_MARGIN`` from the
         sector boundary to avoid grazing branch cuts; a sample outside the
         sector raises ``SectorError``.
         """
@@ -207,8 +208,8 @@ class ProbeSpec:
         if self.rays is not None:
             angles = list(self.rays)
         else:
-            lo = sector.alpha + self.margin
-            hi = sector.beta - self.margin
+            lo = sector.alpha + _MARGIN
+            hi = sector.beta - _MARGIN
             if hi <= lo:
                 angles = [0.5 * (sector.alpha + sector.beta)]
             else:
@@ -273,7 +274,7 @@ def _seminorm_at_mu(k: SymbolKernel, N: int, probe: ProbeSpec, mu) -> list[float
     xi = probe.xi_values()[:, None]  # (nx, 1)
     t = probe.t_values()[None, :]  # (1, nt)
     br = np.sqrt(1.0 + xi * xi + _abs_sq(mu))
-    h = probe.h_rel * br
+    h = _H_REL * br
 
     @functools.cache
     def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
@@ -357,7 +358,7 @@ def char_lp_bound(
     for mu in probe.mu_values(k.sector):
         for xiv in probe.xi_values():
             br = bracket(xiv, mu)
-            h_xi = probe.h_rel * br
+            h_xi = _H_REL * br
             phi = _central_difference(
                 lambda offs: _normal_profile(k, xiv + offs[0] * h_xi, mu, x, lp), (a,), h_xi
             )
@@ -397,7 +398,7 @@ def mikhlin_fnorm(a_sym: MultiplierSymbol, mu, dim: int = 1, probe: ProbeSpec | 
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)  # (P, dim)
     norms = np.sqrt(np.sum(pts * pts, axis=-1))
-    h = probe.h_rel * np.sqrt(1.0 + norms * norms)  # (P,)
+    h = _H_REL * np.sqrt(1.0 + norms * norms)  # (P,)
 
     def at(offsets: tuple[int, ...]) -> np.ndarray:
         shift = np.stack([off * h for off in offsets], axis=-1)
@@ -450,23 +451,25 @@ def _tau(xi, mu):
     return np.sqrt(1.0 + _xi_sq(xi) + musq)
 
 
-def _heat_eval(xi, mu, xn):
-    return np.exp(-_tau(xi, mu) * xn)
+def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
+    """Order-0 kernel ``exp(-rate(xi, mu) x_n)`` on the half sector.
+
+    Its normal derivatives are ``(-rate)^order exp(-rate x_n)`` in closed form.
+    """
+
+    def func(xi, mu, xn):
+        return np.exp(-rate(xi, mu) * xn)
+
+    def xn_derivative(xi, mu, xn, order):
+        r = rate(xi, mu)
+        return (-r) ** order * np.exp(-r * xn)
+
+    return SymbolKernel(
+        name=name, order=0.0, kind=kind, sector=_HALF_SECTOR, func=func, xn_derivative=xn_derivative
+    )
 
 
-def _heat_dxn(xi, mu, xn, order):
-    tau = _tau(xi, mu)
-    return (-tau) ** order * np.exp(-tau * xn)
-
-
-heat_kernel = SymbolKernel(
-    name="heat",
-    order=0.0,
-    kind="strong",
-    sector=_HALF_SECTOR,
-    func=_heat_eval,
-    xn_derivative=_heat_dxn,
-)
+heat_kernel = _decay_kernel("heat", "strong", _tau)
 
 
 def _heat_dynbc_eval(xi, mu):
@@ -533,25 +536,18 @@ def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     """
     if d <= 0:
         raise ValueError("diffusivity must be positive")
-
-    def rate(xi, mu):
-        mu2 = np.asarray(mu, dtype=complex) ** 2
-        return np.sqrt(mu2 / d + _xi_sq(xi))
-
-    def f(xi, mu, xn):
-        return np.exp(-rate(xi, mu) * xn)
-
-    def fd(xi, mu, xn, order):
-        r = rate(xi, mu)
-        return (-r) ** order * np.exp(-r * xn)
-
-    return SymbolKernel(
-        name="kpp", order=0.0, kind="weak", sector=_HALF_SECTOR, func=f, xn_derivative=fd
+    return _decay_kernel(
+        "kpp", "weak", lambda xi, mu: np.sqrt(np.asarray(mu, dtype=complex) ** 2 / d + _xi_sq(xi))
     )
 
 
-def _const_eval(xi, mu, xn):
-    return np.ones(np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn)), dtype=complex)
+def _filled(value: complex) -> Callable:
+    """Evaluator (or ``xn_derivative`` hook) of the kernel identically equal to ``value``."""
+
+    def evaluate(xi, mu, xn, order=0):
+        return np.full(np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn)), value, dtype=complex)
+
+    return evaluate
 
 
 constant_one = SymbolKernel(
@@ -559,10 +555,8 @@ constant_one = SymbolKernel(
     order=0.0,
     kind="strong",  # deliberately misdeclared: no decay, seminorms diverge
     sector=Sector.empty(),
-    func=_const_eval,
-    xn_derivative=lambda xi, mu, xn, order: np.zeros(
-        np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn)), dtype=complex
-    ),
+    func=_filled(1.0),
+    xn_derivative=_filled(0.0),
 )
 
 
@@ -571,12 +565,8 @@ zero_kernel = SymbolKernel(
     order=0.0,
     kind="strong",
     sector=Sector.empty(),
-    func=lambda xi, mu, xn: np.zeros(
-        np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn)), dtype=complex
-    ),
-    xn_derivative=lambda xi, mu, xn, order: np.zeros(
-        np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn)), dtype=complex
-    ),
+    func=_filled(0.0),
+    xn_derivative=_filled(0.0),
 )
 
 
@@ -608,14 +598,17 @@ def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKe
     )
 
 
+# catalog name -> the kernel, built from the bulk diffusivity d (which only kpp reads)
+_KERNELS: dict[str, Callable[[float], SymbolKernel]] = {
+    "heat": lambda d: heat_kernel,
+    "kpp": kpp_kernel,
+    "constant-one": lambda d: constant_one,
+    "zero": lambda d: zero_kernel,
+}
+
+
 def kernel_catalog(name: str, d: float = 1.0) -> SymbolKernel:
     """Look up a symbol-kernel by its catalog name."""
-    if name == "heat":
-        return heat_kernel
-    if name == "kpp":
-        return kpp_kernel(d)
-    if name == "constant-one":
-        return constant_one
-    if name == "zero":
-        return zero_kernel
-    raise KeyError(f"unknown kernel {name!r}")
+    if name not in _KERNELS:
+        raise KeyError(f"unknown kernel {name!r}")
+    return _KERNELS[name](d)

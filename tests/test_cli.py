@@ -15,7 +15,7 @@ from jsonschema import Draft202012Validator
 from poissonops.cli import CONFIG_SCHEMA, _boundary_data, _echo, build_parser, main, rbound_batch_scan
 from poissonops.core import TangentialGrid, make_grids
 from poissonops.rbound import RademacherSampler
-from poissonops.symbols import heat_kernel
+from poissonops.symbols import _KERNELS, heat_kernel
 from poissonops.transforms import forward_fft
 
 SMALL_GRID = ["--grid-N", "8", "--grid-M", "32"]
@@ -62,6 +62,15 @@ def test_verify_symbol_flags_divergence(capsys):
 
 def test_verify_symbol_unknown_kernel(capsys):
     assert main(["verify-symbol", "--kernel", "nosuch"]) == 2
+
+
+def test_kernel_enum_is_the_catalog():
+    assert CONFIG_SCHEMA["properties"]["kernel"]["enum"] == list(_KERNELS)
+
+
+def test_unknown_kernel_is_refused_by_the_schema(capsys):
+    assert main(["verify-symbol", "--kernel", "nosuch"]) == 2
+    assert "config rejected: 'nosuch' is not one of" in capsys.readouterr().err
 
 
 def test_solve_kpp_worked_point(tmp_path):
@@ -182,6 +191,24 @@ def test_commands_refuse_grid_flags_they_ignore(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify-symbol", "--kernel", "heat"], ["lemma"]], ids=["verify-symbol", "lemma"]
+)
+def test_commands_refuse_the_seed_they_ignore(tmp_path, capsys, argv):
+    # neither command draws a random number, so neither takes a seed
+    assert main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_config_seed_is_ignored_where_unused(tmp_path, capsys):
+    # a config file may carry keys of other commands; they are not echoed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "heat", "N": 0, "seed": 5}))
+    assert main(["verify-symbol", "--kernel", "heat", "--config", str(cfg)]) == 0
+    config_line = capsys.readouterr().out.splitlines()[0]
+    assert "seed" not in json.loads(config_line.removeprefix("config "))
+
+
 @pytest.mark.parametrize("command", sorted(REQUIRED))
 def test_flags_are_the_echoed_schema_keys(command):
     # every flag a command accepts is echoed, and is spelled after its schema key
@@ -259,6 +286,15 @@ def test_solve_evolve_trajectory(tmp_path):
     assert [s["t"] for s in steps] == pytest.approx([0.25, 0.5, 0.75, 1.0])
     deltas = [s["delta"] for s in steps]
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
+
+
+def test_evolve_on_two_normal_nodes_is_a_usage_error(tmp_path, capsys):
+    # from step 2 the heat step has interior data, whose residual check takes
+    # second normal differences: two nodes are refused, not an uncaught IndexError
+    argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.5", "--T", "1",
+            "--grid-N", "8", "--grid-M", "2", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "at least three normal nodes" in capsys.readouterr().err
 
 
 def test_evolve_rejects_nondivisible_horizon(tmp_path):

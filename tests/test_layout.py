@@ -1,6 +1,6 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-one central difference, sign sums without per-trial contractions, and no threads,
-processes or environment reads."""
+one central difference, one builder for the decay and constant kernels, sign sums without
+per-trial contractions, and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -134,3 +134,26 @@ def test_sign_sums_have_no_per_trial_contraction():
             if name == "_scaled_poisson_op":
                 found.add((p.name, name))
     assert found == set()
+
+
+def _np_owners(tree: ast.Module, attr: str) -> list[str]:
+    """Top-level definition holding each ``np.<attr>`` reference, in source order."""
+    owners = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == attr
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+            ):
+                owners.append(getattr(top, "name", "<module>"))
+    return owners
+
+
+def test_catalog_kernels_come_from_one_builder_each():
+    # every exponential profile exp(-rate x_n) and its normal derivatives are
+    # built by _decay_kernel, and every constant kernel by _filled
+    tree = ast.parse((PKG_DIR / "symbols.py").read_text())
+    assert set(_np_owners(tree, "exp")) == {"_decay_kernel"}
+    assert _np_owners(tree, "broadcast_shapes") == ["_filled"]

@@ -106,6 +106,19 @@ def test_normal_derivative_exact_on_quadratics():
     np.testing.assert_allclose(d2.real, 2.0, atol=1e-9)
 
 
+def test_normal_derivative_needs_three_nodes():
+    tg, ng = make_grids(N=8, M=2)
+    u = HalfSpaceField(tg, ng, np.ones((8, 2), dtype=complex))
+    with pytest.raises(ValueError, match="at least three normal nodes"):
+        normal_derivative(u.samples, ng, 1)
+    with pytest.raises(ValueError, match="at least three normal nodes"):
+        mixed_norm(u, 2.0, 2.0, 1)
+    # no derivative is taken at m = 0, and three nodes carry the stencils
+    assert mixed_norm(u, 2.0, 2.0, 0) > 0.0
+    ng3 = NormalGrid(3)
+    np.testing.assert_allclose(normal_derivative(ng3.nodes**2, ng3, 1).real, 2.0 * ng3.nodes, atol=1e-12)
+
+
 def test_mixed_norm_separable_product():
     tg, ng = make_grids(N=32, M=256)
     u = _separable(tg, ng, lambda x: np.exp(-x))

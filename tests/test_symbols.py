@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -274,6 +274,13 @@ def test_probe_spec_refined_scaling():
     assert fine.mu_max == 4.0 * probe.mu_max
     assert fine.t_max == 4.0 * probe.t_max
     assert fine.density == 2 * probe.density
+
+
+def test_probe_spec_is_a_level_and_rays():
+    assert [f.name for f in fields(ProbeSpec)] == ["level", "rays"]
+    fine = ProbeSpec(rays=(0.0,)).refined().refined()
+    assert fine == ProbeSpec(level=2, rays=(0.0,))
+    assert (fine.xi_max, fine.mu_max, fine.t_max, fine.density) == (128.0, 128.0, 128.0, 4)
 
 
 def test_probe_spec_rays_pin_arguments():
