@@ -404,7 +404,7 @@ _COMMANDS = {
     "solve": _Command(
         cmd_solve,
         "one resolvent or a trajectory",
-        ("problem", "mu", "d", "dprime", "k", "g", "evolve", "dt", "T", "seed", "out", *_GRID),
+        ("problem", "mu", "d", "dprime", "k", "g", "evolve", "dt", "T", "out", *_GRID),
         required=("problem",),
     ),
     "lemma": _Command(

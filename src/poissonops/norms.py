@@ -1,21 +1,25 @@
-"""Quadrature norms on grid fields and the Hilbert operator norm per mode.
+"""Field norms, one stack engine for every norm family, and the Hilbert operator norm per mode.
 
 Covers plain and weak L^p, mixed tangential/normal norms with normal
 derivatives, dyadic-block boundary smoothness norms, totally characteristic
-norms built from ``(x_n d/dx_n)`` derivatives, and the per-mode operator norm
-of a Poisson operator between bracket-weighted L^2 spaces.  Weak integrability
-always refers to the normal direction.
+norms built from ``(x_n d/dx_n)`` derivatives, Bessel-weighted boundary norms,
+and the per-mode operator norm of a Poisson operator between bracket-weighted
+L^2 spaces.  Every :class:`NormSpec` norm is evaluated in spectral space by
+one engine, which measures sign sums of many fields at once; a single field
+is the one-summand case.  Weak integrability always refers to the normal
+direction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
 from .symbols import SymbolKernel
-from .transforms import LPPartition, _profile, forward_fft, lp_blocks
+from .transforms import LPPartition, _itfft, _profile, _tfft
 
 __all__ = [
     "NormSpec",
@@ -31,16 +35,19 @@ __all__ = [
 ]
 
 _FAMILIES = ("Lp", "WeakLp", "Mixed", "Besov", "TotChar", "Bessel2")
+_HALF_SPACE = ("WeakLp", "Mixed", "TotChar")
+_BOUNDARY = ("Besov", "Bessel2")
 
 
 @dataclass(frozen=True)
 class NormSpec:
     """Declarative norm choice; exponent/family compatibility is checked here.
 
-    ``family`` picks the norm; ``p`` acts in the normal direction for mixed
-    and totally characteristic norms (``weak`` replaces it by the Lorentz
-    quasinorm there), ``q`` tangentially, ``s`` is smoothness, ``m`` a normal
-    derivative budget.
+    ``family`` picks the norm; ``p`` acts in the normal direction for weak,
+    mixed and totally characteristic norms (``weak`` replaces it by the
+    Lorentz quasinorm there), ``q`` tangentially; a Besov norm takes ``p``
+    on each dyadic block and ``q`` across blocks.  ``s`` is smoothness, ``m``
+    a normal derivative budget.
     """
 
     family: str
@@ -55,10 +62,11 @@ class NormSpec:
             raise ValueError(f"unknown norm family {self.family!r}")
         if self.family == "Lp" and not 1 <= self.p < math.inf:
             raise ValueError("Lp requires 1 <= p < inf")
-        if self.family in ("WeakLp", "Mixed", "Besov") and not 1 < self.p < math.inf:
-            raise ValueError(f"{self.family} requires p in (1, inf)")
-        if self.family in ("Mixed", "Besov", "TotChar") and not 1 <= self.q < math.inf:
-            raise ValueError(f"{self.family} requires q in [1, inf)")
+        if self.family in ("WeakLp", "Mixed", "Besov", "TotChar"):
+            if not 1 < self.p < math.inf:
+                raise ValueError(f"{self.family} requires p in (1, inf)")
+            if not 1 <= self.q < math.inf:
+                raise ValueError(f"{self.family} requires q in [1, inf)")
         if self.family == "Mixed" and not 0 <= self.m <= 3:
             raise ValueError("Mixed requires derivative order m in 0..3")
         if self.family == "TotChar":
@@ -66,7 +74,7 @@ class NormSpec:
                 raise ValueError("TotChar requires integer s in 0..3")
         if self.family == "Bessel2" and (self.p != 2 or self.q != 2):
             raise ValueError("Bessel2 is an L2-scale norm; p and q must be 2")
-        if self.weak and self.family not in ("WeakLp", "Mixed", "TotChar"):
+        if self.weak and self.family not in _HALF_SPACE:
             raise ValueError("weak integrability applies to the normal direction only")
 
 
@@ -150,43 +158,18 @@ def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> 
     return out
 
 
-def _slice_then_normal(samples: np.ndarray, u: HalfSpaceField, p: float, q: float, weak: bool) -> float:
-    """Tangential L^q per normal slice, then (weak) L^p against node weights."""
-    tan_axes = tuple(range(u.tangential.dim))
-    slices = (np.sum(np.abs(samples) ** q, axis=tan_axes) * u.tangential.cell) ** (1.0 / q)
-    return float(_normal_lp(slices, u.normal.weights, p, weak))
-
-
 def mixed_norm(u: HalfSpaceField, p: float, q: float, m: int = 0, weak: bool = False) -> float:
     """Sum over derivative orders up to ``m`` of normal-then-tangential norms.
 
     Each term takes the tangential L^q of the order-``l`` normal derivative on
     every slice, then the (weak) L^p of that profile in the normal direction.
     """
-    if not 0 <= m <= 3:
-        raise ValueError("derivative budget m must lie in 0..3")
-    if not 1 <= q < math.inf:
-        raise ValueError(f"need 1 <= q < inf, got q={q}")
-    if not 1 <= p < math.inf:
-        raise ValueError(f"need 1 <= p < inf, got p={p}")
-    total = 0.0
-    for l in range(m + 1):
-        d = u.samples if l == 0 else normal_derivative(u.samples, u.normal, l)
-        total += _slice_then_normal(d, u, p, q, weak)
-    return total
+    return field_norm(u, NormSpec("Mixed", p=p, q=q, m=m, weak=weak))
 
 
-def besov_norm(g: BoundaryField, s: float, p: float, q: float, part: LPPartition | None = None) -> float:
+def besov_norm(g: BoundaryField, s: float, p: float, q: float) -> float:
     """Dyadic-block smoothness norm ``(sum_j 2^{jsq} ||block_j||_p^q)^{1/q}``."""
-    if not 1 < p < math.inf:
-        raise ValueError(f"need 1 < p < inf, got {p}")
-    if not 1 <= q < math.inf:
-        raise ValueError(f"need 1 <= q < inf, got {q}")
-    blocks = lp_blocks(g, part)
-    acc = 0.0
-    for j, b in enumerate(blocks):
-        acc += (2.0 ** (j * s) * lp_norm(b, p)) ** q
-    return float(acc ** (1.0 / q))
+    return field_norm(g, NormSpec("Besov", p=p, q=q, s=s))
 
 
 def tot_char_norm(u: HalfSpaceField, s: int, p: float, q: float, weak: bool = False) -> float:
@@ -194,22 +177,12 @@ def tot_char_norm(u: HalfSpaceField, s: int, p: float, q: float, weak: bool = Fa
 
     Order ``s = 0`` coincides with ``mixed_norm(u, p, q, 0, weak)``.
     """
-    if not 0 <= s <= 3:
-        raise ValueError("derivative budget s must lie in 0..3")
-    total = 0.0
-    v = np.asarray(u.samples, dtype=complex)
-    for l in range(s + 1):
-        if l > 0:
-            v = u.normal.nodes * normal_derivative(v, u.normal, 1)
-        total += _slice_then_normal(v, u, p, q, weak)
-    return total
+    return field_norm(u, NormSpec("TotChar", p=p, q=q, s=s, weak=weak))
 
 
 def bessel2_norm(g: BoundaryField, s: float) -> float:
     """Bracket-weighted spectral L^2 norm ``||<xi>^s g^||_2`` of boundary data."""
-    spec = forward_fft(g)
-    w = (1.0 + g.grid.freq_norm_sq) ** (0.5 * s)
-    return float(np.sqrt(np.sum(np.abs(w * spec) ** 2)))
+    return field_norm(g, NormSpec("Bessel2", s=s))
 
 
 def opnorm_hilbert(
@@ -261,43 +234,111 @@ def opnorm_hilbert(
     return float(np.max(vals))
 
 
-def _slice_form(spec: NormSpec) -> tuple[float, float, bool, int]:
-    """``spec`` as ``(q, p, weak, m)``: tangential L^q slices, then (weak) L^p across them.
+class _StackNorm:
+    """A :class:`NormSpec` norm of sign sums ``sum_k eps_k O_k`` of spectral arrays, every trial at once.
 
-    The slices are taken of every normal derivative of order up to ``m``,
-    and the terms are summed as in :func:`mixed_norm`; a boundary field is
-    one slice.  Besov, totally characteristic and Bessel norms have no such
-    form and raise ``ValueError``.
+    Every norm is an outer l^r sum over terms, each term the normal (weak)
+    L^p of the tangential L^q slices of one stack.  Lp and WeakLp have one
+    term; Mixed sums the normal derivatives up to ``m`` and TotChar the
+    iterated ``x_n d/dx_n`` up to ``s``; Besov takes the ``2^{js}``-weighted
+    dyadic blocks of the spectrum with tangential exponent ``p`` and outer
+    ``l^q``; Bessel2 is the one term ``<xi>^s`` times the spectrum.
+
+    A stack is laid out ``(M, size, modes)``: normal nodes first (``M = 1``
+    on the boundary), then the summands, then the flattened modes of the
+    unscaled orthonormal tangential transform.  For tangential ``q = 2`` each
+    slice is the Gram form ``cell * Re(eps^* G[x] eps)`` with
+    ``G[x] = conj(O_x) O_x^T`` (Plancherel); any other ``q`` transforms the
+    stack back once and forms every trial in one matmul.
     """
-    if spec.family == "Lp":
-        return spec.p, spec.p, False, 0
-    if spec.family == "WeakLp":
-        return spec.q, spec.p, True, 0
-    if spec.family == "Mixed":
-        return spec.q, spec.p, spec.weak, spec.m
-    raise ValueError(f"{spec.family} norms have no slice form")
+
+    def __init__(self, spec: NormSpec, grid: TangentialGrid, normal: NormalGrid | None) -> None:
+        family = spec.family
+        if normal is None and family in _HALF_SPACE:
+            raise TypeError(f"{family} norms need a half-space field")
+        if normal is not None and family in _BOUNDARY:
+            raise TypeError(f"{family} norms apply to boundary fields")
+        self.grid, self.normal, self.family = grid, normal, family
+        self.q = spec.p if family in ("Lp", "Besov") else spec.q
+        self.p, self.weak = spec.p, spec.weak or family == "WeakLp"
+        self.r = spec.q if family == "Besov" else 1.0
+        self.steps = spec.m if family == "Mixed" else int(spec.s) if family == "TotChar" else 0
+        self.weights = []  # spectral weight of each term, on the flattened modes
+        if family == "Besov":
+            part = LPPartition.for_grid(grid)
+            radius = np.sqrt(grid.freq_norm_sq).reshape(-1)
+            self.weights = [2.0 ** (j * spec.s) * part.block_weight(j, radius) for j in range(part.J + 1)]
+        elif family == "Bessel2":
+            self.weights = [(1.0 + grid.freq_norm_sq.reshape(-1)) ** (0.5 * spec.s)]
+        # the mean square of a sign sum is then exactly the sum of squares
+        one_term = self.steps == 0 and len(self.weights) <= 1
+        self.hilbert = one_term and self.q == 2 and self.p == 2 and not self.weak
+
+    @classmethod
+    def on(cls, f, spec: NormSpec) -> "_StackNorm":
+        """The form of ``spec`` on the grids of the field ``f``."""
+        if isinstance(f, HalfSpaceField):
+            return cls(spec, f.tangential, f.normal)
+        return cls(spec, f.grid, None)
+
+    def orders(self, a: np.ndarray) -> list[np.ndarray]:
+        """The term stacks of ``a``, which is laid out ``(size, modes, M)``."""
+        terms = [w[:, None] * a for w in self.weights] or [a]
+        for _ in range(self.steps):
+            d = normal_derivative(terms[-1], self.normal, 1)
+            terms.append(self.normal.nodes * d if self.family == "TotChar" else d)
+        return [np.ascontiguousarray(np.moveaxis(t, -1, 0)) for t in terms]
+
+    def _total(self, slices: list[np.ndarray]) -> np.ndarray:
+        """Normal (weak) L^p of each term's slices, shaped ``(..., M)``, then l^r over the terms."""
+        if self.normal is None:
+            terms = [s[..., 0] for s in slices]
+        else:
+            terms = [_normal_lp(s, self.normal.weights, self.p, self.weak) for s in slices]
+        return sum(t**self.r for t in terms) ** (1.0 / self.r)
+
+    def _physical(self, o: np.ndarray) -> np.ndarray:
+        a = np.moveaxis(o.reshape(o.shape[:2] + self.grid.shape), (0, 1), (-2, -1))
+        return np.moveaxis(_itfft(a, self.grid.dim), (-2, -1), (0, 1)).reshape(o.shape)
+
+    def of_sums(self, stacks: list[np.ndarray], eps: np.ndarray) -> np.ndarray:
+        """Norm of ``sum_k eps[t, k] O_k`` for every trial ``t``, from the stacks of :meth:`orders`."""
+        cell, q = self.grid.cell, self.q
+        slices = []
+        for o in stacks:
+            if q == 2:
+                gram = o.conj() @ o.transpose(0, 2, 1)
+                sq = np.einsum("tk,xkl,tl->tx", eps.conj(), gram, eps).real
+                # a nearly cancelling sum can round to a tiny negative square
+                slices.append(np.sqrt(np.maximum(sq, 0.0) * cell))
+            else:
+                combo = eps @ self._physical(o)
+                slices.append(((np.sum(np.abs(combo) ** q, axis=-1) * cell) ** (1.0 / q)).T)
+        return self._total(slices)
+
+    def of_products(self, mults: list[np.ndarray], spec: np.ndarray) -> np.ndarray:
+        """Norm of every product ``m_j * g_i``, shape ``(n_ops, n_in)``.
+
+        ``mults`` are the :meth:`orders` stacks of the multipliers, ``spec``
+        holds one spectrum per row.  For ``q = 2`` the slices of all pairs are
+        one matmul ``cell * |m_j|^2 @ |g_i|^2``.
+        """
+        if self.q == 2:
+            power = np.abs(spec.T) ** 2
+            slices = [np.sqrt(self.grid.cell * (np.abs(m) ** 2 @ power)) for m in mults]
+            return self._total([s.transpose(1, 2, 0) for s in slices])
+        eye = np.eye(len(spec))
+        n_ops = mults[0].shape[1]
+        return np.stack([self.of_sums([m[:, j, None] * spec for m in mults], eye) for j in range(n_ops)])
 
 
-def field_norm(f, spec: NormSpec, part: LPPartition | None = None) -> float:
-    """Evaluate the norm described by ``spec`` on a field."""
-    if spec.family == "Lp":
-        return lp_norm(f, spec.p)
-    if spec.family == "WeakLp":
-        if not isinstance(f, HalfSpaceField):
-            raise TypeError("weak integrability needs a half-space field")
-        return mixed_norm(f, spec.p, spec.q, 0, weak=True)
-    if spec.family == "Mixed":
-        if not isinstance(f, HalfSpaceField):
-            raise TypeError("mixed norms need a half-space field")
-        return mixed_norm(f, spec.p, spec.q, spec.m, weak=spec.weak)
-    if spec.family == "Besov":
-        if not isinstance(f, BoundaryField):
-            raise TypeError("dyadic-block norms apply to boundary fields")
-        return besov_norm(f, spec.s, spec.p, spec.q, part)
-    if spec.family == "TotChar":
-        if not isinstance(f, HalfSpaceField):
-            raise TypeError("totally characteristic norms need a half-space field")
-        return tot_char_norm(f, int(spec.s), spec.p, spec.q, spec.weak)
-    if not isinstance(f, BoundaryField):
-        raise TypeError("Bessel-scale norms apply to boundary fields")
-    return bessel2_norm(f, spec.s)
+def _spectra(fields: Sequence, grid: TangentialGrid) -> np.ndarray:
+    """One transform of every field: spectra laid out ``(n, modes, M)``, ``M = 1`` on the boundary."""
+    spec = _tfft(np.stack([f.samples for f in fields], axis=-1), grid.dim)
+    return spec.reshape(math.prod(grid.shape), -1, len(fields)).transpose(2, 0, 1)
+
+
+def field_norm(f, spec: NormSpec) -> float:
+    """Evaluate the norm described by ``spec`` on a field: the stack engine on one summand."""
+    form = _StackNorm.on(f, spec)
+    return float(form.of_sums(form.orders(_spectra([f], form.grid)), np.ones((1, 1)))[0])

@@ -17,9 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from .norms import NormSpec, _normal_lp, _slice_form, normal_derivative
-from .transforms import _itfft, _tfft
+from .core import BoundaryField, NormalGrid, TangentialGrid
+from .norms import NormSpec, _spectra, _StackNorm
 
 __all__ = [
     "RademacherSampler",
@@ -147,77 +146,6 @@ def _check_common_grid(fields: Sequence) -> None:
             raise ValueError("fields must share one grid")
 
 
-class _StackNorm:
-    """A norm of sign sums ``sum_k eps_k O_k`` of spectral arrays, every trial at once.
-
-    A stack is laid out ``(M, size, modes)``: normal nodes first (``M = 1``
-    on the boundary), then the summands, then the flattened modes of the
-    unscaled orthonormal tangential transform.  For tangential ``q = 2`` each
-    slice is the Gram form ``cell * Re(eps^* G[x] eps)`` with
-    ``G[x] = conj(O_x) O_x^T`` (Plancherel); any other ``q`` transforms the
-    stack back once and forms every trial in one matmul.
-    """
-
-    def __init__(self, spec: NormSpec, grid: TangentialGrid, normal: NormalGrid | None) -> None:
-        self.q, self.p, self.weak, self.m = _slice_form(spec)
-        if normal is None and spec.family != "Lp":
-            raise TypeError(f"{spec.family} norms need a half-space field")
-        self.grid, self.normal = grid, normal
-        # the mean square of a sign sum is then exactly the sum of squares
-        self.hilbert = self.q == 2 and self.p == 2 and not self.weak and self.m == 0
-
-    def orders(self, a: np.ndarray) -> list[np.ndarray]:
-        """Stacks of ``a`` (laid out ``(size, modes, M)``) and its normal derivatives up to ``m``."""
-        derivs = [a] + [normal_derivative(a, self.normal, l) for l in range(1, self.m + 1)]
-        return [np.ascontiguousarray(np.moveaxis(d, -1, 0)) for d in derivs]
-
-    def _total(self, slices: list[np.ndarray]) -> np.ndarray:
-        """Normal (weak) L^p of slices shaped ``(..., M)``, summed over derivative orders."""
-        if self.normal is None:
-            return slices[0][..., 0]
-        return sum(_normal_lp(s, self.normal.weights, self.p, self.weak) for s in slices)
-
-    def _physical(self, o: np.ndarray) -> np.ndarray:
-        a = np.moveaxis(o.reshape(o.shape[:2] + self.grid.shape), (0, 1), (-2, -1))
-        return np.moveaxis(_itfft(a, self.grid.dim), (-2, -1), (0, 1)).reshape(o.shape)
-
-    def of_sums(self, stacks: list[np.ndarray], eps: np.ndarray) -> np.ndarray:
-        """Norm of ``sum_k eps[t, k] O_k`` for every trial ``t``, from the stacks of :meth:`orders`."""
-        cell, q = self.grid.cell, self.q
-        slices = []
-        for o in stacks:
-            if q == 2:
-                gram = o.conj() @ o.transpose(0, 2, 1)
-                sq = np.einsum("tk,xkl,tl->tx", eps.conj(), gram, eps).real
-                # a nearly cancelling sum can round to a tiny negative square
-                slices.append(np.sqrt(np.maximum(sq, 0.0) * cell))
-            else:
-                combo = eps @ self._physical(o)
-                slices.append(((np.sum(np.abs(combo) ** q, axis=-1) * cell) ** (1.0 / q)).T)
-        return self._total(slices)
-
-    def of_products(self, mults: list[np.ndarray], spec: np.ndarray) -> np.ndarray:
-        """Norm of every product ``m_j * g_i``, shape ``(n_ops, n_in)``.
-
-        ``mults`` are the :meth:`orders` stacks of the multipliers, ``spec``
-        holds one spectrum per row.  For ``q = 2`` the slices of all pairs are
-        one matmul ``cell * |m_j|^2 @ |g_i|^2``.
-        """
-        if self.q == 2:
-            power = np.abs(spec.T) ** 2
-            slices = [np.sqrt(self.grid.cell * (np.abs(m) ** 2 @ power)) for m in mults]
-            return self._total([s.transpose(1, 2, 0) for s in slices])
-        eye = np.eye(len(spec))
-        n_ops = mults[0].shape[1]
-        return np.stack([self.of_sums([m[:, j, None] * spec for m in mults], eye) for j in range(n_ops)])
-
-
-def _spectra(fields: Sequence, grid: TangentialGrid) -> np.ndarray:
-    """One transform of every field: spectra laid out ``(n, modes, M)``, ``M = 1`` on the boundary."""
-    spec = _tfft(np.stack([f.samples for f in fields], axis=-1), grid.dim)
-    return spec.reshape(math.prod(grid.shape), -1, len(fields)).transpose(2, 0, 1)
-
-
 def _sign_sum(
     norm: _StackNorm,
     singles: np.ndarray,
@@ -260,17 +188,14 @@ def eps_p_norm(
     A single field needs no sampling (unit modulus drops out), and for ``p=2``
     with a Hilbert norm the expectation collapses exactly to the square sum;
     everything else is Monte-Carlo with the deterministic sampler.  ``norm``
-    must be an Lp, weak-Lp or mixed norm; ``1 <= p < inf``.
+    may be any family that applies to the fields; ``1 <= p < inf``.
     """
     _check_counts(p, trials)
     if not fields:
         raise ValueError("need at least one field")
     _check_common_grid(fields)
-    first = fields[0]
-    half = isinstance(first, HalfSpaceField)
-    grid = first.tangential if half else first.grid
-    form = _StackNorm(norm, grid, first.normal if half else None)
-    stacks = form.orders(_spectra(fields, grid))
+    form = _StackNorm.on(fields[0], norm)
+    stacks = form.orders(_spectra(fields, form.grid))
     singles = form.of_sums(stacks, np.eye(len(fields)))
     value, _ = _sign_sum(form, singles, lambda: stacks, p, trials, sampler or RademacherSampler(seed=0))
     return value
@@ -339,8 +264,9 @@ def rbound_lower(
     through every single operator (the exact singleton floor), then
     ``restarts`` random selections with repetition search for sign-sum
     ratios above that floor.  The maximum ratio observed is returned; it
-    never exceeds the true randomized bound.  Norms must be Lp, weak-Lp or
-    mixed norms; ``1 <= p < inf``.
+    never exceeds the true randomized bound.  The input norm may be any
+    boundary family and the output norm any family on the multipliers' grid;
+    ``1 <= p < inf``.
     """
     if len(multipliers) == 0:
         raise ValueError("operator family must be nonempty")
@@ -359,8 +285,9 @@ def rbound_lower(
     sampler = sampler or RademacherSampler(seed=0)
 
     n_ops, n_in = len(multipliers), len(inputs)
-    ins = in_form.orders(_spectra(inputs, grid))
-    spec = ins[0][0]  # one spectrum per row
+    spectra = _spectra(inputs, grid)
+    ins = in_form.orders(spectra)
+    spec = spectra[..., 0]  # one raw spectrum per row; the input norm's terms may be weighted
     mults = out_form.orders(np.asarray(multipliers, dtype=complex).reshape(n_ops, spec.shape[1], -1))
     in_norms = in_form.of_sums(ins, np.eye(n_in))
     out_norms = out_form.of_products(mults, spec)

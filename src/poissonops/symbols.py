@@ -177,6 +177,10 @@ class ProbeSpec:
     level: int = 0
     rays: tuple | None = None
 
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise ValueError(f"refinement level must be nonnegative, got {self.level}")
+
     # upper ends of the xi, mu and t ranges: 8 at level 0, four times wider per level
     xi_max = mu_max = t_max = property(lambda self: 8.0 * 4.0**self.level)
 

@@ -126,7 +126,7 @@ def test_grid_dim_flag_is_bounded(tmp_path):
     "argv",
     [
         ["lemma", "--road-n", "4"],
-        ["solve", "--problem", "ch", "--seed", "-3"] + SMALL_GRID,
+        ["scan", "--mode", "rbound", "--seed", "-3"] + SMALL_GRID,
         ["verify-symbol", "--kernel", "heat", "--d", "-1"],
     ],
     ids=["road-n", "seed", "verify-d"],
@@ -192,10 +192,12 @@ def test_commands_refuse_grid_flags_they_ignore(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify-symbol", "--kernel", "heat"], ["lemma"]], ids=["verify-symbol", "lemma"]
+    "argv",
+    [["verify-symbol", "--kernel", "heat"], ["lemma"], ["solve", "--problem", "ch"] + SMALL_GRID],
+    ids=["verify-symbol", "lemma", "solve"],
 )
 def test_commands_refuse_the_seed_they_ignore(tmp_path, capsys, argv):
-    # neither command draws a random number, so neither takes a seed
+    # none of these commands draws a random number, so none takes a seed
     assert main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 

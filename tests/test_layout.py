@@ -1,6 +1,6 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-one central difference, one builder for the decay and constant kernels, sign sums without
-per-trial contractions, and no threads, processes or environment reads."""
+one central difference, one builder for the decay and constant kernels, one norm engine,
+sign sums without per-trial contractions, and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -157,3 +157,26 @@ def test_catalog_kernels_come_from_one_builder_each():
     tree = ast.parse((PKG_DIR / "symbols.py").read_text())
     assert set(_np_owners(tree, "exp")) == {"_decay_kernel"}
     assert _np_owners(tree, "broadcast_shapes") == ["_filled"]
+
+
+def _called_names(tree: ast.Module) -> set[str]:
+    """Name of every function called as ``f(...)`` or ``mod.f(...)``."""
+    calls = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return calls
+
+
+def test_one_norm_engine():
+    # every NormSpec norm is evaluated by norms._StackNorm; rbound only samples and searches
+    definers = {
+        p.name
+        for p in PKG_DIR.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "_StackNorm"
+    }
+    assert definers == {"norms.py"}
+    rbound_calls = _called_names(ast.parse((PKG_DIR / "rbound.py").read_text()))
+    assert rbound_calls & {"normal_derivative", "_normal_lp"} == set()

@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from norm_reference import ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, SectorError, make_grids
 from poissonops.norms import (
     NormSpec,
@@ -270,6 +273,15 @@ def test_norm_spec_validation():
         NormSpec("Bessel2", p=3.0)
     with pytest.raises(ValueError):
         NormSpec("Lp", weak=True)
+    # every exponent a family uses is checked: a quasi-norm exponent is refused
+    with pytest.raises(ValueError):
+        NormSpec("TotChar", p=0.5, s=1)
+    with pytest.raises(ValueError):
+        NormSpec("TotChar", p=1.0)
+    with pytest.raises(ValueError):
+        NormSpec("WeakLp", q=0.5)
+    with pytest.raises(ValueError):
+        NormSpec("WeakLp", q=math.inf)
 
 
 def test_field_norm_dispatch():
@@ -307,3 +319,36 @@ def test_field_norm_type_errors():
         field_norm(u, NormSpec("Bessel2"))
     with pytest.raises(TypeError):
         field_norm(g, NormSpec("WeakLp"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["Lp", "WeakLp", "Mixed", "Besov", "TotChar", "Bessel2"]),
+    lp_on_half=st.booleans(),
+    dim=st.integers(1, 2),
+    N=st.sampled_from([8, 16, 32]),
+    M=st.integers(3, 40),
+    p=st.one_of(st.just(2.0), st.floats(1.0, 4.0, exclude_min=True)),
+    q=st.one_of(st.just(2.0), st.floats(1.0, 4.0)),
+    order=st.integers(0, 3),
+    s=st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+    weak=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_field_norm_matches_the_physical_reference(family, lp_on_half, dim, N, M, p, q, order, s, weak, seed):
+    # the stack engine on one summand against one quadrature per family
+    spec = {
+        "Lp": NormSpec("Lp", p=p),
+        "WeakLp": NormSpec("WeakLp", p=p, q=q),
+        "Mixed": NormSpec("Mixed", p=p, q=q, m=order, weak=weak),
+        "Besov": NormSpec("Besov", p=p, q=q, s=s),
+        "TotChar": NormSpec("TotChar", p=p, q=q, s=order, weak=weak),
+        "Bessel2": NormSpec("Bessel2", s=s),
+    }[family]
+    half = family in ("WeakLp", "Mixed", "TotChar") or (lp_on_half and family == "Lp")
+    tg, ng = make_grids(dim=dim, N=N, M=M, X_max=4.0, r=1.2)
+    rng = np.random.default_rng(seed)
+    shape = tg.shape + ((M,) if half else ())
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = HalfSpaceField(tg, ng, samples) if half else BoundaryField(tg, samples)
+    assert field_norm(f, spec) == pytest.approx(ref_field_norm(f, spec), rel=1e-13, abs=0.0)

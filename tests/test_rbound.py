@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from norm_reference import is_hilbert, ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, make_grids
-from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
+from poissonops.norms import NormSpec, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
     RademacherSampler,
     ScanResult,
@@ -18,8 +19,8 @@ from poissonops.rbound import (
     probe_dictionary,
     rbound_lower,
 )
-from poissonops.symbols import MultiplierSymbol, heat_kernel
-from poissonops.transforms import _itfft, _tfft
+from poissonops.symbols import MultiplierSymbol, heat_kernel, kpp_kernel
+from poissonops.transforms import _itfft, _profile, _tfft
 
 from poissonops.core import Sector
 
@@ -202,22 +203,6 @@ def test_rbound_lower_rejects_invalid_exponent_and_counts(kw):
         rbound_lower([np.ones(tg.shape)], probe_dictionary(tg), **kw)
 
 
-@pytest.mark.parametrize(
-    "norm",
-    [NormSpec("Besov", p=2.0, q=2.0, s=0.5), NormSpec("TotChar", s=1), NormSpec("Bessel2", s=1.0)],
-    ids=["besov", "totchar", "bessel2"],
-)
-def test_norms_without_a_stack_form_are_refused(norm):
-    tg, ng = make_grids(N=16, M=8)
-    inputs = probe_dictionary(tg)
-    with pytest.raises(ValueError):
-        eps_p_norm(inputs[:2], 1.5, norm)
-    with pytest.raises(ValueError):
-        rbound_lower([np.ones(tg.shape + (ng.M,))], inputs, ng, out_norm=norm)
-    with pytest.raises(ValueError):
-        rbound_lower([np.ones(tg.shape)], inputs, in_norm=norm)
-
-
 def test_rbound_lower_rejects_multipliers_off_the_grid():
     tg, ng = make_grids(N=16, M=8)
     with pytest.raises(ValueError):
@@ -229,14 +214,11 @@ def test_rbound_lower_rejects_multipliers_off_the_grid():
 
 
 def _ref_sign_sum(fields, p, norm, trials, sampler):
-    """One tensordot and one ``field_norm`` per trial, on physical fields."""
+    """One tensordot and one physical reference norm per trial."""
     if len(fields) == 1:
-        return field_norm(fields[0], norm)
-    hilbert = (norm.family == "Lp" and norm.p == 2) or (
-        norm.family == "Mixed" and norm.p == norm.q == 2 and norm.m == 0 and not norm.weak
-    )
-    if p == 2 and hilbert:
-        return math.sqrt(sum(field_norm(f, norm) ** 2 for f in fields))
+        return ref_field_norm(fields[0], norm)
+    if p == 2 and is_hilbert(norm):
+        return math.sqrt(sum(ref_field_norm(f, norm) ** 2 for f in fields))
     eps = sampler.unit(trials * len(fields)).reshape(trials, len(fields))
     stack = np.stack([f.samples for f in fields])
     first = fields[0]
@@ -247,7 +229,7 @@ def _ref_sign_sum(fields, p, norm, trials, sampler):
             fld = BoundaryField(first.grid, combo)
         else:
             fld = HalfSpaceField(first.tangential, first.normal, combo)
-        draws.append(field_norm(fld, norm) ** p)
+        draws.append(ref_field_norm(fld, norm) ** p)
     return float(np.mean(draws)) ** (1.0 / p)
 
 
@@ -258,11 +240,11 @@ def _ref_rbound(mults, inputs, normal, p, in_norm, out_norm, trials, restarts, s
         for i, g in enumerate(inputs):
             u = _itfft(m * _tfft(g.samples, grid.dim)[..., None], grid.dim)
             outs[j, i] = HalfSpaceField(grid, normal, u)
-    in_norms = [field_norm(g, in_norm) for g in inputs]
+    in_norms = [ref_field_norm(g, in_norm) for g in inputs]
     best = 0.0
     for (j, i), u in outs.items():
         if in_norms[i] != 0.0:
-            best = max(best, field_norm(u, out_norm) / in_norms[i])
+            best = max(best, ref_field_norm(u, out_norm) / in_norms[i])
     n_ops, n_in = len(mults), len(inputs)
     for r in range(restarts):
         sub = sampler.with_stream(1 + 3 * r)
@@ -284,11 +266,13 @@ def _ref_rbound(mults, inputs, normal, p, in_norm, out_norm, trials, restarts, s
     M=st.integers(3, 12),
     p=st.one_of(st.just(2.0), st.floats(1.0, 4.0)),
     r=st.one_of(st.just(2.0), st.floats(1.0, 4.0, exclude_min=True)),
-    family=st.sampled_from(["Lp", "WeakLp", "Mixed"]),
+    family=st.sampled_from(["Lp", "WeakLp", "Mixed", "TotChar"]),
     weak=st.booleans(),
     q=st.sampled_from([2.0, 3.0]),
     m=st.integers(0, 1),
+    in_family=st.sampled_from(["Lp", "Besov", "Bessel2"]),
     in_p=st.sampled_from([2.0, 3.0]),
+    in_s=st.sampled_from([0.0, 0.5, -1.0]),
     n_ops=st.integers(1, 4),
     n_in=st.integers(1, 5),
     zero_input=st.booleans(),
@@ -297,7 +281,7 @@ def _ref_rbound(mults, inputs, normal, p, in_norm, out_norm, trials, restarts, s
     seed=st.integers(0, 2**16),
 )
 def test_rbound_engine_matches_per_trial_physical_reference(
-    dim, M, p, r, family, weak, q, m, in_p, n_ops, n_in, zero_input, trials, restarts, seed
+    dim, M, p, r, family, weak, q, m, in_family, in_p, in_s, n_ops, n_in, zero_input, trials, restarts, seed
 ):
     grid, normal = make_grids(dim=dim, N=8, M=M, X_max=4.0, r=1.2)
     rng = np.random.default_rng(seed)
@@ -309,11 +293,16 @@ def test_rbound_engine_matches_per_trial_physical_reference(
     inputs = [BoundaryField(grid, noise(grid.shape)) for _ in range(n_in)]
     if zero_input:
         inputs[0] = BoundaryField.zero(grid)
-    in_norm = NormSpec("Lp", p=in_p)
+    in_norm = {
+        "Lp": NormSpec("Lp", p=in_p),
+        "Besov": NormSpec("Besov", p=in_p, q=q, s=in_s),
+        "Bessel2": NormSpec("Bessel2", s=in_s),
+    }[in_family]
     out_norm = {
         "Lp": NormSpec("Lp", p=r),
         "WeakLp": NormSpec("WeakLp", p=r, q=q),
         "Mixed": NormSpec("Mixed", p=r, q=q, m=m, weak=weak),
+        "TotChar": NormSpec("TotChar", p=r, q=q, s=m, weak=weak),
     }[family]
     kw = dict(p=p, in_norm=in_norm, out_norm=out_norm, trials=trials, restarts=restarts)
 
@@ -325,6 +314,32 @@ def test_rbound_engine_matches_per_trial_physical_reference(
         want = _ref_sign_sum(fields, p, norm, trials, RademacherSampler(seed, 5))
         got = eps_p_norm(fields, p, norm, trials, RademacherSampler(seed, 5))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    N=st.sampled_from([4, 8, 16, 32]),
+    M=st.integers(3, 64),
+    X_max=st.floats(2.0, 16.0),
+    d=st.one_of(st.none(), st.floats(0.2, 5.0)),
+    mus=st.lists(
+        st.tuples(st.floats(0.1, 50.0), st.floats(-0.44 * math.pi, 0.44 * math.pi)), min_size=1, max_size=4
+    ),
+)
+def test_rbound_hilbert_case_is_the_largest_operator_norm(dim, N, M, X_max, d, mus):
+    # with Steinhaus signs E|sum eps_k x_k|^2 = sum |x_k|^2, so for p = 2 between
+    # L^2 spaces the randomized bound of a family is the sup of its operator norms
+    kernel = heat_kernel if d is None else kpp_kernel(d)
+    grid, normal = make_grids(dim=dim, N=N, M=M, X_max=X_max, r=1.1)
+    mu_values = [abs_mu * complex(math.cos(arg), math.sin(arg)) for abs_mu, arg in mus]
+    mults = [_profile(kernel, kernel.sector.require(mu), grid, normal) for mu in mu_values]
+    want = max(opnorm_hilbert(kernel, mu, 0.0, 0.0, grid, normal) for mu in mu_values)
+    kw = dict(p=2.0, in_norm=L2, out_norm=NormSpec("Mixed", p=2.0, q=2.0), trials=4, restarts=6)
+    inputs = probe_dictionary(grid)
+    assert rbound_lower(mults, inputs, normal, **kw).value == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the constant probe, lattice mode 0, attains the sup; the others stay below it
+    assert rbound_lower(mults, inputs[1:], normal, **kw).value <= want * (1.0 + 1e-12)
 
 
 def test_scan_result_round_trip(tmp_path):

@@ -283,6 +283,11 @@ def test_probe_spec_is_a_level_and_rays():
     assert (fine.xi_max, fine.mu_max, fine.t_max, fine.density) == (128.0, 128.0, 128.0, 4)
 
 
+def test_probe_spec_refuses_a_negative_level():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ProbeSpec(level=-1)
+
+
 def test_probe_spec_rays_pin_arguments():
     probe = ProbeSpec(rays=(0.0,))
     mus = probe.mu_values(Sector.symmetric(0.45 * math.pi))
