@@ -2,18 +2,21 @@
 
 Covered variants: heat flow with a dynamic boundary condition, the boundary
 dynamics of a Cahn-Hilliard type problem, and a road-field reaction model
-coupling a half-plane bulk to a line.  Every solver works per tangential
-frequency mode: interior solves use a reflected Green kernel quadrature,
-boundary dynamics reduce to explicit multiplier symbols, and each solve
-reports per-mode residual maxima for every equation line.  Implicit Euler
-time stepping is included because each step is one resolvent application at
-real spectral parameter ``1/dt``.
+coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
+resolvent: it checks the parameter and the data grids once, transforms the
+data once, runs the variant's spectral step per tangential frequency mode,
+and transforms the solution back once.  Interior solves use a reflected
+Green kernel quadrature, boundary dynamics reduce to explicit multiplier
+symbols, and each step reports per-mode residual maxima for every equation
+line.  Implicit Euler time stepping is included because each step is one
+resolvent application at real spectral parameter ``1/dt``; it keeps its
+state spectral between steps.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,32 +27,28 @@ from .core import (
     Sector,
     TangentialGrid,
 )
-from .norms import lp_norm, normal_derivative
-from .symbols import _ch_symbol, _road_symbol, _tau, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
+from .norms import normal_derivative
+from .symbols import (
+    _HALF_SECTOR,
+    _ch_symbol,
+    _road_symbol,
+    _tau,
+    ch_b,
+    heat_dynbc_b,
+    heat_kernel,
+    kpp_kernel,
+    kpp_m2,
+)
 from .transforms import _itfft, _lift, _tfft
 
 __all__ = [
     "DynBCProblem",
     "ResolventOutput",
     "EvolveRecord",
-    "dirichlet_resolvent",
-    "heat_dynbc_resolvent",
-    "ch_boundary_resolvent",
-    "ch_residual",
-    "kpp_resolvent",
     "implicit_euler_evolve",
     "road_symbol_scan",
     "boundary_symbol_gain",
 ]
-
-# variant -> its boundary multiplier ``b(xi, mu)``, built from the road-field
-# parameters ``(d, dprime, kcoef)`` (which only the road field reads); per mode
-# the boundary dynamics give ``v-hat = b g-hat / mu^2``
-_BOUNDARY_SYMBOL = {
-    "HeatDynBC": lambda d, dprime, kcoef: heat_dynbc_b,
-    "CahnHilliardBoundary": lambda d, dprime, kcoef: ch_b,
-    "KPPRoadField": kpp_m2,
-}
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,9 @@ class DynBCProblem:
 
     The road-field parameters ``d`` (bulk diffusivity), ``dprime`` (road
     diffusivity), and ``kcoef`` (exchange rate) must be positive; they are
-    ignored by the other variants.  The sector keeps ``|arg mu|`` strictly
-    below a half-angle under pi/2; ``solve`` and ``boundary_symbol_gain``
+    ignored by the other variants.  The sector must lie within the sector
+    ``|arg mu| < 0.45 pi`` of the catalog kernels and multipliers, so it is
+    the only check a parameter passes: ``solve`` and ``boundary_symbol_gain``
     reject parameters outside it.
     """
 
@@ -69,32 +69,48 @@ class DynBCProblem:
     d: float = 1.0
     dprime: float = 1.0
     kcoef: float = 1.0
-    sector: Sector = field(default_factory=lambda: Sector.symmetric(0.45 * math.pi))
+    sector: Sector = _HALF_SECTOR
 
     def __post_init__(self) -> None:
-        if self.variant not in _BOUNDARY_SYMBOL:
+        if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if min(self.d, self.dprime, self.kcoef) <= 0:
             raise ValueError("problem parameters must be positive")
-        half = max(abs(self.sector.alpha), abs(self.sector.beta))
-        if not half < 0.5 * math.pi:
-            raise ValueError("sector half-angle must stay under pi/2")
+        if not (_HALF_SECTOR.alpha <= self.sector.alpha and self.sector.beta <= _HALF_SECTOR.beta):
+            raise ValueError("the problem sector must lie within the catalog kernels' sector")
 
-    def solve(self, f: Optional[HalfSpaceField], g: BoundaryField, mu: complex) -> "ResolventOutput":
+    def solve(self, f: Optional[HalfSpaceField], g: BoundaryField, mu: complex) -> ResolventOutput:
+        """Resolvent at ``mu`` for interior data ``f`` (``None`` for zero) and boundary data ``g``."""
         mu = self.sector.require(mu)
-        if self.variant == "HeatDynBC":
-            if f is None:
-                f = HalfSpaceField.zero(self.tangential, self.normal)
-            return heat_dynbc_resolvent(f, g, mu)
-        if f is not None and np.any(f.samples):
-            raise ValueError("interior data is out of scope for this variant")
-        if self.variant == "CahnHilliardBoundary":
-            v = ch_boundary_resolvent(g, mu)
-            u = HalfSpaceField.zero(self.tangential, self.normal)
-            diags = {"boundary_dynamics": ch_residual(g, v, mu)}
-            return ResolventOutput(u=u, v=v, diagnostics=diags)
-        return kpp_resolvent(
-            g, mu, d=self.d, dprime=self.dprime, kcoef=self.kcoef, ngrid=self.normal
+        fspec, gspec = self._spectra(f, g)
+        return self._output(*_VARIANTS[self.variant].step(self, fspec, gspec, mu))
+
+    def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField) -> tuple:
+        """Spectra of the data the variant reads, after one check of their grids.
+
+        ``fspec`` is ``None`` for a variant without interior data, which must
+        then be absent or zero, and complex zeros for an absent ``f``.
+        """
+        off_grid = f is not None and (f.tangential, f.normal) != (self.tangential, self.normal)
+        if off_grid or g.grid != self.tangential:
+            raise ValueError("data must live on the problem's grids")
+        dim = self.tangential.dim
+        gspec = _tfft(g.samples, dim)
+        if not _VARIANTS[self.variant].reads_f:
+            if f is not None and np.any(f.samples):
+                raise ValueError("interior data is out of scope for this variant")
+            return None, gspec
+        if f is None:
+            return np.zeros(self.tangential.shape + (self.normal.M,), dtype=complex), gspec
+        return _tfft(f.samples, dim), gspec
+
+    def _output(self, uspec: np.ndarray, vspec: np.ndarray, diagnostics: dict) -> ResolventOutput:
+        """The physical solution pair: one inverse transform of each spectrum."""
+        dim = self.tangential.dim
+        return ResolventOutput(
+            u=HalfSpaceField(self.tangential, self.normal, _itfft(uspec, dim)),
+            v=BoundaryField(self.tangential, _itfft(vspec, dim)),
+            diagnostics=diagnostics,
         )
 
 
@@ -119,6 +135,19 @@ def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple
     decay rate per mode.  Returns the solution samples, shaped like
     ``fspec``, and the flux ``sum_j exp(-tau y_j) w_j f_j``, shaped like
     ``tau``.
+
+    Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
+    infinity is the integral of the reflected kernel
+    ``(exp(-tau|x-y|) - exp(-tau(x+y))) / (2 tau)`` against the data.  The
+    trapezoid sum is evaluated recursively in O(modes * M) work and memory
+    (Greengard & Rokhlin, "On the numerical solution of two-point boundary
+    value problems", CPAM 44, 1991): the forward recursion
+    ``F_i = exp(-tau (x_i - x_{i-1})) F_{i-1} + w_i f_i`` covers ``y <= x``,
+    the backward recursion
+    ``B_i = exp(-tau (x_{i+1} - x_i)) (B_{i+1} + w_{i+1} f_{i+1})`` covers
+    ``y > x``, and the image is the rank-one term
+    ``exp(-tau x_i) * sum_j exp(-tau y_j) w_j f_j``, whose sum is the
+    boundary flux of the solution.  The boundary node is set to zero exactly.
     """
     t = np.ravel(tau)
     x = ngrid.nodes
@@ -139,55 +168,21 @@ def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple
     return u.T.reshape(fspec.shape), flux.reshape(np.shape(tau))
 
 
-def dirichlet_resolvent(f: HalfSpaceField, mu: complex) -> HalfSpaceField:
-    """Interior resolvent with zero boundary trace, by Green quadrature.
-
-    Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
-    infinity is the integral of the reflected kernel
-    ``(exp(-tau|x-y|) - exp(-tau(x+y))) / (2 tau)`` against the data.  The
-    trapezoid sum is evaluated recursively in O(modes * M) work and memory
-    (Greengard & Rokhlin, "On the numerical solution of two-point boundary
-    value problems", CPAM 44, 1991): the forward recursion
-    ``F_i = exp(-tau (x_i - x_{i-1})) F_{i-1} + w_i f_i`` covers ``y <= x``,
-    the backward recursion
-    ``B_i = exp(-tau (x_{i+1} - x_i)) (B_{i+1} + w_{i+1} f_{i+1})`` covers
-    ``y > x``, and the image is the rank-one term
-    ``exp(-tau x_i) * sum_j exp(-tau y_j) w_j f_j``, whose sum is the
-    boundary flux of the solution.  The boundary node is set to zero exactly.
-    """
-    mu = heat_kernel.sector.require(mu)
-    grid, ngrid = f.tangential, f.normal
-    fspec = _tfft(f.samples, grid.dim)
-    uspec, _ = _green_sweep(fspec, ngrid, _tau(grid.freq_vectors, mu))
-    samples = _itfft(uspec, grid.dim)
-    return HalfSpaceField(tangential=grid, normal=ngrid, samples=samples)
-
-
-def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> ResolventOutput:
-    """Resolvent of the heat problem with a dynamic boundary condition.
+def _heat_step(problem: DynBCProblem, fspec: np.ndarray, gspec: np.ndarray, mu: complex):
+    """Heat problem with a dynamic boundary condition, per mode.
 
     Reduction: a Dirichlet interior solve absorbs ``f``, its boundary flux
     corrects ``g``, the boundary multiplier produces the trace dynamics ``v``,
-    and the heat kernel's Poisson lift extends ``v`` to the half space.  The
-    whole reduction runs per mode in spectral space: ``f`` and ``g`` are
-    transformed once, ``u`` and ``v`` transformed back once.
+    and the heat kernel's Poisson lift extends ``v`` to the half space.
     """
-    mu = heat_kernel.sector.require(mu)
-    grid, ngrid = f.tangential, f.normal
-    if g.grid != grid:
-        raise ValueError("boundary and interior data live on different grids")
+    grid, ngrid = problem.tangential, problem.normal
     mu2 = mu * mu
     tau = _tau(grid.freq_vectors, mu)
-    gspec = _tfft(g.samples, grid.dim)
-    fspec = _tfft(f.samples, grid.dim)
     u1spec, flux1 = _green_sweep(fspec, ngrid, tau)  # flux1 = du1/dxn at 0
 
     gtil = gspec + flux1  # g - gamma_1 u1 with gamma_1 = -flux
     vspec = gtil / (mu2 + tau)
-    v = BoundaryField(grid, _itfft(vspec, grid.dim))
-
     uspec = u1spec + _lift(heat_kernel, mu, vspec, grid, ngrid)
-    u = HalfSpaceField(grid, ngrid, _itfft(uspec, grid.dim))
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
     res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
@@ -197,66 +192,43 @@ def heat_dynbc_resolvent(f: HalfSpaceField, g: BoundaryField, mu: complex) -> Re
     # only the quadrature interior solve contributes, checked by differences
     # (which need three nodes; without interior data the line holds exactly)
     res1 = 0.0
-    if np.any(f.samples):
+    if np.any(fspec):
         r = (tau**2)[..., None] * u1spec - normal_derivative(u1spec, ngrid, 2) - fspec
         scale = max(float(np.max(np.abs(fspec))), 1e-30)
         res1 = float(np.max(np.abs(r[..., 1:-1]))) / scale
-    diags = {"interior": res1, "dynamic_bc": res2, "trace": res3}
-    return ResolventOutput(u=u, v=v, diagnostics=diags)
+    return uspec, vspec, {"interior": res1, "dynamic_bc": res2, "trace": res3}
 
 
-def ch_boundary_resolvent(g: BoundaryField, mu: complex) -> BoundaryField:
-    """Boundary dynamics resolvent: ``v`` with ``mu^2 v = b(D', mu) g``."""
-    mu = ch_b.sector.require(mu)
-    bvals = np.asarray(ch_b.func(g.grid.freq_vectors, mu), dtype=complex)
-    spec = _tfft(g.samples, g.grid.dim)
-    out = _itfft(bvals * spec / (mu * mu), g.grid.dim)
-    return BoundaryField(grid=g.grid, samples=out)
-
-
-def ch_residual(g: BoundaryField, v: BoundaryField, mu: complex) -> float:
-    """Denominator-cleared per-mode residual of the boundary dynamics line."""
-    mu = ch_b.sector.require(mu)
-    num, den = _ch_symbol(g.grid.freq_norm_sq, mu)
-    gspec = _tfft(g.samples, g.grid.dim)
-    vspec = _tfft(v.samples, g.grid.dim)
-    lhs = den * (mu * mu) * vspec
+def _ch_step(problem: DynBCProblem, fspec: Optional[np.ndarray], gspec: np.ndarray, mu: complex):
+    """Boundary dynamics ``mu^2 v = b(D', mu) g`` of the Cahn-Hilliard problem; the bulk stays zero."""
+    grid = problem.tangential
+    num, den = _ch_symbol(grid.freq_norm_sq, mu)
+    vspec = num / den * gspec / (mu * mu)
+    # denominator-cleared per-mode residual of the boundary dynamics line
     rhs = num * gspec
     scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    res = float(np.max(np.abs(den * (mu * mu) * vspec - rhs))) / scale
+    uspec = np.zeros(grid.shape + (problem.normal.M,), dtype=complex)
+    return uspec, vspec, {"boundary_dynamics": res}
 
 
-def kpp_resolvent(
-    g: BoundaryField,
-    mu: complex,
-    d: float = 1.0,
-    dprime: float = 1.0,
-    kcoef: float = 1.0,
-    ngrid: NormalGrid | None = None,
-) -> ResolventOutput:
-    """Road-field resolvent for road forcing: bulk trace, road density, bulk.
+def _kpp_step(problem: DynBCProblem, fspec: Optional[np.ndarray], gspec: np.ndarray, mu: complex):
+    """Road-field system for road forcing: bulk trace, road density, bulk.
 
     The per-mode two-by-two system couples the bulk trace and the road
     density; its solution is given by two explicit multipliers, and the bulk
-    is the Poisson lift of its trace through ``kpp_kernel(d)``.  Interior
-    forcing is out of scope.
+    is the Poisson lift of its trace through ``kpp_kernel(d)``.
     """
-    if min(d, dprime, kcoef) <= 0:
-        raise ValueError("road-field parameters must be positive")
+    d, dprime, kcoef = problem.d, problem.dprime, problem.kcoef
+    grid = problem.tangential
     kern = kpp_kernel(d)
-    mu = kern.sector.require(mu)
-    ngrid = ngrid or NormalGrid(256)
-    grid = g.grid
     mu2 = mu * mu
     s = grid.freq_norm_sq
-    gspec = _tfft(g.samples, grid.dim)
 
     den, root = _road_symbol(s, mu2, d, dprime, kcoef)
     trace_spec = kcoef / den * gspec
     vspec = root / den * gspec
-    v = BoundaryField(grid, _itfft(vspec, grid.dim))
-
-    u = HalfSpaceField(grid, ngrid, _itfft(_lift(kern, mu, trace_spec, grid, ngrid), grid.dim))
+    uspec = _lift(kern, mu, trace_spec, grid, problem.normal)
 
     # two-by-two system rows and the Robin transmission line, per mode
     row1 = -trace_spec + (mu2 + kcoef + dprime * s) * vspec - gspec
@@ -269,7 +241,28 @@ def kpp_resolvent(
         "road_row": float(np.max(np.abs(row2))) / scale,
         "robin": float(np.max(np.abs(robin))) / scale,
     }
-    return ResolventOutput(u=u, v=v, diagnostics=diags)
+    return uspec, vspec, diags
+
+
+class _Variant(NamedTuple):
+    """A model problem's boundary multiplier and spectral step.
+
+    ``multiplier(d, dprime, kcoef)`` builds ``b(xi, mu)``: per mode the
+    boundary dynamics give ``v-hat = b g-hat / mu^2``.  ``step(problem,
+    fspec, gspec, mu)`` returns ``(uspec, vspec, diagnostics)``; only a step
+    that ``reads_f`` is given interior data.
+    """
+
+    multiplier: Callable
+    step: Callable
+    reads_f: bool = False
+
+
+_VARIANTS = {
+    "HeatDynBC": _Variant(lambda d, dprime, kcoef: heat_dynbc_b, _heat_step, reads_f=True),
+    "CahnHilliardBoundary": _Variant(lambda d, dprime, kcoef: ch_b, _ch_step),
+    "KPPRoadField": _Variant(kpp_m2, _kpp_step),
+}
 
 
 @dataclass(frozen=True)
@@ -281,14 +274,6 @@ class EvolveRecord:
     delta: float
 
 
-def _state_delta(prev: ResolventOutput, cur: ResolventOutput) -> float:
-    du = lp_norm(
-        HalfSpaceField(cur.u.tangential, cur.u.normal, cur.u.samples - prev.u.samples), 2.0
-    )
-    dv = lp_norm(BoundaryField(cur.v.grid, cur.v.samples - prev.v.samples), 2.0)
-    return math.hypot(du, dv)
-
-
 def implicit_euler_evolve(
     problem: DynBCProblem,
     f_of_t: Optional[Callable],
@@ -298,13 +283,15 @@ def implicit_euler_evolve(
     u0: Optional[HalfSpaceField] = None,
     v0: Optional[BoundaryField] = None,
 ) -> list[EvolveRecord]:
-    """March the problem by implicit Euler; each step is one resolvent call.
+    """March the problem by implicit Euler; each step is one spectral resolvent step.
 
     The step map is ``w_{m+1} = (I/dt - A)^{-1} (w_m / dt + F(t_{m+1}))``, a
     resolvent application at squared parameter ``1/dt``.  The heat variant
     evolves the full interior/boundary pair; the other two variants evolve
     their boundary subsystem (the road-field bulk is slaved to its trace).
-    Data callables may be ``None`` for zero data.
+    Data callables may be ``None`` for zero data.  The state ``(u-hat,
+    v-hat)`` stays spectral between steps, and the step-to-step change is
+    its L^2 norm by Plancherel.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
@@ -312,27 +299,28 @@ def implicit_euler_evolve(
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("step size must divide the horizon")
     grid, ngrid = problem.tangential, problem.normal
-    mu = 1.0 / math.sqrt(dt)
+    mu = problem.sector.require(1.0 / math.sqrt(dt))
     invdt = 1.0 / dt
+    step = _VARIANTS[problem.variant].step
+    tangential_axes = tuple(range(grid.dim))
 
-    u = u0 if u0 is not None else HalfSpaceField.zero(grid, ngrid)
-    v = v0 if v0 is not None else BoundaryField.zero(grid)
-    prev = ResolventOutput(u=u, v=v, diagnostics={})
+    uhat = np.zeros(grid.shape + (ngrid.M,), dtype=complex) if u0 is None else _tfft(u0.samples, grid.dim)
+    vhat = np.zeros(grid.shape, dtype=complex) if v0 is None else _tfft(v0.samples, grid.dim)
+    zero_g = BoundaryField.zero(grid)
     records: list[EvolveRecord] = []
-    heat_variant = problem.variant == "HeatDynBC"
     for m in range(1, nsteps + 1):
         t = m * dt
         fdat = f_of_t(t) if f_of_t is not None else None
-        gdat = g_of_t(t) if g_of_t is not None else None
-        gsamp = gdat.samples if gdat is not None else 0.0
-        gstep = BoundaryField(grid, invdt * prev.v.samples + gsamp)
-        fstep = fdat
-        if heat_variant:
-            fsamp = fdat.samples if fdat is not None else 0.0
-            fstep = HalfSpaceField(grid, ngrid, invdt * prev.u.samples + fsamp)
-        out = problem.solve(fstep, gstep, mu)
-        records.append(EvolveRecord(t=t, output=out, delta=_state_delta(prev, out)))
-        prev = out
+        gdat = g_of_t(t) if g_of_t is not None else zero_g
+        fspec, gspec = problem._spectra(fdat, gdat)
+        if fspec is not None:
+            fspec = invdt * uhat + fspec
+        uspec, vspec, diags = step(problem, fspec, invdt * vhat + gspec, mu)
+        du = np.sum(np.abs(uspec - uhat) ** 2, axis=tangential_axes) @ ngrid.weights
+        dv = np.sum(np.abs(vspec - vhat) ** 2)
+        delta = math.sqrt(grid.cell * (du + dv))
+        records.append(EvolveRecord(t=t, output=problem._output(uspec, vspec, diags), delta=delta))
+        uhat, vhat = uspec, vspec
     return records
 
 
@@ -384,6 +372,6 @@ def boundary_symbol_gain(problem: DynBCProblem, mu: complex, shift: float = 0.0)
     """
     mu = problem.sector.require(mu)
     mu_eff = problem.sector.require(np.sqrt(mu * mu + shift))
-    b = _BOUNDARY_SYMBOL[problem.variant](problem.d, problem.dprime, problem.kcoef)
+    b = _VARIANTS[problem.variant].multiplier(problem.d, problem.dprime, problem.kcoef)
     vals = np.asarray(b.func(problem.tangential.freq_vectors, mu_eff), dtype=complex)
     return float(np.max(np.abs(vals / (mu_eff * mu_eff))))

@@ -272,7 +272,7 @@ class _StackNorm:
             self.weights = [(1.0 + grid.freq_norm_sq.reshape(-1)) ** (0.5 * spec.s)]
         # the mean square of a sign sum is then exactly the sum of squares
         one_term = self.steps == 0 and len(self.weights) <= 1
-        self.hilbert = one_term and self.q == 2 and self.p == 2 and not self.weak
+        self.hilbert = (one_term or self.r == 2) and self.q == 2 and self.p == 2 and not self.weak
 
     @classmethod
     def on(cls, f, spec: NormSpec) -> "_StackNorm":

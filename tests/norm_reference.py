@@ -71,5 +71,7 @@ def is_hilbert(spec: NormSpec) -> bool:
     """Whether ``E ||sum_k eps_k x_k||^2 = sum_k ||x_k||^2`` holds for Steinhaus signs in ``spec``."""
     if spec.family in ("Lp", "Bessel2"):
         return spec.p == 2
+    if spec.family == "Besov":
+        return spec.p == spec.q == 2
     no_derivative = spec.m == spec.s == 0
     return spec.family in ("Mixed", "TotChar") and spec.p == spec.q == 2 and no_derivative and not spec.weak

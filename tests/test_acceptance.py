@@ -19,7 +19,6 @@ from poissonops.dynbc import (
     DynBCProblem,
     boundary_symbol_gain,
     implicit_euler_evolve,
-    kpp_resolvent,
     road_symbol_scan,
 )
 from poissonops.norms import NormSpec, opnorm_hilbert, weak_lp_norm
@@ -182,7 +181,7 @@ def test_resolvent_exactness():
         out = prob.solve(None, g, 1.0)
         worst = max(worst, max(out.diagnostics.values()))
     # road-field worked point: unit parameters at mu = 1 on the zero mode
-    wp = kpp_resolvent(BoundaryField(tg, np.ones(tg.shape, dtype=complex)), 1.0, ngrid=ng)
+    wp = DynBCProblem("KPPRoadField", tg, ng).solve(None, BoundaryField(tg, np.ones(tg.shape, dtype=complex)), 1.0)
     wp_err = max(
         float(np.max(np.abs(wp.u.trace().samples - 1.0 / 3.0))),
         float(np.max(np.abs(wp.v.samples - 2.0 / 3.0))),

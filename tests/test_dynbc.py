@@ -11,22 +11,19 @@ from hypothesis import strategies as st
 
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Sector, SectorError, make_grids
 from poissonops.dynbc import (
+    _VARIANTS,
     DynBCProblem,
     _green_sweep,
     boundary_symbol_gain,
-    ch_boundary_resolvent,
-    ch_residual,
-    dirichlet_resolvent,
-    heat_dynbc_resolvent,
     implicit_euler_evolve,
-    kpp_resolvent,
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm
-from poissonops.symbols import heat_kernel, kpp_kernel, kpp_m2
-from poissonops.transforms import apply_poisson, forward_fft
+from poissonops.symbols import _tau, heat_kernel, kpp_kernel, kpp_m2
+from poissonops.transforms import apply_poisson, forward_fft, inverse_fft
 
 SQRT2 = math.sqrt(2.0)
+VARIANTS = ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"]
 
 
 def _const_boundary(grid, value=1.0):
@@ -41,19 +38,19 @@ def _profile_field(tg, ng, profile):
 def test_dirichlet_resolvent_exponential_data():
     # mu = sqrt(3) makes tau = 2 on the zero mode; with data exp(-x) the
     # reflected-kernel solution is (exp(-y) - exp(-2y)) / 3
-    tg, ng = make_grids(N=8, M=256)
-    f = _profile_field(tg, ng, lambda x: np.exp(-x))
-    u = dirichlet_resolvent(f, math.sqrt(3.0))
+    ng = NormalGrid(256)
+    f = np.exp(-ng.nodes).astype(complex)[None, :]
+    u, _ = _green_sweep(f, ng, _tau(np.zeros((1, 1)), math.sqrt(3.0)))
     want = (np.exp(-ng.nodes) - np.exp(-2.0 * ng.nodes)) / 3.0
-    err = np.max(np.abs(u.samples - want[None, :]))
+    err = np.max(np.abs(u - want[None, :]))
     assert err <= 5e-3 * np.max(np.abs(want))
-    assert np.max(np.abs(u.trace().samples)) <= 1e-12
+    assert np.max(np.abs(u[:, 0])) <= 1e-12
 
 
 def test_dirichlet_resolvent_zero_data():
     tg, ng = make_grids(N=8, M=32)
-    u = dirichlet_resolvent(HalfSpaceField.zero(tg, ng), 1.0)
-    assert np.all(u.samples == 0)
+    u, flux = _green_sweep(np.zeros(tg.shape + (ng.M,), dtype=complex), ng, _tau(tg.freq_vectors, 1.0))
+    assert np.all(u == 0) and np.all(flux == 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +90,7 @@ def test_heat_dynbc_interior_solve_memory_linear_in_modes_times_M():
     f = HalfSpaceField(tg, ng, tangential[..., None] * np.exp(-ng.nodes))
     tracemalloc.start()
     try:
-        out = heat_dynbc_resolvent(f, _const_boundary(tg), math.sqrt(3.0))
+        out = DynBCProblem("HeatDynBC", tg, ng).solve(f, _const_boundary(tg), math.sqrt(3.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -107,7 +104,7 @@ def test_heat_dynbc_interior_solve_memory_linear_in_modes_times_M():
 
 def test_heat_dynbc_worked_point():
     tg, ng = make_grids(N=16, M=64)
-    out = heat_dynbc_resolvent(HalfSpaceField.zero(tg, ng), _const_boundary(tg), 1.0)
+    out = DynBCProblem("HeatDynBC", tg, ng).solve(None, _const_boundary(tg), 1.0)
     want_v = 1.0 / (1.0 + SQRT2)
     np.testing.assert_allclose(out.v.samples, want_v, rtol=1e-12)
     # trace value lifts along exp(-sqrt(2) x)
@@ -120,7 +117,7 @@ def test_heat_dynbc_worked_point():
 
 def test_heat_dynbc_two_node_normal_grid():
     tg, ng = make_grids(N=8, M=2)
-    out = heat_dynbc_resolvent(HalfSpaceField.zero(tg, ng), _const_boundary(tg), 1.0)
+    out = DynBCProblem("HeatDynBC", tg, ng).solve(None, _const_boundary(tg), 1.0)
     np.testing.assert_allclose(out.v.samples, 1.0 / (1.0 + SQRT2), rtol=1e-12)
     assert out.diagnostics["interior"] == 0.0
     assert out.diagnostics["dynamic_bc"] <= 1e-12
@@ -130,7 +127,7 @@ def test_heat_dynbc_two_node_normal_grid():
 def test_heat_dynbc_with_interior_forcing():
     tg, ng = make_grids(N=8, M=256)
     f = _profile_field(tg, ng, lambda x: np.exp(-x))
-    out = heat_dynbc_resolvent(f, _const_boundary(tg), math.sqrt(3.0))
+    out = DynBCProblem("HeatDynBC", tg, ng).solve(f, _const_boundary(tg), math.sqrt(3.0))
     # the flux-corrected boundary line and trace matching stay analytic
     assert out.diagnostics["dynamic_bc"] <= 1e-8
     assert out.diagnostics["trace"] <= 1e-12
@@ -140,38 +137,33 @@ def test_heat_dynbc_with_interior_forcing():
 
 def test_heat_dynbc_parameter_domain():
     tg, ng = make_grids(N=8, M=32)
+    prob = DynBCProblem("HeatDynBC", tg, ng)
     f = HalfSpaceField.zero(tg, ng)
     g = _const_boundary(tg)
     with pytest.raises(ValueError):
-        heat_dynbc_resolvent(f, g, 0.0)
+        prob.solve(f, g, 0.0)
     with pytest.raises(SectorError):
-        heat_dynbc_resolvent(f, g, -1.0)
+        prob.solve(f, g, -1.0)
 
 
 def test_ch_boundary_worked_point():
-    tg, _ = make_grids(N=16)
-    v = ch_boundary_resolvent(_const_boundary(tg), 1.0)
-    np.testing.assert_allclose(v.samples, 1.0 / (1.0 + SQRT2), rtol=1e-12)
-    assert ch_residual(_const_boundary(tg), v, 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("mu", [-1.0, 3j])
-def test_ch_residual_rejects_mu_outside_the_sector(mu):
-    tg, _ = make_grids(N=16)
-    g = _const_boundary(tg)
-    with pytest.raises(SectorError):
-        ch_residual(g, g, mu)
+    tg, ng = make_grids(N=16, M=8)
+    out = DynBCProblem("CahnHilliardBoundary", tg, ng).solve(None, _const_boundary(tg), 1.0)
+    np.testing.assert_allclose(out.v.samples, 1.0 / (1.0 + SQRT2), rtol=1e-12)
+    assert np.all(out.u.samples == 0)
+    assert out.diagnostics["boundary_dynamics"] <= 1e-12
 
 
 def test_ch_boundary_linearity():
-    tg, _ = make_grids(N=16)
+    tg, ng = make_grids(N=16, M=8)
+    prob = DynBCProblem("CahnHilliardBoundary", tg, ng)
     rng = np.random.default_rng(0)
     g1 = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
     g2 = BoundaryField(tg, rng.standard_normal(tg.shape))
     mu = complex(0.8, 0.3)
     combo = BoundaryField(tg, 2.0 * g1.samples - 1j * g2.samples)
-    lhs = ch_boundary_resolvent(combo, mu).samples
-    rhs = 2.0 * ch_boundary_resolvent(g1, mu).samples - 1j * ch_boundary_resolvent(g2, mu).samples
+    lhs = prob.solve(None, combo, mu).v.samples
+    rhs = 2.0 * prob.solve(None, g1, mu).v.samples - 1j * prob.solve(None, g2, mu).v.samples
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
@@ -186,7 +178,7 @@ def test_ch_rejects_interior_data():
 def test_kpp_worked_point():
     # d = d' = k = 1, mu = 1, constant data: trace 1/3, road density 2/3
     tg, ng = make_grids(N=16, M=64)
-    out = kpp_resolvent(_const_boundary(tg), 1.0, ngrid=ng)
+    out = DynBCProblem("KPPRoadField", tg, ng).solve(None, _const_boundary(tg), 1.0)
     np.testing.assert_allclose(out.v.samples, 2.0 / 3.0, rtol=1e-12)
     np.testing.assert_allclose(out.u.trace().samples, 1.0 / 3.0, rtol=1e-12)
     # bulk decays at rate sqrt(mu^2 / d) = 1 off the trace
@@ -204,7 +196,7 @@ def test_kpp_resolvent_matches_road_density_multiplier():
     g = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
     mu = 1.3 * complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
     d, dprime, kcoef = 1.7, 0.4, 2.5
-    out = kpp_resolvent(g, mu, d=d, dprime=dprime, kcoef=kcoef, ngrid=ng)
+    out = DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=dprime, kcoef=kcoef).solve(None, g, mu)
     want = kpp_m2(d, dprime, kcoef).func(tg.freq_vectors, mu) / mu**2
     np.testing.assert_allclose(forward_fft(out.v) / forward_fft(g), want, rtol=1e-13)
 
@@ -217,37 +209,28 @@ def test_solvers_extend_through_the_one_poisson_operator():
     g = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
     mu = 1.3 * complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
     d, dprime, kcoef = 1.7, 0.4, 2.5
-    heat = heat_dynbc_resolvent(HalfSpaceField.zero(tg, ng), g, mu)
+    heat = DynBCProblem("HeatDynBC", tg, ng).solve(None, g, mu)
     want = apply_poisson(heat_kernel, mu, heat.v, ng).samples
     np.testing.assert_allclose(heat.u.samples, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-    kpp = kpp_resolvent(g, mu, d=d, dprime=dprime, kcoef=kcoef, ngrid=ng)
+    kpp = DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=dprime, kcoef=kcoef).solve(None, g, mu)
     want = apply_poisson(kpp_kernel(d), mu, kpp.u.trace(), ng).samples
     np.testing.assert_allclose(kpp.u.samples, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
     assert max(kpp.diagnostics.values()) <= 1e-10
 
 
-def test_kpp_resolvent_default_normal_grid():
-    tg, _ = make_grids(N=8)
-    g = _const_boundary(tg)
-    out = kpp_resolvent(g, 1.0)
-    want = kpp_resolvent(g, 1.0, ngrid=NormalGrid(256))
-    assert np.array_equal(out.u.samples, want.u.samples)
-    assert np.array_equal(out.v.samples, want.v.samples)
-
-
 def test_kpp_zero_data():
     tg, ng = make_grids(N=8, M=32)
-    out = kpp_resolvent(_const_boundary(tg, 0.0), 1.0, ngrid=ng)
+    out = DynBCProblem("KPPRoadField", tg, ng).solve(None, _const_boundary(tg, 0.0), 1.0)
     assert np.all(out.v.samples == 0)
     assert np.all(out.u.samples == 0)
 
 
 def test_kpp_parameter_validation():
-    tg, _ = make_grids(N=8)
+    tg, ng = make_grids(N=8, M=16)
     with pytest.raises(ValueError):
-        kpp_resolvent(_const_boundary(tg), 1.0, d=-1.0)
+        DynBCProblem("KPPRoadField", tg, ng, d=-1.0)
     with pytest.raises(ValueError):
-        kpp_resolvent(_const_boundary(tg), 0.0)
+        DynBCProblem("KPPRoadField", tg, ng).solve(None, _const_boundary(tg), 0.0)
 
 
 def test_problem_validation():
@@ -258,7 +241,7 @@ def test_problem_validation():
         DynBCProblem("KPPRoadField", tg, ng, kcoef=0.0)
 
 
-@pytest.mark.parametrize("variant", ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_solve_single_mode_residuals(variant):
     tg, ng = make_grids(N=16, M=64)
     prob = DynBCProblem(variant, tg, ng)
@@ -268,7 +251,7 @@ def test_solve_single_mode_residuals(variant):
         assert value <= 1e-8
 
 
-@pytest.mark.parametrize("variant", ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_solve_honours_problem_sector(variant):
     tg, ng = make_grids(N=8, M=16)
     g = _const_boundary(tg)
@@ -279,12 +262,110 @@ def test_solve_honours_problem_sector(variant):
         boundary_symbol_gain(narrow, 1 + 1j)
     default = DynBCProblem(variant, tg, ng)
     # -mu squares to mu^2, so only a check on mu itself rejects these
-    for mu in (-1.0, complex(math.cos(0.6 * math.pi), math.sin(0.6 * math.pi))):
+    for mu in (-1.0, 3j, complex(math.cos(0.6 * math.pi), math.sin(0.6 * math.pi))):
         with pytest.raises(SectorError):
             boundary_symbol_gain(default, mu)
+        with pytest.raises(SectorError):
+            default.solve(None, g, mu)
     for mu in (1.0, 1 + 1j):
         out = default.solve(None, g, mu)
         assert max(out.diagnostics.values()) <= 1e-8
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_refuses_data_on_other_grids(variant):
+    tg, ng = make_grids(N=8, M=16)
+    fine, deep = make_grids(N=16, M=32)
+    prob = DynBCProblem(variant, tg, ng)
+    with pytest.raises(ValueError, match="grids"):
+        prob.solve(None, _const_boundary(fine), 1.0)
+    # zero interior data, which every variant accepts on the problem's grids
+    with pytest.raises(ValueError, match="grids"):
+        prob.solve(HalfSpaceField.zero(tg, deep), _const_boundary(tg), 1.0)
+
+
+def test_problem_sector_lies_within_the_kernels_sector():
+    # a wider sector would let boundary_symbol_gain read the multipliers off
+    # their sector, and solve fail on a kernel sector the caller never passed
+    tg, ng = make_grids(N=8, M=16)
+    for variant in VARIANTS:
+        for sector in (Sector.symmetric(0.49 * math.pi), Sector(-0.1, 0.46 * math.pi)):
+            with pytest.raises(ValueError, match="sector"):
+                DynBCProblem(variant, tg, ng, sector=sector)
+        DynBCProblem(variant, tg, ng, sector=Sector(0.0, 0.45 * math.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    dim=st.sampled_from([1, 2]),
+    mode=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    mu_abs=st.floats(0.1, 100.0),
+    mu_arg=st.floats(-0.44 * math.pi, 0.44 * math.pi),
+    d=st.floats(0.1, 10.0),
+    dprime=st.floats(0.1, 10.0),
+    kcoef=st.floats(0.1, 10.0),
+)
+def test_single_mode_resolvent_residuals_at_random_mu(variant, dim, mode, mu_abs, mu_arg, d, dprime, kcoef):
+    tg, ng = make_grids(dim=dim, N=16, M=16)
+    idx = mode[:dim]
+    spec = np.zeros(tg.shape, dtype=complex)
+    spec[idx] = 1.0
+    mu = mu_abs * complex(math.cos(mu_arg), math.sin(mu_arg))
+    out = DynBCProblem(variant, tg, ng, d=d, dprime=dprime, kcoef=kcoef).solve(None, inverse_fft(spec, tg), mu)
+    assert max(out.diagnostics.values()) <= 1e-8
+    # the step's boundary response is the table's multiplier b(xi, mu) / mu^2
+    b = _VARIANTS[variant].multiplier(d, dprime, kcoef)
+    want = b.func(tg.freq_vectors[idx], mu) / (mu * mu)
+    assert abs(forward_fft(out.v)[idx] - want) <= 1e-12 * abs(want)
+
+
+def _physical_euler(problem, f_of_t, g_of_t, dt, T, u0, v0):
+    """Implicit Euler in physical state: one ``problem.solve`` per step, the change by quadrature."""
+    grid, ngrid = problem.tangential, problem.normal
+    u, v = u0.samples, v0.samples
+    steps = []
+    for m in range(1, round(T / dt) + 1):
+        t = m * dt
+        f = f_of_t(t) if f_of_t is not None else None
+        if problem.variant == "HeatDynBC":
+            f = HalfSpaceField(grid, ngrid, u / dt + f.samples)
+        out = problem.solve(f, BoundaryField(grid, v / dt + g_of_t(t).samples), 1.0 / math.sqrt(dt))
+        du = lp_norm(HalfSpaceField(grid, ngrid, out.u.samples - u), 2.0)
+        dv = lp_norm(BoundaryField(grid, out.v.samples - v), 2.0)
+        steps.append((out, math.hypot(du, dv)))
+        u, v = out.u.samples, out.v.samples
+    return steps
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_euler_matches_a_physical_state_loop(variant):
+    tg, ng = make_grids(dim=2, N=8, M=24, X_max=4.0)
+    rng = np.random.default_rng(11)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u0 = HalfSpaceField(tg, ng, noise(tg.shape + (ng.M,)))
+    v0 = BoundaryField(tg, noise(tg.shape))
+    f1, g1 = noise(tg.shape + (ng.M,)), noise(tg.shape)
+
+    def f_of_t(t):
+        return HalfSpaceField(tg, ng, t * f1)
+
+    def g_of_t(t):
+        return BoundaryField(tg, math.cos(t) * g1)
+
+    if variant != "HeatDynBC":
+        f_of_t = None
+    prob = DynBCProblem(variant, tg, ng)
+    records = implicit_euler_evolve(prob, f_of_t, g_of_t, 0.125, 0.5, u0=u0, v0=v0)
+    want = _physical_euler(prob, f_of_t, g_of_t, 0.125, 0.5, u0, v0)
+    assert len(records) == len(want) == 4
+    for rec, (out, delta) in zip(records, want):
+        for got, ref in ((rec.output.u, out.u), (rec.output.v, out.v)):
+            assert np.max(np.abs(got.samples - ref.samples)) <= 1e-12 * np.max(np.abs(ref.samples))
+        assert rec.delta == pytest.approx(delta, rel=1e-12)
 
 
 def test_evolve_zero_data_stays_zero():
@@ -298,7 +379,7 @@ def test_evolve_zero_data_stays_zero():
         assert lp_norm(r.output.v, 2.0) == 0.0
 
 
-@pytest.mark.parametrize("variant", ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_evolve_constant_data_settles(variant):
     tg, ng = make_grids(N=8, M=64)
     prob = DynBCProblem(variant, tg, ng)

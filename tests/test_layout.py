@@ -1,6 +1,7 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-one central difference, one builder for the decay and constant kernels, one norm engine,
-sign sums without per-trial contractions, and no threads, processes or environment reads."""
+one central difference, one builder for the decay and constant kernels, one resolvent path,
+one norm engine, sign sums without per-trial contractions, and no threads, processes or
+environment reads."""
 from __future__ import annotations
 
 import ast
@@ -167,6 +168,19 @@ def _called_names(tree: ast.Module) -> set[str]:
             func = node.func
             calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     return calls
+
+
+def _callers(tree: ast.Module, names: set[str]) -> set[str]:
+    """Top-level function or class holding a call of any function or method in ``names``."""
+    return {getattr(top, "name", "<module>") for top in tree.body if _called_names(top) & names}
+
+
+def test_one_resolvent_path():
+    # dynbc transforms its data and checks its parameter only in DynBCProblem,
+    # in the Euler loop that drives the same spectral steps, and in the gain scan
+    tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
+    assert _callers(tree, {"_tfft", "_itfft"}) == {"DynBCProblem", "implicit_euler_evolve"}
+    assert _callers(tree, {"require"}) == {"DynBCProblem", "implicit_euler_evolve", "boundary_symbol_gain"}
 
 
 def test_one_norm_engine():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from norm_reference import is_hilbert, ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, make_grids
-from poissonops.norms import NormSpec, lp_norm, opnorm_hilbert
+from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
     RademacherSampler,
     ScanResult,
@@ -61,6 +61,10 @@ def test_eps_p_norm_hilbert_square_sum():
     want = math.hypot(lp_norm(g, 2.0), lp_norm(h, 2.0))
     assert eps_p_norm([g, h], 2.0, L2) == pytest.approx(want, rel=1e-12)
     assert eps_p_norm([g, g], 2.0, L2) == pytest.approx(math.sqrt(2.0) * lp_norm(g, 2.0), rel=1e-12)
+    # Besov with p = q = 2 is a weighted L^2 norm: the l^2 sum over blocks keeps it Hilbert
+    besov = NormSpec("Besov", p=2.0, q=2.0, s=0.5)
+    want = math.hypot(field_norm(g, besov), field_norm(h, besov))
+    assert eps_p_norm([g, h], 2.0, besov) == pytest.approx(want, rel=1e-12)
 
 
 def test_eps_p_norm_exact_vs_monte_carlo():
