@@ -34,7 +34,7 @@ from .transforms import _profile
 
 __all__ = ["CONFIG_SCHEMA", "main", "rbound_batch_scan"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _VARIANT_BY_NAME = {
     "heat-dynbc": "HeatDynBC",
@@ -280,33 +280,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
         kcoef=args.k,
     )
     print(f"config {json.dumps(cfg, sort_keys=True)}")
-    records: list[dict] = [
-        {
-            "record": "header",
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "config": cfg,
-        }
-    ]
+    header = {"record": "header", "schema_version": SCHEMA_VERSION, "version": __version__, "config": cfg}
 
     g = _boundary_data(args.g, grid)
     if args.evolve:
-        for rec in implicit_euler_evolve(problem, None, lambda t: g, args.dt, args.T):
-            records.append(
-                {
-                    "record": "step",
-                    "t": rec.t,
-                    "boundary_norm": lp_norm(rec.output.v, 2.0),
-                    "interior_norm": lp_norm(rec.output.u, 2.0),
-                    "delta": rec.delta,
-                }
-            )
+        # checked and planned before the file is opened; each step is written as it completes
+        steps = implicit_euler_evolve(problem, None, lambda t: g, args.dt, args.T)
+        records = (
+            {
+                "record": "step",
+                "t": rec.t,
+                "boundary_norm": rec.boundary_norm,
+                "interior_norm": rec.interior_norm,
+                "delta": rec.delta,
+                "diagnostics": rec.diagnostics,
+            }
+            for rec in steps
+        )
         path = os.path.join(args.out, "evolve.jsonl")
     else:
         if abs(args.mu) < 1e-6:
             raise ValueError("the resolvent formulas divide by mu^2; mu=0 is excluded")
         out = problem.solve(None, g, complex(args.mu))
-        records.append(
+        records = [
             {
                 "record": "resolvent",
                 "mu_re": float(args.mu),
@@ -316,11 +312,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "interior_norm": lp_norm(out.u, 2.0),
                 "diagnostics": out.diagnostics,
             }
-        )
+        ]
         path = os.path.join(args.out, "solve.jsonl")
 
     os.makedirs(args.out, exist_ok=True)
     with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     print(f"wrote {path}")

@@ -4,19 +4,24 @@ Covered variants: heat flow with a dynamic boundary condition, the boundary
 dynamics of a Cahn-Hilliard type problem, and a road-field reaction model
 coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
-data once, runs the variant's spectral step per tangential frequency mode,
-and transforms the solution back once.  Interior solves use a reflected
-Green kernel quadrature, boundary dynamics reduce to explicit multiplier
-symbols, and each step reports per-mode residual maxima for every equation
-line.  Implicit Euler time stepping is included because each step is one
-resolvent application at real spectral parameter ``1/dt``; it keeps its
-state spectral between steps.
+data once, builds the variant's plan (every table that depends on the
+problem and ``mu`` only: decay rates, symbols, Green sweep tables, Poisson
+profiles), runs the variant's spectral step per tangential frequency mode
+on it, and transforms the solution back once.  Interior solves use a
+reflected Green kernel quadrature, boundary dynamics reduce to explicit
+multiplier symbols, and each step reports per-mode residual maxima for every
+equation line.  Implicit Euler time stepping is included because each step
+is one resolvent application at the fixed real spectral parameter
+``1/sqrt(dt)``: a trajectory builds its plan once, keeps its state spectral
+between steps, and yields each step as it completes, with its norms taken
+by Plancherel and its physical solution formed only when read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .symbols import (
     kpp_kernel,
     kpp_m2,
 )
-from .transforms import _itfft, _lift, _tfft
+from .transforms import _itfft, _profile, _tfft
 
 __all__ = [
     "DynBCProblem",
@@ -83,7 +88,8 @@ class DynBCProblem:
         """Resolvent at ``mu`` for interior data ``f`` (``None`` for zero) and boundary data ``g``."""
         mu = self.sector.require(mu)
         fspec, gspec = self._spectra(f, g)
-        return self._output(*_VARIANTS[self.variant].step(self, fspec, gspec, mu))
+        variant = _VARIANTS[self.variant]
+        return self._output(*variant.step(self, variant.plan(self, mu), fspec, gspec))
 
     def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField) -> tuple:
         """Spectra of the data the variant reads, after one check of their grids.
@@ -104,14 +110,17 @@ class DynBCProblem:
             return np.zeros(self.tangential.shape + (self.normal.M,), dtype=complex), gspec
         return _tfft(f.samples, dim), gspec
 
-    def _output(self, uspec: np.ndarray, vspec: np.ndarray, diagnostics: dict) -> ResolventOutput:
-        """The physical solution pair: one inverse transform of each spectrum."""
+    def _output(self, uspec: Optional[np.ndarray], vspec: np.ndarray, diagnostics: dict) -> ResolventOutput:
+        """The physical solution pair: one inverse transform of each spectrum.
+
+        A ``None`` bulk spectrum is a zero bulk, built without a transform.
+        """
         dim = self.tangential.dim
-        return ResolventOutput(
-            u=HalfSpaceField(self.tangential, self.normal, _itfft(uspec, dim)),
-            v=BoundaryField(self.tangential, _itfft(vspec, dim)),
-            diagnostics=diagnostics,
-        )
+        if uspec is None:
+            u = HalfSpaceField.zero(self.tangential, self.normal)
+        else:
+            u = HalfSpaceField(self.tangential, self.normal, _itfft(uspec, dim))
+        return ResolventOutput(u=u, v=BoundaryField(self.tangential, _itfft(vspec, dim)), diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -123,18 +132,44 @@ class ResolventOutput:
     diagnostics: dict
 
     def __post_init__(self) -> None:
-        for name, val in self.diagnostics.items():
-            if not math.isfinite(val):
-                raise ValueError(f"nonfinite residual for {name}")
+        _require_finite(self.diagnostics)
 
 
-def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _require_finite(diagnostics: dict) -> None:
+    for name, val in diagnostics.items():
+        if not math.isfinite(val):
+            raise ValueError(f"nonfinite residual for {name}")
+
+
+class _Sweep(NamedTuple):
+    """The tables of :func:`_green_sweep` for one normal grid and one decay rate per mode.
+
+    ``decay[i, 0]`` is ``exp(-tau (x_{i+1} - x_i))`` and ``decay[i, 1]`` the
+    same over the reversed nodes, ``decay[M - 2 - i, 0]``; ``image[i]`` is
+    ``exp(-tau x_i)``.  Both depend on ``mu`` only through ``tau``.
+    """
+
+    ngrid: NormalGrid
+    tau: np.ndarray
+    decay: np.ndarray  # (M - 1, 2, modes)
+    image: np.ndarray  # (M, modes)
+
+
+def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray) -> _Sweep:
+    """Build the two complex ``exp`` tables of the Green sweep once."""
+    t = np.ravel(tau)
+    x = ngrid.nodes
+    decay = np.exp(-np.diff(x)[:, None] * t)
+    return _Sweep(ngrid, tau, np.stack([decay, decay[::-1]], axis=1), np.exp(-x[:, None] * t))
+
+
+def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
     """Reflected Green quadrature per mode, and its boundary flux.
 
-    ``fspec`` holds one mode per row along the last axis and ``tau`` one
-    decay rate per mode.  Returns the solution samples, shaped like
-    ``fspec``, and the flux ``sum_j exp(-tau y_j) w_j f_j``, shaped like
-    ``tau``.
+    ``fspec`` holds one mode per row along the last axis, and ``sweep`` the
+    decay rates ``tau``, one per mode, with their tables.  Returns the
+    solution samples, shaped like ``fspec``, and the flux
+    ``sum_j exp(-tau y_j) w_j f_j``, shaped like ``tau``.
 
     Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
     infinity is the integral of the reflected kernel
@@ -148,41 +183,56 @@ def _green_sweep(fspec: np.ndarray, ngrid: NormalGrid, tau: np.ndarray) -> tuple
     ``y > x``, and the image is the rank-one term
     ``exp(-tau x_i) * sum_j exp(-tau y_j) w_j f_j``, whose sum is the
     boundary flux of the solution.  The boundary node is set to zero exactly.
+    The backward recursion is the forward one over the reversed nodes, so one
+    loop runs both on a stacked pair of rows, with the stacked decay table
+    built once by :func:`_sweep_tables`.
     """
+    ngrid, tau, decay, image = sweep
     t = np.ravel(tau)
-    x = ngrid.nodes
-    wf = np.ascontiguousarray((fspec.reshape(t.size, ngrid.M) * ngrid.weights).T)
-    decay = np.exp(-np.diff(x)[:, None] * t)
-    image = np.exp(-x[:, None] * t)
-    fwd = wf.copy()  # sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j
-    for i in range(1, ngrid.M):
-        fwd[i] += decay[i - 1] * fwd[i - 1]
-    bwd = wf.copy()  # the same over y_j >= x_i, with exp(-tau (y_j - x_i))
-    for i in range(ngrid.M - 2, -1, -1):
-        bwd[i] += decay[i] * bwd[i + 1]
-    flux = np.sum(image * wf, axis=0)
-    u = fwd - image * flux
-    u[:-1] += decay * bwd[1:]
+    wf = (fspec.reshape(t.size, ngrid.M) * ngrid.weights).T
+    # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
+    # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order
+    acc = np.empty((ngrid.M, 2, t.size), dtype=complex)
+    acc[:, 0], acc[:, 1] = wf, wf[::-1]
+    flux = np.sum(image * acc[:, 0], axis=0)
+    rows = list(acc)
+    for prev, cur, factor in zip(rows, rows[1:], decay):
+        cur += factor * prev
+    bwd = acc[::-1, 1]
+    u = acc[:, 0] - image * flux
+    u[:-1] += decay[:, 0] * bwd[1:]
     u /= 2.0 * t
     u[0] = 0.0  # the Dirichlet condition, exactly
     return u.T.reshape(fspec.shape), flux.reshape(np.shape(tau))
 
 
-def _heat_step(problem: DynBCProblem, fspec: np.ndarray, gspec: np.ndarray, mu: complex):
+class _HeatPlan(NamedTuple):
+    mu2: complex
+    den: np.ndarray  # mu^2 + tau, the boundary multiplier's denominator
+    sweep: _Sweep
+    profile: np.ndarray  # heat kernel profile: the Poisson lift of a unit trace
+
+
+def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
+    grid, ngrid = problem.tangential, problem.normal
+    mu2 = mu * mu
+    tau = _tau(grid.freq_vectors, mu)
+    return _HeatPlan(mu2, mu2 + tau, _sweep_tables(ngrid, tau), _profile(heat_kernel, mu, grid, ngrid))
+
+
+def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: np.ndarray, gspec: np.ndarray):
     """Heat problem with a dynamic boundary condition, per mode.
 
     Reduction: a Dirichlet interior solve absorbs ``f``, its boundary flux
     corrects ``g``, the boundary multiplier produces the trace dynamics ``v``,
     and the heat kernel's Poisson lift extends ``v`` to the half space.
     """
-    grid, ngrid = problem.tangential, problem.normal
-    mu2 = mu * mu
-    tau = _tau(grid.freq_vectors, mu)
-    u1spec, flux1 = _green_sweep(fspec, ngrid, tau)  # flux1 = du1/dxn at 0
+    mu2, tau = plan.mu2, plan.sweep.tau
+    u1spec, flux1 = _green_sweep(fspec, plan.sweep)  # flux1 = du1/dxn at 0
 
     gtil = gspec + flux1  # g - gamma_1 u1 with gamma_1 = -flux
-    vspec = gtil / (mu2 + tau)
-    uspec = u1spec + _lift(heat_kernel, mu, vspec, grid, ngrid)
+    vspec = gtil / plan.den
+    uspec = u1spec + plan.profile * vspec[..., None]
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
     res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
@@ -193,26 +243,53 @@ def _heat_step(problem: DynBCProblem, fspec: np.ndarray, gspec: np.ndarray, mu: 
     # (which need three nodes; without interior data the line holds exactly)
     res1 = 0.0
     if np.any(fspec):
-        r = (tau**2)[..., None] * u1spec - normal_derivative(u1spec, ngrid, 2) - fspec
+        r = (tau**2)[..., None] * u1spec - normal_derivative(u1spec, problem.normal, 2) - fspec
         scale = max(float(np.max(np.abs(fspec))), 1e-30)
         res1 = float(np.max(np.abs(r[..., 1:-1]))) / scale
     return uspec, vspec, {"interior": res1, "dynamic_bc": res2, "trace": res3}
 
 
-def _ch_step(problem: DynBCProblem, fspec: Optional[np.ndarray], gspec: np.ndarray, mu: complex):
-    """Boundary dynamics ``mu^2 v = b(D', mu) g`` of the Cahn-Hilliard problem; the bulk stays zero."""
-    grid = problem.tangential
-    num, den = _ch_symbol(grid.freq_norm_sq, mu)
-    vspec = num / den * gspec / (mu * mu)
+class _CHPlan(NamedTuple):
+    mu2: complex
+    num: np.ndarray
+    den: np.ndarray
+
+
+def _ch_plan(problem: DynBCProblem, mu: complex) -> _CHPlan:
+    return _CHPlan(mu * mu, *_ch_symbol(problem.tangential.freq_norm_sq, mu))
+
+
+def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
+    """Boundary dynamics ``mu^2 v = b(D', mu) g`` of the Cahn-Hilliard problem.
+
+    The bulk stays zero, so no bulk spectrum is returned (``None``).
+    """
+    mu2, num, den = plan
+    vspec = num / den * gspec / mu2
     # denominator-cleared per-mode residual of the boundary dynamics line
     rhs = num * gspec
     scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    res = float(np.max(np.abs(den * (mu * mu) * vspec - rhs))) / scale
-    uspec = np.zeros(grid.shape + (problem.normal.M,), dtype=complex)
-    return uspec, vspec, {"boundary_dynamics": res}
+    res = float(np.max(np.abs(den * mu2 * vspec - rhs))) / scale
+    return None, vspec, {"boundary_dynamics": res}
 
 
-def _kpp_step(problem: DynBCProblem, fspec: Optional[np.ndarray], gspec: np.ndarray, mu: complex):
+class _KPPPlan(NamedTuple):
+    mu2: complex
+    den: np.ndarray
+    root: np.ndarray
+    profile: np.ndarray  # kpp_kernel(d) profile: the Poisson lift of a unit trace
+    dn: np.ndarray  # d_n of the unit-trace profile at 0
+
+
+def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
+    grid, kern = problem.tangential, kpp_kernel(problem.d)
+    mu2 = mu * mu
+    den, root = _road_symbol(grid.freq_norm_sq, mu2, problem.d, problem.dprime, problem.kcoef)
+    profile = _profile(kern, mu, grid, problem.normal)
+    return _KPPPlan(mu2, den, root, profile, kern.xn_derivative(grid.freq_vectors, mu, 0.0, 1))
+
+
+def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
     """Road-field system for road forcing: bulk trace, road density, bulk.
 
     The per-mode two-by-two system couples the bulk trace and the road
@@ -220,21 +297,17 @@ def _kpp_step(problem: DynBCProblem, fspec: Optional[np.ndarray], gspec: np.ndar
     is the Poisson lift of its trace through ``kpp_kernel(d)``.
     """
     d, dprime, kcoef = problem.d, problem.dprime, problem.kcoef
-    grid = problem.tangential
-    kern = kpp_kernel(d)
-    mu2 = mu * mu
-    s = grid.freq_norm_sq
+    mu2, den, root = plan.mu2, plan.den, plan.root
+    s = problem.tangential.freq_norm_sq
 
-    den, root = _road_symbol(s, mu2, d, dprime, kcoef)
     trace_spec = kcoef / den * gspec
     vspec = root / den * gspec
-    uspec = _lift(kern, mu, trace_spec, grid, problem.normal)
+    uspec = plan.profile * trace_spec[..., None]
 
     # two-by-two system rows and the Robin transmission line, per mode
     row1 = -trace_spec + (mu2 + kcoef + dprime * s) * vspec - gspec
     row2 = root * trace_spec - kcoef * vspec
-    dn = kern.xn_derivative(grid.freq_vectors, mu, 0.0, 1)  # d_n of the unit-trace profile at 0
-    robin = -d * dn * trace_spec + trace_spec - kcoef * vspec
+    robin = -d * plan.dn * trace_spec + trace_spec - kcoef * vspec
     scale = max(float(np.max(np.abs(gspec))), 1e-30)
     diags = {
         "bulk_row": float(np.max(np.abs(row1))) / scale,
@@ -245,33 +318,56 @@ def _kpp_step(problem: DynBCProblem, fspec: Optional[np.ndarray], gspec: np.ndar
 
 
 class _Variant(NamedTuple):
-    """A model problem's boundary multiplier and spectral step.
+    """A model problem's boundary multiplier, step plan and spectral step.
 
     ``multiplier(d, dprime, kcoef)`` builds ``b(xi, mu)``: per mode the
-    boundary dynamics give ``v-hat = b g-hat / mu^2``.  ``step(problem,
-    fspec, gspec, mu)`` returns ``(uspec, vspec, diagnostics)``; only a step
-    that ``reads_f`` is given interior data.
+    boundary dynamics give ``v-hat = b g-hat / mu^2``.  ``plan(problem, mu)``
+    builds every table the step reads that depends on the problem and ``mu``
+    only, once per resolvent or Euler trajectory.  ``step(problem, plan,
+    fspec, gspec)`` returns ``(uspec, vspec, diagnostics)``, with ``uspec``
+    ``None`` for a zero bulk; only a step that ``reads_f`` is given interior
+    data.
     """
 
     multiplier: Callable
+    plan: Callable
     step: Callable
     reads_f: bool = False
 
 
 _VARIANTS = {
-    "HeatDynBC": _Variant(lambda d, dprime, kcoef: heat_dynbc_b, _heat_step, reads_f=True),
-    "CahnHilliardBoundary": _Variant(lambda d, dprime, kcoef: ch_b, _ch_step),
-    "KPPRoadField": _Variant(kpp_m2, _kpp_step),
+    "HeatDynBC": _Variant(lambda d, dprime, kcoef: heat_dynbc_b, _heat_plan, _heat_step, reads_f=True),
+    "CahnHilliardBoundary": _Variant(lambda d, dprime, kcoef: ch_b, _ch_plan, _ch_step),
+    "KPPRoadField": _Variant(kpp_m2, _kpp_plan, _kpp_step),
 }
 
 
 @dataclass(frozen=True)
 class EvolveRecord:
-    """One implicit Euler step: time, solve output, step-to-step change."""
+    """One implicit Euler step: time, step-to-step change, L^2 norms, residual maxima.
+
+    ``uspec`` and ``vspec`` are the step's spectral state (``uspec`` is
+    ``None`` for a zero bulk).  The change and the norms of the boundary and
+    interior solution are taken from that state by Plancherel; the physical
+    ``output`` is formed from it on first read, so a consumer that reads only
+    the numbers never transforms back.
+    """
 
     t: float
-    output: ResolventOutput
     delta: float
+    boundary_norm: float
+    interior_norm: float
+    diagnostics: dict
+    problem: DynBCProblem = field(repr=False, compare=False)
+    uspec: Optional[np.ndarray] = field(repr=False, compare=False)
+    vspec: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _require_finite(self.diagnostics)
+
+    @cached_property
+    def output(self) -> ResolventOutput:
+        return self.problem._output(self.uspec, self.vspec, self.diagnostics)
 
 
 def implicit_euler_evolve(
@@ -282,16 +378,20 @@ def implicit_euler_evolve(
     T: float,
     u0: Optional[HalfSpaceField] = None,
     v0: Optional[BoundaryField] = None,
-) -> list[EvolveRecord]:
+) -> Iterator[EvolveRecord]:
     """March the problem by implicit Euler; each step is one spectral resolvent step.
 
     The step map is ``w_{m+1} = (I/dt - A)^{-1} (w_m / dt + F(t_{m+1}))``, a
     resolvent application at squared parameter ``1/dt``.  The heat variant
     evolves the full interior/boundary pair; the other two variants evolve
     their boundary subsystem (the road-field bulk is slaved to its trace).
-    Data callables may be ``None`` for zero data.  The state ``(u-hat,
-    v-hat)`` stays spectral between steps, and the step-to-step change is
-    its L^2 norm by Plancherel.
+    Data callables may be ``None`` for zero data.
+
+    The arguments are checked and the variant's plan is built here, once;
+    the returned iterator then yields each step's record as the step
+    completes.  The state ``(u-hat, v-hat)`` stays spectral between steps,
+    and the step-to-step change and the norms are its L^2 norms by
+    Plancherel.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
@@ -299,29 +399,43 @@ def implicit_euler_evolve(
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("step size must divide the horizon")
     grid, ngrid = problem.tangential, problem.normal
-    mu = problem.sector.require(1.0 / math.sqrt(dt))
+    variant = _VARIANTS[problem.variant]
+    plan = variant.plan(problem, problem.sector.require(1.0 / math.sqrt(dt)))
     invdt = 1.0 / dt
-    step = _VARIANTS[problem.variant].step
     tangential_axes = tuple(range(grid.dim))
 
-    uhat = np.zeros(grid.shape + (ngrid.M,), dtype=complex) if u0 is None else _tfft(u0.samples, grid.dim)
+    def bulk_sq(spec: Optional[np.ndarray]) -> float:
+        """``sum_j w_j sum_xi |spec(xi, x_j)|^2``; zero for a zero (``None``) bulk."""
+        return 0.0 if spec is None else np.sum(np.abs(spec) ** 2, axis=tangential_axes) @ ngrid.weights
+
+    def steps(uhat: Optional[np.ndarray], vhat: np.ndarray) -> Iterator[EvolveRecord]:
+        zero_g = BoundaryField.zero(grid)
+        for m in range(1, nsteps + 1):
+            t = m * dt
+            fdat = f_of_t(t) if f_of_t is not None else None
+            gdat = g_of_t(t) if g_of_t is not None else zero_g
+            fspec, gspec = problem._spectra(fdat, gdat)
+            if fspec is not None and uhat is not None:
+                fspec += invdt * uhat
+            uspec, vspec, diags = variant.step(problem, plan, fspec, invdt * vhat + gspec)
+            # a None bulk is zero: the change is then the other state's bulk
+            du = bulk_sq(uhat if uspec is None else uspec if uhat is None else uspec - uhat)
+            dv = np.sum(np.abs(vspec - vhat) ** 2)
+            yield EvolveRecord(
+                t=t,
+                delta=math.sqrt(grid.cell * (du + dv)),
+                boundary_norm=math.sqrt(grid.cell * np.sum(np.abs(vspec) ** 2)),
+                interior_norm=math.sqrt(grid.cell * bulk_sq(uspec)),
+                diagnostics=diags,
+                problem=problem,
+                uspec=uspec,
+                vspec=vspec,
+            )
+            uhat, vhat = uspec, vspec
+
+    uhat = None if u0 is None else _tfft(u0.samples, grid.dim)
     vhat = np.zeros(grid.shape, dtype=complex) if v0 is None else _tfft(v0.samples, grid.dim)
-    zero_g = BoundaryField.zero(grid)
-    records: list[EvolveRecord] = []
-    for m in range(1, nsteps + 1):
-        t = m * dt
-        fdat = f_of_t(t) if f_of_t is not None else None
-        gdat = g_of_t(t) if g_of_t is not None else zero_g
-        fspec, gspec = problem._spectra(fdat, gdat)
-        if fspec is not None:
-            fspec = invdt * uhat + fspec
-        uspec, vspec, diags = step(problem, fspec, invdt * vhat + gspec, mu)
-        du = np.sum(np.abs(uspec - uhat) ** 2, axis=tangential_axes) @ ngrid.weights
-        dv = np.sum(np.abs(vspec - vhat) ** 2)
-        delta = math.sqrt(grid.cell * (du + dv))
-        records.append(EvolveRecord(t=t, output=problem._output(uspec, vspec, diags), delta=delta))
-        uhat, vhat = uspec, vspec
-    return records
+    return steps(uhat, vhat)
 
 
 # road lattice rays: z just off the real axis, mu spread over the sector's half-angle 0.45 pi

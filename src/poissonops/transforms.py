@@ -64,11 +64,6 @@ def _profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> n
     return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
 
 
-def _lift(k: SymbolKernel, mu, spec: np.ndarray, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
-    """Poisson lift in spectral space: ``spec`` times the kernel profile of each mode."""
-    return _profile(k, mu, grid, normal) * spec[..., None]
-
-
 def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> HalfSpaceField:
     """Extend boundary data into the half space through the kernel ``k``.
 
@@ -77,7 +72,7 @@ def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> 
     """
     k.sector.require(mu)
     grid = g.grid
-    spec = _lift(k, mu, _tfft(g.samples, grid.dim), grid, normal)
+    spec = _profile(k, mu, grid, normal) * _tfft(g.samples, grid.dim)[..., None]
     return HalfSpaceField(tangential=grid, normal=normal, samples=_itfft(spec, grid.dim))
 
 

@@ -265,7 +265,7 @@ def test_euler_convergence():
     v0 = BoundaryField(tg, ones.copy())
     errs = []
     for dt in (0.02, 0.01, 0.005):
-        recs = implicit_euler_evolve(prob, f_of_t, g_of_t, dt, 1.0, u0=u0, v0=v0)
+        recs = list(implicit_euler_evolve(prob, f_of_t, g_of_t, dt, 1.0, u0=u0, v0=v0))
         errs.append(float(np.max(np.abs(recs[-1].output.v.samples - math.exp(-a)))))
     ratios = [x / y for x, y in zip(errs, errs[1:])]
     ok = all(1.8 <= q <= 2.2 for q in ratios)

@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import shlex
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,7 +82,7 @@ def test_solve_kpp_worked_point(tmp_path):
     records = _read_jsonl(tmp_path / "solve.jsonl")
     header, body = records[0], records[1]
     assert header["record"] == "header"
-    assert header["schema_version"] == 1
+    assert header["schema_version"] == 2
     assert header["config"]["problem"] == "kpp"
     assert body["record"] == "resolvent"
     assert body["boundary_max"] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -288,6 +289,43 @@ def test_solve_evolve_trajectory(tmp_path):
     assert [s["t"] for s in steps] == pytest.approx([0.25, 0.5, 0.75, 1.0])
     deltas = [s["delta"] for s in steps]
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
+
+
+@pytest.mark.parametrize(
+    "problem, keys",
+    [
+        ("heat-dynbc", {"interior", "dynamic_bc", "trace"}),
+        ("ch", {"boundary_dynamics"}),
+        ("kpp", {"bulk_row", "road_row", "robin"}),
+    ],
+)
+def test_evolve_writes_one_step_line_per_step_with_its_diagnostics(tmp_path, problem, keys):
+    argv = ["solve", "--problem", problem, "--evolve", "--dt", "0.125", "--T", "1.0",
+            "--g", "mode1", "--out", str(tmp_path)] + SMALL_GRID
+    assert main(argv) == 0
+    header, *steps = _read_jsonl(tmp_path / "evolve.jsonl")
+    assert header["record"] == "header"
+    assert [s["record"] for s in steps] == ["step"] * 8
+    assert [s["t"] for s in steps] == pytest.approx([0.125 * m for m in range(1, 9)])
+    for step in steps:
+        assert set(step["diagnostics"]) == keys
+        assert all(math.isfinite(v) and v >= 0.0 for v in step["diagnostics"].values())
+
+
+def test_evolve_streams_its_steps(tmp_path):
+    # 100 steps of a 64 x 256 bulk: a trajectory kept until the end would
+    # hold at least 100 fields (25 MiB); a streamed one holds a few at a time
+    argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.01", "--T", "1",
+            "--g", "const", "--grid-N", "64", "--grid-M", "256", "--out", str(tmp_path)]
+    field_bytes = 64 * 256 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * field_bytes
+    assert len(_read_jsonl(tmp_path / "evolve.jsonl")) == 101
 
 
 def test_evolve_on_two_normal_nodes_is_a_usage_error(tmp_path, capsys):

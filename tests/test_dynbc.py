@@ -3,17 +3,20 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonops import dynbc
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Sector, SectorError, make_grids
 from poissonops.dynbc import (
     _VARIANTS,
     DynBCProblem,
     _green_sweep,
+    _sweep_tables,
     boundary_symbol_gain,
     implicit_euler_evolve,
     road_symbol_scan,
@@ -40,7 +43,7 @@ def test_dirichlet_resolvent_exponential_data():
     # reflected-kernel solution is (exp(-y) - exp(-2y)) / 3
     ng = NormalGrid(256)
     f = np.exp(-ng.nodes).astype(complex)[None, :]
-    u, _ = _green_sweep(f, ng, _tau(np.zeros((1, 1)), math.sqrt(3.0)))
+    u, _ = _green_sweep(f, _sweep_tables(ng, _tau(np.zeros((1, 1)), math.sqrt(3.0))))
     want = (np.exp(-ng.nodes) - np.exp(-2.0 * ng.nodes)) / 3.0
     err = np.max(np.abs(u - want[None, :]))
     assert err <= 5e-3 * np.max(np.abs(want))
@@ -49,7 +52,8 @@ def test_dirichlet_resolvent_exponential_data():
 
 def test_dirichlet_resolvent_zero_data():
     tg, ng = make_grids(N=8, M=32)
-    u, flux = _green_sweep(np.zeros(tg.shape + (ng.M,), dtype=complex), ng, _tau(tg.freq_vectors, 1.0))
+    sweep = _sweep_tables(ng, _tau(tg.freq_vectors, 1.0))
+    u, flux = _green_sweep(np.zeros(tg.shape + (ng.M,), dtype=complex), sweep)
     assert np.all(u == 0) and np.all(flux == 0)
 
 
@@ -69,7 +73,7 @@ def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed
     tau = np.sqrt(1.0 + tg.freq_norm_sq + mu * mu).ravel()
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((tau.size, M)) + 1j * rng.standard_normal((tau.size, M))
-    u, flux = _green_sweep(f, ng, tau)
+    u, flux = _green_sweep(f, _sweep_tables(ng, tau))
 
     # dense reflected-kernel trapezoid sum, O(modes * M^2)
     x, t = ng.nodes, tau[:, None, None]
@@ -359,7 +363,7 @@ def test_euler_matches_a_physical_state_loop(variant):
     if variant != "HeatDynBC":
         f_of_t = None
     prob = DynBCProblem(variant, tg, ng)
-    records = implicit_euler_evolve(prob, f_of_t, g_of_t, 0.125, 0.5, u0=u0, v0=v0)
+    records = list(implicit_euler_evolve(prob, f_of_t, g_of_t, 0.125, 0.5, u0=u0, v0=v0))
     want = _physical_euler(prob, f_of_t, g_of_t, 0.125, 0.5, u0, v0)
     assert len(records) == len(want) == 4
     for rec, (out, delta) in zip(records, want):
@@ -368,10 +372,75 @@ def test_euler_matches_a_physical_state_loop(variant):
         assert rec.delta == pytest.approx(delta, rel=1e-12)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evolve_norms_are_the_norms_of_the_output(variant):
+    # boundary and interior norms come from the spectral state by Plancherel;
+    # the physical output is formed only here, where it is read
+    tg, ng = make_grids(dim=2, N=8, M=24, X_max=4.0)
+    rng = np.random.default_rng(5)
+    u0 = HalfSpaceField(tg, ng, rng.standard_normal(tg.shape + (ng.M,)))
+    v0 = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
+    g1 = rng.standard_normal(tg.shape)
+
+    def g_of_t(t):
+        return BoundaryField(tg, math.sin(t) * g1)
+
+    records = list(implicit_euler_evolve(DynBCProblem(variant, tg, ng), None, g_of_t, 0.125, 0.5, u0, v0))
+    assert len(records) == 4
+    for rec in records:
+        assert rec.boundary_norm == pytest.approx(lp_norm(rec.output.v, 2.0), rel=1e-12, abs=0.0)
+        assert rec.interior_norm == pytest.approx(lp_norm(rec.output.u, 2.0), rel=1e-12, abs=0.0)
+        assert rec.diagnostics == rec.output.diagnostics
+
+
+def test_evolve_is_an_iterator_checked_on_call():
+    tg, ng = make_grids(N=8, M=32)
+    prob = DynBCProblem("HeatDynBC", tg, ng)
+    steps = implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.25, 1.0)
+    assert isinstance(steps, Iterator)
+    assert next(steps).t == 0.25
+    assert [r.t for r in steps] == [0.5, 0.75, 1.0]
+    # the arguments are checked when the trajectory is set up, not on its first step
+    with pytest.raises(SectorError):
+        implicit_euler_evolve(DynBCProblem("HeatDynBC", tg, ng, sector=Sector(0.1, 0.2)), None, None, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evolve_builds_one_plan_per_trajectory(monkeypatch, variant):
+    built = []
+    entry = _VARIANTS[variant]
+
+    def counted(problem, mu):
+        built.append(mu)
+        return entry.plan(problem, mu)
+
+    monkeypatch.setitem(_VARIANTS, variant, entry._replace(plan=counted))
+    tg, ng = make_grids(N=8, M=32)
+    prob = DynBCProblem(variant, tg, ng)
+    records = list(implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.125, 1.0))
+    assert len(records) == 8
+    assert built == [complex(1.0 / math.sqrt(0.125))]
+
+
+def test_ch_bulk_is_zero_without_a_transform(monkeypatch):
+    calls = []
+    inverse = dynbc._itfft
+
+    def counted(spec, dim):
+        calls.append(spec.shape)
+        return inverse(spec, dim)
+
+    monkeypatch.setattr(dynbc, "_itfft", counted)
+    tg, ng = make_grids(N=8, M=32)
+    out = DynBCProblem("CahnHilliardBoundary", tg, ng).solve(None, _const_boundary(tg), 1.0)
+    assert calls == [tg.shape]  # the boundary solution only
+    assert out.u.samples.shape == tg.shape + (ng.M,) and not np.any(out.u.samples)
+
+
 def test_evolve_zero_data_stays_zero():
     tg, ng = make_grids(N=8, M=32)
     prob = DynBCProblem("HeatDynBC", tg, ng)
-    records = implicit_euler_evolve(prob, None, None, 0.25, 1.0)
+    records = list(implicit_euler_evolve(prob, None, None, 0.25, 1.0))
     assert len(records) == 4
     assert [r.t for r in records] == pytest.approx([0.25, 0.5, 0.75, 1.0])
     for r in records:
@@ -398,7 +467,7 @@ def test_evolve_heat_interior_stays_bounded_on_default_normal_grid():
     # the README evolve (dt 0.01, T 1, constant data) on two tangential modes
     tg, ng = make_grids(N=2)
     prob = DynBCProblem("HeatDynBC", tg, ng)
-    records = implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.01, 1.0)
+    records = list(implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.01, 1.0))
     final = records[-1].output
     assert lp_norm(final.u, 2.0) <= 10.0 * lp_norm(final.v, 2.0)
 
