@@ -28,7 +28,7 @@ from . import __version__
 from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, lp_norm, opnorm_hilbert
-from .rbound import RademacherSampler, ScanResult, probe_dictionary, rbound_lower
+from .rbound import RademacherSampler, ScanResult, _require_fit_rows, probe_dictionary, rbound_lower
 from .symbols import _KERNELS, ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
 from .transforms import _profile
 
@@ -225,6 +225,9 @@ def cmd_verify_symbol(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     rays = args.rays = [float(r) for r in args.rays]
     cfg = _echo(args)
+    # one row per mu (opnorm) or per batch of mu (rbound) on each ray
+    per_ray = args.mu_points if args.mode == "opnorm" else math.ceil(args.mu_points / args.batch_size)
+    _require_fit_rows(len(rays) * per_ray)
     grid, ngrid = _grids(args)
     kern = kernel_catalog(args.kernel, d=args.d)
     mus = np.geomspace(args.mu_min, args.mu_max, args.mu_points)

@@ -441,6 +441,9 @@ def implicit_euler_evolve(
 # road lattice rays: z just off the real axis, mu spread over the sector's half-angle 0.45 pi
 _ROAD_Z_ANGLE = 0.02
 _ROAD_MU_ANGLES = (0.0, 0.35 * math.pi, -0.35 * math.pi, 0.44 * math.pi, -0.44 * math.pi)
+# z rows evaluated at once: a block's temporaries grow with the mu count 5n,
+# not with the whole 2n x 5n lattice
+_ROAD_BLOCK_ROWS = 64
 
 
 def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n: int = 120) -> dict:
@@ -457,21 +460,31 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
     mags = np.geomspace(1e-3, 1e3, n)
     zs = np.concatenate([mags * np.exp(1j * _ROAD_Z_ANGLE), mags * np.exp(-1j * _ROAD_Z_ANGLE)])
     mus = np.concatenate([mags * np.exp(1j * a) for a in _ROAD_MU_ANGLES])
-    z = zs[:, None]
-    mu = mus[None, :]
-    mu2 = mu * mu
-    den, root = _road_symbol(z * z, mu2, d, dprime, kcoef)
-    m1 = np.abs(mu2 * kcoef / den)
-    m2 = np.abs(mu2 * root / den)
-    radius = np.hypot(np.abs(z), np.abs(mu))
-    inner = radius <= 2e-3
-    outer = radius >= 1e3
+    mu2 = mus * mus
+    abs_mu = np.abs(mus)
+    # per block of z rows: sup m1, sup m2, min |den|, and m1's maxima on the
+    # inner and outer shells (0.0 where a shell is empty); max and min are
+    # exact, so the blocks reduce to the whole lattice's values
+    blocks = []
+    for lo in range(0, len(zs), _ROAD_BLOCK_ROWS):
+        z = zs[lo : lo + _ROAD_BLOCK_ROWS, None]
+        den, root = _road_symbol(z * z, mu2, d, dprime, kcoef)
+        m1 = np.abs(mu2 * kcoef / den)
+        radius = np.hypot(np.abs(z), abs_mu)
+        blocks.append((
+            np.max(m1),
+            np.max(np.abs(mu2 * root / den)),
+            np.min(np.abs(den)),
+            np.max(m1, where=radius <= 2e-3, initial=0.0),
+            np.max(m1, where=radius >= 1e3, initial=0.0),
+        ))
+    b = np.array(blocks)
     return {
-        "sup_m1": float(np.max(m1)),
-        "sup_m2": float(np.max(m2)),
-        "min_f_minus_k": float(np.min(np.abs(den))),
-        "inner_max_m1": float(np.max(m1[inner])) if np.any(inner) else 0.0,
-        "outer_max_m1": float(np.max(m1[outer])) if np.any(outer) else 0.0,
+        "sup_m1": float(b[:, 0].max()),
+        "sup_m2": float(b[:, 1].max()),
+        "min_f_minus_k": float(b[:, 2].min()),
+        "inner_max_m1": float(b[:, 3].max()),
+        "outer_max_m1": float(b[:, 4].max()),
         "n": n,
     }
 

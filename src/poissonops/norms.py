@@ -205,6 +205,10 @@ def opnorm_hilbert(
     through the order-``ceil(t)`` derivative for fractional ``t`` so the
     large-parameter decay rate matches the fractional smoothness.  ``t = 0``
     needs no surrogate and the value ``sup <xi>^(-s) ||k||`` is exact.
+
+    A kernel with the ``modulus_sq`` hook gives both squared profiles in real
+    arithmetic; any other is evaluated through ``func`` and ``xn_derivative``,
+    or the finite-difference ``normal_derivative`` without that hook.
     """
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
@@ -214,17 +218,31 @@ def opnorm_hilbert(
         grid = grid or dg
         ngrid = ngrid or dn
     fv = grid.freq_vectors[..., None, :]
-    kv = _profile(k, mu, grid, ngrid)
-    l2 = np.sqrt(np.sum(np.abs(kv) ** 2 * ngrid.weights, axis=-1))
+
+    def normal_l2(sq):
+        return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
+
+    if k.modulus_sq is not None:
+        def l2_of(order):
+            return normal_l2(k.modulus_sq(fv, mu, ngrid.nodes, order))
+    else:
+        kv = _profile(k, mu, grid, ngrid)
+
+        def l2_of(order):
+            if order == 0:
+                dv = kv
+            elif k.xn_derivative is not None:
+                dv = np.asarray(k.xn_derivative(fv, mu, ngrid.nodes, order), dtype=complex)
+            else:
+                dv = normal_derivative(kv, ngrid, order)
+            return normal_l2(np.abs(dv) ** 2)
+
+    l2 = l2_of(0)
     bxi = np.sqrt(1.0 + grid.freq_norm_sq)
     if t == 0:
         return float(np.max(bxi ** (-s) * l2))
     tc = math.ceil(t)
-    if k.xn_derivative is not None:
-        dv = np.asarray(k.xn_derivative(fv, mu, ngrid.nodes, tc), dtype=complex)
-    else:
-        dv = normal_derivative(kv, ngrid, tc)
-    l2d = np.sqrt(np.sum(np.abs(dv) ** 2 * ngrid.weights, axis=-1))
+    l2d = l2_of(tc)
     if t == tc:
         surr = l2d
     else:

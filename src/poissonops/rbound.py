@@ -109,9 +109,14 @@ class ScanResult:
                 w.writerow([repr(v) if isinstance(v, float) else v for v in rec])
 
 
-def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
-    if len(rows) < 5:
+def _require_fit_rows(count: int) -> None:
+    """Refuse a scan of ``count`` rows, too few for the decay fit."""
+    if count < 5:
         raise ValueError("decay fit needs at least 5 rows")
+
+
+def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
+    _require_fit_rows(len(rows))
     abs_mu = np.array([r[0] for r in rows], dtype=float)
     norms = np.array([r[2] for r in rows], dtype=float)
     if np.any(norms <= 0):

@@ -102,6 +102,12 @@ class SymbolKernel:
         Analytic normal derivative ``(xi, mu, xn, order) -> value`` when the
         kernel has one in closed form; ``char_lp_bound`` needs it for
         ``l' > 0``.
+    modulus_sq : callable, optional
+        Squared modulus of the normal derivatives,
+        ``(xi, mu, xn, order) -> |d^order k / dx_n^order|^2``, real-valued,
+        when it has a closed form cheaper than squaring ``func`` or
+        ``xn_derivative``; ``opnorm_hilbert`` then works in real arithmetic.
+        It must agree with them to rounding.
     """
 
     name: str
@@ -110,6 +116,7 @@ class SymbolKernel:
     sector: Sector
     func: Callable
     xn_derivative: Optional[Callable] = None
+    modulus_sq: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("strong", "weak"):
@@ -458,7 +465,9 @@ def _tau(xi, mu):
 def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
     """Order-0 kernel ``exp(-rate(xi, mu) x_n)`` on the half sector.
 
-    Its normal derivatives are ``(-rate)^order exp(-rate x_n)`` in closed form.
+    Its normal derivatives are ``(-rate)^order exp(-rate x_n)`` in closed form,
+    and their squared moduli ``|rate|^(2 order) exp(-2 Re(rate) x_n)`` take one
+    real exponential.
     """
 
     def func(xi, mu, xn):
@@ -468,8 +477,18 @@ def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
         r = rate(xi, mu)
         return (-r) ** order * np.exp(-r * xn)
 
+    def modulus_sq(xi, mu, xn, order):
+        r = rate(xi, mu)
+        return np.abs(r) ** (2 * order) * np.exp(-2.0 * np.real(r) * xn)
+
     return SymbolKernel(
-        name=name, order=0.0, kind=kind, sector=_HALF_SECTOR, func=func, xn_derivative=xn_derivative
+        name=name,
+        order=0.0,
+        kind=kind,
+        sector=_HALF_SECTOR,
+        func=func,
+        xn_derivative=xn_derivative,
+        modulus_sq=modulus_sq,
     )
 
 
@@ -577,28 +596,27 @@ zero_kernel = SymbolKernel(
 def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKernel:
     """Freeze the spectral parameter, yielding a kernel with the empty sector.
 
-    The frozen kernel ignores its (absent) parameter; bracket weights in its
+    The frozen kernel ignores its (absent) parameter and forwards the
+    ``xn_derivative`` and ``modulus_sq`` hooks of ``k``; bracket weights in its
     seminorms then involve the frequency alone.  ``kind`` optionally relabels
     the claimed class of the frozen family.
     """
     if k.sector.require(mu) is None:
         raise ValueError(f"kernel {k.name!r} has the empty sector: no parameter to freeze")
 
-    def f(xi, _mu, xn):
-        return k.func(xi, mu, xn)
-
-    fd = None
-    if k.xn_derivative is not None:
-        def fd(xi, _mu, xn, order):
-            return k.xn_derivative(xi, mu, xn, order)
+    def frozen(hook):
+        if hook is None:
+            return None
+        return lambda xi, _mu, xn, *order: hook(xi, mu, xn, *order)
 
     return SymbolKernel(
         name=f"{k.name}@{mu:.6g}",
         order=k.order,
         kind=kind or k.kind,
         sector=Sector.empty(),
-        func=f,
-        xn_derivative=fd,
+        func=frozen(k.func),
+        xn_derivative=frozen(k.xn_derivative),
+        modulus_sq=frozen(k.modulus_sq),
     )
 
 

@@ -379,6 +379,27 @@ def test_scan_rbound_structure(tmp_path):
     assert any(ln.startswith("# slope=") for ln in footer)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "opnorm", "--mu-points", "4"),
+        ("--mode", "rbound", "--mu-points", "16"),
+        ("--mode", "rbound", "--rays", "0,0.5", "--mu-points", "3", "--batch-size", "2"),
+    ],
+    ids=["opnorm-4-rows", "rbound-4-batches", "rbound-2-rays-of-2-batches"],
+)
+def test_scan_too_short_for_the_fit_is_refused_before_any_row(tmp_path, monkeypatch, capsys, argv):
+    # the decay fit needs five rows: a scan with fewer is refused up front,
+    # not after every row has been computed
+    def no_row(*args, **kwargs):
+        raise AssertionError("a scan row was computed")
+
+    monkeypatch.setattr("poissonops.cli.opnorm_hilbert", no_row)
+    monkeypatch.setattr("poissonops.cli.rbound_lower", no_row)
+    assert main(["scan", *argv, "--out", str(tmp_path)]) == 2
+    assert "decay fit needs at least 5 rows" in capsys.readouterr().err
+
+
 def test_readme_rbound_scan_evaluates_each_kernel_once():
     # one multiplier per mu serves every probe input: 20 evaluations, not 20 * 19
     seen = []

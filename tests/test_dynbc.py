@@ -496,6 +496,39 @@ def test_road_symbol_scan_refinement_stable():
     assert abs(fine["sup_m2"] - base["sup_m2"]) < 0.10 * base["sup_m2"]
 
 
+def test_road_symbol_scan_blocks_match_the_whole_lattice():
+    # the scan reduces blocks of z rows; the whole 2n x 5n lattice at once is
+    # the reference, and max and min leave nothing to round
+    n, d, dprime, kcoef = 100, 0.5, 2.0, 1.5
+    mags = np.geomspace(1e-3, 1e3, n)
+    angle = dynbc._ROAD_Z_ANGLE
+    z = np.concatenate([mags * np.exp(1j * angle), mags * np.exp(-1j * angle)])[:, None]
+    mu = np.concatenate([mags * np.exp(1j * a) for a in dynbc._ROAD_MU_ANGLES])[None, :]
+    den, root = dynbc._road_symbol(z * z, mu * mu, d, dprime, kcoef)
+    m1 = np.abs(mu * mu * kcoef / den)
+    radius = np.hypot(np.abs(z), np.abs(mu))
+    assert road_symbol_scan(d, dprime, kcoef, n=n) == {
+        "sup_m1": float(np.max(m1)),
+        "sup_m2": float(np.max(np.abs(mu * mu * root / den))),
+        "min_f_minus_k": float(np.min(np.abs(den))),
+        "inner_max_m1": float(np.max(m1[radius <= 2e-3])),
+        "outer_max_m1": float(np.max(m1[radius >= 1e3])),
+        "n": n,
+    }
+
+
+def test_road_symbol_scan_memory_does_not_grow_with_the_lattice():
+    # the whole n = 480 lattice is 960 x 2400 complex values, 35 MiB per array
+    # and about ten arrays at once; a block of z rows holds a few MiB
+    tracemalloc.start()
+    try:
+        road_symbol_scan(n=480)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
 def test_boundary_symbol_gain_bounded():
     tg, ng = make_grids(N=32, M=32)
     for variant, shift in (("HeatDynBC", 0.0), ("CahnHilliardBoundary", 0.25), ("KPPRoadField", 0.25)):

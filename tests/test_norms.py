@@ -23,7 +23,7 @@ from poissonops.norms import (
     tot_char_norm,
     weak_lp_norm,
 )
-from poissonops.symbols import freeze_mu, heat_kernel
+from poissonops.symbols import _HALF_SECTOR, freeze_mu, heat_kernel, kpp_kernel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -241,11 +241,56 @@ def test_opnorm_derivative_hook_matches_fd():
     assert fd == pytest.approx(hook, rel=2e-2)
 
 
+def test_opnorm_fd_fallback_matches_closed_form():
+    # without either hook the normal derivative is the finite-difference
+    # stencil on the profile; mu=2, s=1/2, t=1: with b = 1 + |xi|^2 the
+    # squared symbol is (b + 2) / sqrt(b (b + 4)), decreasing in b, so the
+    # supremum at xi=0 is sqrt(3 / sqrt(5))
+    tg, ng = make_grids(N=16, M=256)
+    fd_kernel = replace(heat_kernel, xn_derivative=None, modulus_sq=None)
+    want = math.sqrt(3.0 / math.sqrt(5.0))
+    assert opnorm_hilbert(fd_kernel, 2.0, 0.5, 1.0, tg, ng) == pytest.approx(want, rel=2e-2)
+
+
 def test_opnorm_frozen_kernel_keeps_derivative_hook():
     # the frozen kernel forwards its analytic normal derivative unchanged
     tg, ng = make_grids(N=16, M=256)
     frozen = opnorm_hilbert(freeze_mu(heat_kernel, 2.0), None, 0.5, 1.0, tg, ng)
     assert frozen == opnorm_hilbert(heat_kernel, 2.0, 0.5, 1.0, tg, ng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kpp_d=st.one_of(st.none(), st.floats(0.05, 20.0)),
+    frozen=st.booleans(),
+    dim=st.integers(1, 2),
+    N=st.sampled_from([4, 8, 16]),
+    M=st.integers(3, 48),
+    mu_abs=st.floats(0.01, 1e3),
+    mu_frac=st.floats(-0.999, 0.999),
+    s=st.floats(-1.0, 2.0),
+    t=st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5, 2.0]),
+)
+def test_opnorm_modulus_hook_matches_the_complex_path(kpp_d, frozen, dim, N, M, mu_abs, mu_frac, s, t):
+    # |d^n k|^2 in real arithmetic against |func|^2 and |xn_derivative|^2
+    k = heat_kernel if kpp_d is None else kpp_kernel(kpp_d)
+    mu = _HALF_SECTOR.require(mu_abs * np.exp(1j * mu_frac * _HALF_SECTOR.beta))
+    if frozen:
+        k, mu = freeze_mu(k, mu), None
+    tg, ng = make_grids(dim=dim, N=N, M=M, X_max=8.0, r=1.1)
+    want = opnorm_hilbert(replace(k, modulus_sq=None), mu, s, t, tg, ng)
+    assert opnorm_hilbert(k, mu, s, t, tg, ng) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_opnorm_with_the_modulus_hook_evaluates_no_complex_profile():
+    def complex_path(*args):
+        raise AssertionError("complex profile evaluated")
+
+    tg, ng = make_grids(N=16, M=128)
+    real_only = replace(heat_kernel, func=complex_path, xn_derivative=complex_path)
+    for mu, s, t in ((2.0, 0.5, 1.0), (3.0 + 1.0j, 0.25, 0.75), (1.0, 0.0, 0.0)):
+        want = opnorm_hilbert(replace(heat_kernel, modulus_sq=None), mu, s, t, tg, ng)
+        assert opnorm_hilbert(real_only, mu, s, t, tg, ng) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_opnorm_domain_checks():

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from poissonops.core import BoundaryField, Sector, SectorError, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, Sector, SectorError, make_grids
+from poissonops.norms import lp_norm
 from poissonops.symbols import MultiplierSymbol, heat_kernel, kernel_catalog
 from poissonops.transforms import (
     LPPartition,
@@ -26,20 +29,26 @@ def _rng_field(grid, seed=5):
     return BoundaryField(grid, samples)
 
 
+# power-of-two tangential sizes up to 32 per axis
+FFT_SIZES = dict(log2_N=st.integers(1, 5), seed=st.integers(0, 2**16))
+
+
 @pytest.mark.parametrize(
     "dim, halfspace",
-    [pytest.param(1, False, id="1"), pytest.param(2, False, id="2")]
+    [pytest.param(dim, False, id=f"{dim}") for dim in (1, 2, 3)]
     + [pytest.param(dim, True, id=f"halfspace-{dim}") for dim in (1, 2, 3)],
 )
-def test_fft_round_trip(dim, halfspace):
-    grid, _ = make_grids(dim=dim, N=16)
-    g = _rng_field(grid)
+@settings(max_examples=20, deadline=None)
+@given(**FFT_SIZES)
+def test_fft_round_trip(dim, halfspace, log2_N, seed):
+    grid, _ = make_grids(dim=dim, N=2**log2_N)
+    g = _rng_field(grid, seed)
     back = inverse_fft(forward_fft(g), grid)
     np.testing.assert_allclose(back.samples, g.samples, atol=1e-12)
     if halfspace:
         # on a half-space array the tangential pair transforms the first
         # ``dim`` axes only: each normal slice maps as forward_fft unscaled
-        rng = np.random.default_rng(dim)
+        rng = np.random.default_rng(seed)
         shape = grid.shape + (3,)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         spec = _tfft(a, dim)
@@ -49,12 +58,24 @@ def test_fft_round_trip(dim, halfspace):
         np.testing.assert_allclose(_itfft(spec, dim), a, rtol=0, atol=1e-12)
 
 
-def test_fft_plancherel():
-    grid, _ = make_grids(N=64, L=math.pi)
-    g = _rng_field(grid)
-    phys = np.sum(np.abs(g.samples) ** 2) * grid.cell
-    spec = np.sum(np.abs(forward_fft(g)) ** 2)
-    assert spec == pytest.approx(phys, rel=1e-13)
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), M=st.one_of(st.none(), st.integers(2, 6)), L=st.floats(0.5, 20.0), **FFT_SIZES)
+@example(dim=1, M=None, L=math.pi, log2_N=6, seed=5)
+def test_fft_plancherel(dim, M, L, log2_N, seed):
+    # a boundary field (M is None) or a half-space field, transformed slice by slice
+    grid, ngrid = make_grids(dim=dim, N=2**log2_N, L=L, M=M or 2)
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (() if M is None else (M,))
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if M is None:
+        f = BoundaryField(grid, samples)
+        power = np.sum(np.abs(forward_fft(f)) ** 2)
+    else:
+        f = HalfSpaceField(grid, ngrid, samples)
+        slices = [np.sum(np.abs(forward_fft(BoundaryField(grid, samples[..., j]))) ** 2) for j in range(M)]
+        power = np.dot(slices, ngrid.weights)
+    # energies at 1e-13, so the norms agree within 5e-14
+    assert power == pytest.approx(lp_norm(f, 2.0) ** 2, rel=1e-13)
 
 
 def test_fft_single_mode_line():
