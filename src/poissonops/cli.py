@@ -25,7 +25,7 @@ import numpy as np
 from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
-from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, make_grids
+from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, _replicate, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, lp_norm, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, _require_fit_rows, probe_dictionary, rbound_lower
@@ -135,10 +135,7 @@ def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
         return BoundaryField(grid, np.zeros(grid.shape, dtype=complex))
     if name.startswith("mode"):
         freq = int(name[4:]) * (TWO_PI / grid.L)  # exactly m at L = 2 pi
-        samples = np.exp(1j * freq * grid.points_1d)
-        for _ in range(grid.dim - 1):
-            samples = samples[..., None] * np.ones(grid.N)
-        return BoundaryField(grid, samples)
+        return BoundaryField(grid, _replicate(np.exp(1j * freq * grid.points_1d), grid))
     raise ValueError(f"unknown boundary data {name!r}; use const, zero, or mode<m>")
 
 
@@ -152,10 +149,11 @@ def rbound_batch_scan(
     rays: Sequence[float],
     grid: TangentialGrid,
     ngrid,
-    trials: int = 24,
-    restarts: int = 8,
-    seed: int = 0,
-    batch: int = 4,
+    *,
+    trials: int,
+    restarts: int,
+    seed: int,
+    batch: int,
 ) -> ScanResult:
     """Randomized-bound scan: batch the parameter family, one row per batch.
 

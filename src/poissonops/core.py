@@ -55,12 +55,8 @@ class Sector:
     def contains(self, mu: complex) -> bool:
         if self.is_empty or mu == 0:
             return False
-        a = cmath.phase(mu)  # principal value in (-pi, pi]
-        # arg taken continuously in (alpha - 2*pi, alpha + 2*pi]
-        for k in (-1, 0, 1):
-            if self.alpha < a + k * TWO_PI < self.beta:
-                return True
-        return False
+        # the turn of arg(mu) at or just above alpha, whatever turn alpha is on
+        return 0.0 < (cmath.phase(mu) - self.alpha) % TWO_PI < self.beta - self.alpha
 
     def require(self, mu) -> complex | None:
         """The one admissibility check: ``complex(mu)`` for ``mu`` inside the sector.
@@ -141,6 +137,14 @@ class TangentialGrid:
     @cached_property
     def points_1d(self) -> np.ndarray:
         return np.arange(self.N) * (self.L / self.N)
+
+
+def _replicate(axis_samples: np.ndarray, grid: TangentialGrid) -> np.ndarray:
+    """Samples of a function of the first tangential axis, constant along the other ``dim - 1``."""
+    out = axis_samples
+    for _ in range(grid.dim - 1):
+        out = out[..., None] * np.ones(grid.N)
+    return out
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .symbols import (
     _tau,
     ch_b,
     heat_dynbc_b,
-    heat_kernel,
     kpp_kernel,
     kpp_m2,
 )
@@ -214,10 +213,17 @@ class _HeatPlan(NamedTuple):
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
+    """The heat step's tables, from one ``tau`` and one set of complex ``exp`` tables.
+
+    The sweep's image table ``exp(-tau x_j)`` is also the heat kernel profile,
+    entry for entry: the profile is that table copied C-contiguous as
+    ``grid.shape + (M,)``, the layout the lifted bulk's norms are summed in.
+    """
     grid, ngrid = problem.tangential, problem.normal
     mu2 = mu * mu
-    tau = _tau(grid.freq_vectors, mu)
-    return _HeatPlan(mu2, mu2 + tau, _sweep_tables(ngrid, tau), _profile(heat_kernel, mu, grid, ngrid))
+    sweep = _sweep_tables(ngrid, _tau(grid.freq_vectors, mu))
+    profile = np.ascontiguousarray(sweep.image.T).reshape(grid.shape + (ngrid.M,))
+    return _HeatPlan(mu2, mu2 + sweep.tau, sweep, profile)
 
 
 def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: np.ndarray, gspec: np.ndarray):
@@ -286,7 +292,7 @@ def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
     mu2 = mu * mu
     den, root = _road_symbol(grid.freq_norm_sq, mu2, problem.d, problem.dprime, problem.kcoef)
     profile = _profile(kern, mu, grid, problem.normal)
-    return _KPPPlan(mu2, den, root, profile, kern.xn_derivative(grid.freq_vectors, mu, 0.0, 1))
+    return _KPPPlan(mu2, den, root, profile, kern.func(grid.freq_vectors, mu, 0.0, 1))
 
 
 def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):

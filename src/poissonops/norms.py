@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
 from .symbols import SymbolKernel
-from .transforms import LPPartition, _itfft, _profile, _tfft
+from .transforms import LPPartition, _itfft, _tfft
 
 __all__ = [
     "NormSpec",
@@ -207,8 +207,7 @@ def opnorm_hilbert(
     needs no surrogate and the value ``sup <xi>^(-s) ||k||`` is exact.
 
     A kernel with the ``modulus_sq`` hook gives both squared profiles in real
-    arithmetic; any other is evaluated through ``func`` and ``xn_derivative``,
-    or the finite-difference ``normal_derivative`` without that hook.
+    arithmetic; any other squares ``func`` at the derivative order.
     """
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
@@ -219,23 +218,12 @@ def opnorm_hilbert(
         ngrid = ngrid or dn
     fv = grid.freq_vectors[..., None, :]
 
-    def normal_l2(sq):
+    def l2_of(order):
+        if k.modulus_sq is not None:
+            sq = k.modulus_sq(fv, mu, ngrid.nodes, order)
+        else:
+            sq = np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2
         return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
-
-    if k.modulus_sq is not None:
-        def l2_of(order):
-            return normal_l2(k.modulus_sq(fv, mu, ngrid.nodes, order))
-    else:
-        kv = _profile(k, mu, grid, ngrid)
-
-        def l2_of(order):
-            if order == 0:
-                dv = kv
-            elif k.xn_derivative is not None:
-                dv = np.asarray(k.xn_derivative(fv, mu, ngrid.nodes, order), dtype=complex)
-            else:
-                dv = normal_derivative(kv, ngrid, order)
-            return normal_l2(np.abs(dv) ** 2)
 
     l2 = l2_of(0)
     bxi = np.sqrt(1.0 + grid.freq_norm_sq)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoundaryField, NormalGrid, TangentialGrid
+from .core import BoundaryField, NormalGrid, TangentialGrid, _replicate
 from .norms import NormSpec, _spectra, _StackNorm
 
 __all__ = [
@@ -221,26 +221,19 @@ def probe_dictionary(grid: TangentialGrid) -> list[BoundaryField]:
     L = grid.L
     limit = grid.N // 2 - 1
     fields: list[BoundaryField] = []
-
-    def replicate(axis_samples: np.ndarray) -> np.ndarray:
-        out = axis_samples
-        for _ in range(grid.dim - 1):
-            out = out[..., None] * np.ones(grid.N)
-        return out
-
     for m in (0, 1, -1, 2, -2, 4, 8, 16):
         if abs(m) > limit:
             continue
-        fields.append(BoundaryField(grid, replicate(np.exp(2j * math.pi * m * x / L))))
+        fields.append(BoundaryField(grid, _replicate(np.exp(2j * math.pi * m * x / L), grid)))
     bump = lambda w: np.exp(-((x - 0.5 * L) ** 2) / (2.0 * w * w))
     for w in (L / 4.0, L / 16.0, L / 64.0):
-        fields.append(BoundaryField(grid, replicate(bump(w))))
+        fields.append(BoundaryField(grid, _replicate(bump(w), grid)))
     carrier = bump(L / 8.0)
     for m in (1, -1, 2, -2, 4, -4, 8, -8):
         if abs(m) > limit:
             continue
         fields.append(
-            BoundaryField(grid, replicate(carrier * np.exp(2j * math.pi * m * x / L)))
+            BoundaryField(grid, _replicate(carrier * np.exp(2j * math.pi * m * x / L), grid))
         )
     return fields
 

@@ -9,10 +9,12 @@ seminorm families are estimated here by sampling a finite probe lattice with
 central finite differences, which yields lower estimates; refinement stability
 of those estimates is the operational finiteness certificate.
 
-Evaluator convention: ``func(xi, mu, xn)`` where the last axis of ``xi`` holds
-the frequency components (a bare scalar is a single one-dimensional frequency),
-``mu`` is a complex scalar, a broadcastable array, or ``None`` for kernels with
-the empty sector, and ``xn`` broadcasts against the leading axes of ``xi``.
+Evaluator convention: ``func(xi, mu, xn, order=0)`` is the ``order``-th
+normal derivative ``d^order k / dx_n^order``, the kernel itself at order 0;
+the last axis of ``xi`` holds the frequency components (a bare scalar is a
+single one-dimensional frequency), ``mu`` is a complex scalar, a broadcastable
+array, or ``None`` for kernels with the empty sector, and ``xn`` broadcasts
+against the leading axes of ``xi``.
 """
 from __future__ import annotations
 
@@ -97,17 +99,15 @@ class SymbolKernel:
     sector : Sector
         Admissible region for the spectral parameter.
     func : callable
-        Evaluator ``func(xi, mu, xn)`` as described in the module docstring.
-    xn_derivative : callable, optional
-        Analytic normal derivative ``(xi, mu, xn, order) -> value`` when the
-        kernel has one in closed form; ``char_lp_bound`` needs it for
-        ``l' > 0``.
+        Evaluator ``func(xi, mu, xn, order=0)`` of the kernel and its normal
+        derivatives, as described in the module docstring; the one source of
+        ``d^order k / dx_n^order``.
     modulus_sq : callable, optional
         Squared modulus of the normal derivatives,
         ``(xi, mu, xn, order) -> |d^order k / dx_n^order|^2``, real-valued,
-        when it has a closed form cheaper than squaring ``func`` or
-        ``xn_derivative``; ``opnorm_hilbert`` then works in real arithmetic.
-        It must agree with them to rounding.
+        when it has a closed form cheaper than squaring ``func``;
+        ``opnorm_hilbert`` then works in real arithmetic.  It must agree with
+        ``|func(xi, mu, xn, order)|^2`` to rounding.
     """
 
     name: str
@@ -115,7 +115,6 @@ class SymbolKernel:
     kind: str
     sector: Sector
     func: Callable
-    xn_derivative: Optional[Callable] = None
     modulus_sq: Optional[Callable] = None
 
     def __post_init__(self) -> None:
@@ -343,8 +342,10 @@ def char_lp_bound(
           * || x^l D_x^l' D_xi^a k(xi, mu; .) ||_{L^p(R_+)}``
 
     with quadrature on a graded normal grid (``p = inf`` takes the pointwise
-    supremum and drops the ``1/p``).  Finiteness and refinement stability of
-    this quantity certify strong-class membership numerically.
+    supremum and drops the ``1/p``).  ``D_x^l'`` is the kernel's own
+    ``func(..., l')``; only the ``xi``-derivatives are central differences.
+    Finiteness and refinement stability of this quantity certify strong-class
+    membership numerically.
     """
     from .core import NormalGrid
 
@@ -357,8 +358,6 @@ def char_lp_bound(
         raise ValueError("derivative orders must be nonnegative")
     if lp + a > 3:
         raise ValueError("derivative budget l' + |alpha| is capped at 3")
-    if lp > 0 and k.xn_derivative is None:
-        raise ValueError(f"kernel {k.name!r} has no xn_derivative, which l' > 0 needs")
     probe = probe or ProbeSpec()
     ngrid = ngrid or NormalGrid(256)
     x = ngrid.nodes
@@ -371,7 +370,7 @@ def char_lp_bound(
             br = bracket(xiv, mu)
             h_xi = _H_REL * br
             phi = _central_difference(
-                lambda offs: _normal_profile(k, xiv + offs[0] * h_xi, mu, x, lp), (a,), h_xi
+                lambda offs: k.func(np.array([xiv + offs[0] * h_xi]), mu, x, lp), (a,), h_xi
             )
             vals = np.abs(x**l * phi)
             if math.isinf(p):
@@ -380,14 +379,6 @@ def char_lp_bound(
                 nrm = float(np.sum(vals**p * w) ** inv_p)
             best = max(best, br ** (-k.order + inv_p + l - lp + a) * nrm)
     return best
-
-
-def _normal_profile(k: SymbolKernel, xi_s: float, mu, x: np.ndarray, order: int):
-    """Order-th normal derivative of the kernel profile at frequency ``xi_s``."""
-    xi_vec = np.array([xi_s])
-    if order == 0:
-        return np.asarray(k.func(xi_vec, mu, x), dtype=complex)
-    return np.asarray(k.xn_derivative(xi_vec, mu, x, order), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +461,10 @@ def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
     real exponential.
     """
 
-    def func(xi, mu, xn):
-        return np.exp(-rate(xi, mu) * xn)
-
-    def xn_derivative(xi, mu, xn, order):
+    def func(xi, mu, xn, order=0):
         r = rate(xi, mu)
-        return (-r) ** order * np.exp(-r * xn)
+        value = np.exp(-r * xn)
+        return value if order == 0 else (-r) ** order * value
 
     def modulus_sq(xi, mu, xn, order):
         r = rate(xi, mu)
@@ -487,7 +476,6 @@ def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
         kind=kind,
         sector=_HALF_SECTOR,
         func=func,
-        xn_derivative=xn_derivative,
         modulus_sq=modulus_sq,
     )
 
@@ -565,10 +553,11 @@ def kpp_kernel(d: float = 1.0) -> SymbolKernel:
 
 
 def _filled(value: complex) -> Callable:
-    """Evaluator (or ``xn_derivative`` hook) of the kernel identically equal to ``value``."""
+    """Evaluator of the kernel identically equal to ``value``: its normal derivatives vanish."""
 
     def evaluate(xi, mu, xn, order=0):
-        return np.full(np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn)), value, dtype=complex)
+        shape = np.broadcast_shapes(np.shape(_xi_sq(xi)), np.shape(xn))
+        return np.full(shape, value if order == 0 else 0.0, dtype=complex)
 
     return evaluate
 
@@ -579,7 +568,6 @@ constant_one = SymbolKernel(
     kind="strong",  # deliberately misdeclared: no decay, seminorms diverge
     sector=Sector.empty(),
     func=_filled(1.0),
-    xn_derivative=_filled(0.0),
 )
 
 
@@ -589,16 +577,15 @@ zero_kernel = SymbolKernel(
     kind="strong",
     sector=Sector.empty(),
     func=_filled(0.0),
-    xn_derivative=_filled(0.0),
 )
 
 
 def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKernel:
     """Freeze the spectral parameter, yielding a kernel with the empty sector.
 
-    The frozen kernel ignores its (absent) parameter and forwards the
-    ``xn_derivative`` and ``modulus_sq`` hooks of ``k``; bracket weights in its
-    seminorms then involve the frequency alone.  ``kind`` optionally relabels
+    The frozen kernel ignores its (absent) parameter and forwards ``func``
+    and ``modulus_sq`` of ``k``; bracket weights in its seminorms then
+    involve the frequency alone.  ``kind`` optionally relabels
     the claimed class of the frozen family.
     """
     if k.sector.require(mu) is None:
@@ -615,7 +602,6 @@ def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKe
         kind=kind or k.kind,
         sector=Sector.empty(),
         func=frozen(k.func),
-        xn_derivative=frozen(k.xn_derivative),
         modulus_sq=frozen(k.modulus_sq),
     )
 

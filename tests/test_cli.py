@@ -412,6 +412,7 @@ def test_readme_rbound_scan_evaluates_each_kernel_once():
     rbound_batch_scan(
         replace(heat_kernel, func=func), p=2.0, q=2.0, weak=True, exponent=0.5,
         mu_values=np.geomspace(1.0, 1000.0, 20), rays=(0.0,), grid=grid, ngrid=ngrid,
+        trials=24, restarts=8, seed=0, batch=4,
     )
     assert len(seen) == 20 and len(set(seen)) == 20
 

@@ -1,12 +1,16 @@
 """Grids, fields, sectors, and the parameter bracket."""
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from poissonops.core import (
+    TWO_PI,
     BoundaryField,
     HalfSpaceField,
     NormalGrid,
@@ -51,6 +55,33 @@ def test_sector_wraps_branch_cut():
     assert sec.contains(-1.0)
     assert sec.contains(complex(-1.0, -0.1))
     assert not sec.contains(1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@example(alpha=-10.0, width=0.5, theta=-9.75, radius=1.0)
+@example(alpha=9.5, width=0.5, theta=9.75, radius=1.0)
+@example(alpha=7.0, width=5.0, theta=7.5, radius=1.0)
+@given(
+    alpha=st.floats(-4.0 * math.pi, 4.0 * math.pi),
+    width=st.floats(1e-9, TWO_PI),
+    theta=st.floats(-4.0 * math.pi, 4.0 * math.pi),
+    radius=st.floats(1e-3, 1e3),
+)
+def test_sector_membership_on_any_turn(alpha, width, theta, radius):
+    # arg mu = theta lies in (alpha, alpha + width) modulo 2 pi, on whatever
+    # turn alpha is; draws within 1e-9 of an edge are skipped
+    sec = Sector(alpha, alpha + width)
+    rel = theta - alpha - TWO_PI * math.floor((theta - alpha) / TWO_PI)  # in [0, 2 pi)
+    opening = sec.beta - sec.alpha
+    assume(min(rel, abs(rel - opening), TWO_PI - rel) > 1e-9)
+    mu = cmath.rect(radius, theta)
+    inside = rel < opening
+    assert sec.contains(mu) is inside
+    if inside:
+        assert sec.require(mu) == mu
+    else:
+        with pytest.raises(SectorError):
+            sec.require(mu)
 
 
 def test_empty_sector_contains_nothing():

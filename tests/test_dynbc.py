@@ -23,7 +23,7 @@ from poissonops.dynbc import (
 )
 from poissonops.norms import lp_norm
 from poissonops.symbols import _tau, heat_kernel, kpp_kernel, kpp_m2
-from poissonops.transforms import apply_poisson, forward_fft, inverse_fft
+from poissonops.transforms import _profile, apply_poisson, forward_fft, inverse_fft
 
 SQRT2 = math.sqrt(2.0)
 VARIANTS = ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"]
@@ -220,6 +220,17 @@ def test_solvers_extend_through_the_one_poisson_operator():
     want = apply_poisson(kpp_kernel(d), mu, kpp.u.trace(), ng).samples
     np.testing.assert_allclose(kpp.u.samples, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
     assert max(kpp.diagnostics.values()) <= 1e-10
+
+
+@pytest.mark.parametrize("dim, N, M", [(1, 64, 48), (2, 8, 32), (3, 4, 16)])
+@pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.3 - 0.2j])
+def test_heat_plan_lifts_through_its_image_table(dim, N, M, mu):
+    # one exp table serves the sweep's image term and the Poisson lift: it is
+    # the heat kernel profile entry for entry, laid out C-contiguous
+    tg, ng = make_grids(dim=dim, N=N, M=M)
+    plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), mu)
+    assert plan.profile.flags.c_contiguous
+    np.testing.assert_array_equal(plan.profile, _profile(heat_kernel, mu, tg, ng))
 
 
 def test_kpp_zero_data():

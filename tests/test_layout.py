@@ -1,7 +1,7 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
 one central difference, one builder for the decay and constant kernels, one resolvent path,
-one norm engine, sign sums without per-trial contractions, and no threads, processes or
-environment reads."""
+one norm engine, one evaluator of a kernel's normal derivatives, sign sums without per-trial
+contractions, and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -173,6 +173,36 @@ def _called_names(tree: ast.Module) -> set[str]:
 def _callers(tree: ast.Module, names: set[str]) -> set[str]:
     """Top-level function or class holding a call of any function or method in ``names``."""
     return {getattr(top, "name", "<module>") for top in tree.body if _called_names(top) & names}
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name the code binds, reads, defines, passes as a keyword or takes as a parameter."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.keyword, ast.arg)) and node.arg:
+            found.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_normal_derivatives_come_from_the_kernel_evaluator():
+    # a kernel's d^n k / dx_n^n is func(xi, mu, xn, n): no second hook, no
+    # finite-difference stand-in in the symbol calculus or the operator norm,
+    # and the heat plan lifts through its sweep's image table, not a second exp
+    trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
+    assert {name for name, tree in trees.items() if "xn_derivative" in _identifiers(tree)} == set()
+    assert "normal_derivative" not in _called_names(trees["symbols.py"])
+    assert "normal_derivative" not in _called_names(_function(trees["norms.py"], "opnorm_hilbert"))
+    assert _called_names(_function(trees["dynbc.py"], "_heat_plan")) & {"_profile", "exp", "func"} == set()
 
 
 def test_one_resolvent_path():

@@ -233,23 +233,15 @@ def test_opnorm_heat_closed_form_fractional_t():
     assert opnorm_hilbert(heat_kernel, 1.0, 0.5, 0.5, tg, ng) == pytest.approx(want, rel=5e-3)
 
 
-def test_opnorm_derivative_hook_matches_fd():
-    tg, ng = make_grids(N=16, M=256)
-    fd_kernel = replace(heat_kernel, xn_derivative=None)
-    hook = opnorm_hilbert(heat_kernel, 2.0, 0.5, 1.0, tg, ng)
-    fd = opnorm_hilbert(fd_kernel, 2.0, 0.5, 1.0, tg, ng)
-    assert fd == pytest.approx(hook, rel=2e-2)
-
-
 def test_opnorm_fd_fallback_matches_closed_form():
-    # without either hook the normal derivative is the finite-difference
-    # stencil on the profile; mu=2, s=1/2, t=1: with b = 1 + |xi|^2 the
-    # squared symbol is (b + 2) / sqrt(b (b + 4)), decreasing in b, so the
+    # without the modulus hook the profiles are |func(..., order)|^2, the
+    # kernel's own normal derivatives; mu=2, s=1/2, t=1: with b = 1 + |xi|^2
+    # the squared symbol is (b + 2) / sqrt(b (b + 4)), decreasing in b, so the
     # supremum at xi=0 is sqrt(3 / sqrt(5))
     tg, ng = make_grids(N=16, M=256)
-    fd_kernel = replace(heat_kernel, xn_derivative=None, modulus_sq=None)
+    bare = replace(heat_kernel, modulus_sq=None)
     want = math.sqrt(3.0 / math.sqrt(5.0))
-    assert opnorm_hilbert(fd_kernel, 2.0, 0.5, 1.0, tg, ng) == pytest.approx(want, rel=2e-2)
+    assert opnorm_hilbert(bare, 2.0, 0.5, 1.0, tg, ng) == pytest.approx(want, rel=2e-2)
 
 
 def test_opnorm_frozen_kernel_keeps_derivative_hook():
@@ -272,7 +264,7 @@ def test_opnorm_frozen_kernel_keeps_derivative_hook():
     t=st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5, 2.0]),
 )
 def test_opnorm_modulus_hook_matches_the_complex_path(kpp_d, frozen, dim, N, M, mu_abs, mu_frac, s, t):
-    # |d^n k|^2 in real arithmetic against |func|^2 and |xn_derivative|^2
+    # |d^n k|^2 in real arithmetic against |func(..., n)|^2
     k = heat_kernel if kpp_d is None else kpp_kernel(kpp_d)
     mu = _HALF_SECTOR.require(mu_abs * np.exp(1j * mu_frac * _HALF_SECTOR.beta))
     if frozen:
@@ -287,7 +279,7 @@ def test_opnorm_with_the_modulus_hook_evaluates_no_complex_profile():
         raise AssertionError("complex profile evaluated")
 
     tg, ng = make_grids(N=16, M=128)
-    real_only = replace(heat_kernel, func=complex_path, xn_derivative=complex_path)
+    real_only = replace(heat_kernel, func=complex_path)
     for mu, s, t in ((2.0, 0.5, 1.0), (3.0 + 1.0j, 0.25, 0.75), (1.0, 0.0, 0.0)):
         want = opnorm_hilbert(replace(heat_kernel, modulus_sq=None), mu, s, t, tg, ng)
         assert opnorm_hilbert(real_only, mu, s, t, tg, ng) == pytest.approx(want, rel=1e-13, abs=0.0)

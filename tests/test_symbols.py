@@ -6,11 +6,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonops.core import NormalGrid, Sector, SectorError, bracket
 from poissonops.symbols import (
+    _HALF_SECTOR,
     MultiplierSymbol,
     ProbeSpec,
+    SymbolKernel,
     char_lp_bound,
     constant_one,
     eval_kernel,
@@ -142,19 +146,10 @@ def test_probe_rays_outside_the_sector_raise():
         char_lp_bound(heat_kernel, 2.0, 0, 0, 0, ProbeSpec(rays=(-2.0,)))
 
 
-def test_char_lp_bound_needs_the_normal_derivative_hook():
-    # normal derivatives come from the analytic hook only; without it l' > 0 is refused
-    bare = replace(heat_kernel, xn_derivative=None)
-    probe = ProbeSpec(rays=(0.0,))
-    with pytest.raises(ValueError, match="xn_derivative"):
-        char_lp_bound(bare, math.inf, 0, 2, 0, probe)
-    assert char_lp_bound(bare, 2.0, 0, 0, 1, probe) == char_lp_bound(heat_kernel, 2.0, 0, 0, 1, probe)
-
-
 @pytest.mark.parametrize("lp", [0, 1, 2])
 def test_char_lp_bound_heat_p2_real_rays(lp):
     # real-parameter L^2 profile: tau cancels the bracket weight exactly, and
-    # each normal derivative (the analytic hook for l' > 0) cancels one more
+    # each normal derivative (func at order l') cancels one more
     got = char_lp_bound(heat_kernel, 2.0, 0, lp, 0, probe=ProbeSpec(rays=(0.0,)))
     assert got == pytest.approx(2.0 ** (-0.5), rel=5e-3)
 
@@ -265,6 +260,49 @@ def test_freeze_mu_round_trip():
     with pytest.raises(ValueError):
         freeze_mu(zero_kernel, None)
     assert freeze_mu(heat_kernel, 1.0, kind="weak").kind == "weak"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["heat", "kpp", "heat-frozen", "kpp-frozen", "constant-one", "zero"]),
+    d=st.floats(0.05, 20.0),
+    xi=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3),
+    mu_abs=st.floats(0.01, 1e3),
+    mu_frac=st.floats(-0.999, 0.999),
+    t=st.floats(0.0, 8.0),
+)
+def test_func_orders_are_the_normal_derivatives(name, d, xi, mu_abs, mu_frac, t):
+    # func(..., n) against a central difference of func(..., n - 1) in x_n,
+    # and the modulus hook against |func(..., n)|^2
+    base = {"heat": heat_kernel, "kpp": kpp_kernel(d), "constant-one": constant_one, "zero": zero_kernel}
+    k = base[name.removesuffix("-frozen")]
+    mu = _HALF_SECTOR.require(mu_abs * np.exp(1j * mu_frac * _HALF_SECTOR.beta))
+    if name.endswith("-frozen"):
+        k = freeze_mu(k, mu)
+    if k.sector.is_empty:
+        mu = None
+    xi = np.array(xi)
+    # every decay rate here is at most `scale` in modulus; x_n = t / scale
+    # samples the decay scale, as the seminorm lattice does
+    scale = math.sqrt(1.0 + xi @ xi + mu_abs**2 * max(1.0, 1.0 / d))
+    h = 1e-5 / scale
+    xn = t / scale + h
+    # difference error: h^2 |d^(n+2) k| / 6 plus rounding, both below 1e-9 scale^n |k(xn - h)|
+    size = abs(k.func(xi, mu, xn - h))
+    for order in (1, 2, 3):
+        exact = k.func(xi, mu, xn, order)
+        diff = (k.func(xi, mu, xn + h, order - 1) - k.func(xi, mu, xn - h, order - 1)) / (2.0 * h)
+        assert abs(diff - exact) <= 1e-8 * scale**order * size
+    if k.modulus_sq is not None:
+        for order in range(4):
+            want = abs(k.func(xi, mu, xn, order)) ** 2
+            assert k.modulus_sq(xi, mu, xn, order) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_symbol_kernel_fields():
+    # the normal derivatives are func's order argument, not a field of their own
+    names = ["name", "order", "kind", "sector", "func", "modulus_sq"]
+    assert [f.name for f in fields(SymbolKernel)] == names
 
 
 def test_probe_spec_refined_scaling():
