@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Sector, bracket
+from .core import NormalGrid, Sector, bracket
 
 __all__ = [
     "SymbolKernel",
@@ -175,9 +175,9 @@ class ProbeSpec:
     ``level`` counts refinements: each ``refined()`` doubles the sampling
     density and widens every range by a factor of four, the refinement step
     used for finiteness certificates.  ``rays`` optionally pins the spectral
-    samples to explicit argument angles (e.g. ``(0.0,)`` for a real-parameter
-    scan) instead of the default three rays spread across the sector
-    interior; every sample must lie in the sector.
+    samples to one or more explicit argument angles (e.g. ``(0.0,)`` for a
+    real-parameter scan) instead of the default three rays spread across the
+    sector interior; every sample must lie in the sector.
     """
 
     level: int = 0
@@ -186,6 +186,8 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError(f"refinement level must be nonnegative, got {self.level}")
+        if self.rays is not None and len(self.rays) == 0:
+            raise ValueError("rays must pin at least one spectral ray; None gives the default rays")
 
     # upper ends of the xi, mu and t ranges: 8 at level 0, four times wider per level
     xi_max = mu_max = t_max = property(lambda self: 8.0 * 4.0**self.level)
@@ -235,6 +237,21 @@ class ProbeSpec:
         return np.concatenate([mags, -mags])
 
 
+def _spectral_lattice(probe: ProbeSpec, sector: Sector):
+    """The probe's ``(mu, xi)`` lattice with its bracket weights and difference steps.
+
+    Returns ``(mu, xi, br, h)``: the spectral samples stacked on a leading
+    axis ``(n_mu, 1, 1)`` (``None`` for the empty sector), the frequency
+    column ``(nx, 1)``, the weight ``br = <xi, mu>`` and the step
+    ``h = _H_REL * br``, both ``(n_mu, nx, 1)`` (``(nx, 1)`` without ``mu``).
+    """
+    samples = probe.mu_values(sector)
+    mu = None if samples == [None] else np.array(samples)[:, None, None]
+    xi = probe.xi_values()[:, None]
+    br = np.sqrt(1.0 + xi * xi + _abs_sq(mu))
+    return mu, xi, br, _H_REL * br
+
+
 # ---------------------------------------------------------------------------
 # seminorm estimation
 
@@ -269,22 +286,12 @@ def seminorm(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> float:
 
 
 def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> list[float]:
-    """``[seminorm(k, n, probe) for n in 0..N]`` from one lattice sweep per spectral point."""
+    """``[seminorm(k, n, probe) for n in 0..N]`` from one sweep per probe."""
     if not 0 <= N <= 4:
         raise ValueError("derivative budget N must lie in 0..4")
     probe = probe or ProbeSpec()
-    per_order = [0.0] * (N + 1)
-    for mu in probe.mu_values(k.sector):
-        per_order = list(map(max, per_order, _seminorm_at_mu(k, N, probe, mu)))
-    return list(itertools.accumulate(per_order, max))
-
-
-def _seminorm_at_mu(k: SymbolKernel, N: int, probe: ProbeSpec, mu) -> list[float]:
-    """Largest seminorm term of each total order ``0..N`` at one spectral point."""
-    xi = probe.xi_values()[:, None]  # (nx, 1)
+    mu, xi, br, h = _spectral_lattice(probe, k.sector)
     t = probe.t_values()[None, :]  # (1, nt)
-    br = np.sqrt(1.0 + xi * xi + _abs_sq(mu))
-    h = _H_REL * br
 
     @functools.cache
     def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
@@ -318,7 +325,7 @@ def _seminorm_at_mu(k: SymbolKernel, N: int, probe: ProbeSpec, mu) -> list[float
                             vals = np.abs(g) * (1.0 + t * t) ** (0.5 * l) * wscale
                         n = a + b1 + b2 + m + l
                         per_order[n] = max(per_order[n], float(np.max(np.where(ok, vals, 0.0))))
-    return per_order
+    return list(itertools.accumulate(per_order, max))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +354,6 @@ def char_lp_bound(
     Finiteness and refinement stability of this quantity certify strong-class
     membership numerically.
     """
-    from .core import NormalGrid
-
     if not p >= 1:
         raise ValueError(f"integrability exponent must be >= 1, got {p}")
     if k.kind != "strong":
@@ -358,27 +363,19 @@ def char_lp_bound(
         raise ValueError("derivative orders must be nonnegative")
     if lp + a > 3:
         raise ValueError("derivative budget l' + |alpha| is capped at 3")
-    probe = probe or ProbeSpec()
+    mu, xi, br, h = _spectral_lattice(probe or ProbeSpec(), k.sector)
     ngrid = ngrid or NormalGrid(256)
     x = ngrid.nodes
-    w = ngrid.weights
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
 
-    best = 0.0
-    for mu in probe.mu_values(k.sector):
-        for xiv in probe.xi_values():
-            br = bracket(xiv, mu)
-            h_xi = _H_REL * br
-            phi = _central_difference(
-                lambda offs: k.func(np.array([xiv + offs[0] * h_xi]), mu, x, lp), (a,), h_xi
-            )
-            vals = np.abs(x**l * phi)
-            if math.isinf(p):
-                nrm = float(np.max(vals))
-            else:
-                nrm = float(np.sum(vals**p * w) ** inv_p)
-            best = max(best, br ** (-k.order + inv_p + l - lp + a) * nrm)
-    return best
+    # D_xi^a D_x^l' k over the (mu, xi, x_n) lattice, then its L^p norm along x_n
+    phi = _central_difference(lambda offs: k.func((xi + offs[0] * h)[..., None], mu, x, lp), (a,), h)
+    vals = np.abs(x**l * phi)
+    if math.isinf(p):
+        nrm = np.max(vals, axis=-1, keepdims=True)
+    else:
+        nrm = np.sum(vals**p * ngrid.weights, axis=-1, keepdims=True) ** inv_p
+    return float(np.max(br ** (-k.order + inv_p + l - lp + a) * nrm))
 
 
 # ---------------------------------------------------------------------------

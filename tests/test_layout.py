@@ -1,7 +1,8 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-one central difference, one builder for the decay and constant kernels, one resolvent path,
-one norm engine, one evaluator of a kernel's normal derivatives, sign sums without per-trial
-contractions, and no threads, processes or environment reads."""
+one central difference, one sweep per probe over the spectral samples, one builder for the
+decay and constant kernels, one resolvent path, one norm engine, one evaluator of a kernel's
+normal derivatives, sign sums without per-trial contractions, and no threads, processes or
+environment reads."""
 from __future__ import annotations
 
 import ast
@@ -16,25 +17,30 @@ FFT_CALLS = {"fft", "ifft", "fftn", "ifftn"}
 CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 
 
-def _fft_call_sites(tree: ast.Module) -> set[str]:
-    """Innermost enclosing function of every ``*.fft.<fft|ifft|fftn|ifftn>(...)`` call."""
+def _call_sites(tree: ast.Module, is_target) -> set[str]:
+    """Innermost enclosing function of every call node for which ``is_target`` holds."""
     defs, lines = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             defs.append(node)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in FFT_CALLS
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "fft"
-        ):
+        elif isinstance(node, ast.Call) and is_target(node):
             lines.append(node.lineno)
     sites = set()
     for line in lines:
         owners = [d for d in defs if d.lineno <= line <= d.end_lineno]
         sites.add(min(owners, key=lambda d: d.end_lineno - d.lineno).name if owners else "<module>")
     return sites
+
+
+def _fft_call_sites(tree: ast.Module) -> set[str]:
+    """Innermost enclosing function of every ``*.fft.<fft|ifft|fftn|ifftn>(...)`` call."""
+    return _call_sites(
+        tree,
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr in FFT_CALLS
+        and isinstance(call.func.value, ast.Attribute)
+        and call.func.value.attr == "fft",
+    )
 
 
 def test_every_all_entry_resolves():
@@ -203,6 +209,22 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
     assert "normal_derivative" not in _called_names(trees["symbols.py"])
     assert "normal_derivative" not in _called_names(_function(trees["norms.py"], "opnorm_hilbert"))
     assert _called_names(_function(trees["dynbc.py"], "_heat_plan")) & {"_profile", "exp", "func"} == set()
+
+
+def test_one_sweep_per_probe():
+    # the seminorm lattice and char_lp_bound stack every spectral sample on one
+    # axis: only _spectral_lattice reads ProbeSpec.mu_values, and no loop runs
+    # over mu_values(...) or xi_values()
+    tree = ast.parse((PKG_DIR / "symbols.py").read_text())
+    readers = _call_sites(tree, lambda call: getattr(call.func, "attr", None) == "mu_values")
+    assert readers == {"_spectral_lattice"}
+    loops = [
+        ast.unparse(node.iter)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and _called_names(node.iter) & {"mu_values", "xi_values"}
+    ]
+    assert loops == []
 
 
 def test_one_resolvent_path():

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from poissonops.core import NormalGrid, Sector, SectorError, bracket
 from poissonops.symbols import (
     _HALF_SECTOR,
+    _KERNELS,
+    _STEN,
     MultiplierSymbol,
     ProbeSpec,
     SymbolKernel,
@@ -132,10 +134,58 @@ def test_weak_seminorm_frozen_heat_uniform_in_mu():
     ids=["heat", "heat-weak", "kpp", "heat-frozen", "constant-one", "zero"],
 )
 def test_seminorm_table_is_the_seminorm_per_order(kernel, N):
-    # one sweep per spectral point gives every order's seminorm exactly
+    # one sweep per probe gives every order's seminorm exactly
     table = seminorm_table(kernel, N)
     assert table == [seminorm(kernel, n) for n in range(N + 1)]
     assert all(lo <= hi for lo, hi in zip(table, table[1:]))
+
+
+def _counted(k: SymbolKernel) -> tuple[SymbolKernel, list]:
+    """``k`` with its evaluator wrapped to record one entry per call."""
+    calls = []
+
+    def func(*args):
+        calls.append(args)
+        return k.func(*args)
+
+    return replace(k, func=func), calls
+
+
+def test_seminorm_table_kernel_calls_do_not_grow_with_the_spectral_samples():
+    # the whole (mu, xi, t) lattice is one kernel call per stencil offset
+    counts = []
+    for probe in (ProbeSpec(), ProbeSpec(rays=(0.0,))):
+        k, calls = _counted(heat_kernel)
+        seminorm_table(k, 4, probe)
+        counts.append(len(calls))
+    assert len(ProbeSpec().mu_values(_HALF_SECTOR)) == 3 * len(ProbeSpec(rays=(0.0,)).mu_values(_HALF_SECTOR))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
+def test_char_lp_bound_makes_one_kernel_call_per_stencil_tap(a):
+    k, calls = _counted(heat_kernel)
+    char_lp_bound(k, 2.0, 0, 0, a)
+    assert len(calls) == len(_STEN[a])
+
+
+# every catalog kernel, built from the diffusivity d, and a frozen one
+_FOLD_KERNELS = {**_KERNELS, "heat-frozen": lambda d: freeze_mu(heat_kernel, 2 + 1j)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FOLD_KERNELS)),
+    d=st.floats(0.2, 5.0),
+    N=st.integers(0, 2),
+    fracs=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=3),
+)
+def test_seminorm_table_is_the_max_over_its_rays(name, d, N, fracs):
+    # stacking the spectral samples on one axis folds them by max, exactly
+    k = _FOLD_KERNELS[name](d)
+    rays = [f * _HALF_SECTOR.beta for f in fracs]
+    singles = [seminorm_table(k, N, ProbeSpec(rays=(r,))) for r in rays]
+    assert seminorm_table(k, N, ProbeSpec(rays=tuple(rays))) == [max(col) for col in zip(*singles)]
 
 
 def test_probe_rays_outside_the_sector_raise():
@@ -324,6 +374,12 @@ def test_probe_spec_is_a_level_and_rays():
 def test_probe_spec_refuses_a_negative_level():
     with pytest.raises(ValueError, match="nonnegative"):
         ProbeSpec(level=-1)
+
+
+def test_probe_spec_refuses_empty_rays():
+    # no spectral sample would make every seminorm a silent zero
+    with pytest.raises(ValueError, match="at least one spectral ray"):
+        ProbeSpec(rays=())
 
 
 def test_probe_spec_rays_pin_arguments():
