@@ -25,7 +25,7 @@ import numpy as np
 from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
-from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, _replicate, make_grids
+from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, _replicate, bracket, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, lp_norm, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, _require_fit_rows, probe_dictionary, rbound_lower
@@ -174,7 +174,7 @@ def rbound_batch_scan(
 
     def multiplier(mu):
         kern.sector.require(mu)
-        return (1.0 + abs(mu) ** 2) ** (0.5 * exponent) * _profile(kern, mu, grid, ngrid)
+        return bracket(0.0, mu) ** exponent * _profile(kern, mu, grid, ngrid)
 
     def one(idx, ray, mus):
         est = rbound_lower(
@@ -235,8 +235,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         def one(ray, m):
             mu = m * complex(math.cos(ray), math.sin(ray))
             val = opnorm_hilbert(kern, mu, args.s, args.t, grid, ngrid)
-            pref = (1.0 + m * m) ** (0.5 * args.prefactor_exponent)
-            return (m, ray, pref * val)
+            return (m, ray, bracket(0.0, m) ** args.prefactor_exponent * val)
 
         rows = [one(ray, float(m)) for ray in rays for m in mus]
         scan = ScanResult.from_rows(rows, metadata={"seed": args.seed})
@@ -337,6 +336,7 @@ def cmd_lemma(args: argparse.Namespace) -> int:
             a = frac * rho
             for t in (1e-3, 1.0, 1e3):
                 closed = lemma_max_eval(a, rho, t)
+                # <s t>^(-rho) as one power of 1 + (s t)^2, as lemma_max_eval writes it
                 brute = float(np.max(svals**a * (1.0 + (t * svals) ** 2) ** (-0.5 * rho)))
                 worst = max(worst, abs(closed - brute) / brute)
     ok_closed = worst <= 1e-6

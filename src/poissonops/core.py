@@ -74,15 +74,23 @@ class Sector:
         return complex(mu)
 
 
-def bracket(xi, mu: complex | None = None) -> float:
-    """Parameter-dependent elliptic weight ``(1 + |xi|^2 + |mu|^2)^(1/2)``.
+def _xi_sq(xi) -> np.ndarray:
+    """``|xi|^2`` over the last axis of ``xi``; a bare scalar is one component."""
+    arr = np.asarray(xi, dtype=float)
+    if arr.ndim == 0:
+        return arr * arr
+    return np.sum(arr * arr, axis=-1)
 
-    ``xi`` is a frequency vector (a scalar is treated as one component);
-    an absent ``mu`` contributes nothing.  The result is always >= 1.
+
+def bracket(xi, mu=None) -> np.ndarray:
+    """Parameter-dependent elliptic weight ``<xi, mu> = (1 + |xi|^2 + |mu|^2)^(1/2)``, always >= 1.
+
+    Evaluator convention: the last axis of ``xi`` holds the components (a
+    scalar is one component), ``mu`` is complex and broadcasts against the
+    leading axes of ``xi``, and an absent ``mu`` contributes nothing.
     """
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    mu_sq = 0.0 if mu is None else abs(mu) ** 2
-    return math.sqrt(1.0 + float(np.sum(xi_arr * xi_arr)) + mu_sq)
+    mu_sq = 0.0 if mu is None else np.abs(mu) ** 2
+    return np.sqrt(1.0 + _xi_sq(xi) + mu_sq)
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ class TangentialGrid:
 
     @cached_property
     def freq_norm_sq(self) -> np.ndarray:
-        return np.sum(self.freq_vectors**2, axis=-1)
+        return _xi_sq(self.freq_vectors)
 
     @cached_property
     def points_1d(self) -> np.ndarray:

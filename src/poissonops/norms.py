@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
+from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, bracket, make_grids
 from .symbols import SymbolKernel
 from .transforms import LPPartition, _itfft, _tfft
 
@@ -226,7 +226,7 @@ def opnorm_hilbert(
         return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
 
     l2 = l2_of(0)
-    bxi = np.sqrt(1.0 + grid.freq_norm_sq)
+    bxi = bracket(grid.freq_vectors)
     if t == 0:
         return float(np.max(bxi ** (-s) * l2))
     tc = math.ceil(t)
@@ -275,7 +275,7 @@ class _StackNorm:
             radius = np.sqrt(grid.freq_norm_sq).reshape(-1)
             self.weights = [2.0 ** (j * spec.s) * part.block_weight(j, radius) for j in range(part.J + 1)]
         elif family == "Bessel2":
-            self.weights = [(1.0 + grid.freq_norm_sq.reshape(-1)) ** (0.5 * spec.s)]
+            self.weights = [bracket(grid.freq_vectors).reshape(-1) ** spec.s]
         # the mean square of a sign sum is then exactly the sum of squares
         one_term = self.steps == 0 and len(self.weights) <= 1
         self.hilbert = (one_term or self.r == 2) and self.q == 2 and self.p == 2 and not self.weak

@@ -73,9 +73,9 @@ class RBoundEstimate:
 class ScanResult:
     """Norm scan along parameter rays with its fitted decay rate.
 
-    ``rows`` holds ``(abs_mu, arg_mu, norm)`` triples, strictly increasing in
-    modulus within each ray; ``slope`` and ``residual`` are the least-squares
-    slope of log norm against the log bracket weight and its RMS residual.
+    ``rows`` holds ``(abs_mu, arg_mu, norm)`` triples of plain floats, strictly
+    increasing in modulus within each ray; ``slope`` and ``residual`` are the
+    least-squares slope of log norm against the log bracket weight and its RMS residual.
     """
 
     rows: tuple
@@ -96,7 +96,8 @@ class ScanResult:
     @classmethod
     def from_rows(cls, rows: Sequence[tuple], metadata: dict | None = None) -> "ScanResult":
         slope, residual = _fit_rows(rows)
-        return cls(rows=tuple(tuple(r) for r in rows), slope=slope, residual=residual,
+        # plain floats: the CSV writes repr(v), and a numpy scalar's repr is not a number
+        return cls(rows=tuple(tuple(float(v) for v in r) for r in rows), slope=slope, residual=residual,
                    metadata=dict(metadata or {}))
 
     def to_csv(self, path) -> None:
@@ -121,7 +122,7 @@ def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
     norms = np.array([r[2] for r in rows], dtype=float)
     if np.any(norms <= 0):
         raise ValueError("norms must be positive for a log fit")
-    x = 0.5 * np.log1p(abs_mu**2)  # log of the bracket weight
+    x = 0.5 * np.log1p(abs_mu**2)  # log <mu>: log1p stays accurate at small |mu|
     y = np.log(norms)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

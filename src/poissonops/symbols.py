@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NormalGrid, Sector, bracket
+from .core import NormalGrid, Sector, _xi_sq, bracket
 
 __all__ = [
     "SymbolKernel",
@@ -69,19 +69,6 @@ _STIRLING2: dict[int, dict[int, float]] = {
     3: {1: 1.0, 2: 3.0, 3: 1.0},
     4: {1: 1.0, 2: 7.0, 3: 6.0, 4: 1.0},
 }
-
-
-def _xi_sq(xi) -> np.ndarray:
-    arr = np.asarray(xi, dtype=float)
-    if arr.ndim == 0:
-        return arr * arr
-    return np.sum(arr * arr, axis=-1)
-
-
-def _abs_sq(mu) -> np.ndarray | float:
-    if mu is None:
-        return 0.0
-    return np.abs(mu) ** 2
 
 
 @dataclass(frozen=True)
@@ -248,7 +235,7 @@ def _spectral_lattice(probe: ProbeSpec, sector: Sector):
     samples = probe.mu_values(sector)
     mu = None if samples == [None] else np.array(samples)[:, None, None]
     xi = probe.xi_values()[:, None]
-    br = np.sqrt(1.0 + xi * xi + _abs_sq(mu))
+    br = bracket(xi[..., None], mu)
     return mu, xi, br, _H_REL * br
 
 
@@ -298,9 +285,8 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
         i, p, q, s = offsets
         xs = xi + i * h
         ms = None if mu is None else mu + (p + 1j * q) * h
-        brs = np.sqrt(1.0 + xs * xs + _abs_sq(ms))
         ts = np.maximum(t + s * h, 0.0)
-        return np.asarray(k.func(xs[..., None], ms, ts / brs), dtype=complex)
+        return np.asarray(k.func(xs[..., None], ms, ts / bracket(xs[..., None], ms)), dtype=complex)
 
     strong = k.kind == "strong"
     per_order = [0.0] * (N + 1)
@@ -322,9 +308,13 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
                         if strong:
                             vals = np.abs(t**l * g) * wscale
                         else:
+                            # <t>^l in one power: bracket(t) ** l rounds twice and would move the tables
                             vals = np.abs(g) * (1.0 + t * t) ** (0.5 * l) * wscale
                         n = a + b1 + b2 + m + l
-                        per_order[n] = max(per_order[n], float(np.max(np.where(ok, vals, 0.0))))
+                        top = float(np.max(np.where(ok, vals, 0.0)))
+                        if not math.isfinite(top):  # max() below would drop a NaN silently
+                            raise ValueError(f"kernel {k.name!r}: non-finite seminorm lattice value at order {n}")
+                        per_order[n] = max(per_order[n], top)
     return list(itertools.accumulate(per_order, max))
 
 
@@ -396,8 +386,8 @@ def mikhlin_fnorm(a_sym: MultiplierSymbol, mu, dim: int = 1, probe: ProbeSpec | 
     axis = probe.mikhlin_axis_values()
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)  # (P, dim)
-    norms = np.sqrt(np.sum(pts * pts, axis=-1))
-    h = _H_REL * np.sqrt(1.0 + norms * norms)  # (P,)
+    norms = np.sqrt(_xi_sq(pts))
+    h = _H_REL * bracket(pts)  # (P,)
 
     def at(offsets: tuple[int, ...]) -> np.ndarray:
         shift = np.stack([off * h for off in offsets], axis=-1)
@@ -433,6 +423,7 @@ def lemma_max_eval(a: float, rho: float, t: float) -> float:
         raise ValueError(f"need t > 0, got {t}")
     t_star = (rho / a - 1.0) ** -0.5
     if t >= t_star:
+        # <t>^(-rho) as one power of 1 + t^2: bracket(t) ** -rho would round twice
         return (1.0 + t * t) ** (-rho / 2.0)
     c = (1.0 - a / rho) ** (rho / 2.0) * (rho / a - 1.0) ** (-a / 2.0)
     return c * t ** (-a)
@@ -445,7 +436,7 @@ _HALF_SECTOR = Sector.symmetric(0.45 * math.pi)
 
 
 def _tau(xi, mu):
-    """Principal branch of sqrt(1 + |xi|^2 + mu^2)."""
+    """Principal branch of sqrt(1 + |xi|^2 + mu^2): the complex mu^2, so not the bracket weight."""
     musq = 0.0j if mu is None else np.asarray(mu, dtype=complex) ** 2
     return np.sqrt(1.0 + _xi_sq(xi) + musq)
 

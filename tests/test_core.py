@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poissonops.core import (
     TWO_PI,
@@ -27,11 +28,40 @@ def test_bracket_values():
     assert bracket([1.0, 2.0]) == pytest.approx(math.sqrt(6.0), rel=1e-15)
     assert bracket(2.0) == pytest.approx(math.sqrt(5.0), rel=1e-15)
     assert bracket(0.0) == 1.0
+    # the last axis holds the components; mu broadcasts against the leading axes
+    np.testing.assert_allclose(bracket([[1.0, 2.0], [0.0, 0.0]], 2.0), [math.sqrt(10.0), math.sqrt(5.0)], rtol=1e-15)
+    np.testing.assert_allclose(bracket([[0.0], [3.0]], [1j, 0.0]), [math.sqrt(2.0), math.sqrt(10.0)], rtol=1e-15)
+    assert bracket(np.zeros((2, 1, 3)), np.ones(4)).shape == (2, 4)
 
 
 def test_bracket_complex_parameter():
     # |mu|^2 enters, not mu^2: a unimodular parameter adds exactly one
     assert bracket(0.0, 1j) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+_COMPONENT = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xi=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4), elements=_COMPONENT),
+    mu_re=_COMPONENT,
+    mu_im=_COMPONENT,
+)
+def test_bracket_on_arrays_is_the_scalar_formula_per_frequency(xi, mu_re, mu_im):
+    # one value per frequency vector on the last axis, each >= 1; a scalar mu
+    # and a mu array over the leading axes give the same weights
+    lead = xi.shape[:-1]
+    mus = complex(mu_re, mu_im) * np.exp(1j * np.arange(math.prod(lead))).reshape(lead)
+    got = bracket(xi, mus)
+    assert got.shape == lead
+    assert np.all(got >= 1.0)
+    for idx in np.ndindex(lead):
+        want = math.sqrt(1.0 + sum(x * x for x in xi[idx]) + abs(mus[idx]) ** 2)
+        assert got[idx] == pytest.approx(want, rel=1e-14)
+        assert got[idx] == bracket(xi[idx], mus[idx])
+    scalar = complex(mu_re, mu_im)
+    np.testing.assert_array_equal(bracket(xi, scalar), bracket(xi, np.full(lead, scalar)))
 
 
 @pytest.mark.parametrize(

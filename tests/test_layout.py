@@ -1,8 +1,8 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
-one central difference, one sweep per probe over the spectral samples, one builder for the
-decay and constant kernels, one resolvent path, one norm engine, one evaluator of a kernel's
-normal derivatives, sign sums without per-trial contractions, and no threads, processes or
-environment reads."""
+one bracket weight, one central difference, one sweep per probe over the spectral samples,
+one builder for the decay and constant kernels, one resolvent path, one norm engine, one
+evaluator of a kernel's normal derivatives, sign sums without per-trial contractions, and no
+threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -57,6 +57,36 @@ def test_fft_calls_only_in_the_tangential_pair():
         sites.update((path.name, fn) for fn in _fft_call_sites(ast.parse(path.read_text())))
     assert sites == {("transforms.py", "_tfft"), ("transforms.py", "_itfft")}
 
+
+def _is_sqrt_of_one_plus(call: ast.Call) -> bool:
+    """``np.sqrt(1 + ...)`` or ``math.sqrt(1 + ...)``: the constant one is the leftmost addend."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "sqrt"):
+        return False
+    if getattr(func.value, "id", None) not in ("np", "math"):
+        return False
+    arg = call.args[0] if call.args else None
+    if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)):
+        return False
+    while isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add):
+        arg = arg.left
+    return isinstance(arg, ast.Constant) and arg.value == 1
+
+
+def test_one_bracket_weight():
+    # <xi, mu> = sqrt(1 + |xi|^2 + |mu|^2) is written once, in core.bracket, over
+    # |xi|^2 from core._xi_sq; symbols._tau is the one other sqrt(1 + ...), as it
+    # takes the complex mu^2
+    trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
+    sites = {(name, fn) for name, tree in trees.items() for fn in _call_sites(tree, _is_sqrt_of_one_plus)}
+    assert sites == {("core.py", "bracket"), ("symbols.py", "_tau")}
+    definers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_xi_sq"
+    }
+    assert definers == {"core.py"}
 
 
 def _raised_names(tree: ast.Module):

@@ -359,6 +359,18 @@ def test_scan_result_round_trip(tmp_path):
     assert recs[2]["seed"] == "3"
 
 
+def test_scan_result_rows_are_plain_floats(tmp_path):
+    # numpy scalars in the rows write the same CSV as floats: repr of a numpy
+    # scalar is not a number a CSV reader can parse
+    rows = [(float(m), 0.0, 2.0 * m**-0.5) for m in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    np_rows = [tuple(np.float64(v) for v in r) for r in rows]
+    scan = ScanResult.from_rows(np_rows)
+    assert all(type(v) is float for r in scan.rows for v in r)
+    ScanResult.from_rows(rows).to_csv(tmp_path / "float.csv")
+    scan.to_csv(tmp_path / "numpy.csv")
+    assert (tmp_path / "numpy.csv").read_text() == (tmp_path / "float.csv").read_text()
+
+
 def test_scan_result_validation():
     bad = [(2.0, 0.0, 1.0), (1.0, 0.0, 1.0), (3.0, 0.0, 1.0), (4.0, 0.0, 1.0), (5.0, 0.0, 1.0)]
     with pytest.raises(ValueError):

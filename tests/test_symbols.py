@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import NormalGrid, Sector, SectorError, bracket
+from poissonops.core import NormalGrid, Sector, SectorError, _xi_sq, bracket
 from poissonops.symbols import (
     _HALF_SECTOR,
     _KERNELS,
@@ -58,6 +58,16 @@ def test_eval_scaled_matches_rescaling():
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
+def test_eval_scaled_on_stacked_frequencies_is_pointwise():
+    # each frequency row is rescaled by its own <xi, mu>, not by one weight of
+    # the whole stack; for real mu the heat kernel gives exp(-t) on every row
+    xi = np.array([[1.0], [2.0]])
+    got = eval_scaled(heat_kernel, xi, 1.0, 1.0)
+    want = [eval_scaled(heat_kernel, row, 1.0, 1.0) for row in xi]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got, math.exp(-1.0), rtol=1e-15)
+
+
 def test_eval_domain_checks():
     with pytest.raises(ValueError):
         eval_kernel(heat_kernel, 0.0, 1.0, -0.5)
@@ -103,6 +113,16 @@ def test_seminorm_constant_one_diverges():
 
 def test_seminorm_zero_kernel():
     assert seminorm(zero_kernel, 2) == 0.0
+
+
+def test_seminorm_table_refuses_a_non_finite_lattice_value():
+    # a NaN in the lattice must not be folded away into a clean-looking table
+    def func(xi, mu, xn, order=0):
+        return np.where(_xi_sq(xi) > 30.0, np.nan, heat_kernel.func(xi, mu, xn, order))
+
+    broken = replace(heat_kernel, name="heat-nan", func=func, modulus_sq=None)
+    with pytest.raises(ValueError, match=r"'heat-nan'.* order 0"):
+        seminorm_table(broken, 2)
 
 
 def test_seminorm_budget_validation():
