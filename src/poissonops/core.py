@@ -143,6 +143,19 @@ class TangentialGrid:
         return _xi_sq(self.freq_vectors)
 
     @cached_property
+    def radial(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(reps, inverse)``: one frequency vector per distinct ``freq_norm_sq`` value.
+
+        ``reps`` has shape ``(K, dim)``, ordered by increasing ``|xi|^2``;
+        ``inverse`` (shape ``shape``) indexes the representative of every mode,
+        so ``_xi_sq(reps)[inverse] == freq_norm_sq`` bit for bit.  A radial
+        symbol evaluated at ``reps`` and gathered through ``inverse`` gives
+        every mode the value it gets at its own frequency.
+        """
+        _, index, inverse = np.unique(self.freq_norm_sq.ravel(), return_index=True, return_inverse=True)
+        return self.freq_vectors.reshape(-1, self.dim)[index], inverse.reshape(self.shape)
+
+    @cached_property
     def points_1d(self) -> np.ndarray:
         return np.arange(self.N) * (self.L / self.N)
 

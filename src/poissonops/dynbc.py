@@ -292,7 +292,8 @@ def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
     mu2 = mu * mu
     den, root = _road_symbol(grid.freq_norm_sq, mu2, problem.d, problem.dprime, problem.kcoef)
     profile = _profile(kern, mu, grid, problem.normal)
-    return _KPPPlan(mu2, den, root, profile, kern.func(grid.freq_vectors, mu, 0.0, 1))
+    reps, inverse = grid.radial
+    return _KPPPlan(mu2, den, root, profile, kern.func(reps, mu, 0.0, 1)[inverse])
 
 
 def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):

@@ -206,8 +206,11 @@ def opnorm_hilbert(
     large-parameter decay rate matches the fractional smoothness.  ``t = 0``
     needs no surrogate and the value ``sup <xi>^(-s) ||k||`` is exact.
 
-    A kernel with the ``modulus_sq`` hook gives both squared profiles in real
-    arithmetic; any other squares ``func`` at the derivative order.
+    Every term depends on ``xi`` only through ``|xi|^2`` (the kernel is
+    radial), so the supremum is taken over the distinct ``|xi|^2`` of the
+    grid, one representative frequency each.  A kernel with the
+    ``modulus_sq`` hook gives both squared profiles in real arithmetic; any
+    other squares ``func`` at the derivative order.
     """
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
@@ -216,7 +219,8 @@ def opnorm_hilbert(
         dg, dn = make_grids()
         grid = grid or dg
         ngrid = ngrid or dn
-    fv = grid.freq_vectors[..., None, :]
+    reps = grid.radial[0]
+    fv = reps[:, None, :]
 
     def l2_of(order):
         if k.modulus_sq is not None:
@@ -226,7 +230,7 @@ def opnorm_hilbert(
         return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
 
     l2 = l2_of(0)
-    bxi = bracket(grid.freq_vectors)
+    bxi = bracket(reps)
     if t == 0:
         return float(np.max(bxi ** (-s) * l2))
     tc = math.ceil(t)

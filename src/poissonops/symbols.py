@@ -95,6 +95,13 @@ class SymbolKernel:
         when it has a closed form cheaper than squaring ``func``;
         ``opnorm_hilbert`` then works in real arithmetic.  It must agree with
         ``|func(xi, mu, xn, order)|^2`` to rounding.
+
+    Radial contract: ``func`` and ``modulus_sq`` read ``xi`` only through
+    ``core._xi_sq(xi)``, so frequencies with the same computed ``|xi|^2`` get
+    the same values bit for bit.  ``opnorm_hilbert`` and the Poisson profile
+    evaluate a kernel once per distinct ``|xi|^2`` of the grid
+    (``TangentialGrid.radial``) and rely on it.  A :class:`MultiplierSymbol`
+    makes no such promise and is evaluated at every mode.
     """
 
     name: str
@@ -111,7 +118,7 @@ class SymbolKernel:
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """A parameter-dependent tangential Fourier multiplier ``a(xi', mu)``."""
+    """A parameter-dependent tangential Fourier multiplier ``a(xi', mu)``, not necessarily radial."""
 
     name: str
     func: Callable

@@ -59,9 +59,12 @@ def _profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> n
     """Kernel profile ``k(xi, mu; x_j)`` of every mode, the normal nodes on a new last axis.
 
     This is the Poisson operator's spectral multiplier; ``mu`` is not checked here.
+    The kernel is radial, so it is evaluated once per distinct ``|xi|^2`` and
+    gathered back to the modes.
     """
-    fv = grid.freq_vectors[..., None, :]  # broadcast a normal axis before components
-    return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
+    reps, inverse = grid.radial
+    fv = reps[:, None, :]  # broadcast a normal axis before components
+    return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)[inverse]
 
 
 def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> HalfSpaceField:

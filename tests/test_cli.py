@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from poissonops.cli import CONFIG_SCHEMA, _boundary_data, _echo, build_parser, main, rbound_batch_scan
-from poissonops.core import TangentialGrid, make_grids
+from poissonops.core import TangentialGrid, _xi_sq, make_grids
 from poissonops.rbound import RademacherSampler
 from poissonops.symbols import _KERNELS, heat_kernel
 from poissonops.transforms import forward_fft
@@ -401,11 +401,13 @@ def test_scan_too_short_for_the_fit_is_refused_before_any_row(tmp_path, monkeypa
 
 
 def test_readme_rbound_scan_evaluates_each_kernel_once():
-    # one multiplier per mu serves every probe input: 20 evaluations, not 20 * 19
-    seen = []
+    # one multiplier per mu serves every probe input: 20 evaluations, not 20 * 19,
+    # each at the N/2 + 1 distinct |xi|^2 of the grid, not at its N modes
+    seen, sizes = [], set()
 
     def func(xi, mu, xn):
         seen.append(mu)
+        sizes.add(np.size(_xi_sq(xi)))
         return heat_kernel.func(xi, mu, xn)
 
     grid, ngrid = make_grids()
@@ -415,6 +417,7 @@ def test_readme_rbound_scan_evaluates_each_kernel_once():
         trials=24, restarts=8, seed=0, batch=4,
     )
     assert len(seen) == 20 and len(set(seen)) == 20
+    assert sizes == {grid.N // 2 + 1}
 
 
 RBOUND_JOB = ("scan", "--mode", "rbound", "--prefactor-exponent", "0.5")

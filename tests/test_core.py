@@ -18,6 +18,7 @@ from poissonops.core import (
     Sector,
     SectorError,
     TangentialGrid,
+    _xi_sq,
     bracket,
     make_grids,
 )
@@ -165,6 +166,24 @@ def test_tangential_grid_multi_dim():
     k = grid.freqs_1d
     expect = k[:, None] ** 2 + k[None, :] ** 2
     np.testing.assert_allclose(grid.freq_norm_sq, expect)
+
+
+@pytest.mark.parametrize(
+    "dim, N, L", [(1, 16, TWO_PI), (1, 256, 3.0), (2, 16, TWO_PI), (2, 16, 3.0), (3, 8, TWO_PI), (3, 8, 3.0)]
+)
+def test_radial_representatives_give_every_mode_its_own_bits(dim, N, L):
+    # on L = 3 grids permuted frequencies round to different |xi|^2, so keys
+    # rebuilt from radii would merge modes the computed values keep apart
+    grid = TangentialGrid(dim, N, L)
+    reps, inverse = grid.radial
+    keys = _xi_sq(reps)
+    assert reps.shape == (keys.size, dim) and inverse.shape == grid.shape
+    assert np.array_equal(keys[inverse], grid.freq_norm_sq)
+    assert np.all(np.diff(keys) > 0)
+    if dim == 1:
+        assert keys.size == N // 2 + 1
+    again = grid.radial
+    assert again[0] is reps and again[1] is inverse
 
 
 @pytest.mark.parametrize("bad_n", [0, 3, 6, 12])

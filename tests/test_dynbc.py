@@ -233,6 +233,19 @@ def test_heat_plan_lifts_through_its_image_table(dim, N, M, mu):
     np.testing.assert_array_equal(plan.profile, _profile(heat_kernel, mu, tg, ng))
 
 
+@pytest.mark.parametrize("dim, N, M, L", [(1, 64, 48, 2.0 * math.pi), (2, 16, 32, 3.0)])
+@pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j])
+@pytest.mark.parametrize("d", [1.0, 2.5])
+def test_kpp_plan_reads_its_kernel_per_mode_bits(dim, N, M, L, mu, d):
+    # the profile and the Robin derivative are evaluated per distinct |xi|^2
+    # and gathered: each mode gets exactly its own value
+    tg, ng = make_grids(dim=dim, N=N, M=M, L=L)
+    plan = dynbc._kpp_plan(DynBCProblem("KPPRoadField", tg, ng, d=d), mu)
+    kern = kpp_kernel(d)
+    assert np.array_equal(plan.dn, kern.func(tg.freq_vectors, mu, 0.0, 1))
+    assert np.array_equal(plan.profile, kern.func(tg.freq_vectors[..., None, :], mu, ng.nodes))
+
+
 def test_kpp_zero_data():
     tg, ng = make_grids(N=8, M=32)
     out = DynBCProblem("KPPRoadField", tg, ng).solve(None, _const_boundary(tg, 0.0), 1.0)

@@ -1,8 +1,8 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
 one bracket weight, one central difference, one sweep per probe over the spectral samples,
 one builder for the decay and constant kernels, one resolvent path, one norm engine, one
-evaluator of a kernel's normal derivatives, sign sums without per-trial contractions, and no
-threads, processes or environment reads."""
+evaluator of a kernel's normal derivatives, radial kernels evaluated per distinct |xi|^2, sign
+sums without per-trial contractions, and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -255,6 +255,20 @@ def test_one_sweep_per_probe():
         and _called_names(node.iter) & {"mu_values", "xi_values"}
     ]
     assert loops == []
+
+
+def test_radial_kernels_are_evaluated_per_distinct_frequency():
+    # opnorm_hilbert and the Poisson profile read the grid's radial
+    # representatives, not every mode; only TangentialGrid.radial groups modes
+    trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
+    assert "freq_vectors" not in _identifiers(_function(trees["norms.py"], "opnorm_hilbert"))
+    assert "freq_vectors" not in _identifiers(_function(trees["transforms.py"], "_profile"))
+    sites = {
+        (name, fn)
+        for name, tree in trees.items()
+        for fn in _call_sites(tree, lambda call: ast.unparse(call.func) == "np.unique")
+    }
+    assert sites == {("core.py", "radial")}
 
 
 def test_one_resolvent_path():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norm_reference import ref_field_norm
-from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, SectorError, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, SectorError, bracket, make_grids
 from poissonops.norms import (
     NormSpec,
     besov_norm,
@@ -283,6 +283,45 @@ def test_opnorm_with_the_modulus_hook_evaluates_no_complex_profile():
     for mu, s, t in ((2.0, 0.5, 1.0), (3.0 + 1.0j, 0.25, 0.75), (1.0, 0.0, 0.0)):
         want = opnorm_hilbert(replace(heat_kernel, modulus_sq=None), mu, s, t, tg, ng)
         assert opnorm_hilbert(real_only, mu, s, t, tg, ng) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _opnorm_per_mode(k, mu, s, t, grid, ngrid):
+    """``opnorm_hilbert``'s formula evaluated at every lattice mode."""
+    fv = grid.freq_vectors[..., None, :]
+
+    def l2_of(order):
+        if k.modulus_sq is not None:
+            sq = k.modulus_sq(fv, mu, ngrid.nodes, order)
+        else:
+            sq = np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2
+        return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
+
+    l2 = l2_of(0)
+    bxi = bracket(grid.freq_vectors)
+    if t == 0:
+        return float(np.max(bxi ** (-s) * l2))
+    tc = math.ceil(t)
+    l2d = l2_of(tc)
+    if t == tc:
+        surr = l2d
+    else:
+        theta = t / tc
+        surr = l2 ** (1.0 - theta) * l2d**theta
+    return float(np.max(bxi ** (-s) * np.sqrt(bxi ** (2.0 * t) * l2**2 + surr**2)))
+
+
+@pytest.mark.parametrize("kpp_d", [None, 2.5])
+@pytest.mark.parametrize("mu", [2.0, 3.0 + 1.0j])
+@pytest.mark.parametrize("s, t", [(0.5, 0.0), (0.25, 1.0), (0.5, 0.75), (1.0, 2.0)])
+@pytest.mark.parametrize("modulus", [True, False])
+@pytest.mark.parametrize("dim, N, M, L", [(1, 64, 48, 2.0 * math.pi), (2, 16, 32, 3.0), (3, 8, 16, 3.0)])
+def test_opnorm_matches_the_per_mode_supremum(kpp_d, mu, s, t, modulus, dim, N, M, L):
+    # the sup over the distinct |xi|^2 is the sup over the modes, bit for bit
+    k = heat_kernel if kpp_d is None else kpp_kernel(kpp_d)
+    if not modulus:
+        k = replace(k, modulus_sq=None)
+    tg, ng = make_grids(dim=dim, N=N, M=M, L=L, X_max=8.0, r=1.1)
+    assert opnorm_hilbert(k, mu, s, t, tg, ng) == _opnorm_per_mode(k, mu, s, t, tg, ng)
 
 
 def test_opnorm_domain_checks():

@@ -1,12 +1,13 @@
 """Symbol kernels, seminorm scans, characterization and multiplier bounds."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonops.core import NormalGrid, Sector, SectorError, _xi_sq, bracket
@@ -206,6 +207,37 @@ def test_seminorm_table_is_the_max_over_its_rays(name, d, N, fracs):
     rays = [f * _HALF_SECTOR.beta for f in fracs]
     singles = [seminorm_table(k, N, ProbeSpec(rays=(r,))) for r in rays]
     assert seminorm_table(k, N, ProbeSpec(rays=tuple(rays))) == [max(col) for col in zip(*singles)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FOLD_KERNELS)),
+    d=st.floats(0.2, 5.0),
+    xi=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3),
+    mu_abs=st.floats(0.01, 100.0),
+    mu_frac=st.floats(-0.99, 0.99),
+)
+@example(name="kpp", d=2.5, xi=[3.0, -0.1, 7.25], mu_abs=2.0, mu_frac=0.5)
+def test_kernels_read_xi_only_through_its_square(name, d, xi, mu_abs, mu_frac):
+    # the radial contract: every sign flip and axis permutation of xi with the
+    # same computed |xi|^2 gets the same values, bit for bit
+    k = _FOLD_KERNELS[name](d)
+    mu = None if k.sector.is_empty else mu_abs * np.exp(1j * mu_frac * k.sector.beta)
+    xi = np.array(xi)
+    xn = np.array([0.0, 0.05, 0.5, 3.0])
+    variants = [
+        np.array(signs) * xi[list(perm)]
+        for perm in itertools.permutations(range(xi.size))
+        for signs in itertools.product((1.0, -1.0), repeat=xi.size)
+    ]
+    same = [v for v in variants if _xi_sq(v) == _xi_sq(xi)]
+    hooks = [lambda x, n: k.func(x, mu, xn, n)]
+    if k.modulus_sq is not None:
+        hooks.append(lambda x, n: k.modulus_sq(x, mu, xn, n))
+    for hook in hooks:
+        for order in range(4):
+            want = hook(xi, order)
+            assert all(np.array_equal(hook(v, order), want) for v in same)
 
 
 def test_probe_rays_outside_the_sector_raise():

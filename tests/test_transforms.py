@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from poissonops.core import BoundaryField, HalfSpaceField, Sector, SectorError, make_grids
 from poissonops.norms import lp_norm
-from poissonops.symbols import MultiplierSymbol, heat_kernel, kernel_catalog
+from poissonops.symbols import MultiplierSymbol, freeze_mu, heat_kernel, kernel_catalog, kpp_kernel
 from poissonops.transforms import (
     LPPartition,
     _itfft,
+    _profile,
     _tfft,
     apply_multiplier,
     apply_poisson,
@@ -187,6 +188,29 @@ def test_apply_poisson_linearity():
         - 1j * apply_poisson(heat_kernel, 1.0, g2, ngrid).samples
     )
     np.testing.assert_allclose(lhs.samples, rhs, atol=1e-12)
+
+
+_PROFILE_KERNELS = {
+    "heat": (heat_kernel, 1.0),
+    "heat-complex": (heat_kernel, 3.0 + 1.0j),
+    "kpp": (kpp_kernel(2.5), 0.7),
+    "kpp-complex": (kpp_kernel(2.5), 0.4 - 0.3j),
+    "heat-frozen": (freeze_mu(heat_kernel, 2.0 + 0.5j), None),
+    "constant-one": (kernel_catalog("constant-one"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILE_KERNELS))
+@pytest.mark.parametrize("dim, N, M, L", [(1, 64, 24, 2.0 * math.pi), (2, 16, 12, 3.0), (3, 8, 8, 3.0)])
+def test_profile_matches_the_per_mode_evaluation(name, dim, N, M, L):
+    # evaluated once per distinct |xi|^2 and gathered: every mode keeps its bits,
+    # also where permuted frequencies round to different |xi|^2 (L = 3)
+    k, mu = _PROFILE_KERNELS[name]
+    grid, ngrid = make_grids(dim=dim, N=N, M=M, L=L)
+    want = np.asarray(k.func(grid.freq_vectors[..., None, :], mu, ngrid.nodes), dtype=complex)
+    got = _profile(k, mu, grid, ngrid)
+    assert got.shape == grid.shape + (M,) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 def test_partition_profile_plateaus():
