@@ -27,7 +27,7 @@ from jsonschema import Draft202012Validator, ValidationError
 from . import __version__
 from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, _replicate, bracket, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
-from .norms import NormSpec, lp_norm, opnorm_hilbert
+from .norms import NormSpec, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, _require_fit_rows, probe_dictionary, rbound_lower
 from .symbols import _KERNELS, ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
 from .transforms import _profile
@@ -307,9 +307,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "record": "resolvent",
                 "mu_re": float(args.mu),
                 "mu_im": 0.0,
-                "boundary_norm": lp_norm(out.v, 2.0),
+                "boundary_norm": out.boundary_norm,
                 "boundary_max": float(np.max(np.abs(out.v.samples))),
-                "interior_norm": lp_norm(out.u, 2.0),
+                "interior_norm": out.interior_norm,
                 "diagnostics": out.diagnostics,
             }
         ]

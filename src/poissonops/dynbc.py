@@ -6,15 +6,15 @@ coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
 data once, builds the variant's plan (every table that depends on the
 problem and ``mu`` only: decay rates, symbols, Green sweep tables, Poisson
-profiles), runs the variant's spectral step per tangential frequency mode
-on it, and transforms the solution back once.  Interior solves use a
-reflected Green kernel quadrature, boundary dynamics reduce to explicit
-multiplier symbols, and each step reports per-mode residual maxima for every
-equation line.  Implicit Euler time stepping is included because each step
-is one resolvent application at the fixed real spectral parameter
-``1/sqrt(dt)``: a trajectory builds its plan once, keeps its state spectral
-between steps, and yields each step as it completes, with its norms taken
-by Plancherel and its physical solution formed only when read.
+profiles), and runs the variant's spectral step per tangential frequency
+mode on it.  Interior solves use a reflected Green kernel quadrature,
+boundary dynamics reduce to explicit multiplier symbols, and each step
+reports per-mode residual maxima for every equation line.  Implicit Euler
+time stepping is included because each step is one resolvent application at
+the fixed real spectral parameter ``1/sqrt(dt)``: a trajectory builds its
+plan once, keeps its state spectral between steps, and yields each step as
+it completes.  Both hand back one record, ``ResolventOutput``: the spectra,
+their L^2 norms by Plancherel, and the physical pair, formed when read.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ class DynBCProblem:
         mu = self.sector.require(mu)
         fspec, gspec = self._spectra(f, g)
         variant = _VARIANTS[self.variant]
-        return self._output(*variant.step(self, variant.plan(self, mu), fspec, gspec))
+        return ResolventOutput(self, *variant.step(self, variant.plan(self, mu), fspec, gspec))
 
     def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField) -> tuple:
         """Spectra of the data the variant reads, after one check of their grids.
@@ -109,35 +109,61 @@ class DynBCProblem:
             return np.zeros(self.tangential.shape + (self.normal.M,), dtype=complex), gspec
         return _tfft(f.samples, dim), gspec
 
-    def _output(self, uspec: Optional[np.ndarray], vspec: np.ndarray, diagnostics: dict) -> ResolventOutput:
-        """The physical solution pair: one inverse transform of each spectrum.
-
-        A ``None`` bulk spectrum is a zero bulk, built without a transform.
-        """
-        dim = self.tangential.dim
-        if uspec is None:
-            u = HalfSpaceField.zero(self.tangential, self.normal)
-        else:
-            u = HalfSpaceField(self.tangential, self.normal, _itfft(uspec, dim))
-        return ResolventOutput(u=u, v=BoundaryField(self.tangential, _itfft(vspec, dim)), diagnostics=diagnostics)
-
 
 @dataclass(frozen=True)
 class ResolventOutput:
-    """Solution pair with per-mode residual maxima for each equation line."""
+    """A solution's spectra, their L^2 norms by Plancherel, and per-mode residual maxima.
 
-    u: HalfSpaceField
-    v: BoundaryField
+    ``uspec`` is ``None`` for a zero bulk.  A non-finite norm or residual is
+    refused.  The physical pair ``u``, ``v`` is formed on first read.
+    """
+
+    problem: DynBCProblem = field(repr=False, compare=False)
+    uspec: Optional[np.ndarray] = field(repr=False, compare=False)
+    vspec: np.ndarray = field(repr=False, compare=False)
     diagnostics: dict
 
     def __post_init__(self) -> None:
-        _require_finite(self.diagnostics)
+        _require_finite(self.diagnostics, "residual")
+        _require_finite({"boundary_norm": self.boundary_norm, "interior_norm": self.interior_norm}, "norm")
+
+    @cached_property
+    def boundary_norm(self) -> float:
+        return _l2(self.problem, None, self.vspec)
+
+    @cached_property
+    def interior_norm(self) -> float:
+        return _l2(self.problem, self.uspec, None)
+
+    @cached_property
+    def u(self) -> HalfSpaceField:
+        tg, ng = self.problem.tangential, self.problem.normal
+        if self.uspec is None:
+            return HalfSpaceField.zero(tg, ng)
+        return HalfSpaceField(tg, ng, _itfft(self.uspec, tg.dim))
+
+    @cached_property
+    def v(self) -> BoundaryField:
+        return BoundaryField(self.problem.tangential, _itfft(self.vspec, self.problem.tangential.dim))
 
 
-def _require_finite(diagnostics: dict) -> None:
-    for name, val in diagnostics.items():
+def _require_finite(values: dict, kind: str) -> None:
+    for name, val in values.items():
         if not math.isfinite(val):
-            raise ValueError(f"nonfinite residual for {name}")
+            raise ValueError(f"nonfinite {kind} for {name}")
+
+
+def _l2(problem: DynBCProblem, uspec: Optional[np.ndarray], vspec: Optional[np.ndarray]) -> float:
+    """``sqrt(cell (sum_j w_j sum_xi |u-hat(xi, x_j)|^2 + sum_xi |v-hat|^2))``; ``None`` is zero.
+
+    Each part is summed in C order, copied first if needed: the bits do not follow the layout.
+    """
+    total = 0.0
+    for spec, weights in ((uspec, problem.normal.weights), (vspec, None)):
+        if spec is not None:
+            sq = np.abs(np.ascontiguousarray(spec)) ** 2
+            total += np.sum(sq) if weights is None else np.sum(sq, axis=tuple(range(sq.ndim - 1))) @ weights
+    return math.sqrt(problem.tangential.cell * total)
 
 
 class _Sweep(NamedTuple):
@@ -350,31 +376,15 @@ _VARIANTS = {
 
 
 @dataclass(frozen=True)
-class EvolveRecord:
-    """One implicit Euler step: time, step-to-step change, L^2 norms, residual maxima.
-
-    ``uspec`` and ``vspec`` are the step's spectral state (``uspec`` is
-    ``None`` for a zero bulk).  The change and the norms of the boundary and
-    interior solution are taken from that state by Plancherel; the physical
-    ``output`` is formed from it on first read, so a consumer that reads only
-    the numbers never transforms back.
-    """
+class EvolveRecord(ResolventOutput):
+    """One implicit Euler step's record, its time, and the L^2 norm ``delta`` of its change."""
 
     t: float
     delta: float
-    boundary_norm: float
-    interior_norm: float
-    diagnostics: dict
-    problem: DynBCProblem = field(repr=False, compare=False)
-    uspec: Optional[np.ndarray] = field(repr=False, compare=False)
-    vspec: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_finite(self.diagnostics)
-
-    @cached_property
-    def output(self) -> ResolventOutput:
-        return self.problem._output(self.uspec, self.vspec, self.diagnostics)
+        super().__post_init__()
+        _require_finite({"delta": self.delta}, "norm")
 
 
 def implicit_euler_evolve(
@@ -405,15 +415,10 @@ def implicit_euler_evolve(
     nsteps = round(T / dt)
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("step size must divide the horizon")
-    grid, ngrid = problem.tangential, problem.normal
+    grid = problem.tangential
     variant = _VARIANTS[problem.variant]
     plan = variant.plan(problem, problem.sector.require(1.0 / math.sqrt(dt)))
     invdt = 1.0 / dt
-    tangential_axes = tuple(range(grid.dim))
-
-    def bulk_sq(spec: Optional[np.ndarray]) -> float:
-        """``sum_j w_j sum_xi |spec(xi, x_j)|^2``; zero for a zero (``None``) bulk."""
-        return 0.0 if spec is None else np.sum(np.abs(spec) ** 2, axis=tangential_axes) @ ngrid.weights
 
     def steps(uhat: Optional[np.ndarray], vhat: np.ndarray) -> Iterator[EvolveRecord]:
         zero_g = BoundaryField.zero(grid)
@@ -426,18 +431,10 @@ def implicit_euler_evolve(
                 fspec += invdt * uhat
             uspec, vspec, diags = variant.step(problem, plan, fspec, invdt * vhat + gspec)
             # a None bulk is zero: the change is then the other state's bulk
-            du = bulk_sq(uhat if uspec is None else uspec if uhat is None else uspec - uhat)
-            dv = np.sum(np.abs(vspec - vhat) ** 2)
-            yield EvolveRecord(
-                t=t,
-                delta=math.sqrt(grid.cell * (du + dv)),
-                boundary_norm=math.sqrt(grid.cell * np.sum(np.abs(vspec) ** 2)),
-                interior_norm=math.sqrt(grid.cell * bulk_sq(uspec)),
-                diagnostics=diags,
-                problem=problem,
-                uspec=uspec,
-                vspec=vspec,
-            )
+            du = uhat if uspec is None else uspec if uhat is None else uspec - uhat
+            delta = _l2(problem, du, vspec - vhat)
+            del du  # held across the yield, the difference would raise the peak by one bulk
+            yield EvolveRecord(problem, uspec, vspec, diags, t=t, delta=delta)
             uhat, vhat = uspec, vspec
 
     uhat = None if u0 is None else _tfft(u0.samples, grid.dim)
@@ -464,6 +461,8 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
     """
     if min(d, dprime, kcoef) <= 0:
         raise ValueError("road-field parameters must be positive")
+    if n < 1:
+        raise ValueError(f"need a lattice of n >= 1 magnitudes, got n={n}")
     mags = np.geomspace(1e-3, 1e3, n)
     zs = np.concatenate([mags * np.exp(1j * _ROAD_Z_ANGLE), mags * np.exp(-1j * _ROAD_Z_ANGLE)])
     mus = np.concatenate([mags * np.exp(1j * a) for a in _ROAD_MU_ANGLES])

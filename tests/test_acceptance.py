@@ -266,7 +266,7 @@ def test_euler_convergence():
     errs = []
     for dt in (0.02, 0.01, 0.005):
         recs = list(implicit_euler_evolve(prob, f_of_t, g_of_t, dt, 1.0, u0=u0, v0=v0))
-        errs.append(float(np.max(np.abs(recs[-1].output.v.samples - math.exp(-a)))))
+        errs.append(float(np.max(np.abs(recs[-1].v.samples - math.exp(-a)))))
     ratios = [x / y for x, y in zip(errs, errs[1:])]
     ok = all(1.8 <= q <= 2.2 for q in ratios)
     _gate(ok, "euler-convergence", f"halving ratios {[f'{q:.3f}' for q in ratios]} (band 2.0 +/- 0.2)")

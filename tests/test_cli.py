@@ -1,10 +1,13 @@
-"""End-to-end runs of the console entry point, in process."""
+"""End-to-end runs of the console entry point, in process (one in a subprocess)."""
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import poissonops
 from poissonops.cli import CONFIG_SCHEMA, _boundary_data, _echo, build_parser, main, rbound_batch_scan
 from poissonops.core import TangentialGrid, _xi_sq, make_grids
 from poissonops.rbound import RademacherSampler
@@ -335,6 +339,30 @@ def test_evolve_on_two_normal_nodes_is_a_usage_error(tmp_path, capsys):
             "--grid-N", "8", "--grid-M", "2", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "at least three normal nodes" in capsys.readouterr().err
+
+
+def test_evolve_refuses_a_nonfinite_step_and_keeps_the_finite_ones(tmp_path):
+    # the heat step map on the default normal grid amplifies (see the strict
+    # xfail in test_dynbc.py), and by t = 3.68 a squared norm overflows; the run
+    # is a subprocess so that numpy's overflow warning stays a warning, and the
+    # step the record refuses ends it with exit 2 instead of an Infinity line
+    argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.01", "--T", "4",
+            "--g", "const", "--grid-N", "2", "--out", str(tmp_path)]
+    src = str(Path(poissonops.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "poissonops.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "nonfinite" in proc.stderr
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in evolve.jsonl")
+
+    text = (tmp_path / "evolve.jsonl").read_text()
+    header, *steps = [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+    assert header["record"] == "header"
+    assert 1 <= len(steps) < 400
+    assert [s["t"] for s in steps] == pytest.approx([0.01 * m for m in range(1, len(steps) + 1)])
 
 
 def test_evolve_rejects_nondivisible_horizon(tmp_path):

@@ -1,6 +1,7 @@
 """Model-problem resolvents, residual diagnostics, and implicit Euler."""
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 from collections.abc import Iterator
@@ -15,6 +16,8 @@ from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Sector, S
 from poissonops.dynbc import (
     _VARIANTS,
     DynBCProblem,
+    EvolveRecord,
+    ResolventOutput,
     _green_sweep,
     _sweep_tables,
     boundary_symbol_gain,
@@ -391,15 +394,23 @@ def test_euler_matches_a_physical_state_loop(variant):
     want = _physical_euler(prob, f_of_t, g_of_t, 0.125, 0.5, u0, v0)
     assert len(records) == len(want) == 4
     for rec, (out, delta) in zip(records, want):
-        for got, ref in ((rec.output.u, out.u), (rec.output.v, out.v)):
+        for got, ref in ((rec.u, out.u), (rec.v, out.v)):
             assert np.max(np.abs(got.samples - ref.samples)) <= 1e-12 * np.max(np.abs(ref.samples))
         assert rec.delta == pytest.approx(delta, rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_evolve_norms_are_the_norms_of_the_output(variant):
-    # boundary and interior norms come from the spectral state by Plancherel;
-    # the physical output is formed only here, where it is read
+# an Euler trajectory (mu None) keeps each variant's old id; resolvents at a real and a complex mu
+_RECORD_SOURCES = [pytest.param(v, None, id=v) for v in VARIANTS] + [
+    pytest.param(v, mu, id=f"{v}-solve-{tag}")
+    for v in VARIANTS
+    for tag, mu in (("real", 1.5), ("complex", 2.0 * cmath.exp(0.4j)))
+]
+
+
+@pytest.mark.parametrize("variant, mu", _RECORD_SOURCES)
+def test_evolve_norms_are_the_norms_of_the_output(variant, mu):
+    # the norms of an Euler step and of a resolvent come from the spectra by
+    # Plancherel; the physical pair is formed only here, where it is read
     tg, ng = make_grids(dim=2, N=8, M=24, X_max=4.0)
     rng = np.random.default_rng(5)
     u0 = HalfSpaceField(tg, ng, rng.standard_normal(tg.shape + (ng.M,)))
@@ -409,12 +420,62 @@ def test_evolve_norms_are_the_norms_of_the_output(variant):
     def g_of_t(t):
         return BoundaryField(tg, math.sin(t) * g1)
 
-    records = list(implicit_euler_evolve(DynBCProblem(variant, tg, ng), None, g_of_t, 0.125, 0.5, u0, v0))
-    assert len(records) == 4
+    prob = DynBCProblem(variant, tg, ng)
+    if mu is None:
+        records = list(implicit_euler_evolve(prob, None, g_of_t, 0.125, 0.5, u0, v0))
+        assert len(records) == 4
+    else:
+        records = [prob.solve(u0 if _VARIANTS[variant].reads_f else None, v0, mu)]
     for rec in records:
-        assert rec.boundary_norm == pytest.approx(lp_norm(rec.output.v, 2.0), rel=1e-12, abs=0.0)
-        assert rec.interior_norm == pytest.approx(lp_norm(rec.output.u, 2.0), rel=1e-12, abs=0.0)
-        assert rec.diagnostics == rec.output.diagnostics
+        assert rec.boundary_norm == pytest.approx(lp_norm(rec.v, 2.0), rel=1e-12, abs=0.0)
+        assert rec.interior_norm == pytest.approx(lp_norm(rec.u, 2.0), rel=1e-12, abs=0.0)
+
+
+def _transposed_view(a):
+    """Equal values, laid out with the first two axes swapped: neither C- nor (in 3-d) F-ordered."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("relayout", [np.asfortranarray, _transposed_view])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_record_norms_do_not_follow_the_state_layout(monkeypatch, variant, relayout):
+    tg, ng = make_grids(dim=2, N=16, M=24, X_max=4.0)
+    rng = np.random.default_rng(8)
+    u0 = HalfSpaceField(tg, ng, rng.standard_normal(tg.shape + (ng.M,)))
+    v0 = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
+    g1 = BoundaryField(tg, rng.standard_normal(tg.shape))
+    prob = DynBCProblem(variant, tg, ng)
+
+    def numbers():
+        steps = implicit_euler_evolve(prob, None, lambda t: g1, 0.125, 0.5, u0, v0)
+        return [(r.boundary_norm, r.interior_norm, r.delta) for r in steps]
+
+    want = numbers()
+    entry = _VARIANTS[variant]
+
+    def relaid(*args):
+        uspec, vspec, diags = entry.step(*args)
+        uspec, vspec = None if uspec is None else relayout(uspec), relayout(vspec)
+        assert not vspec.flags.c_contiguous
+        return uspec, vspec, diags
+
+    monkeypatch.setitem(_VARIANTS, variant, entry._replace(step=relaid))
+    assert numbers() == want
+
+
+def test_records_refuse_nonfinite_norms():
+    tg, ng = make_grids(N=8, M=16)
+    prob = DynBCProblem("HeatDynBC", tg, ng)
+    zero_u, zero_v = np.zeros(tg.shape + (ng.M,), dtype=complex), np.zeros(tg.shape, dtype=complex)
+    with pytest.raises(ValueError, match="boundary_norm"):
+        ResolventOutput(prob, zero_u, np.full(tg.shape, np.inf, dtype=complex), {})
+    with pytest.raises(ValueError, match="interior_norm"):
+        ResolventOutput(prob, np.full(zero_u.shape, np.nan, dtype=complex), zero_v, {})
+    with pytest.raises(ValueError, match="delta"):
+        EvolveRecord(prob, zero_u, zero_v, {}, t=1.0, delta=math.inf)
+    with pytest.raises(ValueError, match="trace"):
+        ResolventOutput(prob, zero_u, zero_v, {"trace": math.nan})
+    assert EvolveRecord(prob, None, zero_v, {}, t=1.0, delta=0.0).interior_norm == 0.0
 
 
 def test_evolve_is_an_iterator_checked_on_call():
@@ -446,7 +507,9 @@ def test_evolve_builds_one_plan_per_trajectory(monkeypatch, variant):
     assert built == [complex(1.0 / math.sqrt(0.125))]
 
 
-def test_ch_bulk_is_zero_without_a_transform(monkeypatch):
+@pytest.fixture
+def inverse_transforms(monkeypatch):
+    """Shapes of the spectra ``dynbc`` transforms back, in call order."""
     calls = []
     inverse = dynbc._itfft
 
@@ -455,10 +518,27 @@ def test_ch_bulk_is_zero_without_a_transform(monkeypatch):
         return inverse(spec, dim)
 
     monkeypatch.setattr(dynbc, "_itfft", counted)
+    return calls
+
+
+def test_ch_bulk_is_zero_without_a_transform(inverse_transforms):
     tg, ng = make_grids(N=8, M=32)
     out = DynBCProblem("CahnHilliardBoundary", tg, ng).solve(None, _const_boundary(tg), 1.0)
-    assert calls == [tg.shape]  # the boundary solution only
-    assert out.u.samples.shape == tg.shape + (ng.M,) and not np.any(out.u.samples)
+    u, v = out.u, out.v
+    assert inverse_transforms == [tg.shape]  # the boundary solution only
+    assert u.samples.shape == tg.shape + (ng.M,) and not np.any(u.samples)
+    assert v.samples.shape == tg.shape
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_resolvent_transforms_back_only_what_is_read(inverse_transforms, variant):
+    # the norms are Plancherel sums of the spectra; v is formed once, on first read
+    tg, ng = make_grids(N=8, M=32)
+    out = DynBCProblem(variant, tg, ng).solve(None, _const_boundary(tg), 1.0)
+    assert out.boundary_norm > 0.0 and out.interior_norm >= 0.0
+    assert inverse_transforms == []
+    assert out.v is out.v
+    assert inverse_transforms == [tg.shape]
 
 
 def test_evolve_zero_data_stays_zero():
@@ -469,7 +549,7 @@ def test_evolve_zero_data_stays_zero():
     assert [r.t for r in records] == pytest.approx([0.25, 0.5, 0.75, 1.0])
     for r in records:
         assert r.delta == 0.0
-        assert lp_norm(r.output.v, 2.0) == 0.0
+        assert lp_norm(r.v, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -492,7 +572,7 @@ def test_evolve_heat_interior_stays_bounded_on_default_normal_grid():
     tg, ng = make_grids(N=2)
     prob = DynBCProblem("HeatDynBC", tg, ng)
     records = list(implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.01, 1.0))
-    final = records[-1].output
+    final = records[-1]
     assert lp_norm(final.u, 2.0) <= 10.0 * lp_norm(final.v, 2.0)
 
 
@@ -511,6 +591,12 @@ def test_road_symbol_scan_report():
     assert report["min_f_minus_k"] > 0.0
     assert report["inner_max_m1"] <= 0.01 * report["sup_m1"]
     assert report["outer_max_m1"] <= 0.01 * report["sup_m1"]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_road_symbol_scan_refuses_an_empty_lattice(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        road_symbol_scan(n=n)
 
 
 def test_road_symbol_scan_refinement_stable():

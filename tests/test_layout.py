@@ -1,8 +1,9 @@
 """Package layout guards: public names resolve, one tangential FFT pair, one sector check,
 one bracket weight, one central difference, one sweep per probe over the spectral samples,
-one builder for the decay and constant kernels, one resolvent path, one norm engine, one
-evaluator of a kernel's normal derivatives, radial kernels evaluated per distinct |xi|^2, sign
-sums without per-trial contractions, and no threads, processes or environment reads."""
+one builder for the decay and constant kernels, one resolvent path, one solution norm, one
+norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
+distinct |xi|^2, sign sums without per-trial contractions, and no threads, processes or
+environment reads."""
 from __future__ import annotations
 
 import ast
@@ -273,10 +274,33 @@ def test_radial_kernels_are_evaluated_per_distinct_frequency():
 
 def test_one_resolvent_path():
     # dynbc transforms its data and checks its parameter only in DynBCProblem,
-    # in the Euler loop that drives the same spectral steps, and in the gain scan
+    # in the Euler loop that drives the same spectral steps, and in the gain
+    # scan; a solution is transformed back only by its record, on first read
     tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
-    assert _callers(tree, {"_tfft", "_itfft"}) == {"DynBCProblem", "implicit_euler_evolve"}
+    assert _callers(tree, {"_tfft"}) == {"DynBCProblem", "implicit_euler_evolve"}
+    assert _callers(tree, {"_itfft"}) == {"ResolventOutput"}
     assert _callers(tree, {"require"}) == {"DynBCProblem", "implicit_euler_evolve", "boundary_symbol_gain"}
+
+
+def _squared_moduli(tree: ast.Module) -> set[str]:
+    """Top-level definition holding each ``np.abs(...) ** 2``."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.left, ast.Call)
+        and ast.unparse(node.left.func) == "np.abs"
+        and ast.unparse(node.right) == "2"
+    }
+
+
+def test_one_solution_norm():
+    # a resolvent's and an Euler step's L^2 norms and changes are Plancherel
+    # sums taken by dynbc._l2 alone, and the CLI measures no solution itself
+    assert _squared_moduli(ast.parse((PKG_DIR / "dynbc.py").read_text())) == {"_l2"}
+    assert "lp_norm" not in _called_names(ast.parse((PKG_DIR / "cli.py").read_text()))
 
 
 def test_one_norm_engine():
