@@ -6,15 +6,20 @@ coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
 data once, builds the variant's plan (every table that depends on the
 problem and ``mu`` only: decay rates, symbols, Green sweep tables, Poisson
-profiles), and runs the variant's spectral step per tangential frequency
-mode on it.  Interior solves use a reflected Green kernel quadrature,
-boundary dynamics reduce to explicit multiplier symbols, and each step
-reports per-mode residual maxima for every equation line.  Implicit Euler
-time stepping is included because each step is one resolvent application at
-the fixed real spectral parameter ``1/sqrt(dt)``: a trajectory builds its
-plan once, keeps its state spectral between steps, and yields each step as
-it completes.  Both hand back one record, ``ResolventOutput``: the spectra,
-their L^2 norms by Plancherel, and the physical pair, formed when read.
+profiles, and the heat step's scratch), and runs the variant's spectral step
+per tangential frequency mode on it.  Interior solves use a reflected Green
+kernel quadrature, boundary dynamics reduce to explicit multiplier symbols,
+and each step reports per-mode residual maxima for every equation line; the
+heat step's interior line applies ``norms.normal_derivative``'s stencil
+twice, composed into one five-diagonal stencil.  Implicit Euler time
+stepping is included because each step is one resolvent application at the
+fixed real spectral parameter ``1/sqrt(dt)``: a trajectory builds its plan
+once, keeps its state spectral between steps, and yields each step as it
+completes.  Both hand back one record, ``ResolventOutput``: the spectra,
+their L^2 norms by Plancherel, and the physical pair, formed when read.  The
+scratch belongs to the plan (and one bulk buffer to the trajectory); a
+record owns its spectra, so a heat Euler step allocates one bulk array, the
+new state.
 """
 from __future__ import annotations
 
@@ -31,8 +36,9 @@ from .core import (
     NormalGrid,
     Sector,
     TangentialGrid,
+    _xi_sq,
 )
-from .norms import normal_derivative
+from .norms import _derivative_stencil
 from .symbols import (
     _HALF_SECTOR,
     _ch_symbol,
@@ -93,20 +99,20 @@ class DynBCProblem:
     def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField) -> tuple:
         """Spectra of the data the variant reads, after one check of their grids.
 
-        ``fspec`` is ``None`` for a variant without interior data, which must
-        then be absent or zero, and complex zeros for an absent ``f``.
+        ``fspec`` is ``None`` for an absent ``f``, and for a variant without
+        interior data, which must then be absent or zero.
         """
         off_grid = f is not None and (f.tangential, f.normal) != (self.tangential, self.normal)
         if off_grid or g.grid != self.tangential:
             raise ValueError("data must live on the problem's grids")
         dim = self.tangential.dim
         gspec = _tfft(g.samples, dim)
+        if f is None:
+            return None, gspec
         if not _VARIANTS[self.variant].reads_f:
-            if f is not None and np.any(f.samples):
+            if np.any(f.samples):
                 raise ValueError("interior data is out of scope for this variant")
             return None, gspec
-        if f is None:
-            return np.zeros(self.tangential.shape + (self.normal.M,), dtype=complex), gspec
         return _tfft(f.samples, dim), gspec
 
 
@@ -157,35 +163,59 @@ def _l2(problem: DynBCProblem, uspec: Optional[np.ndarray], vspec: Optional[np.n
     """``sqrt(cell (sum_j w_j sum_xi |u-hat(xi, x_j)|^2 + sum_xi |v-hat|^2))``; ``None`` is zero.
 
     Each part is summed in C order, copied first if needed: the bits do not follow the layout.
+    An overflow gives an infinite norm, which the record refuses, not a warning.
     """
     total = 0.0
-    for spec, weights in ((uspec, problem.normal.weights), (vspec, None)):
-        if spec is not None:
-            sq = np.abs(np.ascontiguousarray(spec)) ** 2
-            total += np.sum(sq) if weights is None else np.sum(sq, axis=tuple(range(sq.ndim - 1))) @ weights
-    return math.sqrt(problem.tangential.cell * total)
+    with np.errstate(over="ignore"):
+        for spec, weights in ((uspec, problem.normal.weights), (vspec, None)):
+            if spec is not None:
+                sq = np.abs(np.ascontiguousarray(spec)) ** 2
+                total += np.sum(sq) if weights is None else np.sum(sq, axis=tuple(range(sq.ndim - 1))) @ weights
+        return math.sqrt(problem.tangential.cell * total)
 
 
 class _Sweep(NamedTuple):
-    """The tables of :func:`_green_sweep` for one normal grid and one decay rate per mode.
+    """The tables and the scratch of :func:`_green_sweep` for one normal grid and one decay rate per mode.
 
     ``decay[i, 0]`` is ``exp(-tau (x_{i+1} - x_i))`` and ``decay[i, 1]`` the
     same over the reversed nodes, ``decay[M - 2 - i, 0]``; ``image[i]`` is
-    ``exp(-tau x_i)``.  Both depend on ``mu`` only through ``tau``.
+    ``exp(-tau x_i)``.  Both depend on ``mu`` only through ``tau``.  The
+    accumulator ``acc``, the row temporary ``row`` and the node-major
+    solution ``u`` are scratch that every sweep overwrites; ``chain`` holds
+    the recursion's ``(acc[i], acc[i + 1], decay[i])`` views, made once.
     """
 
     ngrid: NormalGrid
     tau: np.ndarray
     decay: np.ndarray  # (M - 1, 2, modes)
     image: np.ndarray  # (M, modes)
+    acc: np.ndarray  # (M, 2, modes)
+    row: np.ndarray  # (2, modes)
+    u: np.ndarray  # (M, modes)
+    chain: list
 
 
-def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray) -> _Sweep:
-    """Build the two complex ``exp`` tables of the Green sweep once."""
+def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray, inverse: Optional[np.ndarray] = None) -> _Sweep:
+    """Build the two complex ``exp`` tables of the Green sweep once, and its scratch.
+
+    With ``inverse``, ``tau`` holds one rate per representative and mode ``k``
+    reads representative ``inverse[k]``: the tables are evaluated per
+    representative and gathered, and the sweep's ``tau`` is ``tau[inverse]``.
+    """
     t = np.ravel(tau)
     x = ngrid.nodes
     decay = np.exp(-np.diff(x)[:, None] * t)
-    return _Sweep(ngrid, tau, np.stack([decay, decay[::-1]], axis=1), np.exp(-x[:, None] * t))
+    image = np.exp(-x[:, None] * t)
+    if inverse is not None:
+        tau, index = tau[inverse], np.ravel(inverse)
+        # np.take keeps the gathered tables node-major (C order), as the sweep reads them
+        decay, image = np.take(decay, index, axis=1), np.take(image, index, axis=1)
+    modes, M = np.size(tau), ngrid.M
+    decay = np.stack([decay, decay[::-1]], axis=1)
+    acc = np.empty((M, 2, modes), dtype=complex)
+    chain = list(zip(acc[:-1], acc[1:], decay))
+    return _Sweep(ngrid, tau, decay, image, acc, np.empty((2, modes), dtype=complex),
+                  np.empty((M, modes), dtype=complex), chain)
 
 
 def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +224,9 @@ def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarr
     ``fspec`` holds one mode per row along the last axis, and ``sweep`` the
     decay rates ``tau``, one per mode, with their tables.  Returns the
     solution samples, shaped like ``fspec``, and the flux
-    ``sum_j exp(-tau y_j) w_j f_j``, shaped like ``tau``.
+    ``sum_j exp(-tau y_j) w_j f_j``, shaped like ``tau``.  The solution is a
+    view of the sweep's node-major scratch ``u``: the next sweep on the same
+    tables overwrites it.  Apart from the flux, the sweep creates no array.
 
     Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
     infinity is the integral of the reflected kernel
@@ -212,72 +244,126 @@ def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarr
     loop runs both on a stacked pair of rows, with the stacked decay table
     built once by :func:`_sweep_tables`.
     """
-    ngrid, tau, decay, image = sweep
+    ngrid, tau, decay, image, acc, row, u, chain = sweep
     t = np.ravel(tau)
-    wf = (fspec.reshape(t.size, ngrid.M) * ngrid.weights).T
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
-    # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order
-    acc = np.empty((ngrid.M, 2, t.size), dtype=complex)
-    acc[:, 0], acc[:, 1] = wf, wf[::-1]
-    flux = np.sum(image * acc[:, 0], axis=0)
-    rows = list(acc)
-    for prev, cur, factor in zip(rows, rows[1:], decay):
-        cur += factor * prev
-    bwd = acc[::-1, 1]
-    u = acc[:, 0] - image * flux
-    u[:-1] += decay[:, 0] * bwd[1:]
+    # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
+    # both are filled from u: numpy copies an operand that shares acc's memory bounds
+    fwd, bwd = acc[:, 0], acc[::-1, 1]
+    np.multiply(fspec.reshape(t.size, ngrid.M).T, ngrid.weights[:, None], out=u)
+    fwd[...], bwd[...] = u, u
+    flux = np.sum(np.multiply(image, u, out=u), axis=0)
+    for prev, cur, factor in chain:
+        cur += np.multiply(factor, prev, row)  # out as a positional: the loop runs per node
+    np.subtract(fwd, np.multiply(image, flux, out=u), out=u)
+    # decay[i, 0] * bwd[i + 1] for i < M - 1, formed in node order: decay[:, 1] is decay[::-1, 0]
+    tail = np.multiply(decay[:, 1], acc[:-1, 1], out=acc[:-1, 1])
+    u[:-1] += tail[::-1]
     u /= 2.0 * t
     u[0] = 0.0  # the Dirichlet condition, exactly
     return u.T.reshape(fspec.shape), flux.reshape(np.shape(tau))
 
 
-class _HeatPlan(NamedTuple):
+def _residual_band(ngrid: NormalGrid) -> np.ndarray:
+    """``normal_derivative(., ngrid, 2)`` on the interior nodes as five diagonals, ``(5, M - 2)``.
+
+    Row ``i - 1`` holds the weights of nodes ``i - 2 .. i + 2`` in the second
+    derivative at interior node ``i``: the first-derivative stencil applied to
+    itself, its one-sided end rows included, built in O(M) from
+    :func:`norms._derivative_stencil`.  The weights of nodes off the grid are zero.
+    """
+    coef, start = _derivative_stencil(ngrid)
+    i = np.arange(1, ngrid.M - 1)
+    band = np.zeros((5, ngrid.M - 2))
+    for a in range(3):
+        j = start[i] + a  # the first derivative at node j enters row i with weight coef[a, i]
+        for b in range(3):
+            band[start[j] + b - i + 2, i - 1] += coef[a, i] * coef[b, j]
+    return band
+
+
+@dataclass(frozen=True, eq=False)
+class _HeatPlan:
+    """The heat step's tables and scratch; the residual stencil is built on first use."""
+
     mu2: complex
     den: np.ndarray  # mu^2 + tau, the boundary multiplier's denominator
     sweep: _Sweep
     profile: np.ndarray  # heat kernel profile: the Poisson lift of a unit trace
 
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """:func:`_residual_band` of the normal grid: only a step with interior data needs (and builds) it,
+        and it refuses a grid of fewer than three nodes."""
+        return _residual_band(self.sweep.ngrid)
+
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
     """The heat step's tables, from one ``tau`` and one set of complex ``exp`` tables.
 
-    The sweep's image table ``exp(-tau x_j)`` is also the heat kernel profile,
-    entry for entry: the profile is that table copied C-contiguous as
-    ``grid.shape + (M,)``, the layout the lifted bulk's norms are summed in.
+    ``tau`` and the sweep's ``exp`` tables are evaluated at ``grid.radial``'s
+    representatives and gathered to the modes.  The sweep's image table
+    ``exp(-tau x_j)`` is also the heat kernel profile, entry for entry: the
+    profile is that table copied C-contiguous as ``grid.shape + (M,)``, the
+    layout the lifted bulk's norms are summed in.  The plan owns the step's
+    scratch, the sweep's: its accumulator also takes the interior residual.
     """
     grid, ngrid = problem.tangential, problem.normal
+    reps, inverse = grid.radial
     mu2 = mu * mu
-    sweep = _sweep_tables(ngrid, _tau(grid.freq_vectors, mu))
+    sweep = _sweep_tables(ngrid, _tau(reps, mu), inverse)
     profile = np.ascontiguousarray(sweep.image.T).reshape(grid.shape + (ngrid.M,))
     return _HeatPlan(mu2, mu2 + sweep.tau, sweep, profile)
 
 
-def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: np.ndarray, gspec: np.ndarray):
+def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
+    """``max |tau^2 u - d^2u/dx^2 - f| / max |f|`` over the interior nodes, for the sweep's ``u``.
+
+    The second derivative is the plan's five-diagonal stencil, applied node
+    major to the sweep's scratch ``u``; the residual and its products are
+    formed in the two halves of the sweep's accumulator, which the sweep no
+    longer needs, as disjoint contiguous blocks.
+    """
+    sweep, band = plan.sweep, plan.residual
+    u, M = sweep.u, sweep.ngrid.M
+    res, prod = sweep.acc.reshape(2, *u.shape)[:, 1:-1]
+    np.multiply((sweep.tau**2).ravel(), u[1:-1], out=res)
+    for k, diag in zip(range(-2, 3), band):
+        # rows i of the interior whose node i + k lies on the grid
+        lo, hi = max(1, -k) - 1, min(M - 2, M - 1 - k)
+        np.multiply(diag[lo:hi, None], u[lo + 1 + k : hi + 1 + k], out=prod[lo:hi])
+        np.subtract(res[lo:hi], prod[lo:hi], out=res[lo:hi])
+    np.subtract(res, fspec.reshape(u.shape[1], M).T[1:-1], out=res)
+    scale = max(float(np.max(np.abs(fspec))), 1e-30)
+    return float(np.max(np.abs(res))) / scale
+
+
+def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
     """Heat problem with a dynamic boundary condition, per mode.
 
-    Reduction: a Dirichlet interior solve absorbs ``f``, its boundary flux
-    corrects ``g``, the boundary multiplier produces the trace dynamics ``v``,
-    and the heat kernel's Poisson lift extends ``v`` to the half space.
+    Reduction: a Dirichlet interior solve absorbs ``f`` (``None`` for zero),
+    its boundary flux corrects ``g``, the boundary multiplier produces the
+    trace dynamics ``v``, and the heat kernel's Poisson lift extends ``v`` to
+    the half space.  The returned spectra are fresh arrays; the rest of the
+    step's work goes to the plan's scratch.
     """
     mu2, tau = plan.mu2, plan.sweep.tau
-    u1spec, flux1 = _green_sweep(fspec, plan.sweep)  # flux1 = du1/dxn at 0
+    u1spec, flux1 = (None, 0.0) if fspec is None else _green_sweep(fspec, plan.sweep)  # flux1 = du1/dxn at 0
+    # line 1: the Poisson part solves the interior equation identically, so
+    # only the quadrature interior solve contributes, checked by differences
+    # (which need three nodes; without interior data the line holds exactly)
+    res1 = _interior_residual(plan, fspec) if fspec is not None and np.any(fspec) else 0.0
 
     gtil = gspec + flux1  # g - gamma_1 u1 with gamma_1 = -flux
     vspec = gtil / plan.den
-    uspec = u1spec + plan.profile * vspec[..., None]
+    uspec = plan.profile * vspec[..., None]
+    if u1spec is not None:
+        uspec += u1spec
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
     res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
     # line 3: trace matching; the interior solve vanishes at the boundary exactly
     res3 = float(np.max(np.abs(uspec[..., 0] - vspec)))
-    # line 1: the Poisson part solves the interior equation identically, so
-    # only the quadrature interior solve contributes, checked by differences
-    # (which need three nodes; without interior data the line holds exactly)
-    res1 = 0.0
-    if np.any(fspec):
-        r = (tau**2)[..., None] * u1spec - normal_derivative(u1spec, problem.normal, 2) - fspec
-        scale = max(float(np.max(np.abs(fspec))), 1e-30)
-        res1 = float(np.max(np.abs(r[..., 1:-1]))) / scale
     return uspec, vspec, {"interior": res1, "dynamic_bc": res2, "trace": res3}
 
 
@@ -288,7 +374,10 @@ class _CHPlan(NamedTuple):
 
 
 def _ch_plan(problem: DynBCProblem, mu: complex) -> _CHPlan:
-    return _CHPlan(mu * mu, *_ch_symbol(problem.tangential.freq_norm_sq, mu))
+    """The boundary symbol's numerator and denominator, evaluated per distinct ``|xi|^2`` and gathered."""
+    reps, inverse = problem.tangential.radial
+    num, den = _ch_symbol(_xi_sq(reps), mu)
+    return _CHPlan(mu * mu, num[inverse], den[inverse])
 
 
 def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -359,7 +448,8 @@ class _Variant(NamedTuple):
     only, once per resolvent or Euler trajectory.  ``step(problem, plan,
     fspec, gspec)`` returns ``(uspec, vspec, diagnostics)``, with ``uspec``
     ``None`` for a zero bulk; only a step that ``reads_f`` is given interior
-    data.
+    data, and ``fspec`` ``None`` for zero data.  The returned spectra are
+    fresh arrays, which the caller may keep.
     """
 
     multiplier: Callable
@@ -408,7 +498,9 @@ def implicit_euler_evolve(
     the returned iterator then yields each step's record as the step
     completes.  The state ``(u-hat, v-hat)`` stays spectral between steps,
     and the step-to-step change and the norms are its L^2 norms by
-    Plancherel.
+    Plancherel.  Each record owns its spectra, fresh arrays that no later
+    step writes; the trajectory's one bulk buffer takes the heat forcing
+    ``u-hat / dt`` on the way into a step and the bulk change on the way out.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
@@ -422,18 +514,19 @@ def implicit_euler_evolve(
 
     def steps(uhat: Optional[np.ndarray], vhat: np.ndarray) -> Iterator[EvolveRecord]:
         zero_g = BoundaryField.zero(grid)
+        bulk = np.empty(grid.shape + (problem.normal.M,), dtype=complex)
         for m in range(1, nsteps + 1):
             t = m * dt
             fdat = f_of_t(t) if f_of_t is not None else None
             gdat = g_of_t(t) if g_of_t is not None else zero_g
             fspec, gspec = problem._spectra(fdat, gdat)
-            if fspec is not None and uhat is not None:
-                fspec += invdt * uhat
+            if variant.reads_f and uhat is not None:
+                forcing = np.multiply(invdt, uhat, out=bulk)
+                fspec = forcing if fspec is None else np.add(fspec, forcing, out=fspec)
             uspec, vspec, diags = variant.step(problem, plan, fspec, invdt * vhat + gspec)
             # a None bulk is zero: the change is then the other state's bulk
-            du = uhat if uspec is None else uspec if uhat is None else uspec - uhat
+            du = uhat if uspec is None else uspec if uhat is None else np.subtract(uspec, uhat, out=bulk)
             delta = _l2(problem, du, vspec - vhat)
-            del du  # held across the yield, the difference would raise the peak by one bulk
             yield EvolveRecord(problem, uspec, vspec, diags, t=t, delta=delta)
             uhat, vhat = uspec, vspec
 

@@ -122,38 +122,45 @@ def _normal_lp(slices: np.ndarray, weights: np.ndarray, p: float, weak: bool) ->
     return np.sum(slices**p * weights, axis=-1) ** (1.0 / p)
 
 
-def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> np.ndarray:
-    """Normal-direction derivative on the graded grid, last axis, iterated.
+def _derivative_stencil(ngrid: NormalGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``(coef, start)``: row ``j`` of the first-derivative stencil weighs node ``start[j] + a`` by ``coef[a, j]``.
 
-    Three-point stencils adapted to the nonuniform spacing, one-sided at the
-    endpoints; second-order accurate, which the >= 1% norm tolerances absorb.
+    Three-point stencils (``a = 0, 1, 2``) adapted to the nonuniform spacing,
+    centred on the interior nodes (``start[j] = j - 1``) and one-sided at the
+    endpoints (``start`` 0 and ``M - 3``); ``coef`` is ``(3, M)``.
     """
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
     if ngrid.M < 3:
         raise ValueError(f"normal derivatives need at least three normal nodes, got M={ngrid.M}")
     x = ngrid.nodes
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
-    cm = -h2 / (h1 * (h1 + h2))
-    c0 = (h2 - h1) / (h1 * h2)
-    cp = h1 / (h2 * (h1 + h2))
     a1, a2 = x[1] - x[0], x[2] - x[1]
     b1, b2 = x[-2] - x[-3], x[-1] - x[-2]
+    coef = np.empty((3, ngrid.M))
+    coef[:, 0] = -(2 * a1 + a2) / (a1 * (a1 + a2)), (a1 + a2) / (a1 * a2), -(a1 / (a2 * (a1 + a2)))
+    coef[0, 1:-1] = -h2 / (h1 * (h1 + h2))
+    coef[1, 1:-1] = (h2 - h1) / (h1 * h2)
+    coef[2, 1:-1] = h1 / (h2 * (h1 + h2))
+    coef[:, -1] = b2 / (b1 * (b1 + b2)), -((b1 + b2) / (b1 * b2)), (b1 + 2 * b2) / (b2 * (b1 + b2))
+    return coef, np.clip(np.arange(ngrid.M) - 1, 0, ngrid.M - 3)
+
+
+def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> np.ndarray:
+    """Normal-direction derivative on the graded grid, last axis, iterated.
+
+    The three-point stencils of :func:`_derivative_stencil`, one-sided at the
+    endpoints; second-order accurate, which the >= 1% norm tolerances absorb.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    (cm, c0, cp), start = _derivative_stencil(ngrid)
     out = np.asarray(values, dtype=complex)
     for _ in range(order):
         d = np.empty_like(out)
-        d[..., 1:-1] = cm * out[..., :-2] + c0 * out[..., 1:-1] + cp * out[..., 2:]
-        d[..., 0] = (
-            -(2 * a1 + a2) / (a1 * (a1 + a2)) * out[..., 0]
-            + (a1 + a2) / (a1 * a2) * out[..., 1]
-            - a1 / (a2 * (a1 + a2)) * out[..., 2]
-        )
-        d[..., -1] = (
-            b2 / (b1 * (b1 + b2)) * out[..., -3]
-            - (b1 + b2) / (b1 * b2) * out[..., -2]
-            + (b1 + 2 * b2) / (b2 * (b1 + b2)) * out[..., -1]
-        )
+        d[..., 1:-1] = cm[1:-1] * out[..., :-2] + c0[1:-1] * out[..., 1:-1] + cp[1:-1] * out[..., 2:]
+        for j in (0, -1):
+            s = start[j]
+            d[..., j] = cm[j] * out[..., s] + c0[j] * out[..., s + 1] + cp[j] * out[..., s + 2]
         out = d
     return out
 

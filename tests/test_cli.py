@@ -341,6 +341,15 @@ def test_evolve_on_two_normal_nodes_is_a_usage_error(tmp_path, capsys):
     assert "at least three normal nodes" in capsys.readouterr().err
 
 
+def test_evolve_overflow_is_a_usage_error_with_warnings_as_errors(tmp_path, capsys):
+    # in process, under the suite's error::RuntimeWarning filter: the overflow of
+    # a squared norm is left to the record, which refuses it with exit 2
+    argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.01", "--T", "4",
+            "--g", "const", "--grid-N", "2", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "nonfinite norm" in capsys.readouterr().err
+
+
 def test_evolve_refuses_a_nonfinite_step_and_keeps_the_finite_ones(tmp_path):
     # the heat step map on the default normal grid amplifies (see the strict
     # xfail in test_dynbc.py), and by t = 3.68 a squared norm overflows; the run

@@ -5,6 +5,7 @@ import cmath
 import math
 import tracemalloc
 from collections.abc import Iterator
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from poissonops.dynbc import (
     implicit_euler_evolve,
     road_symbol_scan,
 )
-from poissonops.norms import lp_norm
-from poissonops.symbols import _tau, heat_kernel, kpp_kernel, kpp_m2
+from poissonops.norms import lp_norm, normal_derivative
+from poissonops.symbols import _ch_symbol, _tau, heat_kernel, kpp_kernel, kpp_m2
 from poissonops.transforms import _profile, apply_poisson, forward_fft, inverse_fft
 
 SQRT2 = math.sqrt(2.0)
@@ -87,6 +88,37 @@ def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed
 
     terms = np.exp(-tau[:, None] * x) * ng.weights * f
     assert np.all(np.abs(flux - terms.sum(axis=-1)) <= 1e-12 * np.abs(terms).sum(axis=-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(3, 200), r=st.floats(1.0005, 1.2), X_max=st.floats(0.5, 16.0))
+def test_residual_band_is_normal_derivative_applied_twice(M, r, X_max):
+    # the five diagonals against the interior rows of the iterated three-point
+    # stencil, one-sided end rows included: column j of the dense second
+    # derivative is normal_derivative of the unit vector e_j
+    ng = NormalGrid(M, X_max=X_max, r=r)
+    band = dynbc._residual_band(ng)
+    dense = np.zeros((M - 2, M + 4))  # two padding columns each side for the off-grid weights
+    rows = np.arange(M - 2)
+    for k in range(5):
+        dense[rows, rows + 1 + k] = band[k]
+    want = normal_derivative(np.eye(M), ng, 2)[:, 1:-1].T
+    assert not np.any(dense[:, :2]) and not np.any(dense[:, -2:])
+    np.testing.assert_allclose(dense[:, 2:-2], want.real, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim, M", [(1, 3), (1, 4), (2, 5), (1, 64), (2, 33)])
+def test_interior_residual_is_the_iterated_stencil_residual(dim, M):
+    # the heat step's interior line, through the composed stencil in the
+    # sweep's scratch, against the residual of normal_derivative applied twice
+    tg, ng = make_grids(dim=dim, N=8, M=M, X_max=4.0)
+    plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), 2.0 + 1.0j)
+    rng = np.random.default_rng(M)
+    f = rng.standard_normal(tg.shape + (M,)) + 1j * rng.standard_normal(tg.shape + (M,))
+    u, _ = _green_sweep(f, plan.sweep)
+    r = (plan.sweep.tau**2)[..., None] * u - normal_derivative(u, ng, 2) - f
+    want = np.max(np.abs(r[..., 1:-1])) / np.max(np.abs(f))
+    assert dynbc._interior_residual(plan, f) == pytest.approx(want, rel=1e-9)
 
 
 def test_heat_dynbc_interior_solve_memory_linear_in_modes_times_M():
@@ -247,6 +279,16 @@ def test_kpp_plan_reads_its_kernel_per_mode_bits(dim, N, M, L, mu, d):
     kern = kpp_kernel(d)
     assert np.array_equal(plan.dn, kern.func(tg.freq_vectors, mu, 0.0, 1))
     assert np.array_equal(plan.profile, kern.func(tg.freq_vectors[..., None, :], mu, ng.nodes))
+
+
+@pytest.mark.parametrize("dim, N, L", [(1, 64, 2.0 * math.pi), (2, 16, 3.0), (3, 4, 2.0 * math.pi)])
+@pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.3 - 0.2j])
+def test_ch_plan_reads_its_symbol_per_mode_bits(dim, N, L, mu):
+    # the boundary symbol is evaluated per distinct |xi|^2 and gathered
+    tg, ng = make_grids(dim=dim, N=N, M=8, L=L)
+    plan = dynbc._ch_plan(DynBCProblem("CahnHilliardBoundary", tg, ng), mu)
+    num, den = _ch_symbol(tg.freq_norm_sq, mu)
+    assert np.array_equal(plan.num, num) and np.array_equal(plan.den, den)
 
 
 def test_kpp_zero_data():
@@ -539,6 +581,98 @@ def test_resolvent_transforms_back_only_what_is_read(inverse_transforms, variant
     assert inverse_transforms == []
     assert out.v is out.v
     assert inverse_transforms == [tg.shape]
+
+
+def _plan_arrays(plan):
+    """Every array a plan holds, its tables and its scratch."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for item in plan:
+            yield from _plan_arrays(item)
+    elif is_dataclass(plan):
+        for f in fields(plan):
+            yield from _plan_arrays(getattr(plan, f.name))
+
+
+@pytest.mark.parametrize("with_f", [False, True], ids=["f-absent", "f-given"])
+@pytest.mark.parametrize("with_u0", [False, True], ids=["u0-absent", "u0-given"])
+@pytest.mark.parametrize("with_v0", [False, True], ids=["v0-absent", "v0-given"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_records_own_their_spectra(monkeypatch, variant, with_f, with_u0, with_v0):
+    # a record kept by its caller is never written by a later step, and shares
+    # no memory with the plan's tables and scratch or with another record
+    tg, ng = make_grids(dim=2, N=8, M=24, X_max=4.0)
+    rng = np.random.default_rng(3)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f1, g1 = noise(tg.shape + (ng.M,)), BoundaryField(tg, noise(tg.shape))
+    if variant != "HeatDynBC":
+        f1 = np.zeros_like(f1)  # the other variants take zero interior data only
+    u0 = HalfSpaceField(tg, ng, noise(tg.shape + (ng.M,))) if with_u0 else None
+    v0 = BoundaryField(tg, noise(tg.shape)) if with_v0 else None
+    f_of_t = (lambda t: HalfSpaceField(tg, ng, t * f1)) if with_f else None
+    plans = []
+    entry = _VARIANTS[variant]
+
+    def kept(problem, mu):
+        plans.append(entry.plan(problem, mu))
+        return plans[-1]
+
+    monkeypatch.setitem(_VARIANTS, variant, entry._replace(plan=kept))
+    prob = DynBCProblem(variant, tg, ng)
+
+    def run():
+        return implicit_euler_evolve(prob, f_of_t, lambda t: g1, 0.125, 0.5, u0=u0, v0=v0)
+
+    def spectra(rec):
+        return [a for a in (rec.uspec, rec.vspec) if a is not None]
+
+    stepwise = [
+        ([a.copy() for a in spectra(rec)], rec.boundary_norm, rec.interior_norm, rec.delta)
+        for rec in run()
+    ]
+    records = list(run())
+    assert len(records) == len(stepwise) == 4
+    for rec, (arrays, *numbers) in zip(records, stepwise):
+        assert len(spectra(rec)) == len(arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra(rec), arrays))
+        assert [rec.boundary_norm, rec.interior_norm, rec.delta] == numbers
+
+    owned = [(n, a) for n, rec in enumerate(records) for a in spectra(rec)]
+    scratch = list(_plan_arrays(plans[-1]))
+    assert scratch
+    for n, a in owned:
+        assert not any(np.shares_memory(a, s) for s in scratch)
+        assert not any(np.shares_memory(a, b) for m, b in owned if b is not a)
+
+
+def test_heat_step_allocates_only_its_new_state():
+    # past the first two steps (which build the residual stencil and the
+    # sweep's first use), a default-grid heat step allocates the new bulk state
+    # and the half-size moduli of one Plancherel sum at a time, nothing else
+    # of the bulk's size
+    tg, ng = make_grids()
+    bulk = tg.shape[0] * ng.M * np.dtype(complex).itemsize
+    modes = tg.shape[0]
+    prob = DynBCProblem("HeatDynBC", tg, ng)
+    tracemalloc.start()
+    try:
+        steps = implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.01, 0.05)
+        rec = next(steps)
+        rec = next(steps)
+        peaks = []
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rec = next(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert rec.diagnostics["interior"] > 0.0  # the steps measured had interior data
+    assert max(peaks) <= 1.5 * bulk + 64 * modes * np.dtype(complex).itemsize
 
 
 def test_evolve_zero_data_stays_zero():

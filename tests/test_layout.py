@@ -2,8 +2,8 @@
 one bracket weight, one central difference, one sweep per probe over the spectral samples,
 one builder for the decay and constant kernels, one resolvent path, one solution norm, one
 norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
-distinct |xi|^2, sign sums without per-trial contractions, and no threads, processes or
-environment reads."""
+distinct |xi|^2, sign sums without per-trial contractions, an Euler step loop that allocates
+no bulk, and no threads, processes or environment reads."""
 from __future__ import annotations
 
 import ast
@@ -280,6 +280,18 @@ def test_one_resolvent_path():
     assert _callers(tree, {"_tfft"}) == {"DynBCProblem", "implicit_euler_evolve"}
     assert _callers(tree, {"_itfft"}) == {"ResolventOutput"}
     assert _callers(tree, {"require"}) == {"DynBCProblem", "implicit_euler_evolve", "boundary_symbol_gain"}
+
+
+def test_the_euler_step_loop_allocates_no_bulk():
+    # the heat forcing and the step change go to the trajectory's buffer, and
+    # the interior residual to the plan's composed stencil: neither the step
+    # loop nor the data transform it calls zero-fills a bulk, and no step
+    # differentiates one
+    tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
+    loop = next(n for n in ast.walk(_function(tree, "implicit_euler_evolve")) if isinstance(n, ast.For))
+    assert _called_names(loop) & {"normal_derivative", "zeros"} == set()
+    assert "zeros" not in _called_names(_function(tree, "_spectra"))
+    assert "normal_derivative" not in _called_names(tree)
 
 
 def _squared_moduli(tree: ast.Module) -> set[str]:
