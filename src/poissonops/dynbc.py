@@ -195,26 +195,22 @@ class _Sweep(NamedTuple):
     chain: list
 
 
-def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray, inverse: Optional[np.ndarray] = None) -> _Sweep:
+def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray, inverse: np.ndarray) -> _Sweep:
     """Build the two complex ``exp`` tables of the Green sweep once, and its scratch.
 
-    With ``inverse``, ``tau`` holds one rate per representative and mode ``k``
+    ``tau`` holds one rate per representative, a flat array, and mode ``k``
     reads representative ``inverse[k]``: the tables are evaluated per
     representative and gathered, and the sweep's ``tau`` is ``tau[inverse]``.
     """
-    t = np.ravel(tau)
-    x = ngrid.nodes
-    decay = np.exp(-np.diff(x)[:, None] * t)
-    image = np.exp(-x[:, None] * t)
-    if inverse is not None:
-        tau, index = tau[inverse], np.ravel(inverse)
-        # np.take keeps the gathered tables node-major (C order), as the sweep reads them
-        decay, image = np.take(decay, index, axis=1), np.take(image, index, axis=1)
-    modes, M = np.size(tau), ngrid.M
+    x, index = ngrid.nodes, np.ravel(inverse)
+    # np.take keeps the gathered tables node-major (C order), as the sweep reads them
+    decay = np.take(np.exp(-np.diff(x)[:, None] * tau), index, axis=1)
+    image = np.take(np.exp(-x[:, None] * tau), index, axis=1)
+    modes, M = index.size, ngrid.M
     decay = np.stack([decay, decay[::-1]], axis=1)
     acc = np.empty((M, 2, modes), dtype=complex)
     chain = list(zip(acc[:-1], acc[1:], decay))
-    return _Sweep(ngrid, tau, decay, image, acc, np.empty((2, modes), dtype=complex),
+    return _Sweep(ngrid, tau[inverse], decay, image, acc, np.empty((2, modes), dtype=complex),
                   np.empty((M, modes), dtype=complex), chain)
 
 

@@ -47,7 +47,7 @@ def test_dirichlet_resolvent_exponential_data():
     # reflected-kernel solution is (exp(-y) - exp(-2y)) / 3
     ng = NormalGrid(256)
     f = np.exp(-ng.nodes).astype(complex)[None, :]
-    u, _ = _green_sweep(f, _sweep_tables(ng, _tau(np.zeros((1, 1)), math.sqrt(3.0))))
+    u, _ = _green_sweep(f, _sweep_tables(ng, _tau(np.zeros((1, 1)), math.sqrt(3.0)), np.arange(1)))
     want = (np.exp(-ng.nodes) - np.exp(-2.0 * ng.nodes)) / 3.0
     err = np.max(np.abs(u - want[None, :]))
     assert err <= 5e-3 * np.max(np.abs(want))
@@ -56,7 +56,8 @@ def test_dirichlet_resolvent_exponential_data():
 
 def test_dirichlet_resolvent_zero_data():
     tg, ng = make_grids(N=8, M=32)
-    sweep = _sweep_tables(ng, _tau(tg.freq_vectors, 1.0))
+    reps, inverse = tg.radial
+    sweep = _sweep_tables(ng, _tau(reps, 1.0), inverse)
     u, flux = _green_sweep(np.zeros(tg.shape + (ng.M,), dtype=complex), sweep)
     assert np.all(u == 0) and np.all(flux == 0)
 
@@ -77,7 +78,7 @@ def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed
     tau = np.sqrt(1.0 + tg.freq_norm_sq + mu * mu).ravel()
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((tau.size, M)) + 1j * rng.standard_normal((tau.size, M))
-    u, flux = _green_sweep(f, _sweep_tables(ng, tau))
+    u, flux = _green_sweep(f, _sweep_tables(ng, tau, np.arange(tau.size)))  # one representative per mode
 
     # dense reflected-kernel trapezoid sum, O(modes * M^2)
     x, t = ng.nodes, tau[:, None, None]
