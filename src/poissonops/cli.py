@@ -22,7 +22,6 @@ from dataclasses import replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator, ValidationError
 
 from . import __version__
 from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, _replicate, bracket, make_grids
@@ -94,7 +93,71 @@ CONFIG_SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+class _ConfigError(ValueError):
+    """A config that ``CONFIG_SCHEMA`` refuses; ``message`` says why."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
+
+
+# bound keyword -> (the test that fails a number, the wording of the failure)
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "less than the minimum of"),
+    "maximum": (lambda v, b: v > b, "greater than the maximum of"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "less than or equal to the minimum of"),
+}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema draft 2020-12 types: a bool is no number, an integral float is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, {"string": str, "boolean": bool, "array": list, "object": dict}[name])
+
+
+def _check(value, schema: dict) -> None:
+    """Raise ``_ConfigError`` for the first keyword of ``schema`` that ``value`` fails.
+
+    Draft 2020-12 semantics and messages for the keywords ``CONFIG_SCHEMA``
+    uses, read in the schema's order; one addition: a number must be finite,
+    as RFC 8259 JSON has no NaN or infinity (Python's ``json`` reads them).
+    """
+    number = _is_type(value, "number")
+    for key, arg in schema.items():
+        if key == "type":
+            if not _is_type(value, arg):
+                raise _ConfigError(f"{value!r} is not of type {arg!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _ConfigError(f"{value!r} is not a finite number")
+        elif key == "enum":
+            if value not in arg:
+                raise _ConfigError(f"{value!r} is not one of {arg!r}")
+        elif key in _BOUNDS:
+            fails, wording = _BOUNDS[key]
+            if number and fails(value, arg):
+                raise _ConfigError(f"{value!r} is {wording} {arg!r}")
+        elif key == "items":
+            for item in value if isinstance(value, list) else ():
+                _check(item, arg)
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                raise _ConfigError(f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short"))
+        elif key == "additionalProperties":
+            extras = sorted(set(value) - set(schema["properties"])) if isinstance(value, dict) else []
+            if extras and arg is False:
+                verb = "was" if len(extras) == 1 else "were"
+                listed = ", ".join(map(repr, extras))
+                raise _ConfigError(f"Additional properties are not allowed ({listed} {verb} unexpected)")
+        elif key == "properties":
+            for name, sub in arg.items() if isinstance(value, dict) else ():
+                if name in value:
+                    _check(value[name], sub)
+        elif key not in ("$schema", "default", "description"):
+            raise NotImplementedError(f"CONFIG_SCHEMA keyword {key!r} is not checked")
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -103,8 +166,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
-    _VALIDATOR.validate(cfg)
+    _check(cfg, CONFIG_SCHEMA)
     for key, value in cfg.items():
+        if CONFIG_SCHEMA["properties"][key]["type"] == "integer":
+            value = int(value)  # an integral float such as 2.0 is an integer in JSON Schema
         setattr(args, key, value)
 
 
@@ -123,7 +188,7 @@ def _echo(args: argparse.Namespace) -> dict:
     are echoed but not checked.
     """
     cfg = {key: getattr(args, key) for key in _COMMANDS[args.command].keys}
-    _VALIDATOR.validate({k: v for k, v in cfg.items() if v is not None})
+    _check({k: v for k, v in cfg.items() if v is not None}, CONFIG_SCHEMA)
     return cfg
 
 
@@ -467,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
+    except _ConfigError as exc:
         print(f"error: config rejected: {exc.message}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, SectorError) as exc:

@@ -205,10 +205,6 @@ class NormalGrid:
         w[1:-1] = (x[2:] - x[:-2]) / 2.0
         return w
 
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Trapezoid quadrature along ``axis`` (truncated at X_max)."""
-        return np.sum(values * self.weights, axis=axis)
-
 
 @dataclass(frozen=True)
 class BoundaryField:

@@ -6,7 +6,8 @@ coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
 data once, builds the variant's plan (every table that depends on the
 problem and ``mu`` only: decay rates, symbols, Green sweep tables, Poisson
-profiles, and the heat step's scratch), and runs the variant's spectral step
+profiles, and the heat step's scratch; the sweep's decay table and the
+scratch wait for the first sweep), and runs the variant's spectral step
 per tangential frequency mode on it.  Interior solves use a reflected Green
 kernel quadrature, boundary dynamics reduce to explicit multiplier symbols,
 and each step reports per-mode residual maxima for every equation line; the
@@ -42,14 +43,14 @@ from .norms import _derivative_stencil
 from .symbols import (
     _HALF_SECTOR,
     _ch_symbol,
+    _kpp_rate,
     _road_symbol,
     _tau,
     ch_b,
     heat_dynbc_b,
-    kpp_kernel,
     kpp_m2,
 )
-from .transforms import _itfft, _profile, _tfft
+from .transforms import _itfft, _tfft
 
 __all__ = [
     "DynBCProblem",
@@ -174,44 +175,62 @@ def _l2(problem: DynBCProblem, uspec: Optional[np.ndarray], vspec: Optional[np.n
         return math.sqrt(problem.tangential.cell * total)
 
 
-class _Sweep(NamedTuple):
-    """The tables and the scratch of :func:`_green_sweep` for one normal grid and one decay rate per mode.
+class _SweepScratch(NamedTuple):
+    """The stacked decay table of :func:`_green_sweep` and the scratch every sweep overwrites.
 
     ``decay[i, 0]`` is ``exp(-tau (x_{i+1} - x_i))`` and ``decay[i, 1]`` the
-    same over the reversed nodes, ``decay[M - 2 - i, 0]``; ``image[i]`` is
-    ``exp(-tau x_i)``.  Both depend on ``mu`` only through ``tau``.  The
-    accumulator ``acc``, the row temporary ``row`` and the node-major
-    solution ``u`` are scratch that every sweep overwrites; ``chain`` holds
-    the recursion's ``(acc[i], acc[i + 1], decay[i])`` views, made once.
+    same over the reversed nodes, ``decay[M - 2 - i, 0]``.  The accumulator
+    ``acc``, the row temporary ``row`` and the node-major solution ``u`` are
+    scratch; ``chain`` holds the recursion's ``(acc[i], acc[i + 1], decay[i])``
+    views, made once.
     """
 
-    ngrid: NormalGrid
-    tau: np.ndarray
     decay: np.ndarray  # (M - 1, 2, modes)
-    image: np.ndarray  # (M, modes)
     acc: np.ndarray  # (M, 2, modes)
     row: np.ndarray  # (2, modes)
     u: np.ndarray  # (M, modes)
     chain: list
 
 
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """The tables of :func:`_green_sweep` for one normal grid and one decay rate per mode.
+
+    ``rates`` holds one ``tau`` per representative, a flat array, and mode
+    ``k`` reads representative ``index[k]``; ``tau`` holds the gathered
+    rates, shaped like the grid.  ``image[i]`` is ``exp(-tau x_i)``, node
+    major.  The stacked decay table and the scratch, ``scratch``, are built
+    on the first sweep: a resolvent without interior data reads only ``tau``
+    and the image table.
+    """
+
+    ngrid: NormalGrid
+    rates: np.ndarray  # (K,)
+    index: np.ndarray  # (modes,)
+    tau: np.ndarray  # grid.shape
+    image: np.ndarray  # (M, modes)
+
+    @cached_property
+    def scratch(self) -> _SweepScratch:
+        decay = np.take(np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates), self.index, axis=1)
+        decay = np.stack([decay, decay[::-1]], axis=1)
+        M, modes = self.image.shape
+        acc = np.empty((M, 2, modes), dtype=complex)
+        row, u = np.empty((2, modes), dtype=complex), np.empty((M, modes), dtype=complex)
+        return _SweepScratch(decay, acc, row, u, list(zip(acc[:-1], acc[1:], decay)))
+
+
 def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray, inverse: np.ndarray) -> _Sweep:
-    """Build the two complex ``exp`` tables of the Green sweep once, and its scratch.
+    """The Green sweep's image table, once; its decay table and scratch follow on the first sweep.
 
     ``tau`` holds one rate per representative, a flat array, and mode ``k``
     reads representative ``inverse[k]``: the tables are evaluated per
     representative and gathered, and the sweep's ``tau`` is ``tau[inverse]``.
     """
-    x, index = ngrid.nodes, np.ravel(inverse)
+    index = np.ravel(inverse)
     # np.take keeps the gathered tables node-major (C order), as the sweep reads them
-    decay = np.take(np.exp(-np.diff(x)[:, None] * tau), index, axis=1)
-    image = np.take(np.exp(-x[:, None] * tau), index, axis=1)
-    modes, M = index.size, ngrid.M
-    decay = np.stack([decay, decay[::-1]], axis=1)
-    acc = np.empty((M, 2, modes), dtype=complex)
-    chain = list(zip(acc[:-1], acc[1:], decay))
-    return _Sweep(ngrid, tau[inverse], decay, image, acc, np.empty((2, modes), dtype=complex),
-                  np.empty((M, modes), dtype=complex), chain)
+    image = np.take(np.exp(-ngrid.nodes[:, None] * tau), index, axis=1)
+    return _Sweep(ngrid, tau, index, tau[inverse], image)
 
 
 def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +241,8 @@ def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarr
     solution samples, shaped like ``fspec``, and the flux
     ``sum_j exp(-tau y_j) w_j f_j``, shaped like ``tau``.  The solution is a
     view of the sweep's node-major scratch ``u``: the next sweep on the same
-    tables overwrites it.  Apart from the flux, the sweep creates no array.
+    tables overwrites it.  Apart from the flux (and the decay table and
+    scratch on a first sweep), the sweep creates no array.
 
     Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
     infinity is the integral of the reflected kernel
@@ -238,9 +258,10 @@ def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarr
     boundary flux of the solution.  The boundary node is set to zero exactly.
     The backward recursion is the forward one over the reversed nodes, so one
     loop runs both on a stacked pair of rows, with the stacked decay table
-    built once by :func:`_sweep_tables`.
+    built once, on the first sweep, by ``_Sweep.scratch``.
     """
-    ngrid, tau, decay, image, acc, row, u, chain = sweep
+    ngrid, tau, image = sweep.ngrid, sweep.tau, sweep.image
+    decay, acc, row, u, chain = sweep.scratch
     t = np.ravel(tau)
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
     # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
@@ -280,7 +301,8 @@ def _residual_band(ngrid: NormalGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _HeatPlan:
-    """The heat step's tables and scratch; the residual stencil is built on first use."""
+    """The heat step's tables and scratch; the sweep's decay table and scratch, and the residual
+    stencil, are built on first use, so a step without interior data builds neither."""
 
     mu2: complex
     den: np.ndarray  # mu^2 + tau, the boundary multiplier's denominator
@@ -302,7 +324,8 @@ def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
     ``exp(-tau x_j)`` is also the heat kernel profile, entry for entry: the
     profile is that table copied C-contiguous as ``grid.shape + (M,)``, the
     layout the lifted bulk's norms are summed in.  The plan owns the step's
-    scratch, the sweep's: its accumulator also takes the interior residual.
+    scratch, the sweep's, built on the first sweep: its accumulator also takes
+    the interior residual.
     """
     grid, ngrid = problem.tangential, problem.normal
     reps, inverse = grid.radial
@@ -321,8 +344,8 @@ def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
     longer needs, as disjoint contiguous blocks.
     """
     sweep, band = plan.sweep, plan.residual
-    u, M = sweep.u, sweep.ngrid.M
-    res, prod = sweep.acc.reshape(2, *u.shape)[:, 1:-1]
+    u, M = sweep.scratch.u, sweep.ngrid.M
+    res, prod = sweep.scratch.acc.reshape(2, *u.shape)[:, 1:-1]
     np.multiply((sweep.tau**2).ravel(), u[1:-1], out=res)
     for k, diag in zip(range(-2, 3), band):
         # rows i of the interior whose node i + k lies on the grid
@@ -399,12 +422,18 @@ class _KPPPlan(NamedTuple):
 
 
 def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
-    grid, kern = problem.tangential, kpp_kernel(problem.d)
+    """The road symbol and the bulk kernel ``exp(-rate x_n)`` of ``kpp_kernel(d)``, from one rate.
+
+    Both are evaluated per distinct ``|xi|^2`` and gathered: the profile is
+    the kernel at the normal nodes, and the Robin derivative is its ``d_n``
+    at 0, ``-rate``.
+    """
+    reps, inverse = problem.tangential.radial
     mu2 = mu * mu
-    den, root = _road_symbol(grid.freq_norm_sq, mu2, problem.d, problem.dprime, problem.kcoef)
-    profile = _profile(kern, mu, grid, problem.normal)
-    reps, inverse = grid.radial
-    return _KPPPlan(mu2, den, root, profile, kern.func(reps, mu, 0.0, 1)[inverse])
+    den, root = _road_symbol(_xi_sq(reps), mu2, problem.d, problem.dprime, problem.kcoef)
+    rate = _kpp_rate(reps, mu, problem.d)
+    profile = np.exp(-rate[:, None] * problem.normal.nodes)
+    return _KPPPlan(mu2, den[inverse], root[inverse], profile[inverse], -rate[inverse])
 
 
 def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -498,8 +527,8 @@ def implicit_euler_evolve(
     step writes; the trajectory's one bulk buffer takes the heat forcing
     ``u-hat / dt`` on the way into a step and the bulk change on the way out.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("step size and horizon must be positive")
+    if not (0 < dt < math.inf and 0 < T < math.inf):
+        raise ValueError(f"step size and horizon must be positive and finite, got dt={dt!r}, T={T!r}")
     nsteps = round(T / dt)
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("step size must divide the horizon")

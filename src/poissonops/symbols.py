@@ -32,8 +32,6 @@ __all__ = [
     "SymbolKernel",
     "MultiplierSymbol",
     "ProbeSpec",
-    "eval_kernel",
-    "eval_scaled",
     "seminorm",
     "seminorm_table",
     "char_lp_bound",
@@ -123,33 +121,6 @@ class MultiplierSymbol:
     name: str
     func: Callable
     sector: Sector
-
-
-def eval_kernel(k: SymbolKernel, xi, mu, xn):
-    """Evaluate ``k(xi, mu, xn)`` with sector and domain checks.
-
-    ``xn`` must be nonnegative; ``mu`` may be omitted exactly when the sector
-    is empty.  Scalar inputs give a complex scalar back.
-    """
-    k.sector.require(mu)
-    xn_arr = np.asarray(xn, dtype=float)
-    if np.any(xn_arr < 0):
-        raise ValueError("normal coordinate must be nonnegative")
-    out = k.func(xi, mu, xn_arr)
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
-
-
-def eval_scaled(k: SymbolKernel, xi, mu, t):
-    """Evaluate the rescaled kernel ``ktilde`` at ``(xi, mu, t)``.
-
-    This is ``k`` at normal coordinate ``t / <xi, mu>``.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("scaled coordinate must be nonnegative")
-    return eval_kernel(k, xi, mu, t_arr / bracket(xi, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +505,11 @@ def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> Multiplie
     return MultiplierSymbol(name="kpp-m2", func=f, sector=_HALF_SECTOR)
 
 
+def _kpp_rate(xi, mu, d: float):
+    """Decay rate ``sqrt(mu^2 / d + |xi|^2)`` of :func:`kpp_kernel`."""
+    return np.sqrt(np.asarray(mu, dtype=complex) ** 2 / d + _xi_sq(xi))
+
+
 def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     """Decay kernel ``exp(-sqrt(mu^2/d + |xi|^2) x_n)`` of the bulk solution.
 
@@ -542,9 +518,7 @@ def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     """
     if d <= 0:
         raise ValueError("diffusivity must be positive")
-    return _decay_kernel(
-        "kpp", "weak", lambda xi, mu: np.sqrt(np.asarray(mu, dtype=complex) ** 2 / d + _xi_sq(xi))
-    )
+    return _decay_kernel("kpp", "weak", lambda xi, mu: _kpp_rate(xi, mu, d))
 
 
 def _filled(value: complex) -> Callable:

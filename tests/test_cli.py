@@ -14,10 +14,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import poissonops
-from poissonops.cli import CONFIG_SCHEMA, _boundary_data, _echo, build_parser, main, rbound_batch_scan
+from poissonops.cli import (
+    CONFIG_SCHEMA,
+    _boundary_data,
+    _check,
+    _ConfigError,
+    _echo,
+    build_parser,
+    main,
+    rbound_batch_scan,
+)
 from poissonops.core import TangentialGrid, _xi_sq, make_grids
 from poissonops.rbound import RademacherSampler
 from poissonops.symbols import _KERNELS, heat_kernel
@@ -544,3 +555,122 @@ def test_lemma_report(tmp_path, capsys):
     assert report["envelope_worst_rel_err"] <= 1e-6
     assert report["road_drift"] < 0.10
     assert report["road_base"]["min_f_minus_k"] > 0.0
+
+
+def _near_bounds(prop: dict) -> list:
+    """Numbers inside, on and beyond each bound of a property, as ints and as floats."""
+    bounds = [prop[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in prop] or [0]
+    near = [b + step for b in bounds for step in (-1, -0.5, 0, 0.5, 1)]
+    return near + [float(v) for v in near]
+
+
+def _entries(prop: dict):
+    """Values for one config entry: of its own type, inside, on and beyond each bound, or of a wrong type."""
+    numbers = st.one_of(st.sampled_from(_near_bounds(prop)), st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6))
+    items = st.one_of(st.sampled_from(_near_bounds(prop.get("items", {}))), st.booleans(), st.text(max_size=1))
+    own = {
+        "integer": numbers,
+        "number": numbers,
+        "string": st.sampled_from([*prop.get("enum", ["const"]), "bogus"]),
+        "boolean": st.booleans(),
+        "array": st.lists(items, max_size=3),
+    }.get(prop.get("type"), st.nothing())
+    wrong = st.one_of(
+        numbers, st.booleans(), st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+    )
+    return st.one_of(own, wrong)
+
+
+_PROPERTIES = CONFIG_SCHEMA["properties"]
+_ENTRIES = {key: _entries(_PROPERTIES.get(key, {})) for key in [*_PROPERTIES, "bogus", "Seed"]}
+_DEFAULTS = {key: prop["default"] for key, prop in _PROPERTIES.items() if "default" in prop}
+_DRAWN = st.lists(st.sampled_from(list(_ENTRIES)), unique=True, max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _ENTRIES[key] for key in keys})
+)
+# a few drawn entries alone, or over every default
+CONFIGS = _DRAWN | _DRAWN.map(lambda drawn: {**_DEFAULTS, **drawn})
+
+
+ORACLE = Draft202012Validator(CONFIG_SCHEMA)
+
+
+def _agrees_with_the_oracle(cfg) -> bool:
+    """The checker accepts ``cfg`` exactly when the validator does, or refuses it with the validator's first message."""
+    first = next(ORACLE.iter_errors(cfg), None)
+    try:
+        _check(cfg, CONFIG_SCHEMA)
+    except _ConfigError as exc:
+        return first is not None and exc.message == first.message
+    return first is None
+
+
+def test_config_check_agrees_with_the_validator_on_every_bound():
+    # each entry over the defaults, at, beside and beyond each of its bounds, and of each wrong type
+    for key, prop in _PROPERTIES.items():
+        near = _near_bounds(prop) + _near_bounds(prop.get("items", {}))
+        for value in [*near, *([v] for v in near), *prop.get("enum", []), True, False, None, "bogus", [], {}]:
+            assert _agrees_with_the_oracle({**_DEFAULTS, key: value}), (key, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=CONFIGS)
+def test_config_check_agrees_with_the_validator(cfg):
+    # jsonschema is the oracle of the CLI's checker on finite configs
+    assert _agrees_with_the_oracle(cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_check_refuses_nonfinite_numbers(bad):
+    # the one deliberate difference from the validator: RFC 8259 JSON has no NaN
+    # or infinity (Python's json reads them), so no number entry or item takes one;
+    # the validator lets a NaN pass every bound
+    for key, prop in _PROPERTIES.items():
+        if prop["type"] == "number":
+            cfg = {**_DEFAULTS, key: bad}
+        elif prop.get("items", {}).get("type") == "number":
+            cfg = {**_DEFAULTS, key: [0.0, bad]}
+        else:
+            continue
+        with pytest.raises(_ConfigError, match="is not a finite number"):
+            _check(cfg, CONFIG_SCHEMA)
+        assert ORACLE.is_valid(cfg) or not math.isnan(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.01", "--T", "inf"],
+        ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "nan"],
+        ["scan", "--s", "nan"],
+        ["scan", "--rays", "0,-inf"],
+    ],
+    ids=["T-inf", "dt-nan", "s-nan", "rays-inf"],
+)
+def test_nonfinite_flags_are_rejected(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)] + SMALL_GRID) == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("entry", ['"T": Infinity', '"dt": NaN', '"rays": [0.0, -Infinity]'])
+def test_nonfinite_config_entries_are_rejected(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{" + entry + "}")
+    argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv + SMALL_GRID) == 2
+    assert "config rejected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_config_entries_are_integers(tmp_path, capsys):
+    # JSON Schema counts 2.0 as an integer, so the overlay hands the command an int
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "heat", "N": 1.0}))
+    assert main(["verify-symbol", "--kernel", "heat", "--config", str(cfg)]) == 0
+    config_line = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(config_line.removeprefix("config "))["N"] == 1
+    cfg.write_text(json.dumps({"grid_N": 8.0, "grid_M": 16.0, "mu": 2}))
+    assert main(["solve", "--problem", "ch", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    header = _read_jsonl(tmp_path / "solve.jsonl")[0]
+    assert header["config"]["grid_N"] == 8 and isinstance(header["config"]["grid_N"], int)

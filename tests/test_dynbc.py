@@ -5,7 +5,7 @@ import cmath
 import math
 import tracemalloc
 from collections.abc import Iterator
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from poissonops.dynbc import (
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm, normal_derivative
-from poissonops.symbols import _ch_symbol, _tau, heat_kernel, kpp_kernel, kpp_m2
+from poissonops.symbols import _ch_symbol, _road_symbol, _tau, heat_kernel, kpp_kernel, kpp_m2
 from poissonops.transforms import _profile, apply_poisson, forward_fft, inverse_fft
 
 SQRT2 = math.sqrt(2.0)
@@ -273,13 +273,15 @@ def test_heat_plan_lifts_through_its_image_table(dim, N, M, mu):
 @pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j])
 @pytest.mark.parametrize("d", [1.0, 2.5])
 def test_kpp_plan_reads_its_kernel_per_mode_bits(dim, N, M, L, mu, d):
-    # the profile and the Robin derivative are evaluated per distinct |xi|^2
-    # and gathered: each mode gets exactly its own value
+    # the road symbol, the profile and the Robin derivative are evaluated per
+    # distinct |xi|^2 and gathered: each mode gets exactly its own value
     tg, ng = make_grids(dim=dim, N=N, M=M, L=L)
-    plan = dynbc._kpp_plan(DynBCProblem("KPPRoadField", tg, ng, d=d), mu)
+    plan = dynbc._kpp_plan(DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=0.3, kcoef=4.0), mu)
     kern = kpp_kernel(d)
     assert np.array_equal(plan.dn, kern.func(tg.freq_vectors, mu, 0.0, 1))
     assert np.array_equal(plan.profile, kern.func(tg.freq_vectors[..., None, :], mu, ng.nodes))
+    den, root = _road_symbol(tg.freq_norm_sq, mu * mu, d, 0.3, 4.0)
+    assert np.array_equal(plan.den, den) and np.array_equal(plan.root, root)
 
 
 @pytest.mark.parametrize("dim, N, L", [(1, 64, 2.0 * math.pi), (2, 16, 3.0), (3, 4, 2.0 * math.pi)])
@@ -290,6 +292,28 @@ def test_ch_plan_reads_its_symbol_per_mode_bits(dim, N, L, mu):
     plan = dynbc._ch_plan(DynBCProblem("CahnHilliardBoundary", tg, ng), mu)
     num, den = _ch_symbol(tg.freq_norm_sq, mu)
     assert np.array_equal(plan.num, num) and np.array_equal(plan.den, den)
+
+
+def test_heat_resolvent_without_interior_data_builds_no_sweep_scratch(monkeypatch):
+    # the certify heat resolvent: only tau and the image table are built; the
+    # stacked decay table and the sweep's scratch wait for a sweep, which builds them once
+    plans = []
+    entry = _VARIANTS["HeatDynBC"]
+
+    def kept(problem, mu):
+        plans.append(entry.plan(problem, mu))
+        return plans[-1]
+
+    monkeypatch.setitem(_VARIANTS, "HeatDynBC", entry._replace(plan=kept))
+    tg, ng = make_grids(N=16, M=64)
+    out = DynBCProblem("HeatDynBC", tg, ng).solve(None, _const_boundary(tg), 1.0)
+    sweep = plans[0].sweep
+    assert max(out.diagnostics.values()) <= 1e-10
+    assert "scratch" not in vars(sweep) and "residual" not in vars(plans[0])
+    _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), sweep)
+    scratch = sweep.scratch
+    _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), sweep)
+    assert sweep.scratch is scratch
 
 
 def test_kpp_zero_data():
@@ -592,8 +616,9 @@ def _plan_arrays(plan):
         for item in plan:
             yield from _plan_arrays(item)
     elif is_dataclass(plan):
-        for f in fields(plan):
-            yield from _plan_arrays(getattr(plan, f.name))
+        # the fields and whatever cached tables and scratch the plan has built so far
+        for value in vars(plan).values():
+            yield from _plan_arrays(value)
 
 
 @pytest.mark.parametrize("with_f", [False, True], ids=["f-absent", "f-given"])
@@ -716,6 +741,16 @@ def test_evolve_divisibility_check():
     prob = DynBCProblem("HeatDynBC", tg, ng)
     with pytest.raises(ValueError):
         implicit_euler_evolve(prob, None, None, 0.3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dt, T", [(0.01, math.inf), (math.nan, 1.0), (math.inf, math.inf), (0.01, math.nan), (-math.inf, 1.0)]
+)
+def test_evolve_refuses_nonfinite_step_or_horizon(dt, T):
+    # refused with the usage error, before round(T / dt) overflows or the plan is built
+    tg, ng = make_grids(N=8, M=32)
+    with pytest.raises(ValueError, match="positive and finite"):
+        implicit_euler_evolve(DynBCProblem("HeatDynBC", tg, ng), None, None, dt, T)
 
 
 def test_road_symbol_scan_report():

@@ -3,12 +3,16 @@ one bracket weight, one central difference, one sweep per probe over the spectra
 one builder for the decay and constant kernels, one resolvent path, one solution norm, one
 norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
 distinct |xi|^2, sign sums without per-trial contractions, an Euler step loop that allocates
-no bulk, and no threads, processes or environment reads."""
+no bulk, one kernel rescaling, a kpp plan from one decay rate, no threads, processes or
+environment reads, and a CLI that checks its configs without jsonschema."""
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import poissonops
@@ -242,6 +246,30 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
     assert _called_names(_function(trees["dynbc.py"], "_heat_plan")) & {"_profile", "exp", "func"} == set()
 
 
+def test_the_kpp_plan_takes_its_decay_rate_once():
+    # the profile and the Robin derivative both come from one _kpp_rate call,
+    # not from the kernel evaluated again per order
+    plan = _function(ast.parse((PKG_DIR / "dynbc.py").read_text()), "_kpp_plan")
+    assert _called_names(plan) & {"_profile", "func", "kpp_kernel"} == set()
+    assert sum(isinstance(n, ast.Call) and ast.unparse(n.func) == "_kpp_rate" for n in ast.walk(plan)) == 1
+
+
+def test_one_kernel_rescaling():
+    # the rescaled kernel k(xi, mu, t / <xi, mu>) is written once, in the seminorm lattice
+    tree = ast.parse((PKG_DIR / "symbols.py").read_text())
+    rescalings = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Call)
+        and ast.unparse(node.right.func) == "bracket"
+    ]
+    lattice = _function(tree, "seminorm_table")
+    assert len(rescalings) == 1
+    assert lattice.lineno <= rescalings[0].lineno <= lattice.end_lineno
+
+
 def test_one_sweep_per_probe():
     # the seminorm lattice and char_lp_bound stack every spectral sample on one
     # axis: only _spectral_lattice reads ProbeSpec.mu_values, and no loop runs
@@ -326,3 +354,26 @@ def test_one_norm_engine():
     assert definers == {"norms.py"}
     rbound_calls = _called_names(ast.parse((PKG_DIR / "rbound.py").read_text()))
     assert rbound_calls & {"normal_derivative", "_normal_lp"} == set()
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level package of every ``import`` and ``from ... import``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_cli_checks_configs_without_jsonschema():
+    # CONFIG_SCHEMA is checked by cli._check; jsonschema is a test-only oracle,
+    # and importing the CLI loads neither it nor what it pulls in
+    importers = {p.name for p in PKG_DIR.glob("*.py") if "jsonschema" in _imported_modules(ast.parse(p.read_text()))}
+    assert importers == set()
+    src = str(PKG_DIR.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, poissonops.cli; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert set(done.stdout.split()) & {"jsonschema", "attrs", "attr", "referencing", "rpds"} == set()

@@ -20,8 +20,6 @@ from poissonops.symbols import (
     SymbolKernel,
     char_lp_bound,
     constant_one,
-    eval_kernel,
-    eval_scaled,
     freeze_mu,
     heat_dynbc_b,
     heat_kernel,
@@ -38,52 +36,44 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_heat_kernel_point_values():
-    assert eval_kernel(heat_kernel, 0.0, 1.0, 1.0) == pytest.approx(math.exp(-SQRT2), rel=1e-14)
-    assert eval_kernel(heat_kernel, math.sqrt(3.0), 1.0, 1.0) == pytest.approx(
-        math.exp(-math.sqrt(5.0)), rel=1e-14
-    )
-    assert eval_kernel(heat_kernel, 5.0, 2.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert heat_kernel.func(0.0, 1.0, 1.0) == pytest.approx(math.exp(-SQRT2), rel=1e-14)
+    assert heat_kernel.func(math.sqrt(3.0), 1.0, 1.0) == pytest.approx(math.exp(-math.sqrt(5.0)), rel=1e-14)
+    assert heat_kernel.func(5.0, 2.0, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_kpp_kernel_point_value():
     k = kpp_kernel(1.0)
-    assert eval_kernel(k, 1.0, math.sqrt(3.0), 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert k.func(1.0, math.sqrt(3.0), 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
 
 
-def test_eval_scaled_matches_rescaling():
-    # ktilde(0, 1, t) = exp(-sqrt(2) * t / sqrt(2)) = exp(-t)
-    assert eval_scaled(heat_kernel, 0.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    t = np.array([0.0, 0.5, 2.0])
-    got = eval_scaled(heat_kernel, 1.0, 2.0, t)
-    want = eval_kernel(heat_kernel, 1.0, 2.0, t / bracket(1.0, 2.0))
-    np.testing.assert_allclose(got, want, rtol=1e-14)
+def test_rescaled_heat_kernel_values():
+    # ktilde(xi, mu, t) = k(xi, mu, t / <xi, mu>); ktilde(0, 1, t) = exp(-sqrt(2) * t / sqrt(2)) = exp(-t)
+    assert heat_kernel.func(0.0, 1.0, 1.0 / bracket(0.0, 1.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
-def test_eval_scaled_on_stacked_frequencies_is_pointwise():
+def test_rescaling_on_stacked_frequencies_is_pointwise():
     # each frequency row is rescaled by its own <xi, mu>, not by one weight of
     # the whole stack; for real mu the heat kernel gives exp(-t) on every row
     xi = np.array([[1.0], [2.0]])
-    got = eval_scaled(heat_kernel, xi, 1.0, 1.0)
-    want = [eval_scaled(heat_kernel, row, 1.0, 1.0) for row in xi]
+    got = heat_kernel.func(xi, 1.0, 1.0 / bracket(xi, 1.0))
+    want = [heat_kernel.func(row, 1.0, 1.0 / bracket(row, 1.0)) for row in xi]
     np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(got, math.exp(-1.0), rtol=1e-15)
 
 
-def test_eval_domain_checks():
-    with pytest.raises(ValueError):
-        eval_kernel(heat_kernel, 0.0, 1.0, -0.5)
+def test_heat_kernel_sector_checks():
     with pytest.raises(SectorError):
-        eval_kernel(heat_kernel, 0.0, None, 1.0)
+        heat_kernel.sector.require(None)
     with pytest.raises(SectorError):
-        eval_kernel(heat_kernel, 0.0, -3.0, 1.0)
+        heat_kernel.sector.require(-3.0)
 
 
 @pytest.mark.parametrize("kernel", [heat_kernel, kpp_kernel(1.0)])
 def test_conjugate_symmetry(kernel):
     mu = 2.0 * complex(math.cos(math.pi / 8), math.sin(math.pi / 8))
     xn = np.array([0.0, 0.3, 1.7])
-    left = eval_kernel(kernel, -1.3, np.conj(mu), xn)
-    right = np.conj(eval_kernel(kernel, 1.3, mu, xn))
+    left = kernel.func(-1.3, np.conj(mu), xn)
+    right = np.conj(kernel.func(1.3, mu, xn))
     np.testing.assert_allclose(left, right, rtol=0, atol=1e-15)
 
 
@@ -346,7 +336,7 @@ def test_kernel_catalog_names():
     assert kernel_catalog("constant-one") is constant_one
     k = kernel_catalog("kpp", d=2.0)
     rate = math.sqrt(3.0 / 2.0 + 1.0)
-    assert eval_kernel(k, 1.0, math.sqrt(3.0), 1.0) == pytest.approx(math.exp(-rate), rel=1e-12)
+    assert k.func(1.0, math.sqrt(3.0), 1.0) == pytest.approx(math.exp(-rate), rel=1e-12)
     with pytest.raises(KeyError):
         kernel_catalog("nosuch")
 
@@ -354,9 +344,9 @@ def test_kernel_catalog_names():
 def test_freeze_mu_round_trip():
     frozen = freeze_mu(heat_kernel, 1.0)
     assert frozen.sector.is_empty
-    assert eval_kernel(frozen, 0.0, None, 1.0) == pytest.approx(math.exp(-SQRT2), rel=1e-14)
+    assert frozen.func(0.0, None, 1.0) == pytest.approx(math.exp(-SQRT2), rel=1e-14)
     with pytest.raises(SectorError):
-        eval_kernel(frozen, 0.0, 1.0, 1.0)
+        frozen.sector.require(1.0)
     with pytest.raises(SectorError):
         freeze_mu(heat_kernel, -1.0)
     with pytest.raises(ValueError):
