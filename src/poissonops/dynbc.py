@@ -563,9 +563,21 @@ def implicit_euler_evolve(
 # road lattice rays: z just off the real axis, mu spread over the sector's half-angle 0.45 pi
 _ROAD_Z_ANGLE = 0.02
 _ROAD_MU_ANGLES = (0.0, 0.35 * math.pi, -0.35 * math.pi, 0.44 * math.pi, -0.44 * math.pi)
-# z rows evaluated at once: a block's temporaries grow with the mu count 5n,
-# not with the whole 2n x 5n lattice
-_ROAD_BLOCK_ROWS = 64
+# lattice points evaluated at once (32 z rows of the 1,200 mu at n = 240): a
+# block's temporaries stay a few MiB however fine the lattice
+_ROAD_BLOCK_SIZE = 38_400
+# shell radii; a point of radius hypot(|z|, |mu|) >= max(|z|, |mu|) reaches the
+# inner shell only if |z| and |mu| both do, and the outer one only if |z| or
+# |mu| reaches 1e3 / sqrt(2) ~ 707, so 700 leaves a safe margin
+_ROAD_INNER = 2e-3
+_ROAD_OUTER = 1e3
+_ROAD_OUTER_REACH = 700.0
+
+
+def _shell_max(m1: np.ndarray, abs_z: np.ndarray, abs_mu: np.ndarray, rows, cols, lo: float, hi: float) -> float:
+    """Max of ``m1`` over the points of ``rows x cols`` with radius in ``[lo, hi]``, 0.0 if none."""
+    radius = np.hypot(abs_z[rows, None], abs_mu[cols])
+    return float(np.max(m1[rows][:, cols], where=(lo <= radius) & (radius <= hi), initial=0.0))
 
 
 def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n: int = 120) -> dict:
@@ -576,31 +588,49 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
     Reports the lattice suprema of both multipliers, the minimum denominator
     clearance ``|f(z, mu) - k|``, and the largest multiplier magnitude on the
     inner and outer shells where the first multiplier must vanish.
+
+    The lattice is closed under conjugation: the ``z`` rays are
+    ``+-_ROAD_Z_ANGLE`` and the ``mu`` angles are closed under negation.
+    ``_road_symbol`` has real coefficients, so its value at
+    ``(conj z, conj mu)`` is the conjugate of its value at ``(z, mu)``, and
+    every reported maximum and minimum, all of moduli, is reached on the
+    ``+_ROAD_Z_ANGLE`` rows alone; only those are evaluated.  (The root's
+    radicand ``d mu^2 + d^2 z^2`` is never a negative real on these rays, so
+    no signed zero picks its branch.)
     """
     if min(d, dprime, kcoef) <= 0:
         raise ValueError("road-field parameters must be positive")
     if n < 1:
         raise ValueError(f"need a lattice of n >= 1 magnitudes, got n={n}")
+    if set(_ROAD_MU_ANGLES) != {-a for a in _ROAD_MU_ANGLES}:
+        raise RuntimeError(f"road lattice mu angles {_ROAD_MU_ANGLES} are not closed under conjugation")
     mags = np.geomspace(1e-3, 1e3, n)
-    zs = np.concatenate([mags * np.exp(1j * _ROAD_Z_ANGLE), mags * np.exp(-1j * _ROAD_Z_ANGLE)])
+    zs = mags * np.exp(1j * _ROAD_Z_ANGLE)
     mus = np.concatenate([mags * np.exp(1j * a) for a in _ROAD_MU_ANGLES])
     mu2 = mus * mus
-    abs_mu = np.abs(mus)
+    abs_z, abs_mu = np.abs(zs), np.abs(mus)
+    inner_z, inner_mu = abs_z <= _ROAD_INNER, abs_mu <= _ROAD_INNER
+    outer_z, outer_mu = abs_z >= _ROAD_OUTER_REACH, abs_mu >= _ROAD_OUTER_REACH
+    step = max(1, _ROAD_BLOCK_SIZE // len(mus))
     # per block of z rows: sup m1, sup m2, min |den|, and m1's maxima on the
-    # inner and outer shells (0.0 where a shell is empty); max and min are
-    # exact, so the blocks reduce to the whole lattice's values
+    # inner and outer shells (0.0 where a shell is empty), each taken on the
+    # rows and columns that reach it; max and min are exact, so the blocks
+    # reduce to the whole lattice's values
     blocks = []
-    for lo in range(0, len(zs), _ROAD_BLOCK_ROWS):
-        z = zs[lo : lo + _ROAD_BLOCK_ROWS, None]
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        z = zs[rows, None]
         den, root = _road_symbol(z * z, mu2, d, dprime, kcoef)
         m1 = np.abs(mu2 * kcoef / den)
-        radius = np.hypot(np.abs(z), abs_mu)
+        # with a row of |z| >= 700 every column may reach the outer shell,
+        # without one only the columns of |mu| >= 700
+        outer_cols = slice(None) if outer_z[rows].any() else outer_mu
         blocks.append((
             np.max(m1),
             np.max(np.abs(mu2 * root / den)),
             np.min(np.abs(den)),
-            np.max(m1, where=radius <= 2e-3, initial=0.0),
-            np.max(m1, where=radius >= 1e3, initial=0.0),
+            _shell_max(m1, abs_z[rows], abs_mu, inner_z[rows], inner_mu, 0.0, _ROAD_INNER),
+            _shell_max(m1, abs_z[rows], abs_mu, slice(None), outer_cols, _ROAD_OUTER, math.inf),
         ))
     b = np.array(blocks)
     return {

@@ -257,14 +257,28 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
     probe = probe or ProbeSpec()
     mu, xi, br, h = _spectral_lattice(probe, k.sector)
     t = probe.t_values()[None, :]  # (1, nt)
+    # the xi values are symmetric, xi[mirror] == -xi, and the lattice reads xi
+    # only through xi^2 (the step h and a SymbolKernel's radial contract), so
+    # the sample at offset (-i, p, q, s) is the one at (i, p, q, s) read at -xi
+    order = np.argsort(xi[:, 0])
+    mirror = np.empty_like(order)
+    mirror[order] = order[::-1]
+    if not np.array_equal(xi[mirror], -xi):
+        raise RuntimeError("probe xi values are not symmetric about 0")
 
+    # a separate cache, not a self-calling cached `at`: that would be a
+    # reference cycle keeping every sample alive until the cyclic GC runs
     @functools.cache
-    def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
+    def sample(offsets: tuple[int, int, int, int]) -> np.ndarray:
         i, p, q, s = offsets
         xs = xi + i * h
         ms = None if mu is None else mu + (p + 1j * q) * h
         ts = np.maximum(t + s * h, 0.0)
         return np.asarray(k.func(xs[..., None], ms, ts / bracket(xs[..., None], ms)), dtype=complex)
+
+    def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
+        i, p, q, s = offsets
+        return sample(offsets) if i >= 0 else sample((-i, p, q, s))[..., mirror, :]
 
     strong = k.kind == "strong"
     per_order = [0.0] * (N + 1)

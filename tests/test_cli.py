@@ -280,7 +280,8 @@ def test_subcommand_help(capsys, command):
 
 
 def test_config_schema_is_valid():
-    # the validator is built once, so nothing re-checks the schema per call
+    # cli._check reads the schema with draft 2020-12 semantics, so the schema
+    # itself must be a valid draft 2020-12 schema
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 

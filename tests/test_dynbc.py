@@ -9,7 +9,7 @@ from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poissonops import dynbc
@@ -776,10 +776,15 @@ def test_road_symbol_scan_refinement_stable():
     assert abs(fine["sup_m2"] - base["sup_m2"]) < 0.10 * base["sup_m2"]
 
 
-def test_road_symbol_scan_blocks_match_the_whole_lattice():
-    # the scan reduces blocks of z rows; the whole 2n x 5n lattice at once is
-    # the reference, and max and min leave nothing to round
-    n, d, dprime, kcoef = 100, 0.5, 2.0, 1.5
+@pytest.mark.parametrize(
+    "d, dprime, kcoef, n",
+    [(0.5, 2.0, 1.5, 100), (1.0, 1.0, 1.0, 1), (1.0, 1.0, 1.0, 2), (2.0, 0.3, 4.0, 7), (0.2, 5.0, 0.7, 33),
+     (1.0, 1.0, 1.0, 241)],
+)
+def test_road_symbol_scan_blocks_match_the_whole_lattice(d, dprime, kcoef, n):
+    # the scan evaluates blocks of the +angle z rows only; the whole 2n x 5n
+    # lattice at once, both z rays and every shell point, is the reference,
+    # and max and min leave nothing to round
     mags = np.geomspace(1e-3, 1e3, n)
     angle = dynbc._ROAD_Z_ANGLE
     z = np.concatenate([mags * np.exp(1j * angle), mags * np.exp(-1j * angle)])[:, None]
@@ -791,22 +796,54 @@ def test_road_symbol_scan_blocks_match_the_whole_lattice():
         "sup_m1": float(np.max(m1)),
         "sup_m2": float(np.max(np.abs(mu * mu * root / den))),
         "min_f_minus_k": float(np.min(np.abs(den))),
-        "inner_max_m1": float(np.max(m1[radius <= 2e-3])),
-        "outer_max_m1": float(np.max(m1[radius >= 1e3])),
+        "inner_max_m1": float(np.max(m1[radius <= 2e-3], initial=0.0)),
+        "outer_max_m1": float(np.max(m1[radius >= 1e3], initial=0.0)),
         "n": n,
     }
 
 
-def test_road_symbol_scan_memory_does_not_grow_with_the_lattice():
-    # the whole n = 480 lattice is 960 x 2400 complex values, 35 MiB per array
-    # and about ten arrays at once; a block of z rows holds a few MiB
+_ROAD_POINTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=_ROAD_POINTS,
+    mu=_ROAD_POINTS,
+    d=st.floats(1e-2, 1e2),
+    dprime=st.floats(1e-2, 1e2),
+    kcoef=st.floats(1e-2, 1e2),
+)
+def test_road_symbol_is_conjugate_symmetric(z, mu, d, dprime, kcoef):
+    # real coefficients: the value at (conj z, conj mu) is the conjugate, bit
+    # for bit; only on the root's branch cut (a real negative radicand) does a
+    # signed zero pick the side, and the scan's lattice never reaches it
+    s, mu2 = np.complex128(z) ** 2, np.complex128(mu) ** 2
+    radicand = d * mu2 + d * d * s
+    assume(not (radicand.imag == 0.0 and radicand.real < 0.0))
+    den, root = _road_symbol(s, mu2, d, dprime, kcoef)
+    den_c, root_c = _road_symbol(np.conj(s), np.conj(mu2), d, dprime, kcoef)
+    assert den_c == np.conj(den)
+    assert root_c == np.conj(root)
+
+
+def test_road_symbol_scan_refuses_angles_not_closed_under_conjugation(monkeypatch):
+    # the half lattice is exact only for mu angles closed under negation
+    monkeypatch.setattr(dynbc, "_ROAD_MU_ANGLES", (0.0, 0.35 * math.pi, -0.35 * math.pi, 0.44 * math.pi))
+    with pytest.raises(RuntimeError, match="not closed under conjugation"):
+        road_symbol_scan(n=8)
+
+
+@pytest.mark.parametrize("n", [480, 2000])
+def test_road_symbol_scan_memory_does_not_grow_with_the_lattice(n):
+    # the whole n = 2000 lattice is 4000 x 10000 complex values, 610 MiB per
+    # array; a block holds 38,400 lattice points, a few MiB with its temporaries
     tracemalloc.start()
     try:
-        road_symbol_scan(n=480)
+        road_symbol_scan(n=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_boundary_symbol_gain_bounded():

@@ -1,8 +1,11 @@
 """Symbol kernels, seminorm scans, characterization and multiplier bounds."""
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,9 +18,13 @@ from poissonops.symbols import (
     _HALF_SECTOR,
     _KERNELS,
     _STEN,
+    _STEN_RADIUS,
+    _STIRLING2,
     MultiplierSymbol,
     ProbeSpec,
     SymbolKernel,
+    _central_difference,
+    _spectral_lattice,
     char_lp_bound,
     constant_one,
     freeze_mu,
@@ -171,6 +178,89 @@ def test_seminorm_table_kernel_calls_do_not_grow_with_the_spectral_samples():
         counts.append(len(calls))
     assert len(ProbeSpec().mu_values(_HALF_SECTOR)) == 3 * len(ProbeSpec(rays=(0.0,)).mu_values(_HALF_SECTOR))
     assert counts[0] == counts[1]
+
+
+def _table_at_every_offset(k: SymbolKernel, N: int, probe: ProbeSpec | None = None, offsets: set | None = None):
+    """Reference seminorm table that evaluates the kernel at every stencil offset, negative xi offsets too.
+
+    ``offsets``, if given, collects the distinct offsets evaluated.
+    """
+    probe = probe or ProbeSpec()
+    mu, xi, br, h = _spectral_lattice(probe, k.sector)
+    t = probe.t_values()[None, :]
+
+    @functools.cache
+    def at(offset):
+        if offsets is not None:
+            offsets.add(offset)
+        i, p, q, s = offset
+        xs = (xi + i * h)[..., None]
+        ms = None if mu is None else mu + (p + 1j * q) * h
+        return np.asarray(k.func(xs, ms, np.maximum(t + s * h, 0.0) / bracket(xs, ms)), dtype=complex)
+
+    per_order = [0.0] * (N + 1)
+    nmu = N if mu is not None else 0
+    for a, b1, b2 in itertools.product(range(N + 1), range(nmu + 1), range(nmu + 1)):
+        rem = N - a - b1 - b2
+        if rem < 0:
+            continue
+        gs = [_central_difference(at, (a, b1, b2, j), h) for j in range(rem + 1)]
+        for m, l in itertools.product(range(rem + 1), range(rem + 1)):
+            if m + l > rem:
+                continue
+            if k.kind == "strong":
+                vals = np.abs(t**l * gs[m])
+            else:
+                g = sum(c * t**j * gs[j] for j, c in _STIRLING2[m].items())
+                vals = np.abs(g) * (1.0 + t * t) ** (0.5 * l)
+            vals = vals * br ** (-k.order + a + b1 + b2)
+            top = float(np.max(np.where(t - _STEN_RADIUS[m] * h >= 0.0, vals, 0.0)))
+            per_order[a + b1 + b2 + m + l] = max(per_order[a + b1 + b2 + m + l], top)
+    return list(itertools.accumulate(per_order, max))
+
+
+@pytest.mark.parametrize("probe", [ProbeSpec(), ProbeSpec(level=1, rays=(0.0, -1.2))], ids=["default", "pinned"])
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+@pytest.mark.parametrize("name", ["heat", "kpp", "heat-frozen", "constant-one", "zero"])
+def test_seminorm_table_matches_every_offset_evaluated(name, kind, probe):
+    # offsets -i are the samples at +i read at -xi, bit for bit
+    k = replace(_FOLD_KERNELS[name](0.5), kind=kind)
+    assert seminorm_table(k, 4, probe) == _table_at_every_offset(k, 4, probe)
+
+
+def test_seminorm_table_evaluates_each_mirrored_offset_once():
+    # a heat N = 4 table reads 137 stencil offsets, 97 of them with i >= 0
+    seen: set = set()
+    _table_at_every_offset(heat_kernel, 4, offsets=seen)
+    k, calls = _counted(heat_kernel)
+    seminorm_table(k, 4)
+    assert (len(seen), len({(abs(i), *rest) for i, *rest in seen}), len(calls)) == (137, 97, 97)
+
+
+def test_seminorm_table_refuses_asymmetric_xi_values(monkeypatch):
+    monkeypatch.setattr(ProbeSpec, "xi_values", lambda self: np.array([0.0, 0.25, 1.0, -0.25]))
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        seminorm_table(heat_kernel, 2)
+
+
+def test_seminorm_table_frees_its_samples_without_the_cyclic_gc():
+    # the lattice cache goes by reference counting when the call returns; a
+    # cached closure that called itself would be a cycle that outlives the table
+    seminorm_table(heat_kernel, 4)  # lazy state, once per process
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seminorm_table(heat_kernel, 4)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # the samples were held, about 2 MiB, and let go: what stays is the
+    # interpreter's free lists of small tuples and floats
+    assert peak - before > 2**20
+    assert after - before < 2**18
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 3])
