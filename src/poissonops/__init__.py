@@ -41,7 +41,6 @@ from .symbols import (
     kernel_catalog,
     lemma_max_eval,
     mikhlin_fnorm,
-    seminorm,
     seminorm_table,
 )
 from .transforms import LPPartition, apply_multiplier, apply_poisson, lp_blocks
@@ -81,7 +80,6 @@ __all__ = [
     "probe_dictionary",
     "rbound_lower",
     "road_symbol_scan",
-    "seminorm",
     "seminorm_table",
     "__version__",
 ]

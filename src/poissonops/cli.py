@@ -256,8 +256,7 @@ def rbound_batch_scan(
         return (abs(mus[-1]), ray, est.value)
 
     rows = [one(idx, ray, mus) for idx, (ray, mus) in enumerate(jobs)]
-    meta = {"seed": seed, "trials": trials, "restarts": restarts, "batch": batch}
-    return ScanResult.from_rows(rows, metadata=meta)
+    return ScanResult.from_rows(rows, metadata={"seed": seed})
 
 
 def cmd_verify_symbol(args: argparse.Namespace) -> int:

@@ -46,9 +46,6 @@ from .symbols import (
     _kpp_rate,
     _road_symbol,
     _tau,
-    ch_b,
-    heat_dynbc_b,
-    kpp_m2,
 )
 from .transforms import _itfft, _tfft
 
@@ -67,11 +64,11 @@ class DynBCProblem:
     """A model problem: variant, grids, parameters, admissible sector.
 
     The road-field parameters ``d`` (bulk diffusivity), ``dprime`` (road
-    diffusivity), and ``kcoef`` (exchange rate) must be positive; they are
-    ignored by the other variants.  The sector must lie within the sector
-    ``|arg mu| < 0.45 pi`` of the catalog kernels and multipliers, so it is
-    the only check a parameter passes: ``solve`` and ``boundary_symbol_gain``
-    reject parameters outside it.
+    diffusivity), and ``kcoef`` (exchange rate) must be positive and finite;
+    they are ignored by the other variants.  The sector must lie within the
+    sector ``|arg mu| < 0.45 pi`` of the catalog kernels and multipliers, so
+    it is the only check a parameter passes: ``solve`` and
+    ``boundary_symbol_gain`` reject parameters outside it.
     """
 
     variant: str
@@ -85,8 +82,9 @@ class DynBCProblem:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if min(self.d, self.dprime, self.kcoef) <= 0:
-            raise ValueError("problem parameters must be positive")
+        params = (self.d, self.dprime, self.kcoef)
+        if not all(0 < x < math.inf for x in params):
+            raise ValueError(f"problem parameters must be positive and finite, got {params}")
         if not (_HALF_SECTOR.alpha <= self.sector.alpha and self.sector.beta <= _HALF_SECTOR.beta):
             raise ValueError("the problem sector must lie within the catalog kernels' sector")
 
@@ -465,28 +463,27 @@ def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray]
 
 
 class _Variant(NamedTuple):
-    """A model problem's boundary multiplier, step plan and spectral step.
+    """A model problem's step plan and spectral step.
 
-    ``multiplier(d, dprime, kcoef)`` builds ``b(xi, mu)``: per mode the
-    boundary dynamics give ``v-hat = b g-hat / mu^2``.  ``plan(problem, mu)``
-    builds every table the step reads that depends on the problem and ``mu``
-    only, once per resolvent or Euler trajectory.  ``step(problem, plan,
-    fspec, gspec)`` returns ``(uspec, vspec, diagnostics)``, with ``uspec``
-    ``None`` for a zero bulk; only a step that ``reads_f`` is given interior
-    data, and ``fspec`` ``None`` for zero data.  The returned spectra are
+    ``plan(problem, mu)`` builds every table the step reads that depends on
+    the problem and ``mu`` only, once per resolvent or Euler trajectory.
+    ``step(problem, plan, fspec, gspec)`` returns ``(uspec, vspec,
+    diagnostics)``, with ``uspec`` ``None`` for a zero bulk; only a step that
+    ``reads_f`` is given interior data, and ``fspec`` ``None`` for zero data.
+    Per mode the step's boundary map is ``v-hat = b(xi, mu) g-hat / mu^2``
+    for the variant's boundary multiplier ``b``.  The returned spectra are
     fresh arrays, which the caller may keep.
     """
 
-    multiplier: Callable
     plan: Callable
     step: Callable
     reads_f: bool = False
 
 
 _VARIANTS = {
-    "HeatDynBC": _Variant(lambda d, dprime, kcoef: heat_dynbc_b, _heat_plan, _heat_step, reads_f=True),
-    "CahnHilliardBoundary": _Variant(lambda d, dprime, kcoef: ch_b, _ch_plan, _ch_step),
-    "KPPRoadField": _Variant(kpp_m2, _kpp_plan, _kpp_step),
+    "HeatDynBC": _Variant(_heat_plan, _heat_step, reads_f=True),
+    "CahnHilliardBoundary": _Variant(_ch_plan, _ch_step),
+    "KPPRoadField": _Variant(_kpp_plan, _kpp_step),
 }
 
 
@@ -598,8 +595,8 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
     radicand ``d mu^2 + d^2 z^2`` is never a negative real on these rays, so
     no signed zero picks its branch.)
     """
-    if min(d, dprime, kcoef) <= 0:
-        raise ValueError("road-field parameters must be positive")
+    if not all(0 < x < math.inf for x in (d, dprime, kcoef)):
+        raise ValueError(f"road-field parameters must be positive and finite, got {(d, dprime, kcoef)}")
     if n < 1:
         raise ValueError(f"need a lattice of n >= 1 magnitudes, got n={n}")
     if set(_ROAD_MU_ANGLES) != {-a for a in _ROAD_MU_ANGLES}:
@@ -646,13 +643,15 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
 def boundary_symbol_gain(problem: DynBCProblem, mu: complex, shift: float = 0.0) -> float:
     """Lattice maximum of the per-mode boundary gain ``|v-hat / g-hat|``.
 
-    ``shift`` moves the spectral parameter to ``sqrt(mu^2 + shift)`` before
-    evaluation, probing the resolvent of the shifted generator; the gains of
-    all three variants decrease away from frequency zero, so the grid maximum
-    is the sup.
+    The variant's own plan and step run on unit boundary spectra, so the
+    gain is that of the boundary map the resolvent applies.  ``shift`` moves
+    the spectral parameter to ``sqrt(mu^2 + shift)`` before evaluation,
+    probing the resolvent of the shifted generator; the gains of all three
+    variants decrease away from frequency zero, so the grid maximum is the sup.
     """
     mu = problem.sector.require(mu)
     mu_eff = problem.sector.require(np.sqrt(mu * mu + shift))
-    b = _VARIANTS[problem.variant].multiplier(problem.d, problem.dprime, problem.kcoef)
-    vals = np.asarray(b.func(problem.tangential.freq_vectors, mu_eff), dtype=complex)
-    return float(np.max(np.abs(vals / (mu_eff * mu_eff))))
+    variant = _VARIANTS[problem.variant]
+    ones = np.ones(problem.tangential.shape, dtype=complex)
+    _, vspec, _ = variant.step(problem, variant.plan(problem, mu_eff), None, ones)
+    return float(np.max(np.abs(vspec)))

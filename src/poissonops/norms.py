@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, bracket, make_grids
+from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, bracket
 from .symbols import SymbolKernel
 from .transforms import LPPartition, _itfft, _tfft
 
@@ -25,10 +25,6 @@ __all__ = [
     "NormSpec",
     "lp_norm",
     "weak_lp_norm",
-    "mixed_norm",
-    "besov_norm",
-    "tot_char_norm",
-    "bessel2_norm",
     "opnorm_hilbert",
     "normal_derivative",
     "field_norm",
@@ -165,40 +161,13 @@ def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> 
     return out
 
 
-def mixed_norm(u: HalfSpaceField, p: float, q: float, m: int = 0, weak: bool = False) -> float:
-    """Sum over derivative orders up to ``m`` of normal-then-tangential norms.
-
-    Each term takes the tangential L^q of the order-``l`` normal derivative on
-    every slice, then the (weak) L^p of that profile in the normal direction.
-    """
-    return field_norm(u, NormSpec("Mixed", p=p, q=q, m=m, weak=weak))
-
-
-def besov_norm(g: BoundaryField, s: float, p: float, q: float) -> float:
-    """Dyadic-block smoothness norm ``(sum_j 2^{jsq} ||block_j||_p^q)^{1/q}``."""
-    return field_norm(g, NormSpec("Besov", p=p, q=q, s=s))
-
-
-def tot_char_norm(u: HalfSpaceField, s: int, p: float, q: float, weak: bool = False) -> float:
-    """Totally characteristic norm: ``(x_n d/dx_n)`` derivatives up to ``s``.
-
-    Order ``s = 0`` coincides with ``mixed_norm(u, p, q, 0, weak)``.
-    """
-    return field_norm(u, NormSpec("TotChar", p=p, q=q, s=s, weak=weak))
-
-
-def bessel2_norm(g: BoundaryField, s: float) -> float:
-    """Bracket-weighted spectral L^2 norm ``||<xi>^s g^||_2`` of boundary data."""
-    return field_norm(g, NormSpec("Bessel2", s=s))
-
-
 def opnorm_hilbert(
     k: SymbolKernel,
     mu,
     s: float,
     t: float,
-    grid: TangentialGrid | None = None,
-    ngrid: NormalGrid | None = None,
+    grid: TangentialGrid,
+    ngrid: NormalGrid,
 ) -> float:
     """Operator norm of the Poisson operator between L^2-scale spaces, per mode.
 
@@ -222,10 +191,6 @@ def opnorm_hilbert(
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
     k.sector.require(mu)
-    if grid is None or ngrid is None:
-        dg, dn = make_grids()
-        grid = grid or dg
-        ngrid = ngrid or dn
     reps = grid.radial[0]
     fv = reps[:, None, :]
 

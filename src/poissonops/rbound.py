@@ -65,8 +65,6 @@ class RBoundEstimate:
 
     value: float
     stderr: float
-    trials: int
-    config: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -274,10 +272,8 @@ def rbound_lower(
     _check_counts(p, trials, restarts)
     _check_common_grid(inputs)
     grid = inputs[0].grid
-    in_norm = in_norm or NormSpec("Lp", p=2.0)
-    out_norm = out_norm or NormSpec("Lp", p=2.0)
-    in_form = _StackNorm(in_norm, grid, None)
-    out_form = _StackNorm(out_norm, grid, normal)
+    in_form = _StackNorm(in_norm or NormSpec("Lp", p=2.0), grid, None)
+    out_form = _StackNorm(out_norm or NormSpec("Lp", p=2.0), grid, normal)
     shape = grid.shape + (() if normal is None else (normal.M,))
     if any(np.shape(m) != shape for m in multipliers):
         raise ValueError(f"every multiplier must have shape {shape}")
@@ -313,14 +309,4 @@ def rbound_lower(
         ratio = num / den
         if ratio > best:
             best, best_err = ratio, num_err / den
-    config = {
-        "p": p,
-        "trials": trials,
-        "restarts": restarts,
-        "n_ops": n_ops,
-        "n_inputs": n_in,
-        "seed": sampler.seed,
-        "in_norm": in_norm.family,
-        "out_norm": out_norm.family,
-    }
-    return RBoundEstimate(value=float(best), stderr=float(best_err), trials=trials, config=config)
+    return RBoundEstimate(value=float(best), stderr=float(best_err))

@@ -32,7 +32,6 @@ __all__ = [
     "SymbolKernel",
     "MultiplierSymbol",
     "ProbeSpec",
-    "seminorm",
     "seminorm_table",
     "char_lp_bound",
     "mikhlin_fnorm",
@@ -234,24 +233,19 @@ def _central_difference(at: Callable, orders, h):
     return acc / h ** sum(orders)
 
 
-def seminorm(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> float:
-    """Lower estimate of the order-``N`` symbol-class seminorm of ``k``.
+def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> list[float]:
+    """Lower estimates of the symbol-class seminorms of ``k`` of orders ``0..N``, from one sweep per probe.
 
-    For the strong class this is the lattice supremum over all index
-    combinations ``l + l' + |a| + |b| <= N`` of
+    The order-``n`` entry is, for the strong class, the lattice supremum over
+    all index combinations ``l + l' + |a| + |b| <= n`` of
 
         ``|t^l D_t^l' D_xi^a D_mu^b ktilde| * <xi, mu>^(-d + |a| + |b|)``
 
     and for the weak class the analogue with ``(t D_t)^m`` derivatives and
     ``<t>^l`` weights.  Derivatives in ``mu`` act on its two real coordinates.
-    Returns a lower bound; compare against a refined probe to certify
+    Each entry is a lower bound; compare against a refined probe to certify
     finiteness.
     """
-    return seminorm_table(k, N, probe)[N]
-
-
-def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> list[float]:
-    """``[seminorm(k, n, probe) for n in 0..N]`` from one sweep per probe."""
     if not 0 <= N <= 4:
         raise ValueError("derivative budget N must lie in 0..4")
     probe = probe or ProbeSpec()
@@ -340,9 +334,9 @@ def char_lp_bound(
         raise ValueError(f"integrability exponent must be >= 1, got {p}")
     if k.kind != "strong":
         raise ValueError("characterization bound applies to strong-class kernels")
-    a = int(np.sum(alpha)) if np.ndim(alpha) else int(alpha)
-    if l < 0 or lp < 0 or a < 0:
+    if l < 0 or lp < 0 or np.any(np.asarray(alpha) < 0):
         raise ValueError("derivative orders must be nonnegative")
+    a = int(np.sum(alpha))
     if lp + a > 3:
         raise ValueError("derivative budget l' + |alpha| is capped at 3")
     mu, xi, br, h = _spectral_lattice(probe or ProbeSpec(), k.sector)
@@ -508,8 +502,8 @@ def _road_symbol(s, mu2, d, dprime, kcoef):
 
 def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> MultiplierSymbol:
     """Multiplier sending road data to the road density in the road-field model."""
-    if min(d, dprime, kcoef) <= 0:
-        raise ValueError("road-field parameters must be positive")
+    if not all(0 < x < math.inf for x in (d, dprime, kcoef)):
+        raise ValueError(f"road-field parameters must be positive and finite, got {(d, dprime, kcoef)}")
 
     def f(xi, mu):
         mu2 = np.asarray(mu, dtype=complex) ** 2
@@ -530,8 +524,8 @@ def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     Unit bounded, but its decay rate degenerates against the bracket weight as
     ``mu`` vanishes, so it is tagged with the weak class as a nominal label.
     """
-    if d <= 0:
-        raise ValueError("diffusivity must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError(f"diffusivity must be positive and finite, got d={d!r}")
     return _decay_kernel("kpp", "weak", lambda xi, mu: _kpp_rate(xi, mu, d))
 
 

@@ -26,11 +26,17 @@ from poissonops.dynbc import (
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm, normal_derivative
-from poissonops.symbols import _ch_symbol, _road_symbol, _tau, heat_kernel, kpp_kernel, kpp_m2
+from poissonops.symbols import _ch_symbol, _road_symbol, _tau, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
 from poissonops.transforms import _profile, apply_poisson, forward_fft, inverse_fft
 
 SQRT2 = math.sqrt(2.0)
 VARIANTS = ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"]
+# the independent oracle of each variant's boundary map: per mode v-hat = b(xi, mu) g-hat / mu^2
+BOUNDARY_SYMBOL = {
+    "HeatDynBC": lambda d, dprime, kcoef: heat_dynbc_b,
+    "CahnHilliardBoundary": lambda d, dprime, kcoef: ch_b,
+    "KPPRoadField": kpp_m2,
+}
 
 
 def _const_boundary(grid, value=1.0):
@@ -412,8 +418,8 @@ def test_single_mode_resolvent_residuals_at_random_mu(variant, dim, mode, mu_abs
     mu = mu_abs * complex(math.cos(mu_arg), math.sin(mu_arg))
     out = DynBCProblem(variant, tg, ng, d=d, dprime=dprime, kcoef=kcoef).solve(None, inverse_fft(spec, tg), mu)
     assert max(out.diagnostics.values()) <= 1e-8
-    # the step's boundary response is the table's multiplier b(xi, mu) / mu^2
-    b = _VARIANTS[variant].multiplier(d, dprime, kcoef)
+    # the step's boundary response is the variant's multiplier b(xi, mu) / mu^2
+    b = BOUNDARY_SYMBOL[variant](d, dprime, kcoef)
     want = b.func(tg.freq_vectors[idx], mu) / (mu * mu)
     assert abs(forward_fft(out.v)[idx] - want) <= 1e-12 * abs(want)
 
@@ -853,6 +859,27 @@ def test_boundary_symbol_gain_bounded():
         for m in (0.1, 1.0, 10.0, 100.0):
             scaled = (1.0 + m * m) * boundary_symbol_gain(prob, m, shift)
             assert 0.0 < scaled <= 2.5
+
+
+@pytest.mark.parametrize(
+    "variant, params",
+    [(v, (1.0, 1.0, 1.0)) for v in VARIANTS] + [("KPPRoadField", (0.3, 2.5, 4.0))],
+)
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+@pytest.mark.parametrize("ray", [0.0, 0.3 * math.pi, -0.4 * math.pi])
+def test_boundary_symbol_gain_is_the_boundary_symbols_maximum(variant, params, shift, ray):
+    # the gain runs the resolvent's own plan and step; the symbols are written independently
+    tg, ng = make_grids(dim=2, N=8, M=8)
+    mu = 1.7 * complex(math.cos(ray), math.sin(ray))
+    prob = DynBCProblem(variant, tg, ng, *params)
+    mu_eff = np.sqrt(mu * mu + shift)
+    b = BOUNDARY_SYMBOL[variant](*params)
+    want = np.max(np.abs(b.func(tg.freq_vectors, mu_eff))) / abs(mu_eff * mu_eff)
+    assert boundary_symbol_gain(prob, mu, shift) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_variants_are_a_plan_and_a_step():
+    assert _VARIANTS["HeatDynBC"]._fields == ("plan", "step", "reads_f")
 
 
 def test_boundary_symbol_gain_origin_rejected():

@@ -4,7 +4,7 @@ one builder for the decay and constant kernels, one resolvent path, one solution
 norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
 distinct |xi|^2, sign sums without per-trial contractions, an Euler step loop that allocates
 no bulk, one kernel rescaling, a kpp plan from one decay rate, no threads, processes or
-environment reads, and a CLI that checks its configs without jsonschema."""
+environment reads, a CLI that checks its configs without jsonschema, and no public pass-through."""
 from __future__ import annotations
 
 import ast
@@ -377,3 +377,26 @@ def test_the_cli_checks_configs_without_jsonschema():
     probe = "import sys, poissonops.cli; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert set(done.stdout.split()) & {"jsonschema", "attrs", "attr", "referencing", "rpds"} == set()
+
+
+def _pass_throughs(tree: ast.Module) -> set[str]:
+    """Functions in ``__all__`` whose body after the docstring is one ``return f(...)`` or ``return x[...]``."""
+    public = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            public = set(ast.literal_eval(node.value))
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) == 1 and isinstance(body[0], ast.Return):
+                if isinstance(body[0].value, (ast.Call, ast.Subscript)):
+                    found.add(node.name)
+    return found
+
+
+def test_no_public_pass_through_wrappers():
+    # each quantity has one entry point: a public name that only forwards to
+    # another call is a second door to it
+    found = {(p.name, name) for p in PKG_DIR.glob("*.py") for name in _pass_throughs(ast.parse(p.read_text()))}
+    assert found == set()

@@ -13,14 +13,10 @@ from norm_reference import ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, SectorError, bracket, make_grids
 from poissonops.norms import (
     NormSpec,
-    besov_norm,
-    bessel2_norm,
     field_norm,
     lp_norm,
-    mixed_norm,
     normal_derivative,
     opnorm_hilbert,
-    tot_char_norm,
     weak_lp_norm,
 )
 from poissonops.symbols import _HALF_SECTOR, freeze_mu, heat_kernel, kpp_kernel
@@ -115,9 +111,9 @@ def test_normal_derivative_needs_three_nodes():
     with pytest.raises(ValueError, match="at least three normal nodes"):
         normal_derivative(u.samples, ng, 1)
     with pytest.raises(ValueError, match="at least three normal nodes"):
-        mixed_norm(u, 2.0, 2.0, 1)
+        field_norm(u, NormSpec("Mixed", m=1))
     # no derivative is taken at m = 0, and three nodes carry the stencils
-    assert mixed_norm(u, 2.0, 2.0, 0) > 0.0
+    assert field_norm(u, NormSpec("Mixed")) > 0.0
     ng3 = NormalGrid(3)
     np.testing.assert_allclose(normal_derivative(ng3.nodes**2, ng3, 1).real, 2.0 * ng3.nodes, atol=1e-12)
 
@@ -126,15 +122,15 @@ def test_mixed_norm_separable_product():
     tg, ng = make_grids(N=32, M=256)
     u = _separable(tg, ng, lambda x: np.exp(-x))
     # ||1||_{L2(0,2pi)} * ||exp(-x)||_{L2(R+)} = sqrt(2 pi) * sqrt(1/2)
-    assert mixed_norm(u, 2.0, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-3)
+    assert field_norm(u, NormSpec("Mixed")) == pytest.approx(math.sqrt(math.pi), rel=1e-3)
 
 
 def test_mixed_norm_derivative_budget_ratio():
     tg, ng = make_grids(N=16, M=256)
     u = _separable(tg, ng, lambda x: np.exp(-x))
-    base = mixed_norm(u, 2.0, 2.0, 0)
+    base = field_norm(u, NormSpec("Mixed"))
     # |d/dx exp(-x)| = exp(-x), so the m=1 sum doubles the m=0 value
-    assert mixed_norm(u, 2.0, 2.0, 1) == pytest.approx(2.0 * base, rel=1e-2)
+    assert field_norm(u, NormSpec("Mixed", m=1)) == pytest.approx(2.0 * base, rel=1e-2)
 
 
 def test_mixed_norm_equals_lp_when_exponents_match():
@@ -142,7 +138,7 @@ def test_mixed_norm_equals_lp_when_exponents_match():
     rng = np.random.default_rng(7)
     u = HalfSpaceField(tg, ng, rng.standard_normal((16, 64)))
     for p in (1.5, 2.0, 3.0):
-        assert mixed_norm(u, p, p, 0) == pytest.approx(lp_norm(u, p), rel=1e-10)
+        assert field_norm(u, NormSpec("Mixed", p=p, q=p)) == pytest.approx(lp_norm(u, p), rel=1e-10)
 
 
 def test_mixed_norm_weak_closed_form():
@@ -150,14 +146,14 @@ def test_mixed_norm_weak_closed_form():
     u = _separable(tg, ng, lambda x: np.exp(-x))
     # sup_x exp(-x) sqrt(x) = sqrt(1/2) e^(-1/2), times the tangential factor
     want = SQRT_2PI * math.sqrt(0.5) * math.exp(-0.5)
-    assert mixed_norm(u, 2.0, 2.0, 0, weak=True) == pytest.approx(want, rel=2e-2)
+    assert field_norm(u, NormSpec("Mixed", weak=True)) == pytest.approx(want, rel=2e-2)
 
 
 def test_mixed_norm_weak_below_strong():
     tg, ng = make_grids(N=16, M=128)
     u = _separable(tg, ng, lambda x: np.exp(-0.7 * x))
     for p in (1.5, 2.0, 4.0):
-        assert mixed_norm(u, p, 2.0, 0, weak=True) <= mixed_norm(u, p, 2.0, 0) + 1e-12
+        assert field_norm(u, NormSpec("Mixed", p=p, weak=True)) <= field_norm(u, NormSpec("Mixed", p=p)) + 1e-12
 
 
 def test_tot_char_norm_exponential_profile():
@@ -166,30 +162,30 @@ def test_tot_char_norm_exponential_profile():
     # ||exp(-x)|| = sqrt(1/2); ||x exp(-x)|| = 1/2; ||(x^2-x) exp(-x)|| = 1/2
     want1 = SQRT_2PI * (math.sqrt(0.5) + 0.5)
     want2 = SQRT_2PI * (math.sqrt(0.5) + 0.5 + 0.5)
-    assert tot_char_norm(u, 1, 2.0, 2.0) == pytest.approx(want1, rel=1e-2)
-    assert tot_char_norm(u, 2, 2.0, 2.0) == pytest.approx(want2, rel=1e-2)
+    assert field_norm(u, NormSpec("TotChar", s=1)) == pytest.approx(want1, rel=1e-2)
+    assert field_norm(u, NormSpec("TotChar", s=2)) == pytest.approx(want2, rel=1e-2)
 
 
 def test_tot_char_norm_matches_mixed_at_zero():
     tg, ng = make_grids(N=16, M=64)
     rng = np.random.default_rng(11)
     u = HalfSpaceField(tg, ng, rng.standard_normal((16, 64)))
-    assert tot_char_norm(u, 0, 2.0, 2.0) == pytest.approx(mixed_norm(u, 2.0, 2.0, 0), rel=1e-12)
+    assert field_norm(u, NormSpec("TotChar")) == pytest.approx(field_norm(u, NormSpec("Mixed")), rel=1e-12)
 
 
 def test_besov_norm_single_mode():
     tg, _ = make_grids(N=64)
     g = BoundaryField(tg, np.exp(1j * 4.0 * tg.points_1d))
     # |k| = 4 sits in dyadic block 2, so the norm is 2^(2s) ||g||_2
-    assert besov_norm(g, 0.5, 2.0, 2.0) == pytest.approx(2.0 * SQRT_2PI, rel=1e-12)
-    assert besov_norm(g, 1.0, 2.0, 2.0) == pytest.approx(4.0 * SQRT_2PI, rel=1e-12)
+    assert field_norm(g, NormSpec("Besov", s=0.5)) == pytest.approx(2.0 * SQRT_2PI, rel=1e-12)
+    assert field_norm(g, NormSpec("Besov", s=1.0)) == pytest.approx(4.0 * SQRT_2PI, rel=1e-12)
 
 
 def test_besov_norm_zero_smoothness_band():
     tg, _ = make_grids(N=64)
     rng = np.random.default_rng(2)
     g = BoundaryField(tg, rng.standard_normal(tg.shape) + 1j * rng.standard_normal(tg.shape))
-    ratio = besov_norm(g, 0.0, 2.0, 2.0) / lp_norm(g, 2.0)
+    ratio = field_norm(g, NormSpec("Besov")) / lp_norm(g, 2.0)
     # block overlap can only shed square mass, at most a factor sqrt(2)
     assert math.sqrt(0.5) - 1e-9 <= ratio <= 1.0 + 1e-9
 
@@ -198,18 +194,18 @@ def test_besov_norm_summation_ordering():
     tg, _ = make_grids(N=64)
     rng = np.random.default_rng(4)
     g = BoundaryField(tg, rng.standard_normal(tg.shape))
-    assert besov_norm(g, 0.3, 2.0, 1.0) >= besov_norm(g, 0.3, 2.0, 2.0) - 1e-12
+    assert field_norm(g, NormSpec("Besov", s=0.3, q=1.0)) >= field_norm(g, NormSpec("Besov", s=0.3)) - 1e-12
 
 
 def test_bessel2_norm_values():
     tg, _ = make_grids(N=32)
     g = BoundaryField(tg, np.exp(1j * 3.0 * tg.points_1d))
-    assert bessel2_norm(g, 0.0) == pytest.approx(SQRT_2PI, rel=1e-12)
-    assert bessel2_norm(g, 2.0) == pytest.approx(10.0 * SQRT_2PI, rel=1e-12)
+    assert field_norm(g, NormSpec("Bessel2")) == pytest.approx(SQRT_2PI, rel=1e-12)
+    assert field_norm(g, NormSpec("Bessel2", s=2.0)) == pytest.approx(10.0 * SQRT_2PI, rel=1e-12)
     rng = np.random.default_rng(6)
     h = BoundaryField(tg, rng.standard_normal(tg.shape))
-    assert bessel2_norm(h, 0.0) == pytest.approx(lp_norm(h, 2.0), rel=1e-12)
-    assert bessel2_norm(h, 1.0) <= bessel2_norm(h, 2.0) + 1e-12
+    assert field_norm(h, NormSpec("Bessel2")) == pytest.approx(lp_norm(h, 2.0), rel=1e-12)
+    assert field_norm(h, NormSpec("Bessel2", s=1.0)) <= field_norm(h, NormSpec("Bessel2", s=2.0)) + 1e-12
 
 
 def test_opnorm_heat_closed_form_t0():
@@ -365,21 +361,18 @@ def test_field_norm_dispatch():
     rng = np.random.default_rng(9)
     g = BoundaryField(tg, rng.standard_normal(tg.shape))
     u = HalfSpaceField(tg, ng, rng.standard_normal((32, 64)))
-    assert field_norm(g, NormSpec("Lp", p=2.0)) == pytest.approx(lp_norm(g, 2.0), rel=1e-12)
-    assert field_norm(u, NormSpec("Mixed", p=1.5, q=2.0, m=1)) == pytest.approx(
-        mixed_norm(u, 1.5, 2.0, 1), rel=1e-12
-    )
+    # each family against its physical quadrature; WeakLp is the weak Mixed norm of order 0
+    for f, spec in (
+        (g, NormSpec("Lp", p=2.0)),
+        (u, NormSpec("Mixed", p=1.5, q=2.0, m=1)),
+        (u, NormSpec("WeakLp", p=2.0)),
+        (g, NormSpec("Besov", p=2.0, q=2.0, s=0.5)),
+        (u, NormSpec("TotChar", s=1)),
+        (g, NormSpec("Bessel2", s=1.0)),
+    ):
+        assert field_norm(f, spec) == pytest.approx(ref_field_norm(f, spec), rel=1e-12)
     assert field_norm(u, NormSpec("WeakLp", p=2.0)) == pytest.approx(
-        mixed_norm(u, 2.0, 2.0, 0, weak=True), rel=1e-12
-    )
-    assert field_norm(g, NormSpec("Besov", p=2.0, q=2.0, s=0.5)) == pytest.approx(
-        besov_norm(g, 0.5, 2.0, 2.0), rel=1e-12
-    )
-    assert field_norm(u, NormSpec("TotChar", s=1)) == pytest.approx(
-        tot_char_norm(u, 1, 2.0, 2.0), rel=1e-12
-    )
-    assert field_norm(g, NormSpec("Bessel2", s=1.0)) == pytest.approx(
-        bessel2_norm(g, 1.0), rel=1e-12
+        field_norm(u, NormSpec("Mixed", weak=True)), rel=1e-12
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from poissonops.core import BoundaryField, HalfSpaceField, make_grids
 from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
     RademacherSampler,
+    RBoundEstimate,
     ScanResult,
     eps_p_norm,
     probe_dictionary,
@@ -124,7 +126,11 @@ def test_rbound_lower_scaled_identities():
     ops = [c * np.ones(tg.shape) for c in (1.0, 2.0, 3.0)]
     est = rbound_lower(ops, inputs, p=2.0, in_norm=L2, out_norm=L2, trials=8, restarts=4)
     assert est.value == pytest.approx(3.0, rel=1e-9)
-    assert est.config["n_ops"] == 3
+
+
+def test_rbound_estimate_is_a_value_and_its_error():
+    # the arguments of rbound_lower are the caller's; the estimate echoes none of them
+    assert [f.name for f in dataclasses.fields(RBoundEstimate)] == ["value", "stderr"]
 
 
 def test_rbound_lower_contraction_multiplier():

@@ -1,0 +1,58 @@
+"""Argument checks across the package: each refusal is reached once, with its message."""
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from poissonops.core import NormalGrid, TangentialGrid, make_grids
+from poissonops.dynbc import DynBCProblem, road_symbol_scan
+from poissonops.norms import NormSpec, normal_derivative, weak_lp_norm
+from poissonops.rbound import RademacherSampler, ScanResult, eps_p_norm
+from poissonops.symbols import char_lp_bound, heat_kernel, kpp_kernel, kpp_m2
+
+# a road-field parameter must be positive and finite: NaN fails both comparisons
+NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
+
+
+def _road_problem(**params) -> DynBCProblem:
+    tg, ng = make_grids(N=8, M=8)
+    return DynBCProblem("KPPRoadField", tg, ng, **params)
+
+
+REFUSALS = [
+    pytest.param(lambda: TangentialGrid(0, 8, 1.0), "dim must be >= 1", id="grid-dim"),
+    pytest.param(lambda: TangentialGrid(1, 8, 0.0), "L must be positive", id="grid-side"),
+    pytest.param(lambda: weak_lp_norm([1.0], [1.0], 0.5), "need p >= 1", id="weak-lp-exponent"),
+    pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), -1), "nonnegative", id="derivative-order"),
+    pytest.param(lambda: RademacherSampler(seed=0).unit(0), "at least 1", id="sampler-count"),
+    pytest.param(lambda: ScanResult(rows=(), slope=math.nan, residual=0.0), "slope must be finite", id="scan-slope"),
+    pytest.param(lambda: eps_p_norm([], 2.0, NormSpec("Lp")), "at least one field", id="sign-sum-empty"),
+    pytest.param(lambda: replace(heat_kernel, kind="mild"), "kind must be", id="kernel-kind"),
+    pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, -1, 0, 0), "nonnegative", id="char-weight-order"),
+    pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, 0, -1, 0), "nonnegative", id="char-normal-order"),
+    # |alpha| = 1, but no derivative of order -1 exists
+    pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, 0, 0, (2, -1)), "nonnegative", id="char-alpha-component"),
+    *(
+        pytest.param(call, "positive and finite", id=f"{name}-{bad}")
+        for bad in NOT_POSITIVE_AND_FINITE
+        for name, call in (
+            ("kpp_m2-d", lambda bad=bad: kpp_m2(d=bad)),
+            ("kpp_m2-dprime", lambda bad=bad: kpp_m2(dprime=bad)),
+            ("kpp_m2-kcoef", lambda bad=bad: kpp_m2(kcoef=bad)),
+            ("kpp_kernel", lambda bad=bad: kpp_kernel(bad)),
+            ("road_symbol_scan-d", lambda bad=bad: road_symbol_scan(d=bad, n=4)),
+            ("road_symbol_scan-kcoef", lambda bad=bad: road_symbol_scan(kcoef=bad, n=4)),
+            ("DynBCProblem-d", lambda bad=bad: _road_problem(d=bad)),
+            ("DynBCProblem-dprime", lambda bad=bad: _road_problem(dprime=bad)),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_argument_checks_refuse(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

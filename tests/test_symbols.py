@@ -34,7 +34,6 @@ from poissonops.symbols import (
     kpp_kernel,
     lemma_max_eval,
     mikhlin_fnorm,
-    seminorm,
     seminorm_table,
     zero_kernel,
 )
@@ -86,31 +85,31 @@ def test_conjugate_symmetry(kernel):
 
 def test_seminorm_heat_base_value():
     # order zero: sup of |ktilde| over the lattice, attained at t=0
-    assert seminorm(heat_kernel, 0) == pytest.approx(1.0, abs=1e-9)
+    assert seminorm_table(heat_kernel, 0)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_seminorm_monotone_in_budget():
-    vals = [seminorm(heat_kernel, n) for n in range(3)]
+    vals = [seminorm_table(heat_kernel, n)[n] for n in range(3)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_seminorm_heat_refinement_stable(n):
-    base = seminorm(heat_kernel, n)
-    fine = seminorm(heat_kernel, n, ProbeSpec().refined())
+    base = seminorm_table(heat_kernel, n)[n]
+    fine = seminorm_table(heat_kernel, n, ProbeSpec().refined())[n]
     assert fine < 1.10 * base
 
 
 def test_seminorm_constant_one_diverges():
-    base = seminorm(constant_one, 1)
-    fine = seminorm(constant_one, 1, ProbeSpec().refined())
+    base = seminorm_table(constant_one, 1)[1]
+    fine = seminorm_table(constant_one, 1, ProbeSpec().refined())[1]
     # sup of t * |ktilde| tracks the t-range, so refinement scales it by 4
     assert fine == pytest.approx(4.0 * base, rel=1e-12)
     assert fine / base > 1.5
 
 
 def test_seminorm_zero_kernel():
-    assert seminorm(zero_kernel, 2) == 0.0
+    assert seminorm_table(zero_kernel, 2) == [0.0, 0.0, 0.0]
 
 
 def test_seminorm_table_refuses_a_non_finite_lattice_value():
@@ -125,15 +124,15 @@ def test_seminorm_table_refuses_a_non_finite_lattice_value():
 
 def test_seminorm_budget_validation():
     with pytest.raises(ValueError):
-        seminorm(heat_kernel, 5)
+        seminorm_table(heat_kernel, 5)
     with pytest.raises(ValueError):
-        seminorm(heat_kernel, -1)
+        seminorm_table(heat_kernel, -1)
 
 
 def test_weak_seminorm_frozen_heat_uniform_in_mu():
     # weak-class scan of the frozen heat kernel: bounded, no growth in |mu|
     vals = [
-        seminorm(freeze_mu(heat_kernel, mu, kind="weak"), 2) for mu in (1.0, 10.0, 100.0, 1000.0)
+        seminorm_table(freeze_mu(heat_kernel, mu, kind="weak"), 2)[2] for mu in (1.0, 10.0, 100.0, 1000.0)
     ]
     assert all(v <= 5.0 for v in vals)
     assert vals[-1] <= 1.1 * max(vals[0], vals[1])
@@ -152,9 +151,9 @@ def test_weak_seminorm_frozen_heat_uniform_in_mu():
     ids=["heat", "heat-weak", "kpp", "heat-frozen", "constant-one", "zero"],
 )
 def test_seminorm_table_is_the_seminorm_per_order(kernel, N):
-    # one sweep per probe gives every order's seminorm exactly
+    # one sweep per probe gives every order's seminorm exactly: a smaller budget's last entry
     table = seminorm_table(kernel, N)
-    assert table == [seminorm(kernel, n) for n in range(N + 1)]
+    assert table == [seminorm_table(kernel, n)[n] for n in range(N + 1)]
     assert all(lo <= hi for lo, hi in zip(table, table[1:]))
 
 
@@ -323,7 +322,7 @@ def test_kernels_read_xi_only_through_its_square(name, d, xi, mu_abs, mu_frac):
 def test_probe_rays_outside_the_sector_raise():
     # heat's sector is |arg mu| < 0.45 pi; a pinned ray must not leave it
     with pytest.raises(SectorError):
-        seminorm(heat_kernel, 1, ProbeSpec(rays=(3.0,)))
+        seminorm_table(heat_kernel, 1, ProbeSpec(rays=(3.0,)))
     with pytest.raises(SectorError):
         char_lp_bound(heat_kernel, 2.0, 0, 0, 0, ProbeSpec(rays=(-2.0,)))
 
