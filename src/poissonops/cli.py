@@ -29,7 +29,7 @@ from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, opnorm_hilbert
 from .rbound import RademacherSampler, ScanResult, _require_fit_rows, probe_dictionary, rbound_lower
 from .symbols import _KERNELS, ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
-from .transforms import _profile
+from .transforms import _radial_profile
 
 __all__ = ["CONFIG_SCHEMA", "main", "rbound_batch_scan"]
 
@@ -223,9 +223,9 @@ def rbound_batch_scan(
     """Randomized-bound scan: batch the parameter family, one row per batch.
 
     Each batch of consecutive |mu| values on a ray forms one operator family,
-    the multipliers ``<mu>^exponent k(xi, mu; x)``, each evaluated once; the
-    row magnitude is the batch's largest |mu|, so per-ray rows stay strictly
-    increasing.
+    the multipliers ``<mu>^exponent k(xi, mu; x)``, each evaluated once at the
+    grid's radial representatives, shape ``(K, M)``; the row magnitude is the
+    batch's largest |mu|, so per-ray rows stay strictly increasing.
     """
     inputs = probe_dictionary(grid)
     in_norm = NormSpec("Lp", p=2.0)
@@ -239,7 +239,7 @@ def rbound_batch_scan(
 
     def multiplier(mu):
         kern.sector.require(mu)
-        return bracket(0.0, mu) ** exponent * _profile(kern, mu, grid, ngrid)
+        return bracket(0.0, mu) ** exponent * _radial_profile(kern, mu, grid, ngrid)
 
     def one(idx, ray, mus):
         est = rbound_lower(

@@ -156,6 +156,22 @@ class TangentialGrid:
         return self.freq_vectors.reshape(-1, self.dim)[index], inverse.reshape(self.shape)
 
     @cached_property
+    def _class_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, starts)``: the flattened modes sorted by radial class, and where each class begins."""
+        inverse = self.radial[1].ravel()
+        order = np.argsort(inverse, kind="stable")
+        return order, np.searchsorted(inverse[order], np.arange(len(self.radial[0])))
+
+    def class_sum(self, a: np.ndarray) -> np.ndarray:
+        """``a`` summed over each radial class.
+
+        The last axis of ``a`` runs over the flattened modes, the result's over
+        the ``K`` classes of :attr:`radial`.
+        """
+        order, starts = self._class_runs
+        return np.add.reduceat(a[..., order], starts, axis=-1)
+
+    @cached_property
     def points_1d(self) -> np.ndarray:
         return np.arange(self.N) * (self.L / self.N)
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, bracket
+from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, _xi_sq, bracket
 from .symbols import SymbolKernel
 from .transforms import LPPartition, _itfft, _tfft
 
@@ -232,9 +233,14 @@ class _StackNorm:
     slice is the Gram form ``cell * Re(eps^* G[x] eps)`` with
     ``G[x] = conj(O_x) O_x^T`` (Plancherel); any other ``q`` transforms the
     stack back once and forms every trial in one matmul.
+
+    A ``radial`` form measures products of radial multipliers with spectra
+    (:class:`_Products`): its stacks run over the ``K`` radial classes of
+    ``grid.radial`` instead of the modes, and its term weights are evaluated
+    at the class representatives.
     """
 
-    def __init__(self, spec: NormSpec, grid: TangentialGrid, normal: NormalGrid | None) -> None:
+    def __init__(self, spec: NormSpec, grid: TangentialGrid, normal: NormalGrid | None, radial: bool = False) -> None:
         family = spec.family
         if normal is None and family in _HALF_SPACE:
             raise TypeError(f"{family} norms need a half-space field")
@@ -245,13 +251,15 @@ class _StackNorm:
         self.p, self.weak = spec.p, spec.weak or family == "WeakLp"
         self.r = spec.q if family == "Besov" else 1.0
         self.steps = spec.m if family == "Mixed" else int(spec.s) if family == "TotChar" else 0
-        self.weights = []  # spectral weight of each term, on the flattened modes
+        self.weights = []  # spectral weight of each term, on the flattened modes or the radial classes
+        if family in _BOUNDARY:
+            xi = grid.radial[0] if radial else grid.freq_vectors.reshape(-1, grid.dim)
         if family == "Besov":
             part = LPPartition.for_grid(grid)
-            radius = np.sqrt(grid.freq_norm_sq).reshape(-1)
+            radius = np.sqrt(_xi_sq(xi))
             self.weights = [2.0 ** (j * spec.s) * part.block_weight(j, radius) for j in range(part.J + 1)]
         elif family == "Bessel2":
-            self.weights = [bracket(grid.freq_vectors).reshape(-1) ** spec.s]
+            self.weights = [bracket(xi) ** spec.s]
         # the mean square of a sign sum is then exactly the sum of squares
         one_term = self.steps == 0 and len(self.weights) <= 1
         self.hilbert = (one_term or self.r == 2) and self.q == 2 and self.p == 2 and not self.weak
@@ -263,13 +271,17 @@ class _StackNorm:
             return cls(spec, f.tangential, f.normal)
         return cls(spec, f.grid, None)
 
-    def orders(self, a: np.ndarray) -> list[np.ndarray]:
-        """The term stacks of ``a``, which is laid out ``(size, modes, M)``."""
+    def terms(self, a: np.ndarray) -> list[np.ndarray]:
+        """The terms of ``a``, laid out as ``a`` is: ``(size, n, M)``, ``n`` the modes or the radial classes."""
         terms = [w[:, None] * a for w in self.weights] or [a]
         for _ in range(self.steps):
             d = normal_derivative(terms[-1], self.normal, 1)
             terms.append(self.normal.nodes * d if self.family == "TotChar" else d)
-        return [np.ascontiguousarray(np.moveaxis(t, -1, 0)) for t in terms]
+        return terms
+
+    def orders(self, a: np.ndarray) -> list[np.ndarray]:
+        """The term stacks of ``a``, which is laid out ``(size, modes, M)``."""
+        return [_stack(t) for t in self.terms(a)]
 
     def _total(self, slices: list[np.ndarray]) -> np.ndarray:
         """Normal (weak) L^p of each term's slices, shaped ``(..., M)``, then l^r over the terms."""
@@ -289,29 +301,93 @@ class _StackNorm:
         slices = []
         for o in stacks:
             if q == 2:
-                gram = o.conj() @ o.transpose(0, 2, 1)
-                sq = np.einsum("tk,xkl,tl->tx", eps.conj(), gram, eps).real
-                # a nearly cancelling sum can round to a tiny negative square
-                slices.append(np.sqrt(np.maximum(sq, 0.0) * cell))
+                slices.append(self._gram_slices(o.conj() @ o.transpose(0, 2, 1), eps))
             else:
                 combo = eps @ self._physical(o)
                 slices.append(((np.sum(np.abs(combo) ** q, axis=-1) * cell) ** (1.0 / q)).T)
         return self._total(slices)
 
-    def of_products(self, mults: list[np.ndarray], spec: np.ndarray) -> np.ndarray:
-        """Norm of every product ``m_j * g_i``, shape ``(n_ops, n_in)``.
+    def _gram_slices(self, gram: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Tangential L^2 slice ``(cell Re(eps^* G[x] eps))^(1/2)`` of every trial and node, shape ``(trials, M)``."""
+        signs = (eps.conj()[:, :, None] * eps[:, None, :]).reshape(len(eps), -1)
+        sq = (signs @ gram.reshape(len(gram), -1).T).real
+        # a nearly cancelling sum can round to a tiny negative square
+        return np.sqrt(np.maximum(sq, 0.0) * self.grid.cell)
 
-        ``mults`` are the :meth:`orders` stacks of the multipliers, ``spec``
-        holds one spectrum per row.  For ``q = 2`` the slices of all pairs are
-        one matmul ``cell * |m_j|^2 @ |g_i|^2``.
-        """
-        if self.q == 2:
-            power = np.abs(spec.T) ** 2
-            slices = [np.sqrt(self.grid.cell * (np.abs(m) ** 2 @ power)) for m in mults]
-            return self._total([s.transpose(1, 2, 0) for s in slices])
-        eye = np.eye(len(spec))
-        n_ops = mults[0].shape[1]
-        return np.stack([self.of_sums([m[:, j, None] * spec for m in mults], eye) for j in range(n_ops)])
+
+class _Products:
+    """The products ``m_j * g_i`` of radial multipliers with spectra, measured by one radial :class:`_StackNorm`.
+
+    ``mults`` holds the class profile of each multiplier, laid out
+    ``(n_ops, K, M)`` (``M = 1`` on the boundary), and ``spec`` one spectrum
+    per row, ``(n_in, modes)``.  No product stack is formed for tangential
+    ``q = 2``: with ``P[i, r] = sum_{xi in r} |g_i(xi)|^2`` the singleton
+    slices are one matmul ``cell P @ |m_j|^2``, and a sign sum of summands
+    ``(j_k, i_k)`` has the Gram matrix ``G[x, k, l] = H[k, l] @ Q[j_k, j_l][:, x]``
+    with ``H[k, l, r] = sum_{xi in r} conj(g_{i_k}) g_{i_l}`` and the pair
+    table ``Q[j, j'] = conj(m_j) m_j'``, laid out ``(K, M)`` per pair.  The
+    table is built on the first sampled sum, for ``j <= j'`` only (the rest
+    are conjugates).  Any other ``q`` gathers the class profiles to the modes
+    and measures the products as stacks.
+    """
+
+    def __init__(self, form: _StackNorm, mults: np.ndarray, spec: np.ndarray) -> None:
+        self.form, self.spec = form, spec
+        self.mults = form.terms(mults)
+
+    def singles(self) -> np.ndarray:
+        """Norm of every product ``m_j * g_i``, shape ``(n_ops, n_in)``."""
+        form = self.form
+        if form.q != 2:
+            inverse = form.grid.radial[1].ravel()
+            eye = np.eye(len(self.spec))
+            gathered = [m[:, inverse] for m in self.mults]
+            products = lambda j: [_stack(m[j] * self.spec[..., None]) for m in gathered]
+            return np.stack([form.of_sums(products(j), eye) for j in range(len(gathered[0]))])
+        power = form.grid.class_sum(np.abs(self.spec) ** 2)
+        slices = [np.sqrt(form.grid.cell * (power @ np.abs(m) ** 2)) for m in self.mults]
+        # in the engine's (M, n_ops, n_in) memory layout, which fixes the order of the node sums
+        return form._total([np.moveaxis(_stack(s), 0, -1) for s in slices])
+
+    def of_sums(self, sel_ops: np.ndarray, sel_in: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Norm of ``sum_k eps[t, k] m_{sel_ops[k]} g_{sel_in[k]}`` for every trial ``t``."""
+        form, g = self.form, self.spec[sel_in]
+        if form.q != 2:
+            inverse = form.grid.radial[1].ravel()
+            return form.of_sums([_stack(m[sel_ops][:, inverse] * g[..., None]) for m in self.mults], eps)
+        h = form.grid.class_sum(g.conj()[:, None] * g[None])
+        size = len(sel_in)
+        slices = []
+        for table in self._pairs:
+            gram = np.empty((self.mults[0].shape[-1], size, size), dtype=complex)
+            for k in range(size):
+                for l in range(k, size):
+                    a, b = (k, l) if sel_ops[k] <= sel_ops[l] else (l, k)
+                    gram[:, a, b] = h[a, b] @ table[sel_ops[a], sel_ops[b]]
+                    gram[:, b, a] = gram[:, a, b].conj()
+            slices.append(form._gram_slices(gram, eps))
+        return form._total(slices)
+
+    @cached_property
+    def _pairs(self) -> list[dict]:
+        """Per term, ``conj(m_j) m_j'`` laid out ``(K, M)`` for every ``j <= j'``, keyed ``(j, j')``."""
+        n_ops = len(self.mults[0])
+        keys = [(j, jj) for j in range(n_ops) for jj in range(j, n_ops)]
+        tables = []
+        for m in self.mults:
+            # one block, filled in place: a conjugate copy of the family, freed
+            # on every call, made each pass of an rbound scan fault in fresh pages
+            table = np.empty((len(keys),) + m.shape[1:], dtype=complex)
+            for row, (j, jj) in zip(table, keys):
+                np.conj(m[j], out=row)
+                row *= m[jj]
+            tables.append(dict(zip(keys, table)))
+        return tables
+
+
+def _stack(a: np.ndarray) -> np.ndarray:
+    """A ``(size, n, M)`` array as the stack layout ``(M, size, n)``."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def _spectra(fields: Sequence, grid: TangentialGrid) -> np.ndarray:

@@ -3,10 +3,10 @@
 An operator family is probed from below: random subsets act on random
 dictionary inputs, the ratio of randomized output to input norms is maximized
 over restarts, and the best observed ratio is a certified lower bound.  The
-family is given as spectral multipliers, and sign sums are evaluated in
-spectral space, every trial at once.  Decay claims are quantified by
-least-squares slopes of log norm against the log bracket weight of the
-spectral parameter.
+family is given as radial spectral multipliers, one row per radial class of
+the grid, and sign sums are evaluated in spectral space, every trial at once.
+Decay claims are quantified by least-squares slopes of log norm against the
+log bracket weight of the spectral parameter.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import BoundaryField, NormalGrid, TangentialGrid, _replicate
-from .norms import NormSpec, _spectra, _StackNorm
+from .norms import NormSpec, _Products, _spectra, _StackNorm
 
 __all__ = [
     "RademacherSampler",
@@ -153,7 +153,7 @@ def _check_common_grid(fields: Sequence) -> None:
 def _sign_sum(
     norm: _StackNorm,
     singles: np.ndarray,
-    stacks: Callable[[], list],
+    sums: Callable[[np.ndarray], np.ndarray],
     p: float,
     trials: int,
     sampler: RademacherSampler,
@@ -162,8 +162,9 @@ def _sign_sum(
 
     ``singles`` are the norms of the summands.  One summand needs no
     sampling (unit modulus drops out), and for ``p = 2`` with a Hilbert norm
-    the expectation is exactly the square sum; otherwise ``stacks()`` gives
-    the summands and ``trials`` sign vectors are drawn in one call.
+    the expectation is exactly the square sum; otherwise ``trials`` sign
+    vectors are drawn in one call and ``sums(eps)`` gives the norm of every
+    trial's sum.
     """
     n = len(singles)
     if n == 1:
@@ -171,7 +172,7 @@ def _sign_sum(
     if p == 2 and norm.hilbert:
         return math.sqrt(sum(float(s) ** 2 for s in singles)), 0.0
     eps = sampler.unit(trials * n).reshape(trials, n)
-    draws = norm.of_sums(stacks(), eps) ** p
+    draws = sums(eps) ** p
     mean = float(np.mean(draws))
     if mean == 0.0:
         return 0.0, 0.0
@@ -201,7 +202,8 @@ def eps_p_norm(
     form = _StackNorm.on(fields[0], norm)
     stacks = form.orders(_spectra(fields, form.grid))
     singles = form.of_sums(stacks, np.eye(len(fields)))
-    value, _ = _sign_sum(form, singles, lambda: stacks, p, trials, sampler or RademacherSampler(seed=0))
+    sums = lambda eps: form.of_sums(stacks, eps)
+    value, _ = _sign_sum(form, singles, sums, p, trials, sampler or RademacherSampler(seed=0))
     return value
 
 
@@ -254,15 +256,19 @@ def rbound_lower(
 ) -> RBoundEstimate:
     """Certified lower bound on the randomized bound of an operator family.
 
-    Operator ``j`` is the spectral multiplier ``multipliers[j]`` on the grid
-    of ``inputs``: shape ``grid.shape`` for a boundary multiplier, or
-    ``grid.shape + (normal.M,)`` for a Poisson operator onto ``normal``, and
-    it maps ``g`` to ``m_j * g^``.  Every dictionary input is first swept
-    through every single operator (the exact singleton floor), then
-    ``restarts`` random selections with repetition search for sign-sum
-    ratios above that floor.  The maximum ratio observed is returned; it
-    never exceeds the true randomized bound.  The input norm may be any
-    boundary family and the output norm any family on the multipliers' grid;
+    Operator ``j`` is a radial spectral multiplier on the grid of ``inputs``,
+    given on the radial classes ``grid.radial``: ``multipliers[j]`` has
+    shape ``(K,)`` for a boundary multiplier, or ``(K, normal.M)`` for a
+    Poisson operator onto ``normal``, ``K = len(grid.radial[0])``, and it maps
+    ``g`` to ``m_j * g^`` with row ``r`` acting on every mode of class
+    ``r``.  Every dictionary input is first swept through every single
+    operator (the exact singleton floor), then ``restarts`` random
+    selections with repetition search for sign-sum ratios above that floor.
+    The maximum ratio observed is returned; it never exceeds the true
+    randomized bound.  Products are measured on the classes
+    (:class:`~poissonops.norms._Products`): no per-mode product stack is
+    formed for a tangential ``q = 2``.  The input norm may be any boundary
+    family and the output norm any family on the multipliers' grid;
     ``1 <= p < inf``.
     """
     if len(multipliers) == 0:
@@ -273,19 +279,20 @@ def rbound_lower(
     _check_common_grid(inputs)
     grid = inputs[0].grid
     in_form = _StackNorm(in_norm or NormSpec("Lp", p=2.0), grid, None)
-    out_form = _StackNorm(out_norm or NormSpec("Lp", p=2.0), grid, normal)
-    shape = grid.shape + (() if normal is None else (normal.M,))
+    out_form = _StackNorm(out_norm or NormSpec("Lp", p=2.0), grid, normal, radial=True)
+    classes = len(grid.radial[0])
+    shape = (classes,) + (() if normal is None else (normal.M,))
     if any(np.shape(m) != shape for m in multipliers):
-        raise ValueError(f"every multiplier must have shape {shape}")
+        raise ValueError(f"every multiplier must have shape {shape}, one row per radial class of the grid")
     sampler = sampler or RademacherSampler(seed=0)
 
     n_ops, n_in = len(multipliers), len(inputs)
     spectra = _spectra(inputs, grid)
     ins = in_form.orders(spectra)
     spec = spectra[..., 0]  # one raw spectrum per row; the input norm's terms may be weighted
-    mults = out_form.orders(np.asarray(multipliers, dtype=complex).reshape(n_ops, spec.shape[1], -1))
+    outs = _Products(out_form, np.asarray(multipliers, dtype=complex).reshape(n_ops, classes, -1), spec)
     in_norms = in_form.of_sums(ins, np.eye(n_in))
-    out_norms = out_form.of_products(mults, spec)
+    out_norms = outs.singles()
 
     nonzero = in_norms != 0.0
     ratios = out_norms[:, nonzero] / in_norms[nonzero]
@@ -297,13 +304,13 @@ def rbound_lower(
         sel_ops = sub.with_stream(2 + 3 * r).integers(0, n_ops, size)
         sel_in = sub.with_stream(3 + 3 * r).integers(0, n_in, size)
         den, _ = _sign_sum(
-            in_form, in_norms[sel_in], lambda: [s[:, sel_in] for s in ins], p, trials,
+            in_form, in_norms[sel_in], lambda eps: in_form.of_sums([s[:, sel_in] for s in ins], eps), p, trials,
             sub.with_stream(10_000 + r),
         )
         if den == 0.0:
             continue
         num, num_err = _sign_sum(
-            out_form, out_norms[sel_ops, sel_in], lambda: [m[:, sel_ops] * spec[sel_in] for m in mults],
+            out_form, out_norms[sel_ops, sel_in], lambda eps: outs.of_sums(sel_ops, sel_in, eps),
             p, trials, sub.with_stream(20_000 + r),
         )
         ratio = num / den

@@ -55,16 +55,23 @@ def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField
     return BoundaryField(grid=g.grid, samples=out)
 
 
+def _radial_profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
+    """Kernel profile ``k(xi, mu; x_j)`` of every radial class, shape ``(K, M)``.
+
+    The kernel is radial, so it is evaluated once per distinct ``|xi|^2``, at
+    the representatives ``grid.radial[0]``; ``mu`` is not checked here.
+    """
+    fv = grid.radial[0][:, None, :]  # broadcast a normal axis before components
+    return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
+
+
 def _profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
     """Kernel profile ``k(xi, mu; x_j)`` of every mode, the normal nodes on a new last axis.
 
-    This is the Poisson operator's spectral multiplier; ``mu`` is not checked here.
-    The kernel is radial, so it is evaluated once per distinct ``|xi|^2`` and
-    gathered back to the modes.
+    This is the Poisson operator's spectral multiplier: the class profile of
+    :func:`_radial_profile` gathered back to the modes.
     """
-    reps, inverse = grid.radial
-    fv = reps[:, None, :]  # broadcast a normal axis before components
-    return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)[inverse]
+    return _radial_profile(k, mu, grid, normal)[grid.radial[1]]
 
 
 def apply_poisson(k: SymbolKernel, mu, g: BoundaryField, normal: NormalGrid) -> HalfSpaceField:

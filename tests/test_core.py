@@ -186,6 +186,15 @@ def test_radial_representatives_give_every_mode_its_own_bits(dim, N, L):
     assert again[0] is reps and again[1] is inverse
 
 
+@pytest.mark.parametrize("dim, N, L", [(1, 16, TWO_PI), (2, 16, 3.0), (3, 8, TWO_PI)])
+def test_class_sum_adds_the_modes_of_each_radial_class(dim, N, L):
+    grid = TangentialGrid(dim, N, L)
+    inverse = grid.radial[1].ravel()
+    a = np.random.default_rng(dim).standard_normal((2, 3, inverse.size))
+    want = np.stack([a[..., inverse == r].sum(axis=-1) for r in range(len(grid.radial[0]))], axis=-1)
+    np.testing.assert_allclose(grid.class_sum(a), want, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("bad_n", [0, 3, 6, 12])
 def test_tangential_grid_rejects_non_power_of_two(bad_n):
     with pytest.raises(ValueError):

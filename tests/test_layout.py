@@ -2,9 +2,10 @@
 one bracket weight, one central difference, one sweep per probe over the spectral samples,
 one builder for the decay and constant kernels, one resolvent path, one solution norm, one
 norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
-distinct |xi|^2, sign sums without per-trial contractions, an Euler step loop that allocates
-no bulk, one kernel rescaling, a kpp plan from one decay rate, no threads, processes or
-environment reads, a CLI that checks its configs without jsonschema, and no public pass-through."""
+distinct |xi|^2, radial products gathered to the modes only for a tangential q other than 2,
+sign sums without per-trial contractions, an Euler step loop that allocates no bulk, one
+kernel rescaling, a kpp plan from one decay rate, no threads, processes or environment
+reads, a CLI that checks its configs without jsonschema, and no public pass-through."""
 from __future__ import annotations
 
 import ast
@@ -298,6 +299,29 @@ def test_radial_kernels_are_evaluated_per_distinct_frequency():
         for fn in _call_sites(tree, lambda call: ast.unparse(call.func) == "np.unique")
     }
     assert sites == {("core.py", "radial")}
+
+
+def _radial_gathers(tree: ast.Module) -> list[ast.AST]:
+    """Every read of a grid's ``radial[1]`` and every subscript by an ``inverse``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and (
+            "inverse" in _identifiers(node.slice)
+            or (ast.unparse(node.value).endswith(".radial") and ast.unparse(node.slice) == "1")
+        )
+    ]
+
+
+def test_radial_products_reach_the_modes_only_for_q_other_than_two():
+    # the q = 2 products are measured on the radial classes (class sums and
+    # pair tables); only the q != 2 branches gather class profiles to the modes
+    tree = ast.parse((PKG_DIR / "norms.py").read_text())
+    branches = [node for node in ast.walk(tree) if isinstance(node, ast.If) and ast.unparse(node.test) == "form.q != 2"]
+    inside = {id(n) for branch in branches for stmt in branch.body for n in ast.walk(stmt)}
+    gathers = _radial_gathers(tree)
+    assert gathers and all(id(n) in inside for n in gathers)
 
 
 def test_one_resolvent_path():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,8 @@ from norm_reference import ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, SectorError, bracket, make_grids
 from poissonops.norms import (
     NormSpec,
+    _Products,
+    _StackNorm,
     field_norm,
     lp_norm,
     normal_derivative,
@@ -20,6 +23,7 @@ from poissonops.norms import (
     weak_lp_norm,
 )
 from poissonops.symbols import _HALF_SECTOR, freeze_mu, heat_kernel, kpp_kernel
+from poissonops.transforms import _radial_profile
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -421,3 +425,53 @@ def test_field_norm_matches_the_physical_reference(family, lp_on_half, dim, N, M
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     f = HalfSpaceField(tg, ng, samples) if half else BoundaryField(tg, samples)
     assert field_norm(f, spec) == pytest.approx(ref_field_norm(f, spec), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "norm",
+    [NormSpec("Lp", p=2.0), NormSpec("Lp", p=3.0), NormSpec("Besov", p=2.0, q=1.5, s=0.5), NormSpec("Bessel2", s=-1.0)],
+    ids=["L2", "L3", "Besov", "Bessel2"],
+)
+def test_radial_products_match_the_per_mode_stacks(dim, norm):
+    # class sums, pair tables and weights at the representatives measure the
+    # products m_j g_i as the per-mode stacks do; L = 3 splits permuted
+    # frequencies into distinct classes in 2-D
+    grid, _ = make_grids(dim=dim, N=8, L=3.0)
+    rng = np.random.default_rng(dim)
+    classes, modes = len(grid.radial[0]), 8**dim
+    mults = rng.standard_normal((3, classes, 1)) + 1j * rng.standard_normal((3, classes, 1))
+    spec = rng.standard_normal((4, modes)) + 1j * rng.standard_normal((4, modes))
+    outs = _Products(_StackNorm(norm, grid, None, radial=True), mults, spec)
+    form = _StackNorm(norm, grid, None)
+    products = mults[:, grid.radial[1].ravel()][:, None] * spec[None, :, :, None]  # (n_ops, n_in, modes, 1)
+    one = np.ones((1, 1))
+    want = [[form.of_sums(form.orders(products[j, i][None]), one)[0] for i in range(4)] for j in range(3)]
+    np.testing.assert_allclose(outs.singles(), want, rtol=1e-12, atol=0.0)
+    sel_ops, sel_in = np.array([2, 0, 2, 1]), np.array([1, 3, 0, 1])
+    eps = np.exp(2j * math.pi * rng.random((5, 4)))
+    stack = np.stack([products[j, i] for j, i in zip(sel_ops, sel_in)])
+    np.testing.assert_allclose(outs.of_sums(sel_ops, sel_in, eps), form.of_sums(form.orders(stack), eps), rtol=1e-12)
+
+
+def test_monte_carlo_numerator_allocates_less_than_one_product_stack():
+    # once the pair table is built (on the first sampled sum of a family), a
+    # size-4 sign sum of Poisson products on the README grid allocates its
+    # class-summed pair products and its Gram matrices, not an (M, 4, modes)
+    # product stack
+    tg, ng = make_grids()
+    stack = ng.M * 4 * tg.shape[0] * np.dtype(complex).itemsize
+    mults = np.stack([_radial_profile(heat_kernel, mu, tg, ng) for mu in (1.0, 2.0, 4.0, 8.0)])
+    spec = np.exp(2j * math.pi * np.random.default_rng(0).random((19, tg.shape[0])))
+    outs = _Products(_StackNorm(NormSpec("Mixed", p=1.5, q=2.0, weak=True), tg, ng, radial=True), mults, spec)
+    eps = np.exp(2j * math.pi * np.random.default_rng(1).random((32, 4)))
+    outs.of_sums(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]), eps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        norms = outs.of_sums(np.array([3, 1, 1, 0]), np.array([4, 9, 12, 0]), eps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (32,) and np.all(norms > 0.0)
+    assert peak < stack

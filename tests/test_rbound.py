@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from poissonops.rbound import (
     rbound_lower,
 )
 from poissonops.symbols import MultiplierSymbol, heat_kernel, kpp_kernel
-from poissonops.transforms import _itfft, _profile, _tfft
+from poissonops.transforms import _itfft, _radial_profile, _tfft
 
 from poissonops.core import Sector
 
@@ -123,7 +124,7 @@ def test_probe_dictionary_two_dimensional():
 def test_rbound_lower_scaled_identities():
     tg, _ = make_grids(N=64)
     inputs = probe_dictionary(tg)
-    ops = [c * np.ones(tg.shape) for c in (1.0, 2.0, 3.0)]
+    ops = [np.full(len(tg.radial[0]), c) for c in (1.0, 2.0, 3.0)]
     est = rbound_lower(ops, inputs, p=2.0, in_norm=L2, out_norm=L2, trials=8, restarts=4)
     assert est.value == pytest.approx(3.0, rel=1e-9)
 
@@ -140,7 +141,7 @@ def test_rbound_lower_contraction_multiplier():
         lambda xi, mu: (1.0 + np.sum(np.asarray(xi) ** 2, axis=-1)) ** -0.5,
         Sector.empty(),
     )
-    ops = [a.func(tg.freq_vectors, None)]
+    ops = [a.func(tg.radial[0], None)]
     est = rbound_lower(ops, probe_dictionary(tg), p=2.0, in_norm=L2, out_norm=L2, trials=8, restarts=4)
     # the constant probe is untouched by the symbol, so the bound is sharp
     assert est.value == pytest.approx(1.0, rel=1e-6)
@@ -151,9 +152,9 @@ def test_rbound_lower_monotone_in_restarts():
     inputs = probe_dictionary(tg)
     ops = [
         MultiplierSymbol("m", lambda xi, mu: np.exp(-np.sum(np.asarray(xi) ** 2, axis=-1)), Sector.empty()).func(
-            tg.freq_vectors, None
+            tg.radial[0], None
         ),
-        2.0 * np.ones(tg.shape),
+        np.full(len(tg.radial[0]), 2.0),
     ]
     vals = [
         rbound_lower(ops, inputs, p=1.5, in_norm=L2, out_norm=L2, trials=8, restarts=r).value
@@ -165,7 +166,7 @@ def test_rbound_lower_monotone_in_restarts():
 def test_rbound_lower_restartless_floor():
     tg, _ = make_grids(N=16)
     inputs = probe_dictionary(tg)[:3]
-    ops = [1.5 * np.ones(tg.shape), 0.5 * np.ones(tg.shape)]
+    ops = [np.full(len(tg.radial[0]), 1.5), np.full(len(tg.radial[0]), 0.5)]
     est = rbound_lower(ops, inputs, p=2.0, in_norm=L2, out_norm=L2, trials=4, restarts=0)
     assert est.value == pytest.approx(1.5, rel=1e-12)
 
@@ -173,7 +174,7 @@ def test_rbound_lower_restartless_floor():
 def test_rbound_lower_deterministic():
     tg, _ = make_grids(N=32)
     inputs = probe_dictionary(tg)
-    ops = [0.7 * np.ones(tg.shape)]
+    ops = [np.full(len(tg.radial[0]), 0.7)]
     kw = dict(p=1.5, in_norm=L2, out_norm=L2, trials=8, restarts=8, sampler=RademacherSampler(seed=9))
     assert rbound_lower(ops, inputs, **kw).value == rbound_lower(ops, inputs, **kw).value
 
@@ -210,13 +211,21 @@ def test_rbound_lower_rejects_invalid_exponent_and_counts(kw):
     # refused before any work, also where no restart would reach a sampled sum
     tg, _ = make_grids(N=16)
     with pytest.raises(ValueError):
-        rbound_lower([np.ones(tg.shape)], probe_dictionary(tg), **kw)
+        rbound_lower([np.full(len(tg.radial[0]), 1.0)], probe_dictionary(tg), **kw)
 
 
-def test_rbound_lower_rejects_multipliers_off_the_grid():
-    tg, ng = make_grids(N=16, M=8)
-    with pytest.raises(ValueError):
-        rbound_lower([np.ones(tg.shape)], probe_dictionary(tg), ng)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rbound_lower_refuses_per_mode_multipliers(dim):
+    # the family is given on the radial classes: a multiplier on every mode,
+    # or a boundary multiplier where a Poisson operator is expected, is refused
+    tg, ng = make_grids(dim=dim, N=16, M=8)
+    K = len(tg.radial[0])
+    for mult in (np.ones(tg.shape + (ng.M,)), np.ones(K)):
+        with pytest.raises(ValueError, match=re.escape(str((K, ng.M)))):
+            rbound_lower([mult], probe_dictionary(tg), ng)
+    with pytest.raises(ValueError, match=re.escape(str((K,)))):
+        rbound_lower([np.ones(tg.shape)], probe_dictionary(tg))
+    rbound_lower([np.ones((K, ng.M))], probe_dictionary(tg), ng, restarts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +308,7 @@ def test_rbound_engine_matches_per_trial_physical_reference(
     def noise(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    mults = [noise(grid.shape + (M,)) for _ in range(n_ops)]
+    mults = [noise((len(grid.radial[0]), M)) for _ in range(n_ops)]
     inputs = [BoundaryField(grid, noise(grid.shape)) for _ in range(n_in)]
     if zero_input:
         inputs[0] = BoundaryField.zero(grid)
@@ -316,7 +325,8 @@ def test_rbound_engine_matches_per_trial_physical_reference(
     }[family]
     kw = dict(p=p, in_norm=in_norm, out_norm=out_norm, trials=trials, restarts=restarts)
 
-    want, outs = _ref_rbound(mults, inputs, normal, sampler=RademacherSampler(seed), **kw)
+    per_mode = [m[grid.radial[1]] for m in mults]
+    want, outs = _ref_rbound(per_mode, inputs, normal, sampler=RademacherSampler(seed), **kw)
     got = rbound_lower(mults, inputs, normal, sampler=RademacherSampler(seed), **kw).value
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -343,7 +353,7 @@ def test_rbound_hilbert_case_is_the_largest_operator_norm(dim, N, M, X_max, d, m
     kernel = heat_kernel if d is None else kpp_kernel(d)
     grid, normal = make_grids(dim=dim, N=N, M=M, X_max=X_max, r=1.1)
     mu_values = [abs_mu * complex(math.cos(arg), math.sin(arg)) for abs_mu, arg in mus]
-    mults = [_profile(kernel, kernel.sector.require(mu), grid, normal) for mu in mu_values]
+    mults = [_radial_profile(kernel, kernel.sector.require(mu), grid, normal) for mu in mu_values]
     want = max(opnorm_hilbert(kernel, mu, 0.0, 0.0, grid, normal) for mu in mu_values)
     kw = dict(p=2.0, in_norm=L2, out_norm=NormSpec("Mixed", p=2.0, q=2.0), trials=4, restarts=6)
     inputs = probe_dictionary(grid)
