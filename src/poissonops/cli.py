@@ -225,10 +225,10 @@ def rbound_batch_scan(
     Each batch of consecutive |mu| values on a ray forms one operator family,
     the multipliers ``<mu>^exponent k(xi, mu; x)``, each evaluated once at the
     grid's radial representatives, shape ``(K, M)``; the row magnitude is the
-    batch's largest |mu|, so per-ray rows stay strictly increasing.
+    batch's largest |mu|, so per-ray rows stay strictly increasing.  Batch
+    ``idx``, counted over the rays in order, draws from child ``idx`` of ``seed``.
     """
     inputs = probe_dictionary(grid)
-    in_norm = NormSpec("Lp", p=2.0)
     out_norm = NormSpec("Mixed", p=p, q=q, m=0, weak=weak)
     jobs = []
     for ray in rays:
@@ -241,21 +241,13 @@ def rbound_batch_scan(
         kern.sector.require(mu)
         return bracket(0.0, mu) ** exponent * _radial_profile(kern, mu, grid, ngrid)
 
-    def one(idx, ray, mus):
+    rows = []
+    for idx, (ray, mus) in enumerate(jobs):
         est = rbound_lower(
-            [multiplier(mu) for mu in mus],
-            inputs,
-            ngrid,
-            p=p,
-            in_norm=in_norm,
-            out_norm=out_norm,
-            trials=trials,
-            restarts=restarts,
-            sampler=RademacherSampler(seed=seed + 7919 * idx),
+            [multiplier(mu) for mu in mus], inputs, ngrid, p=p, out_norm=out_norm, trials=trials,
+            restarts=restarts, sampler=RademacherSampler(seed).child(idx),
         )
-        return (abs(mus[-1]), ray, est.value)
-
-    rows = [one(idx, ray, mus) for idx, (ray, mus) in enumerate(jobs)]
+        rows.append((abs(mus[-1]), ray, est.value))
     return ScanResult.from_rows(rows, metadata={"seed": seed})
 
 

@@ -44,6 +44,7 @@ from .symbols import (
     _HALF_SECTOR,
     _ch_symbol,
     _kpp_rate,
+    _require_road_params,
     _road_symbol,
     _tau,
 )
@@ -82,9 +83,7 @@ class DynBCProblem:
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        params = (self.d, self.dprime, self.kcoef)
-        if not all(0 < x < math.inf for x in params):
-            raise ValueError(f"problem parameters must be positive and finite, got {params}")
+        _require_road_params(self.d, self.dprime, self.kcoef)
         if not (_HALF_SECTOR.alpha <= self.sector.alpha and self.sector.beta <= _HALF_SECTOR.beta):
             raise ValueError("the problem sector must lie within the catalog kernels' sector")
 
@@ -595,8 +594,7 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
     radicand ``d mu^2 + d^2 z^2`` is never a negative real on these rays, so
     no signed zero picks its branch.)
     """
-    if not all(0 < x < math.inf for x in (d, dprime, kcoef)):
-        raise ValueError(f"road-field parameters must be positive and finite, got {(d, dprime, kcoef)}")
+    _require_road_params(d, dprime, kcoef)
     if n < 1:
         raise ValueError(f"need a lattice of n >= 1 magnitudes, got n={n}")
     if set(_ROAD_MU_ANGLES) != {-a for a in _ROAD_MU_ANGLES}:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,29 +35,34 @@ __all__ = [
 class RademacherSampler:
     """Deterministic source of uniform unit-modulus complex signs.
 
-    Counter-based (Philox) keyed on ``(seed, stream)``: the same key always
-    reproduces the same draws on any platform, and independent streams are
-    split by changing ``stream`` without touching the seed.
+    The node ``(seed, key)`` of one :class:`numpy.random.SeedSequence` tree:
+    ``child(i)`` is the node ``spawn`` hands out ``i``-th, so distinct nodes
+    draw independent streams.  ``unit`` and ``integers`` continue one Philox
+    generator, seeded by the node alone and built on the first draw.  The
+    functions handed a sampler draw only from its children, never advancing it.
     """
 
     seed: int
-    stream: int = 0
+    key: tuple[int, ...] = ()
 
-    def with_stream(self, stream: int) -> "RademacherSampler":
-        return RademacherSampler(seed=self.seed, stream=stream)
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"sampler seed must be nonnegative, got seed={self.seed!r}")
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.key)))
+
+    def child(self, i: int) -> RademacherSampler:
+        return RademacherSampler(self.seed, (*self.key, i))
 
     def unit(self, count: int) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be at least 1")
-        gen = np.random.Generator(np.random.Philox(key=[self.seed % 2**64, self.stream % 2**64]))
-        angles = 2.0 * math.pi * gen.random(count)
-        return np.exp(1j * angles)
+        return np.exp(2j * math.pi * self._gen.random(count))
 
     def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        gen = np.random.Generator(
-            np.random.Philox(key=[self.seed % 2**64, (self.stream + 2**32) % 2**64])
-        )
-        return gen.integers(low, high, size=count)
+        return self._gen.integers(low, high, size=count)
 
 
 @dataclass(frozen=True)
@@ -186,13 +192,13 @@ def eps_p_norm(
     p: float,
     norm: NormSpec,
     trials: int = 64,
-    sampler: RademacherSampler | None = None,
+    sampler: RademacherSampler = RademacherSampler(seed=0),
 ) -> float:
     """Randomized sign-sum norm ``(E ||sum_n eps_n f_n||^p)^(1/p)``.
 
     A single field needs no sampling (unit modulus drops out), and for ``p=2``
     with a Hilbert norm the expectation collapses exactly to the square sum;
-    everything else is Monte-Carlo with the deterministic sampler.  ``norm``
+    everything else is Monte-Carlo with signs from ``sampler.child(0)``.  ``norm``
     may be any family that applies to the fields; ``1 <= p < inf``.
     """
     _check_counts(p, trials)
@@ -203,7 +209,7 @@ def eps_p_norm(
     stacks = form.orders(_spectra(fields, form.grid))
     singles = form.of_sums(stacks, np.eye(len(fields)))
     sums = lambda eps: form.of_sums(stacks, eps)
-    value, _ = _sign_sum(form, singles, sums, p, trials, sampler or RademacherSampler(seed=0))
+    value, _ = _sign_sum(form, singles, sums, p, trials, sampler.child(0))
     return value
 
 
@@ -252,7 +258,7 @@ def rbound_lower(
     out_norm: NormSpec | None = None,
     trials: int = 32,
     restarts: int = 16,
-    sampler: RademacherSampler | None = None,
+    sampler: RademacherSampler = RademacherSampler(seed=0),
 ) -> RBoundEstimate:
     """Certified lower bound on the randomized bound of an operator family.
 
@@ -265,10 +271,11 @@ def rbound_lower(
     operator (the exact singleton floor), then ``restarts`` random
     selections with repetition search for sign-sum ratios above that floor.
     The maximum ratio observed is returned; it never exceeds the true
-    randomized bound.  Products are measured on the classes
-    (:class:`~poissonops.norms._Products`): no per-mode product stack is
-    formed for a tangential ``q = 2``.  The input norm may be any boundary
-    family and the output norm any family on the multipliers' grid;
+    randomized bound.  Restart ``r`` draws its size, selections and both sign
+    batches, in that order, from ``sampler.child(r)``.  Products are measured
+    on the classes (:class:`~poissonops.norms._Products`): no per-mode product
+    stack is formed for a tangential ``q = 2``.  The input norm may be any
+    boundary family and the output norm any family on the multipliers' grid;
     ``1 <= p < inf``.
     """
     if len(multipliers) == 0:
@@ -284,7 +291,6 @@ def rbound_lower(
     shape = (classes,) + (() if normal is None else (normal.M,))
     if any(np.shape(m) != shape for m in multipliers):
         raise ValueError(f"every multiplier must have shape {shape}, one row per radial class of the grid")
-    sampler = sampler or RademacherSampler(seed=0)
 
     n_ops, n_in = len(multipliers), len(inputs)
     spectra = _spectra(inputs, grid)
@@ -299,19 +305,17 @@ def rbound_lower(
     best = max(0.0, float(np.max(ratios))) if ratios.size else 0.0
     best_err = 0.0
     for r in range(restarts):
-        sub = sampler.with_stream(1 + 3 * r)
-        size = 1 + int(sub.integers(0, max(n_ops, 2), 1)[0] % n_ops)
-        sel_ops = sub.with_stream(2 + 3 * r).integers(0, n_ops, size)
-        sel_in = sub.with_stream(3 + 3 * r).integers(0, n_in, size)
+        sub = sampler.child(r)
+        size = int(sub.integers(1, n_ops + 1, 1)[0])
+        sel_ops = sub.integers(0, n_ops, size)
+        sel_in = sub.integers(0, n_in, size)
         den, _ = _sign_sum(
-            in_form, in_norms[sel_in], lambda eps: in_form.of_sums([s[:, sel_in] for s in ins], eps), p, trials,
-            sub.with_stream(10_000 + r),
+            in_form, in_norms[sel_in], lambda eps: in_form.of_sums([s[:, sel_in] for s in ins], eps), p, trials, sub
         )
         if den == 0.0:
             continue
         num, num_err = _sign_sum(
-            out_form, out_norms[sel_ops, sel_in], lambda eps: outs.of_sums(sel_ops, sel_in, eps),
-            p, trials, sub.with_stream(20_000 + r),
+            out_form, out_norms[sel_ops, sel_in], lambda eps: outs.of_sums(sel_ops, sel_in, eps), p, trials, sub
         )
         ratio = num / den
         if ratio > best:

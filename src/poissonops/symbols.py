@@ -500,10 +500,15 @@ def _road_symbol(s, mu2, d, dprime, kcoef):
     return (mu2 + kcoef + dprime * s) * root - kcoef, root
 
 
-def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> MultiplierSymbol:
-    """Multiplier sending road data to the road density in the road-field model."""
+def _require_road_params(d: float, dprime: float, kcoef: float) -> None:
+    """Refuse road-field parameters that are not positive and finite (NaN fails both comparisons)."""
     if not all(0 < x < math.inf for x in (d, dprime, kcoef)):
         raise ValueError(f"road-field parameters must be positive and finite, got {(d, dprime, kcoef)}")
+
+
+def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> MultiplierSymbol:
+    """Multiplier sending road data to the road density in the road-field model."""
+    _require_road_params(d, dprime, kcoef)
 
     def f(xi, mu):
         mu2 = np.asarray(mu, dtype=complex) ** 2

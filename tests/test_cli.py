@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import poissonops
+from poissonops import cli
 from poissonops.cli import (
     CONFIG_SCHEMA,
     _boundary_data,
@@ -478,10 +479,10 @@ RBOUND_JOB_ARGS = (
 )
 
 
-@pytest.mark.parametrize("seed, draws", [(0, [32, 0, 64, 32]), (1, [27, 0, 54, 27])])
+@pytest.mark.parametrize("seed, draws", [(0, [34, 0, 68, 34]), (1, [29, 0, 58, 29])])
 def test_rbound_scans_draw_one_sign_batch_per_sampled_sum(tmp_path, monkeypatch, seed, draws):
-    # the per-trial engine drew these counts on the same scans; the Philox
-    # streams, draw counts and restart order are part of the output
+    # counts of the seed tree's restart streams: one sign batch per sampled sum;
+    # the streams, draw counts and restart order are part of the output
     calls = []
     unit = RademacherSampler.unit
 
@@ -496,6 +497,37 @@ def test_rbound_scans_draw_one_sign_batch_per_sampled_sum(tmp_path, monkeypatch,
         assert main([*RBOUND_JOB, *args, "--seed", str(seed), "--out", str(tmp_path)]) == 0
         got.append(len(calls))
     assert got == draws
+
+
+def _signs_by_batch(tmp_path, monkeypatch, seed):
+    """Every sign a small rbound scan draws, one array per batch."""
+    batches = []
+    unit, lower = RademacherSampler.unit, cli.rbound_lower
+
+    def recorded(self, count):
+        draws = unit(self, count)
+        batches[-1].append(draws)
+        return draws
+
+    def per_batch(*args, **kwargs):
+        batches.append([])
+        return lower(*args, **kwargs)
+
+    monkeypatch.setattr(RademacherSampler, "unit", recorded)
+    monkeypatch.setattr(cli, "rbound_lower", per_batch)
+    argv = [*RBOUND_JOB, "--p", "1.5", *SMALL_GRID, "--mu-points", "10", "--batch-size", "2"]
+    assert main([*argv, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    return [np.concatenate(b) for b in batches]
+
+
+def test_rbound_batches_of_different_seeds_draw_different_signs(tmp_path, monkeypatch):
+    # batch samplers keyed seed + stride * idx would give --seed <stride> batch 0
+    # the signs of --seed 0 batch 1; children of one seed tree never coincide
+    for stride in (1, 7919):
+        shifted = _signs_by_batch(tmp_path, monkeypatch, stride)[0]
+        base = _signs_by_batch(tmp_path, monkeypatch, 0)[1]
+        assert shifted.size and base.size
+        assert not np.array_equal(shifted, base)
 
 
 def test_scan_rays_parsing(tmp_path):

@@ -5,7 +5,8 @@ norm engine, one evaluator of a kernel's normal derivatives, radial kernels eval
 distinct |xi|^2, radial products gathered to the modes only for a tangential q other than 2,
 sign sums without per-trial contractions, an Euler step loop that allocates no bulk, one
 kernel rescaling, a kpp plan from one decay rate, no threads, processes or environment
-reads, a CLI that checks its configs without jsonschema, and no public pass-through."""
+reads, a CLI that checks its configs without jsonschema, no public pass-through, and random
+draws from one seed tree."""
 from __future__ import annotations
 
 import ast
@@ -424,3 +425,24 @@ def test_no_public_pass_through_wrappers():
     # another call is a second door to it
     found = {(p.name, name) for p in PKG_DIR.glob("*.py") for name in _pass_throughs(ast.parse(p.read_text()))}
     assert found == set()
+
+
+def _random_sources(tree: ast.Module) -> list[str]:
+    """Owner of every ``np.random`` reference, and every import of ``random`` or ``numpy.random``."""
+    found = _np_owners(tree, "random")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        found += [f"import {m}" for m in modules if m.split(".")[0] == "random" or m.startswith("numpy.random")]
+    return found
+
+
+def test_random_draws_come_from_one_seed_tree():
+    # every draw is keyed by a SeedSequence node held by rbound.RademacherSampler:
+    # no hand-built key, module-level generator or second keying scheme exists
+    found = {(p.name, owner) for p in PKG_DIR.glob("*.py") for owner in _random_sources(ast.parse(p.read_text()))}
+    assert found == {("rbound.py", "RademacherSampler")}

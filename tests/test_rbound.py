@@ -36,7 +36,23 @@ def test_sampler_unit_modulus_and_determinism():
     np.testing.assert_allclose(np.abs(draws), 1.0, atol=1e-12)
     np.testing.assert_array_equal(draws, RademacherSampler(seed=42).unit(1000))
     assert not np.array_equal(draws, RademacherSampler(seed=43).unit(1000))
-    assert not np.array_equal(draws, s.with_stream(1).unit(1000))
+    # children differ from each other and from their parent; the same (seed, key) agrees
+    kids = [s.child(i).unit(1000) for i in range(3)]
+    assert all(not np.array_equal(draws, k) for k in kids)
+    assert not np.array_equal(kids[0], kids[1]) and not np.array_equal(kids[1], kids[2])
+    np.testing.assert_array_equal(kids[1], RademacherSampler(42, (1,)).unit(1000))
+    np.testing.assert_array_equal(s.child(1).child(2).unit(50), RademacherSampler(42, (1, 2)).unit(50))
+    assert not np.array_equal(s.child(1).child(2).unit(50), s.child(2).child(1).unit(50))
+
+
+def test_sampler_continues_one_stream_and_children_match_spawn():
+    # unit and integers continue one generator; child i is SeedSequence.spawn's i-th child
+    s = RademacherSampler(seed=3)
+    first, second = s.unit(10), s.unit(10)
+    np.testing.assert_array_equal(np.concatenate([first, second]), RademacherSampler(seed=3).unit(20))
+    spawned = np.random.SeedSequence(3).spawn(3)[2]
+    gen = np.random.Generator(np.random.Philox(spawned))
+    np.testing.assert_array_equal(s.child(2).unit(10), np.exp(2j * math.pi * gen.random(10)))
 
 
 def test_sampler_mean_vanishes():
@@ -179,6 +195,23 @@ def test_rbound_lower_deterministic():
     assert rbound_lower(ops, inputs, **kw).value == rbound_lower(ops, inputs, **kw).value
 
 
+def test_one_sampler_object_gives_equal_repeated_calls():
+    # the functions draw only from children of the sampler, so the object they
+    # are handed is never advanced, even though it holds a generator
+    tg, _ = make_grids(N=16)
+    rng = np.random.default_rng(4)
+    fields = [BoundaryField(tg, rng.standard_normal(tg.shape)) for _ in range(3)]
+    sampler = RademacherSampler(seed=13)
+    first = eps_p_norm(fields, 1.5, L2, trials=16, sampler=sampler)
+    assert eps_p_norm(fields, 1.5, L2, trials=16, sampler=sampler) == first
+    ops = [np.full(len(tg.radial[0]), 0.7), np.linspace(0.1, 1.0, len(tg.radial[0]))]
+    kw = dict(p=1.5, in_norm=L2, out_norm=L2, trials=8, restarts=6, sampler=sampler)
+    first = rbound_lower(ops, fields, **kw)
+    assert rbound_lower(ops, fields, **kw) == first
+    sampler.unit(5)  # advancing the caller's own stream does not reach the children
+    assert rbound_lower(ops, fields, **kw) == first
+
+
 def test_rbound_lower_empty_errors():
     tg, _ = make_grids(N=16)
     inputs = probe_dictionary(tg)
@@ -266,15 +299,16 @@ def _ref_rbound(mults, inputs, normal, p, in_norm, out_norm, trials, restarts, s
             best = max(best, ref_field_norm(u, out_norm) / in_norms[i])
     n_ops, n_in = len(mults), len(inputs)
     for r in range(restarts):
-        sub = sampler.with_stream(1 + 3 * r)
-        size = 1 + int(sub.integers(0, max(n_ops, 2), 1)[0] % n_ops)
-        sel_ops = sub.with_stream(2 + 3 * r).integers(0, n_ops, size)
-        sel_in = sub.with_stream(3 + 3 * r).integers(0, n_in, size)
-        den = _ref_sign_sum([inputs[i] for i in sel_in], p, in_norm, trials, sub.with_stream(10_000 + r))
+        # restart r replays child r of the seed tree: size, selections, then both sign batches
+        sub = RademacherSampler(sampler.seed, (*sampler.key, r))
+        size = int(sub.integers(1, n_ops + 1, 1)[0])
+        sel_ops = sub.integers(0, n_ops, size)
+        sel_in = sub.integers(0, n_in, size)
+        den = _ref_sign_sum([inputs[i] for i in sel_in], p, in_norm, trials, sub)
         if den == 0.0:
             continue
         chosen = [outs[j, i] for j, i in zip(sel_ops, sel_in)]
-        num = _ref_sign_sum(chosen, p, out_norm, trials, sub.with_stream(20_000 + r))
+        num = _ref_sign_sum(chosen, p, out_norm, trials, sub)
         best = max(best, num / den)
     return best, outs
 
@@ -331,8 +365,8 @@ def test_rbound_engine_matches_per_trial_physical_reference(
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     for fields, norm in ((list(outs.values())[: 1 + seed % 4], out_norm), (inputs, in_norm)):
-        want = _ref_sign_sum(fields, p, norm, trials, RademacherSampler(seed, 5))
-        got = eps_p_norm(fields, p, norm, trials, RademacherSampler(seed, 5))
+        want = _ref_sign_sum(fields, p, norm, trials, RademacherSampler(seed, (5, 0)))
+        got = eps_p_norm(fields, p, norm, trials, RademacherSampler(seed, (5,)))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

@@ -28,6 +28,7 @@ REFUSALS = [
     pytest.param(lambda: weak_lp_norm([1.0], [1.0], 0.5), "need p >= 1", id="weak-lp-exponent"),
     pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), -1), "nonnegative", id="derivative-order"),
     pytest.param(lambda: RademacherSampler(seed=0).unit(0), "at least 1", id="sampler-count"),
+    pytest.param(lambda: RademacherSampler(seed=-1), "seed=-1", id="sampler-seed"),
     pytest.param(lambda: ScanResult(rows=(), slope=math.nan, residual=0.0), "slope must be finite", id="scan-slope"),
     pytest.param(lambda: eps_p_norm([], 2.0, NormSpec("Lp")), "at least one field", id="sign-sum-empty"),
     pytest.param(lambda: replace(heat_kernel, kind="mild"), "kind must be", id="kernel-kind"),
