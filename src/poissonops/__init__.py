@@ -2,9 +2,10 @@
 
 The package evaluates symbol-class seminorms and characterization bounds,
 applies Fourier multipliers and Poisson operators on periodic half-space
-grids, measures mixed and weak Lebesgue norms, certifies lower bounds on
-randomized boundedness constants, and solves three dynamic boundary
-condition model problems per tangential mode.
+grids, measures mixed and weak Lebesgue norms, estimates randomized
+boundedness constants from below (certified on the exact sign-sum paths,
+biased upward by Monte-Carlo noise elsewhere), and solves three dynamic
+boundary condition model problems per tangential mode.
 """
 from __future__ import annotations
 

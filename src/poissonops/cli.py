@@ -199,7 +199,10 @@ def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
     if name == "zero":
         return BoundaryField(grid, np.zeros(grid.shape, dtype=complex))
     if name.startswith("mode"):
-        freq = int(name[4:]) * (TWO_PI / grid.L)  # exactly m at L = 2 pi
+        m, half = int(name[4:]), grid.N // 2
+        if not -half <= m < half:  # any other m aliases to a lattice mode
+            raise ValueError(f"boundary data {name!r} is off the grid's lattice: need {-half} <= m < {half}")
+        freq = m * (TWO_PI / grid.L)  # exactly m at L = 2 pi
         return BoundaryField(grid, _replicate(np.exp(1j * freq * grid.points_1d), grid))
     raise ValueError(f"unknown boundary data {name!r}; use const, zero, or mode<m>")
 

@@ -110,8 +110,8 @@ class TangentialGrid:
             raise ValueError("dim must be >= 1")
         if self.N < 2 or self.N & (self.N - 1) != 0:
             raise ValueError(f"N must be a power of two, got {self.N}")
-        if not self.L > 0:
-            raise ValueError("L must be positive")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
 
     @property
     def cell(self) -> float:
@@ -199,10 +199,10 @@ class NormalGrid:
     def __post_init__(self) -> None:
         if self.M < 2:
             raise ValueError("M must be >= 2")
-        if not self.r > 1:
-            raise ValueError(f"grading ratio must exceed 1, got {self.r}")
-        if not self.X_max > 0:
-            raise ValueError("X_max must be positive")
+        if not 1 < self.r < math.inf:
+            raise ValueError(f"grading ratio must exceed 1 and be finite, got {self.r}")
+        if not 0 < self.X_max < math.inf:
+            raise ValueError(f"X_max must be positive and finite, got {self.X_max}")
 
     @cached_property
     def nodes(self) -> np.ndarray:

@@ -5,8 +5,8 @@ dynamics of a Cahn-Hilliard type problem, and a road-field reaction model
 coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
 data once, builds the variant's plan (every table that depends on the
-problem and ``mu`` only: decay rates, symbols, Green sweep tables, Poisson
-profiles, and the heat step's scratch; the sweep's decay table and the
+problem and ``mu`` only: decay rates, symbols, Poisson profiles, and the
+heat plan's Green sweep tables and scratch, of which the decay table and the
 scratch wait for the first sweep), and runs the variant's spectral step
 per tangential frequency mode on it.  Interior solves use a reflected Green
 kernel quadrature, boundary dynamics reduce to explicit multiplier symbols,
@@ -189,56 +189,15 @@ class _SweepScratch(NamedTuple):
     chain: list
 
 
-@dataclass(frozen=True, eq=False)
-class _Sweep:
-    """The tables of :func:`_green_sweep` for one normal grid and one decay rate per mode.
-
-    ``rates`` holds one ``tau`` per representative, a flat array, and mode
-    ``k`` reads representative ``index[k]``; ``tau`` holds the gathered
-    rates, shaped like the grid.  ``image[i]`` is ``exp(-tau x_i)``, node
-    major.  The stacked decay table and the scratch, ``scratch``, are built
-    on the first sweep: a resolvent without interior data reads only ``tau``
-    and the image table.
-    """
-
-    ngrid: NormalGrid
-    rates: np.ndarray  # (K,)
-    index: np.ndarray  # (modes,)
-    tau: np.ndarray  # grid.shape
-    image: np.ndarray  # (M, modes)
-
-    @cached_property
-    def scratch(self) -> _SweepScratch:
-        decay = np.take(np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates), self.index, axis=1)
-        decay = np.stack([decay, decay[::-1]], axis=1)
-        M, modes = self.image.shape
-        acc = np.empty((M, 2, modes), dtype=complex)
-        row, u = np.empty((2, modes), dtype=complex), np.empty((M, modes), dtype=complex)
-        return _SweepScratch(decay, acc, row, u, list(zip(acc[:-1], acc[1:], decay)))
-
-
-def _sweep_tables(ngrid: NormalGrid, tau: np.ndarray, inverse: np.ndarray) -> _Sweep:
-    """The Green sweep's image table, once; its decay table and scratch follow on the first sweep.
-
-    ``tau`` holds one rate per representative, a flat array, and mode ``k``
-    reads representative ``inverse[k]``: the tables are evaluated per
-    representative and gathered, and the sweep's ``tau`` is ``tau[inverse]``.
-    """
-    index = np.ravel(inverse)
-    # np.take keeps the gathered tables node-major (C order), as the sweep reads them
-    image = np.take(np.exp(-ngrid.nodes[:, None] * tau), index, axis=1)
-    return _Sweep(ngrid, tau, index, tau[inverse], image)
-
-
-def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
+def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.ndarray]:
     """Reflected Green quadrature per mode, and its boundary flux.
 
-    ``fspec`` holds one mode per row along the last axis, and ``sweep`` the
+    ``fspec`` holds one mode per row along the last axis, and ``plan`` the
     decay rates ``tau``, one per mode, with their tables.  Returns the
     solution samples, shaped like ``fspec``, and the flux
     ``sum_j exp(-tau y_j) w_j f_j``, shaped like ``tau``.  The solution is a
-    view of the sweep's node-major scratch ``u``: the next sweep on the same
-    tables overwrites it.  Apart from the flux (and the decay table and
+    view of the plan's node-major scratch ``u``: the next sweep on the same
+    plan overwrites it.  Apart from the flux (and the decay table and
     scratch on a first sweep), the sweep creates no array.
 
     Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
@@ -255,10 +214,10 @@ def _green_sweep(fspec: np.ndarray, sweep: _Sweep) -> tuple[np.ndarray, np.ndarr
     boundary flux of the solution.  The boundary node is set to zero exactly.
     The backward recursion is the forward one over the reversed nodes, so one
     loop runs both on a stacked pair of rows, with the stacked decay table
-    built once, on the first sweep, by ``_Sweep.scratch``.
+    built once, on the first sweep, by ``_HeatPlan.scratch``.
     """
-    ngrid, tau, image = sweep.ngrid, sweep.tau, sweep.image
-    decay, acc, row, u, chain = sweep.scratch
+    ngrid, tau, image = plan.ngrid, plan.tau, plan.image
+    decay, acc, row, u, chain = plan.scratch
     t = np.ravel(tau)
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
     # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
@@ -298,52 +257,69 @@ def _residual_band(ngrid: NormalGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _HeatPlan:
-    """The heat step's tables and scratch; the sweep's decay table and scratch, and the residual
-    stencil, are built on first use, so a step without interior data builds neither."""
+    """The heat step's tables, evaluated at ``grid.radial``'s representatives and gathered to the modes.
+
+    ``rates`` holds one ``tau`` per representative, a flat array, and mode
+    ``k`` reads representative ``index[k]``; ``tau`` and ``den = mu^2 + tau``,
+    the boundary multiplier's denominator, hold the gathered values, shaped
+    like the grid.  ``image[i]`` is ``exp(-tau x_i)``, node major, and
+    ``profile`` is the same table copied C-contiguous as ``grid.shape + (M,)``:
+    the heat kernel profile, the Poisson lift of a unit trace.  The Green
+    sweep's decay table and scratch, ``scratch``, and the residual stencil,
+    ``residual``, are built on first use, so a step without interior data
+    builds neither.
+    """
 
     mu2: complex
-    den: np.ndarray  # mu^2 + tau, the boundary multiplier's denominator
-    sweep: _Sweep
-    profile: np.ndarray  # heat kernel profile: the Poisson lift of a unit trace
+    ngrid: NormalGrid
+    rates: np.ndarray  # (K,)
+    index: np.ndarray  # (modes,)
+    tau: np.ndarray  # grid.shape
+    den: np.ndarray  # grid.shape
+    image: np.ndarray  # (M, modes)
+    profile: np.ndarray  # grid.shape + (M,)
+
+    @cached_property
+    def scratch(self) -> _SweepScratch:
+        decay = np.take(np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates), self.index, axis=1)
+        decay = np.stack([decay, decay[::-1]], axis=1)
+        M, modes = self.image.shape
+        acc = np.empty((M, 2, modes), dtype=complex)
+        row, u = np.empty((2, modes), dtype=complex), np.empty((M, modes), dtype=complex)
+        return _SweepScratch(decay, acc, row, u, list(zip(acc[:-1], acc[1:], decay)))
 
     @cached_property
     def residual(self) -> np.ndarray:
         """:func:`_residual_band` of the normal grid: only a step with interior data needs (and builds) it,
         and it refuses a grid of fewer than three nodes."""
-        return _residual_band(self.sweep.ngrid)
+        return _residual_band(self.ngrid)
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
-    """The heat step's tables, from one ``tau`` and one set of complex ``exp`` tables.
-
-    ``tau`` and the sweep's ``exp`` tables are evaluated at ``grid.radial``'s
-    representatives and gathered to the modes.  The sweep's image table
-    ``exp(-tau x_j)`` is also the heat kernel profile, entry for entry: the
-    profile is that table copied C-contiguous as ``grid.shape + (M,)``, the
-    layout the lifted bulk's norms are summed in.  The plan owns the step's
-    scratch, the sweep's, built on the first sweep: its accumulator also takes
-    the interior residual.
-    """
+    """The heat step's tables, from one ``tau`` and one complex ``exp`` table, the sweep's image
+    table: the lift reads it as the heat kernel profile, copied in the layout its norms are summed in."""
     grid, ngrid = problem.tangential, problem.normal
     reps, inverse = grid.radial
-    mu2 = mu * mu
-    sweep = _sweep_tables(ngrid, _tau(reps, mu), inverse)
-    profile = np.ascontiguousarray(sweep.image.T).reshape(grid.shape + (ngrid.M,))
-    return _HeatPlan(mu2, mu2 + sweep.tau, sweep, profile)
+    mu2, rates, index = mu * mu, _tau(reps, mu), np.ravel(inverse)
+    # np.take keeps the gathered table node-major (C order), as the sweep reads it
+    image = np.take(np.exp(-ngrid.nodes[:, None] * rates), index, axis=1)
+    tau = rates[inverse]
+    profile = np.ascontiguousarray(image.T).reshape(grid.shape + (ngrid.M,))
+    return _HeatPlan(mu2, ngrid, rates, index, tau, mu2 + tau, image, profile)
 
 
 def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
     """``max |tau^2 u - d^2u/dx^2 - f| / max |f|`` over the interior nodes, for the sweep's ``u``.
 
     The second derivative is the plan's five-diagonal stencil, applied node
-    major to the sweep's scratch ``u``; the residual and its products are
-    formed in the two halves of the sweep's accumulator, which the sweep no
+    major to the plan's scratch ``u``; the residual and its products are
+    formed in the two halves of the scratch accumulator, which the sweep no
     longer needs, as disjoint contiguous blocks.
     """
-    sweep, band = plan.sweep, plan.residual
-    u, M = sweep.scratch.u, sweep.ngrid.M
-    res, prod = sweep.scratch.acc.reshape(2, *u.shape)[:, 1:-1]
-    np.multiply((sweep.tau**2).ravel(), u[1:-1], out=res)
+    band, scratch = plan.residual, plan.scratch
+    u, M = scratch.u, plan.ngrid.M
+    res, prod = scratch.acc.reshape(2, *u.shape)[:, 1:-1]
+    np.multiply((plan.tau**2).ravel(), u[1:-1], out=res)
     for k, diag in zip(range(-2, 3), band):
         # rows i of the interior whose node i + k lies on the grid
         lo, hi = max(1, -k) - 1, min(M - 2, M - 1 - k)
@@ -363,8 +339,8 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
     the half space.  The returned spectra are fresh arrays; the rest of the
     step's work goes to the plan's scratch.
     """
-    mu2, tau = plan.mu2, plan.sweep.tau
-    u1spec, flux1 = (None, 0.0) if fspec is None else _green_sweep(fspec, plan.sweep)  # flux1 = du1/dxn at 0
+    mu2, tau = plan.mu2, plan.tau
+    u1spec, flux1 = (None, 0.0) if fspec is None else _green_sweep(fspec, plan)  # flux1 = du1/dxn at 0
     # line 1: the Poisson part solves the interior equation identically, so
     # only the quadrature interior solve contributes, checked by differences
     # (which need three nodes; without interior data the line holds exactly)

@@ -1,12 +1,15 @@
 """Randomization tools: unit-modulus sign sums, R-bound search, decay fits.
 
 An operator family is probed from below: random subsets act on random
-dictionary inputs, the ratio of randomized output to input norms is maximized
-over restarts, and the best observed ratio is a certified lower bound.  The
-family is given as radial spectral multipliers, one row per radial class of
-the grid, and sign sums are evaluated in spectral space, every trial at once.
-Decay claims are quantified by least-squares slopes of log norm against the
-log bracket weight of the spectral parameter.
+dictionary inputs, and the ratio of randomized output to input norms is
+maximized over restarts.  The best observed ratio is a certified lower bound
+only where every ratio is exact (single summands, and ``p = 2`` with Hilbert
+norms); a Monte-Carlo ratio is noisy, and its maximum over restarts is biased
+upward, so it can exceed the true randomized bound.  The family is given as
+radial spectral multipliers, one row per radial class of the grid, and sign
+sums are evaluated in spectral space, every trial at once.  Decay claims are
+quantified by least-squares slopes of log norm against the log bracket weight
+of the spectral parameter.
 """
 from __future__ import annotations
 
@@ -260,7 +263,7 @@ def rbound_lower(
     restarts: int = 16,
     sampler: RademacherSampler = RademacherSampler(seed=0),
 ) -> RBoundEstimate:
-    """Certified lower bound on the randomized bound of an operator family.
+    """Lower-bound estimate of the randomized bound of an operator family.
 
     Operator ``j`` is a radial spectral multiplier on the grid of ``inputs``,
     given on the radial classes ``grid.radial``: ``multipliers[j]`` has
@@ -270,9 +273,12 @@ def rbound_lower(
     ``r``.  Every dictionary input is first swept through every single
     operator (the exact singleton floor), then ``restarts`` random
     selections with repetition search for sign-sum ratios above that floor.
-    The maximum ratio observed is returned; it never exceeds the true
-    randomized bound.  Restart ``r`` draws its size, selections and both sign
-    batches, in that order, from ``sampler.child(r)``.  Products are measured
+    The maximum ratio observed is returned.  It is a certified lower bound
+    when every ratio above the floor is exact: a single summand, or ``p = 2``
+    with Hilbert input and output norms.  Otherwise the ratios are quotients
+    of Monte-Carlo means, and their maximum is biased upward: it may exceed
+    the true randomized bound.  Restart ``r`` draws its size, selections and
+    both sign batches, in that order, from ``sampler.child(r)``.  Products are measured
     on the classes (:class:`~poissonops.norms._Products`): no per-mode product
     stack is formed for a tangential ``q = 2``.  The input norm may be any
     boundary family and the output norm any family on the multipliers' grid;

@@ -75,3 +75,23 @@ def is_hilbert(spec: NormSpec) -> bool:
         return spec.p == spec.q == 2
     no_derivative = spec.m == spec.s == 0
     return spec.family in ("Mixed", "TotChar") and spec.p == spec.q == 2 and no_derivative and not spec.weak
+
+
+def transposed_view(a: np.ndarray) -> np.ndarray:
+    """Equal values, laid out with the first two axes swapped: neither C- nor (in 3-d) F-ordered.
+
+    An array of fewer than two axes comes back as it is.
+    """
+    if a.ndim < 2:
+        return a
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
+
+
+def reversed_view(a: np.ndarray) -> np.ndarray:
+    """Equal values, laid out backwards along every axis: negative strides, also in 1-d."""
+    flip = (slice(None, None, -1),) * a.ndim
+    return np.ascontiguousarray(a[flip])[flip]
+
+
+# other memory layouts of the same values, for the layout-invariance checks
+RELAYOUTS = [np.asfortranarray, transposed_view, reversed_view]

@@ -125,6 +125,21 @@ def test_mode_data_is_a_lattice_mode():
     grid = TangentialGrid(dim=2, N=16, L=2.0 * math.pi)
     want = np.exp(1j * -3 * grid.points_1d)[:, None] * np.ones(16)
     assert np.array_equal(_boundary_data("mode-3", grid).samples, want)
+    # the lattice is -N/2 <= m < N/2: any other m would alias to one of its modes
+    for name in ("mode-8", "mode7"):
+        spec = forward_fft(_boundary_data(name, grid))
+        assert np.count_nonzero(np.abs(spec) > 1e-12 * np.max(np.abs(spec))) == 1
+    for name in ("mode8", "mode16"):
+        with pytest.raises(ValueError, match="-8 <= m < 8"):
+            _boundary_data(name, grid)
+
+
+def test_off_lattice_mode_data_is_a_usage_error(tmp_path, capsys):
+    # mode256 on 256 modes would alias to const while the config echoed mode256
+    argv = ["solve", "--problem", "heat-dynbc", "--mu", "1", "--g", "mode8", "--out", str(tmp_path)]
+    assert main(argv + SMALL_GRID) == 2
+    assert "-4 <= m < 4" in capsys.readouterr().err
+    assert not (tmp_path / "solve.jsonl").exists()
 
 
 def test_solve_rejects_mu_zero(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from norm_reference import transposed_view
 from poissonops import dynbc
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Sector, SectorError, make_grids
 from poissonops.dynbc import (
@@ -20,13 +21,12 @@ from poissonops.dynbc import (
     EvolveRecord,
     ResolventOutput,
     _green_sweep,
-    _sweep_tables,
     boundary_symbol_gain,
     implicit_euler_evolve,
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm, normal_derivative
-from poissonops.symbols import _ch_symbol, _road_symbol, _tau, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
+from poissonops.symbols import _ch_symbol, _road_symbol, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
 from poissonops.transforms import _profile, apply_poisson, forward_fft, inverse_fft
 
 SQRT2 = math.sqrt(2.0)
@@ -51,20 +51,19 @@ def _profile_field(tg, ng, profile):
 def test_dirichlet_resolvent_exponential_data():
     # mu = sqrt(3) makes tau = 2 on the zero mode; with data exp(-x) the
     # reflected-kernel solution is (exp(-y) - exp(-2y)) / 3
-    ng = NormalGrid(256)
-    f = np.exp(-ng.nodes).astype(complex)[None, :]
-    u, _ = _green_sweep(f, _sweep_tables(ng, _tau(np.zeros((1, 1)), math.sqrt(3.0)), np.arange(1)))
+    tg, ng = make_grids(N=2, M=256)
+    f = np.ones(tg.shape)[:, None] * np.exp(-ng.nodes).astype(complex)
+    u, _ = _green_sweep(f, dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), math.sqrt(3.0)))
     want = (np.exp(-ng.nodes) - np.exp(-2.0 * ng.nodes)) / 3.0
-    err = np.max(np.abs(u - want[None, :]))
+    err = np.max(np.abs(u[0] - want))  # the zero mode
     assert err <= 5e-3 * np.max(np.abs(want))
     assert np.max(np.abs(u[:, 0])) <= 1e-12
 
 
 def test_dirichlet_resolvent_zero_data():
     tg, ng = make_grids(N=8, M=32)
-    reps, inverse = tg.radial
-    sweep = _sweep_tables(ng, _tau(reps, 1.0), inverse)
-    u, flux = _green_sweep(np.zeros(tg.shape + (ng.M,), dtype=complex), sweep)
+    plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), 1.0)
+    u, flux = _green_sweep(np.zeros(tg.shape + (ng.M,), dtype=complex), plan)
     assert np.all(u == 0) and np.all(flux == 0)
 
 
@@ -81,10 +80,11 @@ def test_dirichlet_resolvent_zero_data():
 def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed):
     tg, ng = make_grids(dim=dim, N=8, M=M, X_max=X_max, r=r)
     mu = mu_abs * complex(math.cos(mu_arg), math.sin(mu_arg))
-    tau = np.sqrt(1.0 + tg.freq_norm_sq + mu * mu).ravel()
+    plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), mu)
+    tau = plan.tau.ravel()
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((tau.size, M)) + 1j * rng.standard_normal((tau.size, M))
-    u, flux = _green_sweep(f, _sweep_tables(ng, tau, np.arange(tau.size)))  # one representative per mode
+    u, flux = _green_sweep(f, plan)
 
     # dense reflected-kernel trapezoid sum, O(modes * M^2)
     x, t = ng.nodes, tau[:, None, None]
@@ -94,7 +94,7 @@ def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed
     assert np.all(u[:, 0] == 0.0)
 
     terms = np.exp(-tau[:, None] * x) * ng.weights * f
-    assert np.all(np.abs(flux - terms.sum(axis=-1)) <= 1e-12 * np.abs(terms).sum(axis=-1))
+    assert np.all(np.abs(flux.ravel() - terms.sum(axis=-1)) <= 1e-12 * np.abs(terms).sum(axis=-1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,8 +122,8 @@ def test_interior_residual_is_the_iterated_stencil_residual(dim, M):
     plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), 2.0 + 1.0j)
     rng = np.random.default_rng(M)
     f = rng.standard_normal(tg.shape + (M,)) + 1j * rng.standard_normal(tg.shape + (M,))
-    u, _ = _green_sweep(f, plan.sweep)
-    r = (plan.sweep.tau**2)[..., None] * u - normal_derivative(u, ng, 2) - f
+    u, _ = _green_sweep(f, plan)
+    r = (plan.tau**2)[..., None] * u - normal_derivative(u, ng, 2) - f
     want = np.max(np.abs(r[..., 1:-1])) / np.max(np.abs(f))
     assert dynbc._interior_residual(plan, f) == pytest.approx(want, rel=1e-9)
 
@@ -313,13 +313,13 @@ def test_heat_resolvent_without_interior_data_builds_no_sweep_scratch(monkeypatc
     monkeypatch.setitem(_VARIANTS, "HeatDynBC", entry._replace(plan=kept))
     tg, ng = make_grids(N=16, M=64)
     out = DynBCProblem("HeatDynBC", tg, ng).solve(None, _const_boundary(tg), 1.0)
-    sweep = plans[0].sweep
+    plan = plans[0]
     assert max(out.diagnostics.values()) <= 1e-10
-    assert "scratch" not in vars(sweep) and "residual" not in vars(plans[0])
-    _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), sweep)
-    scratch = sweep.scratch
-    _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), sweep)
-    assert sweep.scratch is scratch
+    assert "scratch" not in vars(plan) and "residual" not in vars(plan)
+    _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), plan)
+    scratch = plan.scratch
+    _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), plan)
+    assert plan.scratch is scratch
 
 
 def test_kpp_zero_data():
@@ -504,12 +504,7 @@ def test_evolve_norms_are_the_norms_of_the_output(variant, mu):
         assert rec.interior_norm == pytest.approx(lp_norm(rec.u, 2.0), rel=1e-12, abs=0.0)
 
 
-def _transposed_view(a):
-    """Equal values, laid out with the first two axes swapped: neither C- nor (in 3-d) F-ordered."""
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
-
-
-@pytest.mark.parametrize("relayout", [np.asfortranarray, _transposed_view])
+@pytest.mark.parametrize("relayout", [np.asfortranarray, transposed_view])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_record_norms_do_not_follow_the_state_layout(monkeypatch, variant, relayout):
     tg, ng = make_grids(dim=2, N=16, M=24, X_max=4.0)
@@ -859,6 +854,29 @@ def test_boundary_symbol_gain_bounded():
         for m in (0.1, 1.0, 10.0, 100.0):
             scaled = (1.0 + m * m) * boundary_symbol_gain(prob, m, shift)
             assert 0.0 < scaled <= 2.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    dim=st.integers(1, 2),
+    N=st.sampled_from([2, 4, 8, 16, 32]),
+    M=st.integers(3, 64),
+    L=st.floats(0.5, 20.0),
+    ray=st.floats(-0.7 * math.pi / 4.0, 0.7 * math.pi / 4.0),
+    log_mu=st.floats(-1.0, 3.0),
+    shift=st.floats(0.0, 1.0),
+)
+def test_bracket_times_gain_stays_under_the_sectoriality_cap(variant, dim, N, M, L, ray, log_mu, shift):
+    # (1 + |mu|^2) |v-hat / g-hat| <= 2.5, the sectoriality gate's cap, off its
+    # lattice: any grid, ray inside the gate's angle, |mu| in [0.1, 1e3] and
+    # shift in [0, 1] (in [0.25, 1] for the two variants not invertible at the origin)
+    if variant != "HeatDynBC":
+        shift = 0.25 + 0.75 * shift
+    tg, ng = make_grids(dim=dim, N=N, M=M, L=L)
+    m = 10.0**log_mu
+    scaled = (1.0 + m * m) * boundary_symbol_gain(DynBCProblem(variant, tg, ng), m * cmath.exp(1j * ray), shift)
+    assert 0.0 < scaled <= 2.5
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norm_reference import ref_field_norm
+from norm_reference import RELAYOUTS, ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, SectorError, bracket, make_grids
 from poissonops.norms import (
     NormSpec,
@@ -394,8 +394,7 @@ def test_field_norm_type_errors():
         field_norm(g, NormSpec("WeakLp"))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_DRAWN_NORM = dict(
     family=st.sampled_from(["Lp", "WeakLp", "Mixed", "Besov", "TotChar", "Bessel2"]),
     lp_on_half=st.booleans(),
     dim=st.integers(1, 2),
@@ -408,8 +407,10 @@ def test_field_norm_type_errors():
     weak=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_field_norm_matches_the_physical_reference(family, lp_on_half, dim, N, M, p, q, order, s, weak, seed):
-    # the stack engine on one summand against one quadrature per family
+
+
+def _drawn_field(family, lp_on_half, dim, N, M, p, q, order, s, weak, seed):
+    """A field of random samples and a norm of ``family`` that applies to it."""
     spec = {
         "Lp": NormSpec("Lp", p=p),
         "WeakLp": NormSpec("WeakLp", p=p, q=q),
@@ -423,8 +424,29 @@ def test_field_norm_matches_the_physical_reference(family, lp_on_half, dim, N, M
     rng = np.random.default_rng(seed)
     shape = tg.shape + ((M,) if half else ())
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = HalfSpaceField(tg, ng, samples) if half else BoundaryField(tg, samples)
+    return (HalfSpaceField(tg, ng, samples) if half else BoundaryField(tg, samples)), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_DRAWN_NORM)
+def test_field_norm_matches_the_physical_reference(**draw):
+    # the stack engine on one summand against one quadrature per family
+    f, spec = _drawn_field(**draw)
     assert field_norm(f, spec) == pytest.approx(ref_field_norm(f, spec), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relayout=st.sampled_from(RELAYOUTS), **_DRAWN_NORM)
+def test_field_norm_does_not_follow_the_sample_layout(relayout, **draw):
+    # equal samples in another memory layout give the same bits
+    f, spec = _drawn_field(**draw)
+    relaid = relayout(f.samples)
+    assert np.array_equal(relaid, f.samples)
+    if isinstance(f, HalfSpaceField):
+        g = HalfSpaceField(f.tangential, f.normal, relaid)
+    else:
+        g = BoundaryField(f.grid, relaid)
+    assert field_norm(g, spec) == field_norm(f, spec)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

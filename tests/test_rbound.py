@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norm_reference import is_hilbert, ref_field_norm
+from norm_reference import RELAYOUTS, is_hilbert, ref_field_norm
 from poissonops.core import BoundaryField, HalfSpaceField, make_grids
 from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
@@ -210,6 +210,30 @@ def test_one_sampler_object_gives_equal_repeated_calls():
     assert rbound_lower(ops, fields, **kw) == first
     sampler.unit(5)  # advancing the caller's own stream does not reach the children
     assert rbound_lower(ops, fields, **kw) == first
+
+
+@pytest.mark.parametrize("relayout", RELAYOUTS)
+@pytest.mark.parametrize("q", [2.0, 1.5])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_estimates_do_not_follow_the_layout(dim, p, q, relayout):
+    # samples and (K, M) multipliers with equal values in another memory
+    # layout give the same bits: q = 2 measures through class sums, q != 2
+    # gathers the products to the modes
+    tg, ng = make_grids(dim=dim, N=8, M=12, X_max=4.0)
+    rng = np.random.default_rng(dim)
+    shape = tg.shape + (ng.M,)
+    fields = [HalfSpaceField(tg, ng, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(3)]
+    relaid = [HalfSpaceField(tg, ng, relayout(f.samples)) for f in fields]
+    norm = NormSpec("Mixed", p=p, q=q, m=1)
+    assert eps_p_norm(relaid, p, norm, trials=16) == eps_p_norm(fields, p, norm, trials=16)
+
+    ops = [_radial_profile(heat_kernel, mu, tg, ng) for mu in (0.5, 1.0 + 1.0j, 4.0)]
+    inputs = probe_dictionary(tg)
+    kw = dict(p=p, out_norm=NormSpec("Mixed", p=p, q=q), trials=8, restarts=6)
+    want = rbound_lower(ops, inputs, ng, **kw)
+    relaid_inputs = [BoundaryField(tg, relayout(g.samples)) for g in inputs]
+    assert rbound_lower([relayout(m) for m in ops], relaid_inputs, ng, **kw) == want
 
 
 def test_rbound_lower_empty_errors():

@@ -25,6 +25,9 @@ def _road_problem(**params) -> DynBCProblem:
 REFUSALS = [
     pytest.param(lambda: TangentialGrid(0, 8, 1.0), "dim must be >= 1", id="grid-dim"),
     pytest.param(lambda: TangentialGrid(1, 8, 0.0), "L must be positive", id="grid-side"),
+    pytest.param(lambda: TangentialGrid(1, 8, math.inf), "L must be positive and finite", id="grid-side-inf"),
+    pytest.param(lambda: NormalGrid(8, X_max=math.inf), "X_max must be positive and finite", id="normal-extent-inf"),
+    pytest.param(lambda: NormalGrid(8, r=math.inf), "grading ratio must exceed 1 and be finite", id="grading-inf"),
     pytest.param(lambda: weak_lp_norm([1.0], [1.0], 0.5), "need p >= 1", id="weak-lp-exponent"),
     pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), -1), "nonnegative", id="derivative-order"),
     pytest.param(lambda: RademacherSampler(seed=0).unit(0), "at least 1", id="sampler-count"),
