@@ -19,7 +19,8 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from . import __version__
 from .core import TWO_PI, BoundaryField, SectorError, TangentialGrid, _replicate, bracket, make_grids
 from .dynbc import DynBCProblem, implicit_euler_evolve, road_symbol_scan
 from .norms import NormSpec, opnorm_hilbert
-from .rbound import RademacherSampler, ScanResult, _require_fit_rows, probe_dictionary, rbound_lower
+from .rbound import (RademacherSampler, ScanResult, _require_fit_rows, _require_increasing, probe_dictionary,
+                     rbound_lower)
 from .symbols import _KERNELS, ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
 from .transforms import _radial_profile
 
@@ -123,15 +125,16 @@ def _check(value, schema: dict) -> None:
     """Raise ``_ConfigError`` for the first keyword of ``schema`` that ``value`` fails.
 
     Draft 2020-12 semantics and messages for the keywords ``CONFIG_SCHEMA``
-    uses, read in the schema's order; one addition: a number must be finite,
-    as RFC 8259 JSON has no NaN or infinity (Python's ``json`` reads them).
+    uses, read in the schema's order; one addition: a number must be a finite
+    float, as RFC 8259 JSON has no NaN or infinity (Python's ``json`` reads
+    them) and a number entry is taken as a float.
     """
     number = _is_type(value, "number")
     for key, arg in schema.items():
         if key == "type":
             if not _is_type(value, arg):
                 raise _ConfigError(f"{value!r} is not of type {arg!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if arg == "number" and not abs(value) <= sys.float_info.max:
                 raise _ConfigError(f"{value!r} is not a finite number")
         elif key == "enum":
             if value not in arg:
@@ -160,6 +163,10 @@ def _check(value, schema: dict) -> None:
             raise NotImplementedError(f"CONFIG_SCHEMA keyword {key!r} is not checked")
 
 
+# a checked entry as its flag parses it: 2.0 is an integer in JSON Schema, and a number 2 is 2.0
+_FROM_JSON = {"integer": int, "number": float, "array": lambda items: [float(v) for v in items]}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay the JSON config on top of the parsed flags; config wins."""
     if not args.config:
@@ -168,9 +175,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         cfg = json.load(fh)
     _check(cfg, CONFIG_SCHEMA)
     for key, value in cfg.items():
-        if CONFIG_SCHEMA["properties"][key]["type"] == "integer":
-            value = int(value)  # an integral float such as 2.0 is an integer in JSON Schema
-        setattr(args, key, value)
+        kind = CONFIG_SCHEMA["properties"][key]["type"]
+        setattr(args, key, _FROM_JSON[kind](value) if kind in _FROM_JSON else value)
 
 
 # the arguments of make_grids, each key prefixed with grid_
@@ -182,14 +188,50 @@ def _grids(args: argparse.Namespace):
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    """The keys the command takes after the overlay, checked against ``CONFIG_SCHEMA``.
+    """Print and return the keys the command takes after the overlay, checked against ``CONFIG_SCHEMA``.
 
     Flags and config entries pass the same bounds; unset (``None``) entries
     are echoed but not checked.
     """
     cfg = {key: getattr(args, key) for key in _COMMANDS[args.command].keys}
     _check({k: v for k, v in cfg.items() if v is not None}, CONFIG_SCHEMA)
+    print(f"config {json.dumps(cfg, sort_keys=True)}")
     return cfg
+
+
+def _write(args: argparse.Namespace, name: str, lines: Iterable[str]) -> str:
+    """Create ``--out``, write ``lines`` to the artifact ``name`` in it, and return its path.
+
+    Each line is written as ``lines`` yields it, so a run stopped by an error
+    leaves the lines before the error.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    return path
+
+
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _stamp(cfg: dict) -> dict:
+    """The schema version, package version and config echo every JSON artifact carries."""
+    return {"schema_version": SCHEMA_VERSION, "version": __version__, "config": cfg}
+
+
+def _row_plan(mu_values: Sequence[float], rays: Sequence[float], batch: int) -> list[tuple]:
+    """The scan's rows in order, ``(ray, e^(i ray), moduli)``: consecutive batches of ``mu_values`` on each ray.
+
+    Refuses the plan before any row is computed if its rows are too few for
+    the decay fit or a row's largest modulus does not increase within its ray.
+    """
+    plan = [(ray, complex(math.cos(ray), math.sin(ray)), [float(m) for m in mu_values[lo : lo + batch]])
+            for ray in rays for lo in range(0, len(mu_values), batch)]
+    _require_fit_rows(len(plan))
+    _require_increasing([(moduli[-1], ray) for ray, _, moduli in plan])
+    return plan
 
 
 def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
@@ -231,21 +273,17 @@ def rbound_batch_scan(
     batch's largest |mu|, so per-ray rows stay strictly increasing.  Batch
     ``idx``, counted over the rays in order, draws from child ``idx`` of ``seed``.
     """
+    plan = _row_plan(mu_values, rays, batch)
     inputs = probe_dictionary(grid)
     out_norm = NormSpec("Mixed", p=p, q=q, m=0, weak=weak)
-    jobs = []
-    for ray in rays:
-        phase = complex(math.cos(ray), math.sin(ray))
-        mus = [float(m) * phase for m in mu_values]
-        for lo in range(0, len(mus), batch):
-            jobs.append((float(ray), mus[lo : lo + batch]))
 
     def multiplier(mu):
         kern.sector.require(mu)
         return bracket(0.0, mu) ** exponent * _radial_profile(kern, mu, grid, ngrid)
 
     rows = []
-    for idx, (ray, mus) in enumerate(jobs):
+    for idx, (ray, phase, moduli) in enumerate(plan):
+        mus = [m * phase for m in moduli]
         est = rbound_lower(
             [multiplier(mu) for mu in mus], inputs, ngrid, p=p, out_norm=out_norm, trials=trials,
             restarts=restarts, sampler=RademacherSampler(seed).child(idx),
@@ -259,7 +297,6 @@ def cmd_verify_symbol(args: argparse.Namespace) -> int:
     kern = kernel_catalog(args.kernel, d=args.d)
     if cfg["class"]:
         kern = replace(kern, kind=cfg["class"])
-    print(f"config {json.dumps(cfg, sort_keys=True)}")
     probe = ProbeSpec()
     refined = probe.refined()
     print(f"kernel={args.kernel} class={kern.kind} order={kern.order}")
@@ -280,51 +317,42 @@ def cmd_verify_symbol(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    rays = args.rays = [float(r) for r in args.rays]
     cfg = _echo(args)
+    mus = np.geomspace(args.mu_min, args.mu_max, args.mu_points)
     # one row per mu (opnorm) or per batch of mu (rbound) on each ray
-    per_ray = args.mu_points if args.mode == "opnorm" else math.ceil(args.mu_points / args.batch_size)
-    _require_fit_rows(len(rays) * per_ray)
+    plan = _row_plan(mus, args.rays, 1 if args.mode == "opnorm" else args.batch_size)
     grid, ngrid = _grids(args)
     kern = kernel_catalog(args.kernel, d=args.d)
-    mus = np.geomspace(args.mu_min, args.mu_max, args.mu_points)
-    print(f"config {json.dumps(cfg, sort_keys=True)}")
 
     if args.mode == "opnorm":
-        def one(ray, m):
-            mu = m * complex(math.cos(ray), math.sin(ray))
-            val = opnorm_hilbert(kern, mu, args.s, args.t, grid, ngrid)
+        def one(ray, phase, m):
+            val = opnorm_hilbert(kern, m * phase, args.s, args.t, grid, ngrid)
             return (m, ray, bracket(0.0, m) ** args.prefactor_exponent * val)
 
-        rows = [one(ray, float(m)) for ray in rays for m in mus]
+        rows = [one(ray, phase, m) for ray, phase, (m,) in plan]
         scan = ScanResult.from_rows(rows, metadata={"seed": args.seed})
     else:
-        scan = rbound_batch_scan(
-            kern,
-            p=args.p,
-            q=args.q,
-            weak=(args.normal_class == "weak"),
-            exponent=args.prefactor_exponent,
-            mu_values=mus,
-            rays=rays,
-            grid=grid,
-            ngrid=ngrid,
-            trials=args.trials,
-            restarts=args.restarts,
-            seed=args.seed,
-            batch=args.batch_size,
-        )
+        weak = args.normal_class == "weak"
+        scan = rbound_batch_scan(kern, args.p, args.q, weak, args.prefactor_exponent, mus, args.rays, grid, ngrid,
+                                 trials=args.trials, restarts=args.restarts, seed=args.seed, batch=args.batch_size)
 
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"scan_{args.mode}.csv")
-    scan.to_csv(path)
-    with open(path, "a", newline="") as fh:
-        fh.write(f"# slope={scan.slope!r}\n")
-        fh.write(f"# residual={scan.residual!r}\n")
-        fh.write(f"# version={__version__}\n")
-        fh.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
+    def lines():
+        yield "abs_mu,arg_mu,norm,slope,residual,seed\r\n"  # the rows end as csv.writer ends them
+        for row in scan.rows:
+            yield ",".join(map(repr, (*row, scan.slope, scan.residual, scan.metadata["seed"]))) + "\r\n"
+        yield f"# slope={scan.slope!r}\n"
+        yield f"# residual={scan.residual!r}\n"
+        yield f"# version={__version__}\n"
+        yield "# config=" + _json_line(cfg)
+
+    path = _write(args, f"scan_{args.mode}.csv", lines())
     print(f"wrote {path} slope={scan.slope!r} residual={scan.residual!r}")
     return 0
+
+
+def _solution(out) -> dict:
+    """The fields a resolvent record and an Euler step record share."""
+    return {"boundary_norm": out.boundary_norm, "interior_norm": out.interior_norm, "diagnostics": out.diagnostics}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -338,54 +366,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
         dprime=args.dprime,
         kcoef=args.k,
     )
-    print(f"config {json.dumps(cfg, sort_keys=True)}")
-    header = {"record": "header", "schema_version": SCHEMA_VERSION, "version": __version__, "config": cfg}
+    header = {"record": "header", **_stamp(cfg)}
 
     g = _boundary_data(args.g, grid)
     if args.evolve:
         # checked and planned before the file is opened; each step is written as it completes
         steps = implicit_euler_evolve(problem, None, lambda t: g, args.dt, args.T)
-        records = (
-            {
-                "record": "step",
-                "t": rec.t,
-                "boundary_norm": rec.boundary_norm,
-                "interior_norm": rec.interior_norm,
-                "delta": rec.delta,
-                "diagnostics": rec.diagnostics,
-            }
-            for rec in steps
-        )
-        path = os.path.join(args.out, "evolve.jsonl")
+        records = ({"record": "step", "t": rec.t, "delta": rec.delta, **_solution(rec)} for rec in steps)
+        name = "evolve.jsonl"
     else:
         if abs(args.mu) < 1e-6:
             raise ValueError("the resolvent formulas divide by mu^2; mu=0 is excluded")
         out = problem.solve(None, g, complex(args.mu))
-        records = [
-            {
-                "record": "resolvent",
-                "mu_re": float(args.mu),
-                "mu_im": 0.0,
-                "boundary_norm": out.boundary_norm,
-                "boundary_max": float(np.max(np.abs(out.v.samples))),
-                "interior_norm": out.interior_norm,
-                "diagnostics": out.diagnostics,
-            }
-        ]
-        path = os.path.join(args.out, "solve.jsonl")
+        boundary_max = float(np.max(np.abs(out.v.samples)))
+        records = [{"record": "resolvent", "mu_re": float(args.mu), "mu_im": 0.0, "boundary_max": boundary_max,
+                    **_solution(out)}]
+        name = "solve.jsonl"
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    path = _write(args, name, map(_json_line, chain([header], records)))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
     cfg = _echo(args)
-    print(f"config {json.dumps(cfg, sort_keys=True)}")
 
     # closed form vs brute force on the full acceptance lattice
     svals = np.geomspace(1.0, 1e4, 100_000)
@@ -417,21 +421,16 @@ def cmd_lemma(args: argparse.Namespace) -> int:
         f"{'PASS' if ok_road else 'FAIL'}"
     )
 
-    os.makedirs(args.out, exist_ok=True)
     report = {
         "record": "lemma",
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "config": cfg,
+        **_stamp(cfg),
         "envelope_worst_rel_err": worst,
         "road_base": base,
         "road_refined": fine,
         "road_drift": drift,
         "road_shell_ratio": shell,
     }
-    path = os.path.join(args.out, "lemma.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True) + "\n")
+    path = _write(args, "lemma.json", [_json_line(report)])
     print(f"wrote {path}")
     return 0 if (ok_closed and ok_road) else 1
 

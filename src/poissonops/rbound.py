@@ -13,7 +13,6 @@ of the spectral parameter.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,12 +90,7 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        by_ray: dict[float, float] = {}
-        for abs_mu, arg_mu, _ in self.rows:
-            prev = by_ray.get(arg_mu)
-            if prev is not None and abs_mu <= prev:
-                raise ValueError("modulus must increase strictly within each ray")
-            by_ray[arg_mu] = abs_mu
+        _require_increasing(self.rows)
         if not math.isfinite(self.slope):
             raise ValueError("fitted slope must be finite")
 
@@ -107,20 +101,20 @@ class ScanResult:
         return cls(rows=tuple(tuple(float(v) for v in r) for r in rows), slope=slope, residual=residual,
                    metadata=dict(metadata or {}))
 
-    def to_csv(self, path) -> None:
-        seed = self.metadata.get("seed", 0)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["abs_mu", "arg_mu", "norm", "slope", "residual", "seed"])
-            for row in self.rows:
-                rec = (*row, self.slope, self.residual, seed)
-                w.writerow([repr(v) if isinstance(v, float) else v for v in rec])
-
 
 def _require_fit_rows(count: int) -> None:
     """Refuse a scan of ``count`` rows, too few for the decay fit."""
     if count < 5:
         raise ValueError("decay fit needs at least 5 rows")
+
+
+def _require_increasing(rows: Sequence[tuple]) -> None:
+    """Refuse rows ``(abs_mu, arg_mu, ...)`` whose modulus does not increase strictly within each ray."""
+    last: dict[float, float] = {}
+    for abs_mu, arg_mu, *_ in rows:
+        if arg_mu in last and abs_mu <= last[arg_mu]:
+            raise ValueError("modulus must increase strictly within each ray")
+        last[arg_mu] = abs_mu
 
 
 def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:

@@ -426,6 +426,14 @@ def test_scan_opnorm_slope_and_csv(tmp_path):
     assert slope == pytest.approx(-0.5, abs=0.01)
     tags = {ln.split("=")[0] for ln in footer}
     assert tags == {"# slope", "# residual", "# version", "# config"}
+    # the layout as written: csv.writer's CRLF ends the header and data rows,
+    # and the footer follows in a fixed order, one LF-terminated line each
+    lines = (tmp_path / "scan_opnorm.csv").read_bytes().decode().splitlines(keepends=True)
+    assert len(lines) == 1 + 8 + 4
+    assert all(ln.endswith("\r\n") for ln in lines[:9])
+    footer_lines = lines[9:]
+    assert [ln.split("=")[0] for ln in footer_lines] == ["# slope", "# residual", "# version", "# config"]
+    assert all(ln.endswith("\n") and not ln.endswith("\r\n") for ln in footer_lines)
 
 
 def test_scan_rbound_structure(tmp_path):
@@ -444,25 +452,35 @@ def test_scan_rbound_structure(tmp_path):
     assert any(ln.startswith("# slope=") for ln in footer)
 
 
+FIT_ROWS = "decay fit needs at least 5 rows"
+INCREASING = "modulus must increase strictly within each ray"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("--mode", "opnorm", "--mu-points", "4"),
-        ("--mode", "rbound", "--mu-points", "16"),
-        ("--mode", "rbound", "--rays", "0,0.5", "--mu-points", "3", "--batch-size", "2"),
+        (("--mode", "opnorm", "--mu-points", "4"), FIT_ROWS),
+        (("--mode", "rbound", "--mu-points", "16"), FIT_ROWS),
+        (("--mode", "rbound", "--rays", "0,0.5", "--mu-points", "3", "--batch-size", "2"), FIT_ROWS),
+        (("--mu-min", "1000", "--mu-max", "1"), INCREASING),
+        (("--mu-min", "5", "--mu-max", "5"), INCREASING),
+        (("--rays", "0,0"), INCREASING),
     ],
-    ids=["opnorm-4-rows", "rbound-4-batches", "rbound-2-rays-of-2-batches"],
+    ids=[
+        "opnorm-4-rows", "rbound-4-batches", "rbound-2-rays-of-2-batches",
+        "mu-decreasing", "mu-constant", "ray-repeated",
+    ],
 )
-def test_scan_too_short_for_the_fit_is_refused_before_any_row(tmp_path, monkeypatch, capsys, argv):
-    # the decay fit needs five rows: a scan with fewer is refused up front,
-    # not after every row has been computed
+def test_scan_too_short_for_the_fit_is_refused_before_any_row(tmp_path, monkeypatch, capsys, argv, message):
+    # the decay fit needs five rows, each modulus above the last on its ray:
+    # any other scan is refused up front, not after every row has been computed
     def no_row(*args, **kwargs):
         raise AssertionError("a scan row was computed")
 
     monkeypatch.setattr("poissonops.cli.opnorm_hilbert", no_row)
     monkeypatch.setattr("poissonops.cli.rbound_lower", no_row)
     assert main(["scan", *argv, "--out", str(tmp_path)]) == 2
-    assert "decay fit needs at least 5 rows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_readme_rbound_scan_evaluates_each_kernel_once():
@@ -718,7 +736,24 @@ def test_integral_float_config_entries_are_integers(tmp_path, capsys):
     assert main(["verify-symbol", "--kernel", "heat", "--config", str(cfg)]) == 0
     config_line = capsys.readouterr().out.splitlines()[0]
     assert json.loads(config_line.removeprefix("config "))["N"] == 1
-    cfg.write_text(json.dumps({"grid_N": 8.0, "grid_M": 16.0, "mu": 2}))
+    cfg.write_text(json.dumps({"grid_N": 8.0, "grid_M": 16.0, "grid_L": 6, "mu": 2}))
     assert main(["solve", "--problem", "ch", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     header = _read_jsonl(tmp_path / "solve.jsonl")[0]
     assert header["config"]["grid_N"] == 8 and isinstance(header["config"]["grid_N"], int)
+    # and a number entry is a float, as its flag is: the config run and the
+    # flag run echo 2.0 and write the same artifact
+    echoed = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("config "))
+    assert echoed["mu"] == 2.0 and isinstance(echoed["mu"], float)
+    from_config = (tmp_path / "solve.jsonl").read_bytes()
+    argv = ["solve", "--problem", "ch", "--grid-N", "8", "--grid-M", "16", "--grid-L", "6", "--mu", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "solve.jsonl").read_bytes() == from_config
+
+
+def test_a_number_entry_beyond_the_float_range_is_refused(tmp_path, capsys):
+    # a number entry is taken as a float, so an integer no float holds is
+    # refused by the check, also where the command does not take the key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mu": 1' + "0" * 400 + "}")
+    assert main(["verify-symbol", "--kernel", "heat", "--N", "1", "--config", str(cfg)]) == 2
+    assert "is not a finite number" in capsys.readouterr().err

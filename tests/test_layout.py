@@ -5,8 +5,8 @@ norm engine, one evaluator of a kernel's normal derivatives, radial kernels eval
 distinct |xi|^2, radial products gathered to the modes only for a tangential q other than 2,
 sign sums without per-trial contractions, an Euler step loop that allocates no bulk, one
 kernel rescaling, a kpp plan from one decay rate, no threads, processes or environment
-reads, a CLI that checks its configs without jsonschema, no public pass-through, and random
-draws from one seed tree."""
+reads, a CLI that checks its configs without jsonschema, no public pass-through, random
+draws from one seed tree, and one artifact writer and one config echo in the CLI."""
 from __future__ import annotations
 
 import ast
@@ -458,3 +458,33 @@ def test_random_draws_come_from_one_seed_tree():
     # no hand-built key, module-level generator or second keying scheme exists
     found = {(p.name, owner) for p in PKG_DIR.glob("*.py") for owner in _random_sources(ast.parse(p.read_text()))}
     assert found == {("rbound.py", "RademacherSampler")}
+
+
+def _calls_to(name: str):
+    """Test for a call ``name(...)``, ``name`` as written in the source."""
+    return lambda call: ast.unparse(call.func) == name
+
+
+def _is_config_echo(call: ast.Call) -> bool:
+    """``print(f"config ...")``."""
+    first = call.args[0] if call.args else None
+    return (
+        ast.unparse(call.func) == "print"
+        and isinstance(first, ast.JoinedStr)
+        and isinstance(first.values[0], ast.Constant)
+        and first.values[0].value.startswith("config ")
+    )
+
+
+def test_the_cli_writes_artifacts_and_echoes_its_config_once():
+    # cli._write creates --out and opens every artifact once; the one other
+    # open is _apply_config's read of --config, and only cli._echo prints the
+    # config line
+    trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
+
+    def sites(is_target):
+        return {(name, fn) for name, tree in trees.items() for fn in _call_sites(tree, is_target)}
+
+    assert sites(_calls_to("open")) == {("cli.py", "_write"), ("cli.py", "_apply_config")}
+    assert sites(_calls_to("os.makedirs")) == {("cli.py", "_write")}
+    assert sites(_is_config_echo) == {("cli.py", "_echo")}

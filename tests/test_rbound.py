@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norm_reference import RELAYOUTS, is_hilbert, ref_field_norm
+from poissonops.cli import main
 from poissonops.core import BoundaryField, HalfSpaceField, make_grids
 from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
@@ -420,29 +421,36 @@ def test_rbound_hilbert_case_is_the_largest_operator_norm(dim, N, M, X_max, d, m
     assert rbound_lower(mults, inputs[1:], normal, **kw).value <= want * (1.0 + 1e-12)
 
 
-def test_scan_result_round_trip(tmp_path):
-    rows = [(float(m), 0.0, 2.0 * m**-0.5) for m in (1.0, 2.0, 4.0, 8.0, 16.0)]
-    scan = ScanResult.from_rows(rows, metadata={"seed": 3})
-    csv_path = tmp_path / "scan.csv"
-    scan.to_csv(csv_path)
-    with open(csv_path, newline="") as fh:
-        recs = list(csv.DictReader(fh))
+def _cli_scan(tmp_path, monkeypatch, norm) -> bytes:
+    """The CSV of a five-point opnorm scan through the CLI at ``--seed 3``, with ``norm(|mu|)`` as operator norm."""
+    monkeypatch.setattr("poissonops.cli.opnorm_hilbert", lambda kern, mu, *rest: norm(abs(mu)))
+    argv = ["scan", "--mode", "opnorm", "--mu-min", "1", "--mu-max", "16", "--mu-points", "5", "--seed", "3",
+            "--grid-N", "8", "--grid-M", "8", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    return (tmp_path / "scan_opnorm.csv").read_bytes()
+
+
+def test_scan_result_round_trip(tmp_path, monkeypatch):
+    mags = [float(m) for m in np.geomspace(1.0, 16.0, 5)]
+    rows = [(m, 0.0, 2.0 * m**-0.5) for m in mags]
+    text = _cli_scan(tmp_path, monkeypatch, lambda m: 2.0 * m**-0.5).decode()
+    recs = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
     assert [r["abs_mu"] for r in recs] == [repr(m) for m, _, _ in rows]
-    assert float(recs[0]["slope"]) == pytest.approx(scan.slope, rel=1e-12)
+    assert float(recs[0]["slope"]) == pytest.approx(ScanResult.from_rows(rows).slope, rel=1e-12)
     assert recs[2]["norm"] == repr(rows[2][2])
     assert recs[2]["seed"] == "3"
 
 
-def test_scan_result_rows_are_plain_floats(tmp_path):
+def test_scan_result_rows_are_plain_floats(tmp_path, monkeypatch):
     # numpy scalars in the rows write the same CSV as floats: repr of a numpy
     # scalar is not a number a CSV reader can parse
     rows = [(float(m), 0.0, 2.0 * m**-0.5) for m in (1.0, 2.0, 4.0, 8.0, 16.0)]
     np_rows = [tuple(np.float64(v) for v in r) for r in rows]
-    scan = ScanResult.from_rows(np_rows)
-    assert all(type(v) is float for r in scan.rows for v in r)
-    ScanResult.from_rows(rows).to_csv(tmp_path / "float.csv")
-    scan.to_csv(tmp_path / "numpy.csv")
-    assert (tmp_path / "numpy.csv").read_text() == (tmp_path / "float.csv").read_text()
+    assert all(type(v) is float for r in ScanResult.from_rows(np_rows).rows for v in r)
+    plain = _cli_scan(tmp_path, monkeypatch, lambda m: 2.0 * m**-0.5)
+    numpy = _cli_scan(tmp_path, monkeypatch, lambda m: np.float64(2.0 * m**-0.5))
+    assert numpy == plain
+    assert b"float64" not in plain
 
 
 def test_scan_result_validation():
