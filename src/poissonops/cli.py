@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from itertools import chain
@@ -240,8 +241,9 @@ def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
         return BoundaryField(grid, np.ones(grid.shape, dtype=complex))
     if name == "zero":
         return BoundaryField(grid, np.zeros(grid.shape, dtype=complex))
-    if name.startswith("mode"):
-        m, half = int(name[4:]), grid.N // 2
+    mode = re.fullmatch(r"mode(-?[0-9]+)", name)
+    if mode:
+        m, half = int(mode[1]), grid.N // 2
         if not -half <= m < half:  # any other m aliases to a lattice mode
             raise ValueError(f"boundary data {name!r} is off the grid's lattice: need {-half} <= m < {half}")
         freq = m * (TWO_PI / grid.L)  # exactly m at L = 2 pi

@@ -43,10 +43,10 @@ from .norms import _derivative_stencil
 from .symbols import (
     _HALF_SECTOR,
     _ch_symbol,
-    _kpp_rate,
     _require_road_params,
     _road_symbol,
-    _tau,
+    heat_kernel,
+    kpp_kernel,
 )
 from .transforms import _itfft, _tfft
 
@@ -296,11 +296,12 @@ class _HeatPlan:
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
-    """The heat step's tables, from one ``tau`` and one complex ``exp`` table, the sweep's image
-    table: the lift reads it as the heat kernel profile, copied in the layout its norms are summed in."""
+    """The heat step's tables, from one ``tau``, ``heat_kernel``'s rate, and one complex ``exp`` table,
+    the sweep's image table: the lift reads it as the heat kernel profile, copied in the layout its norms
+    are summed in."""
     grid, ngrid = problem.tangential, problem.normal
     reps, inverse = grid.radial
-    mu2, rates, index = mu * mu, _tau(reps, mu), np.ravel(inverse)
+    mu2, rates, index = mu * mu, heat_kernel.rate(reps, mu), np.ravel(inverse)
     # np.take keeps the gathered table node-major (C order), as the sweep reads it
     image = np.take(np.exp(-ngrid.nodes[:, None] * rates), index, axis=1)
     tau = rates[inverse]
@@ -395,7 +396,7 @@ class _KPPPlan(NamedTuple):
 
 
 def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
-    """The road symbol and the bulk kernel ``exp(-rate x_n)`` of ``kpp_kernel(d)``, from one rate.
+    """The road symbol and the bulk kernel ``exp(-rate x_n)`` of ``kpp_kernel(d)``, from one read of its ``rate``.
 
     Both are evaluated per distinct ``|xi|^2`` and gathered: the profile is
     the kernel at the normal nodes, and the Robin derivative is its ``d_n``
@@ -404,7 +405,7 @@ def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
     reps, inverse = problem.tangential.radial
     mu2 = mu * mu
     den, root = _road_symbol(_xi_sq(reps), mu2, problem.d, problem.dprime, problem.kcoef)
-    rate = _kpp_rate(reps, mu, problem.d)
+    rate = kpp_kernel(problem.d).rate(reps, mu)
     profile = np.exp(-rate[:, None] * problem.normal.nodes)
     return _KPPPlan(mu2, den[inverse], root[inverse], profile[inverse], -rate[inverse])
 

@@ -185,22 +185,27 @@ def opnorm_hilbert(
 
     Every term depends on ``xi`` only through ``|xi|^2`` (the kernel is
     radial), so the supremum is taken over the distinct ``|xi|^2`` of the
-    grid, one representative frequency each.  A kernel with the
-    ``modulus_sq`` hook gives both squared profiles in real arithmetic; any
-    other squares ``func`` at the derivative order.
+    grid, one representative frequency each.  A decay kernel, one with a
+    ``rate`` ``r``, takes one real exponential per ``mu``: the order-``n``
+    norm is ``|r|^n`` times the order-0 one, ``exp(-2 Re(r) x_n)`` summed.
+    Any other kernel squares ``func`` at the derivative order.
     """
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
     k.sector.require(mu)
     reps = grid.radial[0]
     fv = reps[:, None, :]
+    if k.rate is None:
 
-    def l2_of(order):
-        if k.modulus_sq is not None:
-            sq = k.modulus_sq(fv, mu, ngrid.nodes, order)
-        else:
-            sq = np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2
-        return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
+        def l2_of(order):
+            return np.sqrt(np.sum(np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2 * ngrid.weights, axis=-1))
+
+    else:
+        r = k.rate(fv, mu)
+        decay = np.sqrt(np.sum(np.exp(-2.0 * np.real(r) * ngrid.nodes) * ngrid.weights, axis=-1))
+
+        def l2_of(order):
+            return np.abs(r[:, 0]) ** order * decay
 
     l2 = l2_of(0)
     bxi = bracket(reps)

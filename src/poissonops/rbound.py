@@ -119,6 +119,7 @@ def _require_increasing(rows: Sequence[tuple]) -> None:
 
 def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
     _require_fit_rows(len(rows))
+    _require_increasing(rows)  # before the fit: equal moduli on a ray would warn in polyfit first
     abs_mu = np.array([r[0] for r in rows], dtype=float)
     norms = np.array([r[2] for r in rows], dtype=float)
     if np.any(norms <= 0):

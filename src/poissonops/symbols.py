@@ -86,14 +86,12 @@ class SymbolKernel:
         Evaluator ``func(xi, mu, xn, order=0)`` of the kernel and its normal
         derivatives, as described in the module docstring; the one source of
         ``d^order k / dx_n^order``.
-    modulus_sq : callable, optional
-        Squared modulus of the normal derivatives,
-        ``(xi, mu, xn, order) -> |d^order k / dx_n^order|^2``, real-valued,
-        when it has a closed form cheaper than squaring ``func``;
-        ``opnorm_hilbert`` then works in real arithmetic.  It must agree with
-        ``|func(xi, mu, xn, order)|^2`` to rounding.
+    rate : callable, optional
+        Decay rate ``(xi, mu) -> r`` of a decay kernel, one whose ``func`` is
+        ``(-r)^order exp(-r x_n)``; ``opnorm_hilbert`` then takes every
+        derivative order from one real exponential ``exp(-2 Re(r) x_n)``.
 
-    Radial contract: ``func`` and ``modulus_sq`` read ``xi`` only through
+    Radial contract: ``func`` and ``rate`` read ``xi`` only through
     ``core._xi_sq(xi)``, so frequencies with the same computed ``|xi|^2`` get
     the same values bit for bit.  ``opnorm_hilbert`` and the Poisson profile
     evaluate a kernel once per distinct ``|xi|^2`` of the grid
@@ -106,7 +104,7 @@ class SymbolKernel:
     kind: str
     sector: Sector
     func: Callable
-    modulus_sq: Optional[Callable] = None
+    rate: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("strong", "weak"):
@@ -428,11 +426,9 @@ def _tau(xi, mu):
 
 
 def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
-    """Order-0 kernel ``exp(-rate(xi, mu) x_n)`` on the half sector.
+    """Order-0 kernel ``exp(-rate(xi, mu) x_n)`` on the half sector, carrying its ``rate``.
 
-    Its normal derivatives are ``(-rate)^order exp(-rate x_n)`` in closed form,
-    and their squared moduli ``|rate|^(2 order) exp(-2 Re(rate) x_n)`` take one
-    real exponential.
+    Its normal derivatives are ``(-rate)^order exp(-rate x_n)`` in closed form.
     """
 
     def func(xi, mu, xn, order=0):
@@ -440,18 +436,7 @@ def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
         value = np.exp(-r * xn)
         return value if order == 0 else (-r) ** order * value
 
-    def modulus_sq(xi, mu, xn, order):
-        r = rate(xi, mu)
-        return np.abs(r) ** (2 * order) * np.exp(-2.0 * np.real(r) * xn)
-
-    return SymbolKernel(
-        name=name,
-        order=0.0,
-        kind=kind,
-        sector=_HALF_SECTOR,
-        func=func,
-        modulus_sq=modulus_sq,
-    )
+    return SymbolKernel(name=name, order=0.0, kind=kind, sector=_HALF_SECTOR, func=func, rate=rate)
 
 
 heat_kernel = _decay_kernel("heat", "strong", _tau)
@@ -518,11 +503,6 @@ def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> Multiplie
     return MultiplierSymbol(name="kpp-m2", func=f, sector=_HALF_SECTOR)
 
 
-def _kpp_rate(xi, mu, d: float):
-    """Decay rate ``sqrt(mu^2 / d + |xi|^2)`` of :func:`kpp_kernel`."""
-    return np.sqrt(np.asarray(mu, dtype=complex) ** 2 / d + _xi_sq(xi))
-
-
 def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     """Decay kernel ``exp(-sqrt(mu^2/d + |xi|^2) x_n)`` of the bulk solution.
 
@@ -531,7 +511,7 @@ def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     """
     if not 0 < d < math.inf:
         raise ValueError(f"diffusivity must be positive and finite, got d={d!r}")
-    return _decay_kernel("kpp", "weak", lambda xi, mu: _kpp_rate(xi, mu, d))
+    return _decay_kernel("kpp", "weak", lambda xi, mu: np.sqrt(np.asarray(mu, dtype=complex) ** 2 / d + _xi_sq(xi)))
 
 
 def _filled(value: complex) -> Callable:
@@ -566,7 +546,7 @@ def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKe
     """Freeze the spectral parameter, yielding a kernel with the empty sector.
 
     The frozen kernel ignores its (absent) parameter and forwards ``func``
-    and ``modulus_sq`` of ``k``; bracket weights in its seminorms then
+    and ``rate`` of ``k`` at ``mu``; bracket weights in its seminorms then
     involve the frequency alone.  ``kind`` optionally relabels
     the claimed class of the frozen family.
     """
@@ -574,9 +554,7 @@ def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKe
         raise ValueError(f"kernel {k.name!r} has the empty sector: no parameter to freeze")
 
     def frozen(hook):
-        if hook is None:
-            return None
-        return lambda xi, _mu, xn, *order: hook(xi, mu, xn, *order)
+        return None if hook is None else lambda xi, _mu, *rest: hook(xi, mu, *rest)
 
     return SymbolKernel(
         name=f"{k.name}@{mu:.6g}",
@@ -584,7 +562,7 @@ def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKe
         kind=kind or k.kind,
         sector=Sector.empty(),
         func=frozen(k.func),
-        modulus_sq=frozen(k.modulus_sq),
+        rate=frozen(k.rate),
     )
 
 

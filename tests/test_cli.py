@@ -142,6 +142,15 @@ def test_off_lattice_mode_data_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "solve.jsonl").exists()
 
 
+@pytest.mark.parametrize("g", ["mode", "modex", "mode 1", "mode\uff11", "mode+1", "mode1.0"])
+def test_malformed_mode_data_is_a_usage_error(tmp_path, capsys, g):
+    # only mode<m> with an ASCII integer m names a lattice mode; a bare int() took " 1" and full-width digits
+    argv = ["solve", "--problem", "heat-dynbc", "--mu", "1", "--g", g, "--out", str(tmp_path)]
+    assert main(argv + SMALL_GRID) == 2
+    assert f"unknown boundary data {g!r}; use const, zero, or mode<m>" in capsys.readouterr().err
+    assert not (tmp_path / "solve.jsonl").exists()
+
+
 def test_solve_rejects_mu_zero(tmp_path, capsys):
     code = main(["solve", "--problem", "ch", "--mu", "0", "--out", str(tmp_path)] + SMALL_GRID)
     assert code == 2

@@ -261,11 +261,20 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
 
 
 def test_the_kpp_plan_takes_its_decay_rate_once():
-    # the profile and the Robin derivative both come from one _kpp_rate call,
+    # the profile and the Robin derivative both come from one call of kpp_kernel(d).rate,
     # not from the kernel evaluated again per order
     plan = _function(ast.parse((PKG_DIR / "dynbc.py").read_text()), "_kpp_plan")
-    assert _called_names(plan) & {"_profile", "func", "kpp_kernel"} == set()
-    assert _call_count(plan, "_kpp_rate") == 1
+    assert _called_names(plan) & {"_profile", "func"} == set()
+    assert _call_count(plan, "rate") == 1
+
+
+def test_the_plans_read_their_kernels_decay_rates():
+    # tau and the road-field rate are written once, as the rates of heat_kernel and
+    # kpp_kernel(d); dynbc.py reads them only through the kernels
+    tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"_tau", "_kpp_rate"} == set()
+    assert _call_count(_function(tree, "_heat_plan"), "rate") == 1
 
 
 def test_one_kernel_rescaling():

@@ -234,21 +234,22 @@ def test_opnorm_heat_closed_form_fractional_t():
 
 
 def test_opnorm_fd_fallback_matches_closed_form():
-    # without the modulus hook the profiles are |func(..., order)|^2, the
+    # without the decay rate the profiles are |func(..., order)|^2, the
     # kernel's own normal derivatives; mu=2, s=1/2, t=1: with b = 1 + |xi|^2
     # the squared symbol is (b + 2) / sqrt(b (b + 4)), decreasing in b, so the
     # supremum at xi=0 is sqrt(3 / sqrt(5))
     tg, ng = make_grids(N=16, M=256)
-    bare = replace(heat_kernel, modulus_sq=None)
+    bare = replace(heat_kernel, rate=None)
     want = math.sqrt(3.0 / math.sqrt(5.0))
     assert opnorm_hilbert(bare, 2.0, 0.5, 1.0, tg, ng) == pytest.approx(want, rel=2e-2)
 
 
-def test_opnorm_frozen_kernel_keeps_derivative_hook():
-    # the frozen kernel forwards its analytic normal derivative unchanged
+@pytest.mark.parametrize("mu", [2.0, 3.0 + 1.0j])
+def test_opnorm_frozen_kernel_keeps_derivative_hook(mu):
+    # the frozen kernel forwards its func and decay rate unchanged
     tg, ng = make_grids(N=16, M=256)
-    frozen = opnorm_hilbert(freeze_mu(heat_kernel, 2.0), None, 0.5, 1.0, tg, ng)
-    assert frozen == opnorm_hilbert(heat_kernel, 2.0, 0.5, 1.0, tg, ng)
+    frozen = opnorm_hilbert(freeze_mu(heat_kernel, mu), None, 0.5, 1.0, tg, ng)
+    assert frozen == opnorm_hilbert(heat_kernel, mu, 0.5, 1.0, tg, ng)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,37 +265,51 @@ def test_opnorm_frozen_kernel_keeps_derivative_hook():
     t=st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5, 2.0]),
 )
 def test_opnorm_modulus_hook_matches_the_complex_path(kpp_d, frozen, dim, N, M, mu_abs, mu_frac, s, t):
-    # |d^n k|^2 in real arithmetic against |func(..., n)|^2
+    # |r|^n times the order-0 norm, from one real exponential, against |func(..., n)|^2
     k = heat_kernel if kpp_d is None else kpp_kernel(kpp_d)
     mu = _HALF_SECTOR.require(mu_abs * np.exp(1j * mu_frac * _HALF_SECTOR.beta))
     if frozen:
         k, mu = freeze_mu(k, mu), None
     tg, ng = make_grids(dim=dim, N=N, M=M, X_max=8.0, r=1.1)
-    want = opnorm_hilbert(replace(k, modulus_sq=None), mu, s, t, tg, ng)
+    want = opnorm_hilbert(replace(k, rate=None), mu, s, t, tg, ng)
     assert opnorm_hilbert(k, mu, s, t, tg, ng) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_opnorm_with_the_modulus_hook_evaluates_no_complex_profile():
+    # a decay kernel's norms take one rate call per opnorm_hilbert call and no func call
     def complex_path(*args):
         raise AssertionError("complex profile evaluated")
 
+    calls = []
+
+    def rate(xi, mu):
+        calls.append(mu)
+        return heat_kernel.rate(xi, mu)
+
     tg, ng = make_grids(N=16, M=128)
-    real_only = replace(heat_kernel, func=complex_path)
+    real_only = replace(heat_kernel, func=complex_path, rate=rate)
     for mu, s, t in ((2.0, 0.5, 1.0), (3.0 + 1.0j, 0.25, 0.75), (1.0, 0.0, 0.0)):
-        want = opnorm_hilbert(replace(heat_kernel, modulus_sq=None), mu, s, t, tg, ng)
+        want = opnorm_hilbert(replace(heat_kernel, rate=None), mu, s, t, tg, ng)
+        calls.clear()
         assert opnorm_hilbert(real_only, mu, s, t, tg, ng) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert calls == [mu]
 
 
 def _opnorm_per_mode(k, mu, s, t, grid, ngrid):
     """``opnorm_hilbert``'s formula evaluated at every lattice mode."""
     fv = grid.freq_vectors[..., None, :]
 
-    def l2_of(order):
-        if k.modulus_sq is not None:
-            sq = k.modulus_sq(fv, mu, ngrid.nodes, order)
-        else:
-            sq = np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2
-        return np.sqrt(np.sum(sq * ngrid.weights, axis=-1))
+    if k.rate is None:
+
+        def l2_of(order):
+            return np.sqrt(np.sum(np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2 * ngrid.weights, axis=-1))
+
+    else:
+        r = k.rate(fv, mu)
+        decay = np.sqrt(np.sum(np.exp(-2.0 * np.real(r) * ngrid.nodes) * ngrid.weights, axis=-1))
+
+        def l2_of(order):
+            return np.abs(r[..., 0]) ** order * decay
 
     l2 = l2_of(0)
     bxi = bracket(grid.freq_vectors)
@@ -319,7 +334,7 @@ def test_opnorm_matches_the_per_mode_supremum(kpp_d, mu, s, t, modulus, dim, N, 
     # the sup over the distinct |xi|^2 is the sup over the modes, bit for bit
     k = heat_kernel if kpp_d is None else kpp_kernel(kpp_d)
     if not modulus:
-        k = replace(k, modulus_sq=None)
+        k = replace(k, rate=None)
     tg, ng = make_grids(dim=dim, N=N, M=M, L=L, X_max=8.0, r=1.1)
     assert opnorm_hilbert(k, mu, s, t, tg, ng) == _opnorm_per_mode(k, mu, s, t, tg, ng)
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,14 @@ def test_scan_result_validation():
         ScanResult.from_rows([(1.0, 0.0, 1.0)] * 3)
     with pytest.raises(ValueError):
         ScanResult.from_rows([(float(m), 0.0, 0.0) for m in (1, 2, 4, 8, 16)])
+
+
+def test_scan_result_checks_the_ordering_before_the_fit():
+    # equal moduli on one ray are refused before polyfit could warn about a rank-deficient fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="modulus must increase strictly"):
+            ScanResult.from_rows([(5.0, 0.0, 1.0)] * 5)
 
 
 def test_decay_fit_exact_bracket_power_law():

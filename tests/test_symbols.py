@@ -117,7 +117,7 @@ def test_seminorm_table_refuses_a_non_finite_lattice_value():
     def func(xi, mu, xn, order=0):
         return np.where(_xi_sq(xi) > 30.0, np.nan, heat_kernel.func(xi, mu, xn, order))
 
-    broken = replace(heat_kernel, name="heat-nan", func=func, modulus_sq=None)
+    broken = replace(heat_kernel, name="heat-nan", func=func, rate=None)
     with pytest.raises(ValueError, match=r"'heat-nan'.* order 0"):
         seminorm_table(broken, 2)
 
@@ -311,8 +311,8 @@ def test_kernels_read_xi_only_through_its_square(name, d, xi, mu_abs, mu_frac):
     ]
     same = [v for v in variants if _xi_sq(v) == _xi_sq(xi)]
     hooks = [lambda x, n: k.func(x, mu, xn, n)]
-    if k.modulus_sq is not None:
-        hooks.append(lambda x, n: k.modulus_sq(x, mu, xn, n))
+    if k.rate is not None:
+        hooks.append(lambda x, n: k.rate(x, mu))
     for hook in hooks:
         for order in range(4):
             want = hook(xi, order)
@@ -454,7 +454,7 @@ def test_freeze_mu_round_trip():
 )
 def test_func_orders_are_the_normal_derivatives(name, d, xi, mu_abs, mu_frac, t):
     # func(..., n) against a central difference of func(..., n - 1) in x_n,
-    # and the modulus hook against |func(..., n)|^2
+    # and against (-rate)^n func(..., 0) for a decay kernel
     base = {"heat": heat_kernel, "kpp": kpp_kernel(d), "constant-one": constant_one, "zero": zero_kernel}
     k = base[name.removesuffix("-frozen")]
     mu = _HALF_SECTOR.require(mu_abs * np.exp(1j * mu_frac * _HALF_SECTOR.beta))
@@ -474,15 +474,16 @@ def test_func_orders_are_the_normal_derivatives(name, d, xi, mu_abs, mu_frac, t)
         exact = k.func(xi, mu, xn, order)
         diff = (k.func(xi, mu, xn + h, order - 1) - k.func(xi, mu, xn - h, order - 1)) / (2.0 * h)
         assert abs(diff - exact) <= 1e-8 * scale**order * size
-    if k.modulus_sq is not None:
+    if k.rate is not None:
+        r = k.rate(xi, mu)
         for order in range(4):
-            want = abs(k.func(xi, mu, xn, order)) ** 2
-            assert k.modulus_sq(xi, mu, xn, order) == pytest.approx(want, rel=1e-13, abs=0.0)
+            want = (-r) ** order * k.func(xi, mu, xn, 0)
+            assert k.func(xi, mu, xn, order) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_symbol_kernel_fields():
     # the normal derivatives are func's order argument, not a field of their own
-    names = ["name", "order", "kind", "sector", "func", "modulus_sq"]
+    names = ["name", "order", "kind", "sector", "func", "rate"]
     assert [f.name for f in fields(SymbolKernel)] == names
 
 
