@@ -241,7 +241,7 @@ def _boundary_data(name: str, grid: TangentialGrid) -> BoundaryField:
         return BoundaryField(grid, np.ones(grid.shape, dtype=complex))
     if name == "zero":
         return BoundaryField(grid, np.zeros(grid.shape, dtype=complex))
-    mode = re.fullmatch(r"mode(-?[0-9]+)", name)
+    mode = re.fullmatch(r"mode(0|-?[1-9][0-9]*)", name)  # one spelling per mode: no leading zero, no -0
     if mode:
         m, half = int(mode[1]), grid.N // 2
         if not -half <= m < half:  # any other m aliases to a lattice mode

@@ -20,7 +20,11 @@ completes.  Both hand back one record, ``ResolventOutput``: the spectra,
 their L^2 norms by Plancherel, and the physical pair, formed when read.  The
 scratch belongs to the plan (and one bulk buffer to the trajectory); a
 record owns its spectra, so a heat Euler step allocates one bulk array, the
-new state.
+new state.  The heat step works on the modes its data reach: a mode whose
+``f`` and ``g`` are zero stays exactly zero, so the step sweeps only the
+others, on the plan gathered to them, and scatters them into zero spectra.
+Only exactly sparse spectra gain, such as those of constant boundary data;
+the samples of a lattice mode are dense to roundoff after the FFT.
 """
 from __future__ import annotations
 
@@ -267,7 +271,9 @@ class _HeatPlan:
     the heat kernel profile, the Poisson lift of a unit trace.  The Green
     sweep's decay table and scratch, ``scratch``, and the residual stencil,
     ``residual``, are built on first use, so a step without interior data
-    builds neither.
+    builds neither.  ``gather`` restricts the plan to the modes a step's data
+    reach, where :func:`_heat_step` works when some mode has no data; there
+    ``tau`` and ``den`` are flat, one entry per gathered mode.
     """
 
     mu2: complex
@@ -293,6 +299,21 @@ class _HeatPlan:
         """:func:`_residual_band` of the normal grid: only a step with interior data needs (and builds) it,
         and it refuses a grid of fewer than three nodes."""
         return _residual_band(self.ngrid)
+
+    def gather(self, modes: np.ndarray) -> _HeatPlan:
+        """The plan on the flat grid modes ``modes``, sorted: its tables gathered, ``rates`` shared.
+
+        Its ``tau`` and ``den`` are flat.  The plan for the last ``modes`` is
+        kept, so a trajectory whose support settles gathers once; the gathered
+        plan builds its own scratch and residual stencil on first use.
+        """
+        last = vars(self).get("gathered")
+        if last is None or not np.array_equal(last[0], modes):
+            plan = _HeatPlan(self.mu2, self.ngrid, self.rates, self.index[modes], self.tau.ravel()[modes],
+                             self.den.ravel()[modes], np.take(self.image, modes, axis=1),
+                             self.profile.reshape(-1, self.ngrid.M)[modes])
+            last = vars(self)["gathered"] = (modes, plan)  # a frozen plan caches as cached_property does
+        return last[1]
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
@@ -331,15 +352,47 @@ def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
     return float(np.max(np.abs(res))) / scale
 
 
+def _active_modes(fspec: Optional[np.ndarray], gspec: np.ndarray) -> Optional[np.ndarray]:
+    """The flat modes where ``g`` or ``f`` (``None`` for zero) is nonzero, sorted; ``None`` if that is every mode.
+
+    One active mode is padded with a second, inactive one (mode 0, or mode 1
+    beside an active mode 0): on a single column numpy sums the sweep's flux
+    pairwise, not in node order, and the bits would move.
+    """
+    active = np.ravel(gspec != 0)
+    if fspec is not None and not active.all():  # nonzero g on every mode decides without reading f
+        active |= np.any(fspec.reshape(active.size, -1), axis=1)
+    count = np.count_nonzero(active)
+    if count == active.size:
+        return None
+    if count == 1:
+        active[int(active[0])] = True  # a mode without data gives exactly zero
+    return np.flatnonzero(active)
+
+
 def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
-    """Heat problem with a dynamic boundary condition, per mode.
+    """Heat problem with a dynamic boundary condition, per mode, on the modes its data reach.
 
     Reduction: a Dirichlet interior solve absorbs ``f`` (``None`` for zero),
     its boundary flux corrects ``g``, the boundary multiplier produces the
     trace dynamics ``v``, and the heat kernel's Poisson lift extends ``v`` to
     the half space.  The returned spectra are fresh arrays; the rest of the
     step's work goes to the plan's scratch.
+
+    The step is diagonal in the modes, so a mode without data gives exactly
+    zero.  When some mode has none, the step runs on ``plan.gather`` of
+    :func:`_active_modes` and scatters the result into zero spectra; with
+    every mode active it runs on ``plan`` itself.  The diagnostics are
+    maxima, so the active modes give them exactly.
     """
+    index = _active_modes(fspec, gspec)
+    if index is not None:
+        modes, M = gspec.size, plan.ngrid.M
+        ufull, vfull = np.zeros(gspec.shape + (M,), dtype=complex), np.zeros(gspec.shape, dtype=complex)
+        if index.size == 0:
+            return ufull, vfull, {"interior": 0.0, "dynamic_bc": 0.0, "trace": 0.0}
+        plan, gspec = plan.gather(index), gspec.ravel()[index]
+        fspec = None if fspec is None else fspec.reshape(modes, M)[index]
     mu2, tau = plan.mu2, plan.tau
     u1spec, flux1 = (None, 0.0) if fspec is None else _green_sweep(fspec, plan)  # flux1 = du1/dxn at 0
     # line 1: the Poisson part solves the interior equation identically, so
@@ -357,7 +410,11 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
     res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
     # line 3: trace matching; the interior solve vanishes at the boundary exactly
     res3 = float(np.max(np.abs(uspec[..., 0] - vspec)))
-    return uspec, vspec, {"interior": res1, "dynamic_bc": res2, "trace": res3}
+    diags = {"interior": res1, "dynamic_bc": res2, "trace": res3}
+    if index is None:
+        return uspec, vspec, diags
+    ufull.reshape(modes, M)[index], vfull.ravel()[index] = uspec, vspec
+    return ufull, vfull, diags
 
 
 class _CHPlan(NamedTuple):

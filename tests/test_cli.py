@@ -142,9 +142,12 @@ def test_off_lattice_mode_data_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "solve.jsonl").exists()
 
 
-@pytest.mark.parametrize("g", ["mode", "modex", "mode 1", "mode\uff11", "mode+1", "mode1.0"])
+@pytest.mark.parametrize(
+    "g", ["mode", "modex", "mode 1", "mode\uff11", "mode+1", "mode1.0", "mode-00", "mode007", "mode-0"]
+)
 def test_malformed_mode_data_is_a_usage_error(tmp_path, capsys, g):
-    # only mode<m> with an ASCII integer m names a lattice mode; a bare int() took " 1" and full-width digits
+    # only mode<m> with an ASCII integer m names a lattice mode; a bare int() took " 1" and full-width digits,
+    # and m is spelled canonically (no leading zero, no -0) so equal configs echo alike
     argv = ["solve", "--problem", "heat-dynbc", "--mu", "1", "--g", g, "--out", str(tmp_path)]
     assert main(argv + SMALL_GRID) == 2
     assert f"unknown boundary data {g!r}; use const, zero, or mode<m>" in capsys.readouterr().err
@@ -620,6 +623,19 @@ def test_scan_rerun_is_byte_identical(tmp_path):
     first = (tmp_path / "scan_rbound.csv").read_bytes()
     assert main(argv) == 0
     assert (tmp_path / "scan_rbound.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("g", ["const", "mode1"], ids=["sparse", "dense"])
+def test_evolve_rerun_is_byte_identical(tmp_path, g):
+    # const data reach one mode, so the heat step runs on a gathered plan; mode1 is dense to roundoff
+    argv = [
+        "solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.05", "--T", "0.5", "--g", g,
+        "--grid-N", "8", "--grid-M", "32", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    first = (tmp_path / "evolve.jsonl").read_bytes()
+    assert main(argv) == 0
+    assert (tmp_path / "evolve.jsonl").read_bytes() == first
 
 
 def test_lemma_report(tmp_path, capsys):

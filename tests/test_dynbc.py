@@ -676,6 +676,79 @@ def test_records_own_their_spectra(monkeypatch, variant, with_f, with_u0, with_v
         assert not any(np.shares_memory(a, b) for m, b in owned if b is not a)
 
 
+def _masked_noise(rng, mask, shape):
+    """Complex noise of ``shape`` on the modes of ``mask`` (the grid's shape), zero elsewhere."""
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return values * mask.reshape(mask.shape + (1,) * (len(shape) - mask.ndim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    M=st.integers(12, 40),
+    support=st.sampled_from(["empty", "one", "two", "subset", "all"]),
+    g_on_all=st.booleans(),
+    with_f=st.booleans(),
+    with_u0=st.booleans(),
+    with_v0=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_heat_step_on_its_active_modes_equals_the_full_step(
+    dim, M, support, g_on_all, with_f, with_u0, with_v0, seed
+):
+    # the step on the plan gathered to the modes its data reach against the step on every mode: the same
+    # spectra, norms, changes and diagnostics; the data enter as their own spectra, so their supports are exact
+    tg, ng = make_grids(dim=dim, N=8, M=M, X_max=4.0)
+    modes = tg.shape[0] ** dim
+    rng = np.random.default_rng(seed)
+    if support == "subset":
+        drawn = rng.random(modes) < 0.5
+    else:
+        drawn = np.full(modes, support == "all")
+        if support in ("one", "two"):
+            drawn[rng.choice(modes, 1 if support == "one" else 2, replace=False)] = True
+
+    def reach():
+        # each datum reaches part of the drawn support, so f may reach a mode g does not
+        return (drawn & (rng.random(modes) < 0.7)).reshape(tg.shape)
+
+    bulk_shape = tg.shape + (ng.M,)
+    g1 = BoundaryField(tg, _masked_noise(rng, drawn.reshape(tg.shape) if g_on_all else reach(), tg.shape))
+    g2 = BoundaryField(tg, _masked_noise(rng, reach(), tg.shape))  # from the second step: the support may grow
+    f1 = _masked_noise(rng, reach(), bulk_shape)
+    u0 = HalfSpaceField(tg, ng, _masked_noise(rng, reach(), bulk_shape)) if with_u0 else None
+    v0 = BoundaryField(tg, _masked_noise(rng, reach(), tg.shape)) if with_v0 else None
+    f_of_t = (lambda t: HalfSpaceField(tg, ng, t * f1)) if with_f else None
+    g_of_t = lambda t: g1 if t < 0.2 else g2
+    plans = []
+    entry = _VARIANTS["HeatDynBC"]
+
+    def kept(problem, mu):
+        plans.append(entry.plan(problem, mu))
+        return plans[-1]
+
+    def run(full):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynbc, "_tfft", lambda samples, dim: np.array(samples, dtype=complex))
+            mp.setitem(_VARIANTS, "HeatDynBC", entry._replace(plan=kept))
+            if full:
+                mp.setattr(dynbc, "_active_modes", lambda fspec, gspec: None)
+            prob = DynBCProblem("HeatDynBC", tg, ng)
+            return list(implicit_euler_evolve(prob, f_of_t, g_of_t, 0.125, 0.375, u0=u0, v0=v0))
+
+    full, restricted = run(True), run(False)
+    plan = plans[-1]
+    for a, b in zip(full, restricted, strict=True):
+        assert np.array_equal(a.uspec, b.uspec) and np.array_equal(a.vspec, b.vspec)
+        assert (a.boundary_norm, a.interior_norm, a.delta) == (b.boundary_norm, b.interior_norm, b.delta)
+        assert a.diagnostics == b.diagnostics
+    # a step whose solution reaches some modes but not all ran on the gathered plan
+    reached = [np.count_nonzero(np.any(rec.uspec.reshape(modes, -1), axis=1)) for rec in restricted]
+    assert ("gathered" in vars(plan)) == any(0 < n < modes for n in reached)
+    tables = list(_plan_arrays(plan))
+    assert not any(np.shares_memory(a, t) for rec in restricted for a in (rec.uspec, rec.vspec) for t in tables)
+
+
 def test_heat_step_allocates_only_its_new_state():
     # past the first two steps (which build the residual stencil and the
     # sweep's first use), a default-grid heat step allocates the new bulk state
