@@ -5,10 +5,10 @@ dynamics of a Cahn-Hilliard type problem, and a road-field reaction model
 coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
 data once, builds the variant's plan (every table that depends on the
-problem and ``mu`` only: decay rates, symbols, Poisson profiles, and the
-heat plan's Green sweep tables and scratch, of which the decay table and the
-scratch wait for the first sweep), and runs the variant's spectral step
-per tangential frequency mode on it.  Interior solves use a reflected Green
+problem and ``mu`` only: decay rates, symbols and Poisson profiles; the heat
+plan holds only its decay rates and derives each of its tables, the Green
+sweep's among them, on first use), and runs the variant's spectral step per
+tangential frequency mode on it.  Interior solves use a reflected Green
 kernel quadrature, boundary dynamics reduce to explicit multiplier symbols,
 and each step reports per-mode residual maxima for every equation line; the
 heat step's interior line applies ``norms.normal_derivative``'s stencil
@@ -22,7 +22,7 @@ scratch belongs to the plan (and one bulk buffer to the trajectory); a
 record owns its spectra, so a heat Euler step allocates one bulk array, the
 new state.  The heat step works on the modes its data reach: a mode whose
 ``f`` and ``g`` are zero stays exactly zero, so the step sweeps only the
-others, on the plan gathered to them, and scatters them into zero spectra.
+others, on a plan over just those modes, and scatters them into zero spectra.
 Only exactly sparse spectra gain, such as those of constant boundary data;
 the samples of a lattice mode are dense to roundoff after the FFT.
 """
@@ -98,15 +98,19 @@ class DynBCProblem:
         variant = _VARIANTS[self.variant]
         return ResolventOutput(self, *variant.step(self, variant.plan(self, mu), fspec, gspec))
 
+    def _require_grids(self, u: Optional[HalfSpaceField], v: Optional[BoundaryField]) -> None:
+        """Refuse a bulk or boundary field (``None`` for absent) that does not live on the problem's grids."""
+        off_grid = u is not None and (u.tangential, u.normal) != (self.tangential, self.normal)
+        if off_grid or (v is not None and v.grid != self.tangential):
+            raise ValueError("data must live on the problem's grids")
+
     def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField) -> tuple:
         """Spectra of the data the variant reads, after one check of their grids.
 
         ``fspec`` is ``None`` for an absent ``f``, and for a variant without
         interior data, which must then be absent or zero.
         """
-        off_grid = f is not None and (f.tangential, f.normal) != (self.tangential, self.normal)
-        if off_grid or g.grid != self.tangential:
-            raise ValueError("data must live on the problem's grids")
+        self._require_grids(f, g)
         dim = self.tangential.dim
         gspec = _tfft(g.samples, dim)
         if f is None:
@@ -199,7 +203,7 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     ``fspec`` holds one mode per row along the last axis, and ``plan`` the
     decay rates ``tau``, one per mode, with their tables.  Returns the
     solution samples, shaped like ``fspec``, and the flux
-    ``sum_j exp(-tau y_j) w_j f_j``, shaped like ``tau``.  The solution is a
+    ``sum_j exp(-tau y_j) w_j f_j``, one entry per mode.  The solution is a
     view of the plan's node-major scratch ``u``: the next sweep on the same
     plan overwrites it.  Apart from the flux (and the decay table and
     scratch on a first sweep), the sweep creates no array.
@@ -211,34 +215,34 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     (Greengard & Rokhlin, "On the numerical solution of two-point boundary
     value problems", CPAM 44, 1991): the forward recursion
     ``F_i = exp(-tau (x_i - x_{i-1})) F_{i-1} + w_i f_i`` covers ``y <= x``,
-    the backward recursion
+    and the backward recursion
     ``B_i = exp(-tau (x_{i+1} - x_i)) (B_{i+1} + w_{i+1} f_{i+1})`` covers
-    ``y > x``, and the image is the rank-one term
-    ``exp(-tau x_i) * sum_j exp(-tau y_j) w_j f_j``, whose sum is the
-    boundary flux of the solution.  The boundary node is set to zero exactly.
-    The backward recursion is the forward one over the reversed nodes, so one
-    loop runs both on a stacked pair of rows, with the stacked decay table
-    built once, on the first sweep, by ``_HeatPlan.scratch``.
+    ``y > x``.  The backward accumulator also holds its own node, so at
+    ``x_0 = 0`` it is the flux, ``B_0 + w_0 f_0``; the image, the rank-one
+    term ``exp(-tau x_i)`` times the flux, is subtracted after the loop.
+    The boundary node is set to zero exactly.  The backward recursion is the
+    forward one over the reversed nodes, so one loop runs both on a stacked
+    pair of rows, with the stacked decay table built once, on the first
+    sweep, by ``_HeatPlan.scratch``.  The sweep is elementwise per mode.
     """
     ngrid, tau, image = plan.ngrid, plan.tau, plan.image
     decay, acc, row, u, chain = plan.scratch
-    t = np.ravel(tau)
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
     # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
     # both are filled from u: numpy copies an operand that shares acc's memory bounds
     fwd, bwd = acc[:, 0], acc[::-1, 1]
-    np.multiply(fspec.reshape(t.size, ngrid.M).T, ngrid.weights[:, None], out=u)
+    np.multiply(fspec.reshape(tau.size, ngrid.M).T, ngrid.weights[:, None], out=u)
     fwd[...], bwd[...] = u, u
-    flux = np.sum(np.multiply(image, u, out=u), axis=0)
     for prev, cur, factor in chain:
         cur += np.multiply(factor, prev, row)  # out as a positional: the loop runs per node
+    flux = bwd[0].copy()  # the flux, out of the scratch the next sweep overwrites
     np.subtract(fwd, np.multiply(image, flux, out=u), out=u)
     # decay[i, 0] * bwd[i + 1] for i < M - 1, formed in node order: decay[:, 1] is decay[::-1, 0]
     tail = np.multiply(decay[:, 1], acc[:-1, 1], out=acc[:-1, 1])
     u[:-1] += tail[::-1]
-    u /= 2.0 * t
+    u /= 2.0 * tau
     u[0] = 0.0  # the Dirichlet condition, exactly
-    return u.T.reshape(fspec.shape), flux.reshape(np.shape(tau))
+    return u.T.reshape(fspec.shape), flux
 
 
 def _residual_band(ngrid: NormalGrid) -> np.ndarray:
@@ -261,35 +265,45 @@ def _residual_band(ngrid: NormalGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _HeatPlan:
-    """The heat step's tables, evaluated at ``grid.radial``'s representatives and gathered to the modes.
+    """The heat step's decay rates; every table the step derives from them is built on first use.
 
-    ``rates`` holds one ``tau`` per representative, a flat array, and mode
-    ``k`` reads representative ``index[k]``; ``tau`` and ``den = mu^2 + tau``,
-    the boundary multiplier's denominator, hold the gathered values, shaped
-    like the grid.  ``image[i]`` is ``exp(-tau x_i)``, node major, and
-    ``profile`` is the same table copied C-contiguous as ``grid.shape + (M,)``:
-    the heat kernel profile, the Poisson lift of a unit trace.  The Green
-    sweep's decay table and scratch, ``scratch``, and the residual stencil,
-    ``residual``, are built on first use, so a step without interior data
-    builds neither.  ``gather`` restricts the plan to the modes a step's data
-    reach, where :func:`_heat_step` works when some mode has no data; there
-    ``tau`` and ``den`` are flat, one entry per gathered mode.
+    ``rates`` holds one ``tau`` per ``grid.radial`` representative, and mode
+    ``k`` reads representative ``index[k]``.  The tables are flat, one entry
+    or row per mode: ``tau``, ``den = mu^2 + tau`` (the boundary multiplier's
+    denominator), ``image[i] = exp(-tau x_i)``, node major, from one ``exp``
+    over the representatives, and its C-contiguous copy ``profile``,
+    ``(modes, M)``, the Poisson lift of a unit trace; then the Green sweep's
+    ``scratch`` and the ``residual`` stencil, which a step without interior
+    data never builds.  ``gather`` gives the plan on the modes a step's data reach.
     """
 
     mu2: complex
     ngrid: NormalGrid
     rates: np.ndarray  # (K,)
     index: np.ndarray  # (modes,)
-    tau: np.ndarray  # grid.shape
-    den: np.ndarray  # grid.shape
-    image: np.ndarray  # (M, modes)
-    profile: np.ndarray  # grid.shape + (M,)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        return self.rates[self.index]
+
+    @cached_property
+    def den(self) -> np.ndarray:
+        return self.mu2 + self.tau
+
+    @cached_property
+    def image(self) -> np.ndarray:
+        # np.take keeps the table node-major (C order), as the sweep reads it
+        return np.take(np.exp(-self.ngrid.nodes[:, None] * self.rates), self.index, axis=1)
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        return np.ascontiguousarray(self.image.T)
 
     @cached_property
     def scratch(self) -> _SweepScratch:
         decay = np.take(np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates), self.index, axis=1)
         decay = np.stack([decay, decay[::-1]], axis=1)
-        M, modes = self.image.shape
+        M, modes = self.ngrid.M, self.index.size
         acc = np.empty((M, 2, modes), dtype=complex)
         row, u = np.empty((2, modes), dtype=complex), np.empty((M, modes), dtype=complex)
         return _SweepScratch(decay, acc, row, u, list(zip(acc[:-1], acc[1:], decay)))
@@ -301,33 +315,23 @@ class _HeatPlan:
         return _residual_band(self.ngrid)
 
     def gather(self, modes: np.ndarray) -> _HeatPlan:
-        """The plan on the flat grid modes ``modes``, sorted: its tables gathered, ``rates`` shared.
+        """The plan on the flat modes ``modes``, sorted: ``rates`` shared, every table its own.
 
-        Its ``tau`` and ``den`` are flat.  The plan for the last ``modes`` is
-        kept, so a trajectory whose support settles gathers once; the gathered
-        plan builds its own scratch and residual stencil on first use.
+        The plan for the last ``modes`` is kept, so a trajectory whose support
+        settles builds its tables once.
         """
         last = vars(self).get("gathered")
         if last is None or not np.array_equal(last[0], modes):
-            plan = _HeatPlan(self.mu2, self.ngrid, self.rates, self.index[modes], self.tau.ravel()[modes],
-                             self.den.ravel()[modes], np.take(self.image, modes, axis=1),
-                             self.profile.reshape(-1, self.ngrid.M)[modes])
+            plan = _HeatPlan(self.mu2, self.ngrid, self.rates, self.index[modes])
             last = vars(self)["gathered"] = (modes, plan)  # a frozen plan caches as cached_property does
         return last[1]
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
-    """The heat step's tables, from one ``tau``, ``heat_kernel``'s rate, and one complex ``exp`` table,
-    the sweep's image table: the lift reads it as the heat kernel profile, copied in the layout its norms
-    are summed in."""
-    grid, ngrid = problem.tangential, problem.normal
-    reps, inverse = grid.radial
-    mu2, rates, index = mu * mu, heat_kernel.rate(reps, mu), np.ravel(inverse)
-    # np.take keeps the gathered table node-major (C order), as the sweep reads it
-    image = np.take(np.exp(-ngrid.nodes[:, None] * rates), index, axis=1)
-    tau = rates[inverse]
-    profile = np.ascontiguousarray(image.T).reshape(grid.shape + (ngrid.M,))
-    return _HeatPlan(mu2, ngrid, rates, index, tau, mu2 + tau, image, profile)
+    """The heat step's plan: ``heat_kernel``'s rate at ``grid.radial``'s representatives, and each mode's
+    representative."""
+    reps, inverse = problem.tangential.radial
+    return _HeatPlan(mu * mu, problem.normal, heat_kernel.rate(reps, mu), np.ravel(inverse))
 
 
 def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
@@ -341,7 +345,7 @@ def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
     band, scratch = plan.residual, plan.scratch
     u, M = scratch.u, plan.ngrid.M
     res, prod = scratch.acc.reshape(2, *u.shape)[:, 1:-1]
-    np.multiply((plan.tau**2).ravel(), u[1:-1], out=res)
+    np.multiply(plan.tau**2, u[1:-1], out=res)
     for k, diag in zip(range(-2, 3), band):
         # rows i of the interior whose node i + k lies on the grid
         lo, hi = max(1, -k) - 1, min(M - 2, M - 1 - k)
@@ -353,21 +357,14 @@ def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
 
 
 def _active_modes(fspec: Optional[np.ndarray], gspec: np.ndarray) -> Optional[np.ndarray]:
-    """The flat modes where ``g`` or ``f`` (``None`` for zero) is nonzero, sorted; ``None`` if that is every mode.
+    """The modes where ``g`` or ``f`` (``None`` for zero) is nonzero, sorted; ``None`` if that is every mode.
 
-    One active mode is padded with a second, inactive one (mode 0, or mode 1
-    beside an active mode 0): on a single column numpy sums the sweep's flux
-    pairwise, not in node order, and the bits would move.
+    ``gspec`` is flat and ``fspec`` holds one mode per row, ``(modes, M)``.
     """
-    active = np.ravel(gspec != 0)
+    active = gspec != 0
     if fspec is not None and not active.all():  # nonzero g on every mode decides without reading f
-        active |= np.any(fspec.reshape(active.size, -1), axis=1)
-    count = np.count_nonzero(active)
-    if count == active.size:
-        return None
-    if count == 1:
-        active[int(active[0])] = True  # a mode without data gives exactly zero
-    return np.flatnonzero(active)
+        active |= np.any(fspec, axis=1)
+    return None if active.all() else np.flatnonzero(active)
 
 
 def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -376,24 +373,25 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
     Reduction: a Dirichlet interior solve absorbs ``f`` (``None`` for zero),
     its boundary flux corrects ``g``, the boundary multiplier produces the
     trace dynamics ``v``, and the heat kernel's Poisson lift extends ``v`` to
-    the half space.  The returned spectra are fresh arrays; the rest of the
-    step's work goes to the plan's scratch.
+    the half space.  The returned spectra are fresh arrays, shaped like the
+    data; the rest of the step's work goes to the plan's scratch.
 
-    The step is diagonal in the modes, so a mode without data gives exactly
-    zero.  When some mode has none, the step runs on ``plan.gather`` of
-    :func:`_active_modes` and scatters the result into zero spectra; with
-    every mode active it runs on ``plan`` itself.  The diagnostics are
-    maxima, so the active modes give them exactly.
+    The step works on flat spectra, one mode per row.  It is diagonal in the
+    modes, so a mode without data gives exactly zero.  When some mode has
+    none, the step runs on ``plan.gather`` of :func:`_active_modes` and
+    scatters the result into zero spectra; with every mode active it runs on
+    ``plan`` itself, with no gather or scatter.  The diagnostics are maxima,
+    so the active modes give them exactly.
     """
+    shape, M, gspec = gspec.shape, plan.ngrid.M, gspec.ravel()
+    fspec = None if fspec is None else fspec.reshape(gspec.size, M)
     index = _active_modes(fspec, gspec)
     if index is not None:
-        modes, M = gspec.size, plan.ngrid.M
-        ufull, vfull = np.zeros(gspec.shape + (M,), dtype=complex), np.zeros(gspec.shape, dtype=complex)
+        ufull, vfull = np.zeros((gspec.size, M), dtype=complex), np.zeros(gspec.size, dtype=complex)
         if index.size == 0:
-            return ufull, vfull, {"interior": 0.0, "dynamic_bc": 0.0, "trace": 0.0}
-        plan, gspec = plan.gather(index), gspec.ravel()[index]
-        fspec = None if fspec is None else fspec.reshape(modes, M)[index]
-    mu2, tau = plan.mu2, plan.tau
+            return ufull.reshape(shape + (M,)), vfull.reshape(shape), {"interior": 0.0, "dynamic_bc": 0.0, "trace": 0.0}
+        plan, gspec = plan.gather(index), gspec[index]
+        fspec = None if fspec is None else fspec[index]
     u1spec, flux1 = (None, 0.0) if fspec is None else _green_sweep(fspec, plan)  # flux1 = du1/dxn at 0
     # line 1: the Poisson part solves the interior equation identically, so
     # only the quadrature interior solve contributes, checked by differences
@@ -402,19 +400,19 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
 
     gtil = gspec + flux1  # g - gamma_1 u1 with gamma_1 = -flux
     vspec = gtil / plan.den
-    uspec = plan.profile * vspec[..., None]
+    uspec = plan.profile * vspec[:, None]
     if u1spec is not None:
         uspec += u1spec
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
-    res2 = float(np.max(np.abs(mu2 * vspec + tau * vspec - flux1 - gspec)))
+    res2 = float(np.max(np.abs(plan.mu2 * vspec + plan.tau * vspec - flux1 - gspec)))
     # line 3: trace matching; the interior solve vanishes at the boundary exactly
-    res3 = float(np.max(np.abs(uspec[..., 0] - vspec)))
+    res3 = float(np.max(np.abs(uspec[:, 0] - vspec)))
     diags = {"interior": res1, "dynamic_bc": res2, "trace": res3}
-    if index is None:
-        return uspec, vspec, diags
-    ufull.reshape(modes, M)[index], vfull.ravel()[index] = uspec, vspec
-    return ufull, vfull, diags
+    if index is not None:
+        ufull[index], vfull[index] = uspec, vspec
+        uspec, vspec = ufull, vfull
+    return uspec.reshape(shape + (M,)), vspec.reshape(shape), diags
 
 
 class _CHPlan(NamedTuple):
@@ -562,6 +560,7 @@ def implicit_euler_evolve(
     nsteps = round(T / dt)
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("step size must divide the horizon")
+    problem._require_grids(u0, v0)
     grid = problem.tangential
     variant = _VARIANTS[problem.variant]
     plan = variant.plan(problem, problem.sector.require(1.0 / math.sqrt(dt)))

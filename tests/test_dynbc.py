@@ -123,7 +123,7 @@ def test_interior_residual_is_the_iterated_stencil_residual(dim, M):
     rng = np.random.default_rng(M)
     f = rng.standard_normal(tg.shape + (M,)) + 1j * rng.standard_normal(tg.shape + (M,))
     u, _ = _green_sweep(f, plan)
-    r = (plan.tau**2)[..., None] * u - normal_derivative(u, ng, 2) - f
+    r = (plan.tau**2).reshape(tg.shape)[..., None] * u - normal_derivative(u, ng, 2) - f
     want = np.max(np.abs(r[..., 1:-1])) / np.max(np.abs(f))
     assert dynbc._interior_residual(plan, f) == pytest.approx(want, rel=1e-9)
 
@@ -268,11 +268,11 @@ def test_solvers_extend_through_the_one_poisson_operator():
 @pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.3 - 0.2j])
 def test_heat_plan_lifts_through_its_image_table(dim, N, M, mu):
     # one exp table serves the sweep's image term and the Poisson lift: it is
-    # the heat kernel profile entry for entry, laid out C-contiguous
+    # the heat kernel profile entry for entry, one mode per row, laid out C-contiguous
     tg, ng = make_grids(dim=dim, N=N, M=M)
     plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), mu)
     assert plan.profile.flags.c_contiguous
-    np.testing.assert_array_equal(plan.profile, _profile(heat_kernel, mu, tg, ng))
+    np.testing.assert_array_equal(plan.profile, _profile(heat_kernel, mu, tg, ng).reshape(-1, M))
 
 
 @pytest.mark.parametrize("dim, N, M, L", [(1, 64, 48, 2.0 * math.pi), (2, 16, 32, 3.0)])
@@ -386,6 +386,27 @@ def test_solve_refuses_data_on_other_grids(variant):
     # zero interior data, which every variant accepts on the problem's grids
     with pytest.raises(ValueError, match="grids"):
         prob.solve(HalfSpaceField.zero(tg, deep), _const_boundary(tg), 1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evolve_refuses_initial_states_on_other_grids(monkeypatch, variant):
+    # u0 and v0 pass the resolvent's grid check when the trajectory is set up, before its plan is
+    # built: grids of the same shape on another box, and a finer boundary grid
+    built = []
+    entry = _VARIANTS[variant]
+    monkeypatch.setitem(_VARIANTS, variant, entry._replace(plan=lambda *args: built.append(args)))
+    tg, ng = make_grids(N=8, M=32)
+    other_tg, other_ng = make_grids(N=8, M=32, L=3.0, X_max=5.0)
+    fine, _ = make_grids(N=16, M=32)
+    prob = DynBCProblem(variant, tg, ng)
+    for u0, v0 in (
+        (HalfSpaceField(other_tg, other_ng, np.ones(other_tg.shape + (other_ng.M,))), None),
+        (None, _const_boundary(other_tg)),
+        (None, _const_boundary(fine)),
+    ):
+        with pytest.raises(ValueError, match="data must live on the problem's grids"):
+            implicit_euler_evolve(prob, None, None, 0.25, 1.0, u0=u0, v0=v0)
+    assert built == []
 
 
 def test_problem_sector_lies_within_the_kernels_sector():
@@ -742,9 +763,15 @@ def test_heat_step_on_its_active_modes_equals_the_full_step(
         assert np.array_equal(a.uspec, b.uspec) and np.array_equal(a.vspec, b.vspec)
         assert (a.boundary_norm, a.interior_norm, a.delta) == (b.boundary_norm, b.interior_norm, b.delta)
         assert a.diagnostics == b.diagnostics
-    # a step whose solution reaches some modes but not all ran on the gathered plan
-    reached = [np.count_nonzero(np.any(rec.uspec.reshape(modes, -1), axis=1)) for rec in restricted]
-    assert ("gathered" in vars(plan)) == any(0 < n < modes for n in reached)
+    # a step whose solution reaches some modes but not all ran on the plan gathered to exactly those
+    # modes, one alone included: the last such step's plan is the one kept
+    reached = [np.flatnonzero(np.any(rec.uspec.reshape(modes, -1), axis=1)) for rec in restricted]
+    partial = [r for r in reached if 0 < r.size < modes]
+    assert ("gathered" in vars(plan)) == bool(partial)
+    if partial:
+        kept_modes, gathered = vars(plan)["gathered"]
+        assert np.array_equal(kept_modes, partial[-1]) and gathered.index.size == partial[-1].size
+        assert np.array_equal(gathered.index, plan.index[partial[-1]])
     tables = list(_plan_arrays(plan))
     assert not any(np.shares_memory(a, t) for rec in restricted for a in (rec.uspec, rec.vspec) for t in tables)
 

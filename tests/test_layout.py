@@ -4,9 +4,10 @@ one builder for the decay and constant kernels, one resolvent path, one solution
 norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
 distinct |xi|^2, radial products gathered to the modes only for a tangential q other than 2,
 sign sums without per-trial contractions, an Euler step loop that allocates no bulk, one
-kernel rescaling, a kpp plan from one decay rate, no threads, processes or environment
-reads, a CLI that checks its configs without jsonschema, no public pass-through, random
-draws from one seed tree, and one artifact writer and one config echo in the CLI."""
+kernel rescaling, a kpp plan from one decay rate, a heat plan that is its decay rates, no
+threads, processes or environment reads, a CLI that checks its configs without jsonschema,
+no public pass-through, random draws from one seed tree, and one artifact writer and one
+config echo in the CLI."""
 from __future__ import annotations
 
 import ast
@@ -249,7 +250,7 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
     # a kernel's d^n k / dx_n^n is func(xi, mu, xn, n): no second hook, no
     # finite-difference stand-in in the symbol calculus or the operator norm,
     # and the heat plan lifts through its sweep's image table, not a second exp:
-    # one exp for the image table in the plan, one for the decay table in its scratch
+    # one exp for the image table, one for the decay table in its scratch
     trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
     assert {name for name, tree in trees.items() if "xn_derivative" in _identifiers(tree)} == set()
     assert "normal_derivative" not in _called_names(trees["symbols.py"])
@@ -257,7 +258,21 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
     heat_plan = _function(trees["dynbc.py"], "_heat_plan")
     plan_class = next(n for n in trees["dynbc.py"].body if isinstance(n, ast.ClassDef) and n.name == "_HeatPlan")
     assert _called_names(heat_plan) & {"_profile", "func"} == set()
-    assert _call_count(heat_plan, "exp") == 1 and _call_count(_function(plan_class, "scratch"), "exp") == 1
+    assert [_call_count(_function(plan_class, name), "exp") for name in ("image", "scratch")] == [1, 1]
+    assert _call_count(plan_class, "exp") == 2
+
+
+def test_the_heat_plan_derives_each_table_once():
+    # the plan is its decay rates: _heat_plan and gather only construct one, and every table
+    # is derived from rates and index on first use, none gathered from another table
+    tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
+    plan_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_HeatPlan")
+    fields = [n.target.id for n in plan_class.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["mu2", "ngrid", "rates", "index"]
+    for builder in (_function(tree, "_heat_plan"), _function(plan_class, "gather")):
+        assert _called_names(builder) & {"exp", "take", "ascontiguousarray"} == set()
+    # the sweep reads its flux off the backward recursion, not from a second pass
+    assert _call_count(_function(tree, "_green_sweep"), "sum") == 0
 
 
 def test_the_kpp_plan_takes_its_decay_rate_once():
