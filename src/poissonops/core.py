@@ -98,7 +98,8 @@ class TangentialGrid:
     """Uniform periodic grid on a torus of side ``L`` in ``dim`` axes.
 
     Frequencies are ``2*pi*k/L`` for ``k in {-N/2, ..., N/2 - 1}`` per axis,
-    stored in FFT layout.  ``N`` must be a power of two.
+    stored in FFT layout.  ``N`` must be a power of two, and the cell
+    ``(L/N)^dim`` positive and finite.
     """
 
     dim: int
@@ -112,6 +113,14 @@ class TangentialGrid:
             raise ValueError(f"N must be a power of two, got {self.N}")
         if not 0 < self.L < math.inf:
             raise ValueError(f"L must be positive and finite, got {self.L}")
+        try:
+            cell = self.cell
+        except OverflowError:  # a float power raises where it overflows
+            cell = math.inf
+        if not 0 < cell < math.inf:
+            raise ValueError(
+                f"cell (L/N)^dim must be positive and finite, got {cell} at L={self.L}, N={self.N}, dim={self.dim}"
+            )
 
     @property
     def cell(self) -> float:
@@ -189,7 +198,8 @@ class NormalGrid:
     """Graded grid ``0 = x_1 < ... < x_M <= X_max`` with trapezoid weights.
 
     Nodes follow ``x_j = X_max * (r^(j-1) - 1) / (r^(M-1) - 1)`` with ratio
-    ``r > 1``, clustering toward the boundary.
+    ``r > 1``, clustering toward the boundary.  A grading whose nodes
+    overflow or are not strictly increasing is refused.
     """
 
     M: int
@@ -203,6 +213,15 @@ class NormalGrid:
             raise ValueError(f"grading ratio must exceed 1 and be finite, got {self.r}")
         if not 0 < self.X_max < math.inf:
             raise ValueError(f"X_max must be positive and finite, got {self.X_max}")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = self.nodes
+        except OverflowError:  # math.expm1 raises where it overflows
+            nodes = np.array([math.inf])
+        if not (np.isfinite(nodes[-1]) and np.all(np.diff(nodes) > 0)):
+            raise ValueError(
+                f"graded nodes overflow or are not strictly increasing at M={self.M}, r={self.r}, X_max={self.X_max}"
+            )
 
     @cached_property
     def nodes(self) -> np.ndarray:

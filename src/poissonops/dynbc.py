@@ -4,32 +4,26 @@ Covered variants: heat flow with a dynamic boundary condition, the boundary
 dynamics of a Cahn-Hilliard type problem, and a road-field reaction model
 coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
-data once, builds the variant's plan (every table that depends on the
-problem and ``mu`` only: decay rates, symbols and Poisson profiles; the heat
-plan holds only its decay rates and derives each of its tables, the Green
-sweep's among them, on first use), and runs the variant's spectral step per
-tangential frequency mode on it.  Interior solves use a reflected Green
-kernel quadrature, boundary dynamics reduce to explicit multiplier symbols,
-and each step reports per-mode residual maxima for every equation line; the
-heat step's interior line applies ``norms.normal_derivative``'s stencil
-twice, composed into one five-diagonal stencil.  Implicit Euler time
-stepping is included because each step is one resolvent application at the
-fixed real spectral parameter ``1/sqrt(dt)``: a trajectory builds its plan
-once, keeps its state spectral between steps, and yields each step as it
-completes.  Both hand back one record, ``ResolventOutput``: the spectra,
-their L^2 norms by Plancherel, and the physical pair, formed when read.  The
-scratch belongs to the plan (and one bulk buffer to the trajectory); a
-record owns its spectra, so a heat Euler step allocates one bulk array, the
-new state.  The heat step works on the modes its data reach: a mode whose
-``f`` and ``g`` are zero stays exactly zero, so the step sweeps only the
-others, on a plan over just those modes, and scatters them into zero spectra.
-Only exactly sparse spectra gain, such as those of constant boundary data;
-the samples of a lattice mode are dense to roundoff after the FFT.
+data once, builds the variant's plan (its decay rates and symbols at
+``grid.radial``'s representatives), and runs the variant's spectral step,
+which reports per-mode residual maxima for every equation line.  Implicit
+Euler time stepping is included because each step is one resolvent
+application at the fixed real spectral parameter ``1/sqrt(dt)``: a
+trajectory builds its plan once and yields each step as it completes.
+
+Every step is diagonal in the modes, so a mode that neither the state nor
+the data reach stays exactly zero.  A resolvent and a trajectory keep only
+their support, the modes so reached, and the spectra's rows there; the
+forcing, the step, the change and the Plancherel norms all work on those
+rows (:func:`_support_step`).  Only exactly sparse spectra gain, such as
+those of constant boundary data: the samples of a lattice mode are dense to
+roundoff after the FFT.  Both hand back one record, ``ResolventOutput``,
+which forms the full spectra and the physical pair when read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -95,8 +89,9 @@ class DynBCProblem:
         """Resolvent at ``mu`` for interior data ``f`` (``None`` for zero) and boundary data ``g``."""
         mu = self.sector.require(mu)
         fspec, gspec = self._spectra(f, g)
-        variant = _VARIANTS[self.variant]
-        return ResolventOutput(self, *variant.step(self, variant.plan(self, mu), fspec, gspec))
+        plan = _VARIANTS[self.variant].plan(self, mu)
+        (support, _, _), (u, v, diagnostics) = _support_step(self, plan, fspec, gspec)
+        return ResolventOutput(self, u, v, diagnostics, support=support)
 
     def _require_grids(self, u: Optional[HalfSpaceField], v: Optional[BoundaryField]) -> None:
         """Refuse a bulk or boundary field (``None`` for absent) that does not live on the problem's grids."""
@@ -124,16 +119,20 @@ class DynBCProblem:
 
 @dataclass(frozen=True)
 class ResolventOutput:
-    """A solution's spectra, their L^2 norms by Plancherel, and per-mode residual maxima.
+    """A solution's spectra on its support, their L^2 norms by Plancherel, and per-mode residual maxima.
 
-    ``uspec`` is ``None`` for a zero bulk.  A non-finite norm or residual is
-    refused.  The physical pair ``u``, ``v`` is formed on first read.
+    ``urows`` and ``vrows`` are the spectra's rows on the sorted flat modes
+    ``support`` (``None``: every mode, the rows flat or grid-shaped); other
+    modes are zero, and ``urows`` is ``None`` for a zero bulk.  A non-finite
+    norm or residual is refused.  The grid-shaped ``uspec``, ``vspec`` and
+    the physical pair ``u``, ``v`` are formed on first read.
     """
 
     problem: DynBCProblem = field(repr=False, compare=False)
-    uspec: Optional[np.ndarray] = field(repr=False, compare=False)
-    vspec: np.ndarray = field(repr=False, compare=False)
+    urows: Optional[np.ndarray] = field(repr=False, compare=False)
+    vrows: np.ndarray = field(repr=False, compare=False)
     diagnostics: dict
+    support: Optional[np.ndarray] = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self) -> None:
         _require_finite(self.diagnostics, "residual")
@@ -141,11 +140,27 @@ class ResolventOutput:
 
     @cached_property
     def boundary_norm(self) -> float:
-        return _l2(self.problem, None, self.vspec)
+        return _l2(self.problem, None, self.vrows)
 
     @cached_property
     def interior_norm(self) -> float:
-        return _l2(self.problem, self.uspec, None)
+        return _l2(self.problem, self.urows, None)
+
+    def _spectrum(self, rows: Optional[np.ndarray], *trailing: int) -> Optional[np.ndarray]:
+        shape = self.problem.tangential.shape
+        if rows is not None and self.support is not None:
+            full = np.zeros((math.prod(shape), *trailing), dtype=complex)
+            full[self.support] = rows
+            rows = full
+        return None if rows is None else rows.reshape(shape + trailing)
+
+    @cached_property
+    def uspec(self) -> Optional[np.ndarray]:
+        return self._spectrum(self.urows, self.problem.normal.M)
+
+    @cached_property
+    def vspec(self) -> np.ndarray:
+        return self._spectrum(self.vrows)
 
     @cached_property
     def u(self) -> HalfSpaceField:
@@ -263,18 +278,41 @@ def _residual_band(ngrid: NormalGrid) -> np.ndarray:
     return band
 
 
-@dataclass(frozen=True, eq=False)
-class _HeatPlan:
+class _RadialPlan:
+    """A step plan: each array field but ``index`` holds one value per ``grid.radial`` representative, mode ``k``
+    reads representative ``index[k]``, and the per-mode tables are cached properties derived on first use.
+
+    Plans are plain dataclasses, not frozen and without a ``repr``, which keeps defining them cheap at import
+    (a frozen dataclass takes about 1 ms more); nothing assigns a plan's fields after construction.
+    """
+
+    def gather(self, modes: np.ndarray):
+        """The plan on the sorted flat ``modes``, over just the representatives they read, with tables of its own.
+
+        The plan for the last ``modes`` is kept, so a trajectory whose support settles builds its tables once.
+        """
+        last = vars(self).get("gathered")
+        if last is None or not np.array_equal(last[0], modes):
+            index = self.index[modes]
+            keep = np.bincount(index).nonzero()[0]  # the representatives read, sorted
+            reps = {f.name: getattr(self, f.name)[keep] for f in fields(self)
+                    if f.name != "index" and isinstance(getattr(self, f.name), np.ndarray)}
+            plan = replace(self, index=np.searchsorted(keep, index), **reps)
+            last = self.gathered = (modes, plan)
+        return last[1]
+
+
+@dataclass(eq=False, repr=False)
+class _HeatPlan(_RadialPlan):
     """The heat step's decay rates; every table the step derives from them is built on first use.
 
-    ``rates`` holds one ``tau`` per ``grid.radial`` representative, and mode
-    ``k`` reads representative ``index[k]``.  The tables are flat, one entry
-    or row per mode: ``tau``, ``den = mu^2 + tau`` (the boundary multiplier's
-    denominator), ``image[i] = exp(-tau x_i)``, node major, from one ``exp``
-    over the representatives, and its C-contiguous copy ``profile``,
-    ``(modes, M)``, the Poisson lift of a unit trace; then the Green sweep's
-    ``scratch`` and the ``residual`` stencil, which a step without interior
-    data never builds.  ``gather`` gives the plan on the modes a step's data reach.
+    ``rates`` holds one ``tau`` per representative.  The tables are flat,
+    one entry or row per mode: ``tau``, ``den = mu^2 + tau`` (the boundary
+    multiplier's denominator), ``image[i] = exp(-tau x_i)``, node major, from
+    one ``exp`` over the representatives, and its C-contiguous copy
+    ``profile``, ``(modes, M)``, the Poisson lift of a unit trace; then the
+    Green sweep's ``scratch`` and the ``residual`` stencil, which a step
+    without interior data never builds.
     """
 
     mu2: complex
@@ -282,22 +320,14 @@ class _HeatPlan:
     rates: np.ndarray  # (K,)
     index: np.ndarray  # (modes,)
 
-    @cached_property
-    def tau(self) -> np.ndarray:
-        return self.rates[self.index]
-
-    @cached_property
-    def den(self) -> np.ndarray:
-        return self.mu2 + self.tau
+    tau = cached_property(lambda self: self.rates[self.index])
+    den = cached_property(lambda self: self.mu2 + self.tau)
+    profile = cached_property(lambda self: np.ascontiguousarray(self.image.T))
 
     @cached_property
     def image(self) -> np.ndarray:
         # np.take keeps the table node-major (C order), as the sweep reads it
         return np.take(np.exp(-self.ngrid.nodes[:, None] * self.rates), self.index, axis=1)
-
-    @cached_property
-    def profile(self) -> np.ndarray:
-        return np.ascontiguousarray(self.image.T)
 
     @cached_property
     def scratch(self) -> _SweepScratch:
@@ -313,18 +343,6 @@ class _HeatPlan:
         """:func:`_residual_band` of the normal grid: only a step with interior data needs (and builds) it,
         and it refuses a grid of fewer than three nodes."""
         return _residual_band(self.ngrid)
-
-    def gather(self, modes: np.ndarray) -> _HeatPlan:
-        """The plan on the flat modes ``modes``, sorted: ``rates`` shared, every table its own.
-
-        The plan for the last ``modes`` is kept, so a trajectory whose support
-        settles builds its tables once.
-        """
-        last = vars(self).get("gathered")
-        if last is None or not np.array_equal(last[0], modes):
-            plan = _HeatPlan(self.mu2, self.ngrid, self.rates, self.index[modes])
-            last = vars(self)["gathered"] = (modes, plan)  # a frozen plan caches as cached_property does
-        return last[1]
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
@@ -356,42 +374,14 @@ def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
     return float(np.max(np.abs(res))) / scale
 
 
-def _active_modes(fspec: Optional[np.ndarray], gspec: np.ndarray) -> Optional[np.ndarray]:
-    """The modes where ``g`` or ``f`` (``None`` for zero) is nonzero, sorted; ``None`` if that is every mode.
-
-    ``gspec`` is flat and ``fspec`` holds one mode per row, ``(modes, M)``.
-    """
-    active = gspec != 0
-    if fspec is not None and not active.all():  # nonzero g on every mode decides without reading f
-        active |= np.any(fspec, axis=1)
-    return None if active.all() else np.flatnonzero(active)
-
-
 def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
-    """Heat problem with a dynamic boundary condition, per mode, on the modes its data reach.
+    """Heat problem with a dynamic boundary condition, per mode.
 
     Reduction: a Dirichlet interior solve absorbs ``f`` (``None`` for zero),
     its boundary flux corrects ``g``, the boundary multiplier produces the
     trace dynamics ``v``, and the heat kernel's Poisson lift extends ``v`` to
-    the half space.  The returned spectra are fresh arrays, shaped like the
-    data; the rest of the step's work goes to the plan's scratch.
-
-    The step works on flat spectra, one mode per row.  It is diagonal in the
-    modes, so a mode without data gives exactly zero.  When some mode has
-    none, the step runs on ``plan.gather`` of :func:`_active_modes` and
-    scatters the result into zero spectra; with every mode active it runs on
-    ``plan`` itself, with no gather or scatter.  The diagnostics are maxima,
-    so the active modes give them exactly.
+    the half space.  The rest of the step's work goes to the plan's scratch.
     """
-    shape, M, gspec = gspec.shape, plan.ngrid.M, gspec.ravel()
-    fspec = None if fspec is None else fspec.reshape(gspec.size, M)
-    index = _active_modes(fspec, gspec)
-    if index is not None:
-        ufull, vfull = np.zeros((gspec.size, M), dtype=complex), np.zeros(gspec.size, dtype=complex)
-        if index.size == 0:
-            return ufull.reshape(shape + (M,)), vfull.reshape(shape), {"interior": 0.0, "dynamic_bc": 0.0, "trace": 0.0}
-        plan, gspec = plan.gather(index), gspec[index]
-        fspec = None if fspec is None else fspec[index]
     u1spec, flux1 = (None, 0.0) if fspec is None else _green_sweep(fspec, plan)  # flux1 = du1/dxn at 0
     # line 1: the Poisson part solves the interior equation identically, so
     # only the quadrature interior solve contributes, checked by differences
@@ -405,27 +395,29 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
         uspec += u1spec
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
-    res2 = float(np.max(np.abs(plan.mu2 * vspec + plan.tau * vspec - flux1 - gspec)))
+    res2 = float(np.max(np.abs(plan.mu2 * vspec + plan.tau * vspec - flux1 - gspec), initial=0.0))
     # line 3: trace matching; the interior solve vanishes at the boundary exactly
-    res3 = float(np.max(np.abs(uspec[:, 0] - vspec)))
-    diags = {"interior": res1, "dynamic_bc": res2, "trace": res3}
-    if index is not None:
-        ufull[index], vfull[index] = uspec, vspec
-        uspec, vspec = ufull, vfull
-    return uspec.reshape(shape + (M,)), vspec.reshape(shape), diags
+    res3 = float(np.max(np.abs(uspec[:, 0] - vspec), initial=0.0))
+    return uspec, vspec, {"interior": res1, "dynamic_bc": res2, "trace": res3}
 
 
-class _CHPlan(NamedTuple):
+@dataclass(eq=False, repr=False)
+class _CHPlan(_RadialPlan):
+    """The boundary symbol's numerator and denominator, ``nums`` and ``dens`` per representative."""
+
     mu2: complex
-    num: np.ndarray
-    den: np.ndarray
+    nums: np.ndarray  # (K,)
+    dens: np.ndarray  # (K,)
+    index: np.ndarray  # (modes,)
+
+    num = cached_property(lambda self: self.nums[self.index])
+    den = cached_property(lambda self: self.dens[self.index])
 
 
 def _ch_plan(problem: DynBCProblem, mu: complex) -> _CHPlan:
-    """The boundary symbol's numerator and denominator, evaluated per distinct ``|xi|^2`` and gathered."""
+    """The boundary symbol's numerator and denominator, evaluated per distinct ``|xi|^2``."""
     reps, inverse = problem.tangential.radial
-    num, den = _ch_symbol(_xi_sq(reps), mu)
-    return _CHPlan(mu * mu, num[inverse], den[inverse])
+    return _CHPlan(mu * mu, *_ch_symbol(_xi_sq(reps), mu), np.ravel(inverse))
 
 
 def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -433,36 +425,45 @@ def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], 
 
     The bulk stays zero, so no bulk spectrum is returned (``None``).
     """
-    mu2, num, den = plan
+    mu2, num, den = plan.mu2, plan.num, plan.den
     vspec = num / den * gspec / mu2
     # denominator-cleared per-mode residual of the boundary dynamics line
     rhs = num * gspec
-    scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    res = float(np.max(np.abs(den * mu2 * vspec - rhs))) / scale
+    scale = max(float(np.max(np.abs(rhs), initial=0.0)), 1e-30)
+    res = float(np.max(np.abs(den * mu2 * vspec - rhs), initial=0.0)) / scale
     return None, vspec, {"boundary_dynamics": res}
 
 
-class _KPPPlan(NamedTuple):
+@dataclass(eq=False, repr=False)
+class _KPPPlan(_RadialPlan):
+    """The road symbol ``dens``, ``roots``, ``|xi|^2`` and ``kpp_kernel(d)``'s decay ``rates`` per representative.
+
+    Per mode: ``den``, ``root``, ``freq_norm_sq``, the kernel profile ``exp(-rate x_n)`` at the normal nodes (the
+    Poisson lift of a unit trace), and its Robin derivative, ``d_n`` at 0, ``dn = -rate``.
+    """
+
     mu2: complex
-    den: np.ndarray
-    root: np.ndarray
-    profile: np.ndarray  # kpp_kernel(d) profile: the Poisson lift of a unit trace
-    dn: np.ndarray  # d_n of the unit-trace profile at 0
+    ngrid: NormalGrid
+    dens: np.ndarray  # (K,)
+    roots: np.ndarray  # (K,)
+    rates: np.ndarray  # (K,)
+    sq_norms: np.ndarray  # (K,) |xi|^2
+    index: np.ndarray  # (modes,)
+
+    den = cached_property(lambda self: self.dens[self.index])
+    root = cached_property(lambda self: self.roots[self.index])
+    freq_norm_sq = cached_property(lambda self: self.sq_norms[self.index])
+    dn = cached_property(lambda self: -self.rates[self.index])
+    profile = cached_property(lambda self: np.exp(-self.rates[:, None] * self.ngrid.nodes)[self.index])
 
 
 def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
-    """The road symbol and the bulk kernel ``exp(-rate x_n)`` of ``kpp_kernel(d)``, from one read of its ``rate``.
-
-    Both are evaluated per distinct ``|xi|^2`` and gathered: the profile is
-    the kernel at the normal nodes, and the Robin derivative is its ``d_n``
-    at 0, ``-rate``.
-    """
+    """The road symbol and ``kpp_kernel(d)``'s decay rate, from one read of its ``rate``, per distinct ``|xi|^2``."""
     reps, inverse = problem.tangential.radial
-    mu2 = mu * mu
-    den, root = _road_symbol(_xi_sq(reps), mu2, problem.d, problem.dprime, problem.kcoef)
+    mu2, sq_norms = mu * mu, _xi_sq(reps)
+    den, root = _road_symbol(sq_norms, mu2, problem.d, problem.dprime, problem.kcoef)
     rate = kpp_kernel(problem.d).rate(reps, mu)
-    profile = np.exp(-rate[:, None] * problem.normal.nodes)
-    return _KPPPlan(mu2, den[inverse], root[inverse], profile[inverse], -rate[inverse])
+    return _KPPPlan(mu2, problem.normal, den, root, rate, sq_norms, np.ravel(inverse))
 
 
 def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -473,22 +474,21 @@ def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray]
     is the Poisson lift of its trace through ``kpp_kernel(d)``.
     """
     d, dprime, kcoef = problem.d, problem.dprime, problem.kcoef
-    mu2, den, root = plan.mu2, plan.den, plan.root
-    s = problem.tangential.freq_norm_sq
+    mu2, den, root, s = plan.mu2, plan.den, plan.root, plan.freq_norm_sq
 
     trace_spec = kcoef / den * gspec
     vspec = root / den * gspec
-    uspec = plan.profile * trace_spec[..., None]
+    uspec = plan.profile * trace_spec[:, None]
 
     # two-by-two system rows and the Robin transmission line, per mode
     row1 = -trace_spec + (mu2 + kcoef + dprime * s) * vspec - gspec
     row2 = root * trace_spec - kcoef * vspec
     robin = -d * plan.dn * trace_spec + trace_spec - kcoef * vspec
-    scale = max(float(np.max(np.abs(gspec))), 1e-30)
+    scale = max(float(np.max(np.abs(gspec), initial=0.0)), 1e-30)
     diags = {
-        "bulk_row": float(np.max(np.abs(row1))) / scale,
-        "road_row": float(np.max(np.abs(row2))) / scale,
-        "robin": float(np.max(np.abs(robin))) / scale,
+        "bulk_row": float(np.max(np.abs(row1), initial=0.0)) / scale,
+        "road_row": float(np.max(np.abs(row2), initial=0.0)) / scale,
+        "robin": float(np.max(np.abs(robin), initial=0.0)) / scale,
     }
     return uspec, vspec, diags
 
@@ -496,14 +496,13 @@ def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray]
 class _Variant(NamedTuple):
     """A model problem's step plan and spectral step.
 
-    ``plan(problem, mu)`` builds every table the step reads that depends on
-    the problem and ``mu`` only, once per resolvent or Euler trajectory.
-    ``step(problem, plan, fspec, gspec)`` returns ``(uspec, vspec,
-    diagnostics)``, with ``uspec`` ``None`` for a zero bulk; only a step that
-    ``reads_f`` is given interior data, and ``fspec`` ``None`` for zero data.
-    Per mode the step's boundary map is ``v-hat = b(xi, mu) g-hat / mu^2``
-    for the variant's boundary multiplier ``b``.  The returned spectra are
-    fresh arrays, which the caller may keep.
+    ``plan(problem, mu)`` builds the plan, once per resolvent or Euler
+    trajectory.  ``step(problem, plan, fspec, gspec)`` takes flat spectra, one
+    mode of the plan per row (``fspec`` ``None`` for zero, and given only to a
+    step that ``reads_f``), and returns fresh ``(uspec, vspec, diagnostics)``
+    of those shapes, ``uspec`` ``None`` for a zero bulk.  Per mode the
+    boundary map is ``v-hat = b(xi, mu) g-hat / mu^2`` for the variant's
+    boundary multiplier ``b``; a mode without data gives zeros.
     """
 
     plan: Callable
@@ -516,6 +515,43 @@ _VARIANTS = {
     "CahnHilliardBoundary": _Variant(_ch_plan, _ch_step),
     "KPPRoadField": _Variant(_kpp_plan, _kpp_step),
 }
+
+
+def _support_step(problem: DynBCProblem, plan: _RadialPlan, fspec: Optional[np.ndarray], gspec: np.ndarray,
+                  state: Optional[tuple] = None, invdt: float = 0.0, bulk: Optional[np.ndarray] = None):
+    """The variant's step, on the modes the state and the data reach, of ``invdt`` times the state plus the data.
+
+    A state is ``(support, u, v)``: sorted flat modes (``None`` for every mode) and the spectra's rows there,
+    ``u`` ``(S, M)`` (``None`` for a zero bulk) and ``v`` ``(S,)``; a resolvent has none.  ``bulk`` is a flat
+    ``(modes, M)`` buffer for the heat forcing.  The support grows by the modes where ``g`` or ``f`` (``None``
+    for zero) is nonzero, and the rows by a zero row for each.  The step runs on ``plan.gather(support)`` and
+    the data's rows there, or with every mode on ``plan`` itself, with no gather.  Returns the new state and
+    the step's ``(u, v, diagnostics)``.
+    """
+    variant, modes = _VARIANTS[problem.variant], gspec.size
+    gspec, fspec = gspec.reshape(modes), None if fspec is None else fspec.reshape(modes, -1)
+    support, u, v = (np.empty(0, dtype=np.intp), None, None) if state is None else state
+    if support is not None:
+        reach = gspec != 0
+        if fspec is not None:
+            reach |= np.any(fspec, axis=1)
+        reach[support] = False
+        new = np.flatnonzero(reach)
+        if new.size:
+            at = np.searchsorted(support, new)
+            support = np.insert(support, at, new)
+            u, v = (rows if rows is None else np.insert(rows, at, 0.0, axis=0) for rows in (u, v))
+        if support.size == modes:
+            support = None
+        else:
+            plan, gspec = plan.gather(support), gspec[support]
+            fspec = None if fspec is None else fspec[support]
+    if variant.reads_f and u is not None:
+        forcing = np.multiply(invdt, u, out=bulk[: len(u)])
+        fspec = forcing if fspec is None else np.add(fspec, forcing, out=fspec)
+    if v is not None:
+        gspec = invdt * v + gspec
+    return (support, u, v), variant.step(problem, plan, fspec, gspec)
 
 
 @dataclass(frozen=True)
@@ -547,13 +583,12 @@ def implicit_euler_evolve(
     their boundary subsystem (the road-field bulk is slaved to its trace).
     Data callables may be ``None`` for zero data.
 
-    The arguments are checked and the variant's plan is built here, once;
-    the returned iterator then yields each step's record as the step
-    completes.  The state ``(u-hat, v-hat)`` stays spectral between steps,
-    and the step-to-step change and the norms are its L^2 norms by
-    Plancherel.  Each record owns its spectra, fresh arrays that no later
+    The arguments are checked and the plan is built here, once; the returned
+    iterator then yields each step's record as the step completes.  The state
+    stays spectral, on its support (:func:`_support_step`; a given ``u0`` or
+    ``v0`` reaches every mode).  Each record owns its rows, which no later
     step writes; the trajectory's one bulk buffer takes the heat forcing
-    ``u-hat / dt`` on the way into a step and the bulk change on the way out.
+    ``u-hat / dt`` and the bulk change.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf):
         raise ValueError(f"step size and horizon must be positive and finite, got dt={dt!r}, T={T!r}")
@@ -561,32 +596,28 @@ def implicit_euler_evolve(
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("step size must divide the horizon")
     problem._require_grids(u0, v0)
-    grid = problem.tangential
-    variant = _VARIANTS[problem.variant]
-    plan = variant.plan(problem, problem.sector.require(1.0 / math.sqrt(dt)))
-    invdt = 1.0 / dt
+    grid, M = problem.tangential, problem.normal.M
+    plan = _VARIANTS[problem.variant].plan(problem, problem.sector.require(1.0 / math.sqrt(dt)))
+    invdt, modes = 1.0 / dt, math.prod(grid.shape)
 
-    def steps(uhat: Optional[np.ndarray], vhat: np.ndarray) -> Iterator[EvolveRecord]:
+    def steps(state: Optional[tuple]) -> Iterator[EvolveRecord]:
         zero_g = BoundaryField.zero(grid)
-        bulk = np.empty(grid.shape + (problem.normal.M,), dtype=complex)
+        bulk = np.empty((modes, M), dtype=complex)
         for m in range(1, nsteps + 1):
             t = m * dt
             fdat = f_of_t(t) if f_of_t is not None else None
             gdat = g_of_t(t) if g_of_t is not None else zero_g
-            fspec, gspec = problem._spectra(fdat, gdat)
-            if variant.reads_f and uhat is not None:
-                forcing = np.multiply(invdt, uhat, out=bulk)
-                fspec = forcing if fspec is None else np.add(fspec, forcing, out=fspec)
-            uspec, vspec, diags = variant.step(problem, plan, fspec, invdt * vhat + gspec)
-            # a None bulk is zero: the change is then the other state's bulk
-            du = uhat if uspec is None else uspec if uhat is None else np.subtract(uspec, uhat, out=bulk)
-            delta = _l2(problem, du, vspec - vhat)
-            yield EvolveRecord(problem, uspec, vspec, diags, t=t, delta=delta)
-            uhat, vhat = uspec, vspec
+            state, (u, v, diags) = _support_step(problem, plan, *problem._spectra(fdat, gdat), state, invdt, bulk)
+            support, uhat, vhat = state
+            # a None spectrum is zero: the change is then the other state's spectrum, up to its sign
+            du = uhat if u is None else u if uhat is None else np.subtract(u, uhat, out=bulk[: len(u)])
+            delta = _l2(problem, du, v if vhat is None else v - vhat)
+            yield EvolveRecord(problem, u, v, diags, support=support, t=t, delta=delta)
+            state = support, u, v
 
-    uhat = None if u0 is None else _tfft(u0.samples, grid.dim)
-    vhat = np.zeros(grid.shape, dtype=complex) if v0 is None else _tfft(v0.samples, grid.dim)
-    return steps(uhat, vhat)
+    uhat = None if u0 is None else _tfft(u0.samples, grid.dim).reshape(modes, M)
+    vhat = None if v0 is None else _tfft(v0.samples, grid.dim).reshape(modes)
+    return steps(None if u0 is None and v0 is None else (None, uhat, vhat))
 
 
 # road lattice rays: z just off the real axis, mu spread over the sector's half-angle 0.45 pi
@@ -683,6 +714,6 @@ def boundary_symbol_gain(problem: DynBCProblem, mu: complex, shift: float = 0.0)
     mu = problem.sector.require(mu)
     mu_eff = problem.sector.require(np.sqrt(mu * mu + shift))
     variant = _VARIANTS[problem.variant]
-    ones = np.ones(problem.tangential.shape, dtype=complex)
+    ones = np.ones(math.prod(problem.tangential.shape), dtype=complex)
     _, vspec, _ = variant.step(problem, variant.plan(problem, mu_eff), None, ones)
     return float(np.max(np.abs(vspec)))

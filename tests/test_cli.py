@@ -381,6 +381,21 @@ def test_evolve_on_two_normal_nodes_is_a_usage_error(tmp_path, capsys):
     assert "at least three normal nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        # r^(M - 1) overflows at the default grading r = 1.05
+        (["--problem", "ch", "--grid-M", "20000", "--grid-N", "2"], "M=20000, r=1.05"),
+        # the cell (L/N)^dim overflows
+        (["--problem", "kpp", "--grid-dim", "2", "--grid-L", "1e300", "--grid-N", "2"], "L=1e+300, N=2, dim=2"),
+    ],
+    ids=["normal-nodes", "tangential-cell"],
+)
+def test_grids_that_overflow_are_usage_errors(tmp_path, capsys, argv, values):
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == 2
+    assert values in capsys.readouterr().err
+
+
 def test_evolve_overflow_is_a_usage_error_with_warnings_as_errors(tmp_path, capsys):
     # in process, under the suite's error::RuntimeWarning filter: the overflow of
     # a squared norm is left to the record, which refuses it with exit 2

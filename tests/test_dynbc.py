@@ -5,14 +5,14 @@ import cmath
 import math
 import tracemalloc
 from collections.abc import Iterator
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from norm_reference import transposed_view
+from norm_reference import reversed_view, transposed_view
 from poissonops import dynbc
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Sector, SectorError, make_grids
 from poissonops.dynbc import (
@@ -279,24 +279,25 @@ def test_heat_plan_lifts_through_its_image_table(dim, N, M, mu):
 @pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j])
 @pytest.mark.parametrize("d", [1.0, 2.5])
 def test_kpp_plan_reads_its_kernel_per_mode_bits(dim, N, M, L, mu, d):
-    # the road symbol, the profile and the Robin derivative are evaluated per
-    # distinct |xi|^2 and gathered: each mode gets exactly its own value
+    # the road symbol, |xi|^2, the profile and the Robin derivative are evaluated per
+    # distinct |xi|^2 and gathered: each mode, one per row, gets exactly its own value
     tg, ng = make_grids(dim=dim, N=N, M=M, L=L)
     plan = dynbc._kpp_plan(DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=0.3, kcoef=4.0), mu)
-    kern = kpp_kernel(d)
-    assert np.array_equal(plan.dn, kern.func(tg.freq_vectors, mu, 0.0, 1))
-    assert np.array_equal(plan.profile, kern.func(tg.freq_vectors[..., None, :], mu, ng.nodes))
-    den, root = _road_symbol(tg.freq_norm_sq, mu * mu, d, 0.3, 4.0)
+    kern, xi, xi_sq = kpp_kernel(d), tg.freq_vectors.reshape(-1, dim), tg.freq_norm_sq.ravel()
+    assert np.array_equal(plan.dn, kern.func(xi, mu, 0.0, 1))
+    assert np.array_equal(plan.profile, kern.func(xi[:, None, :], mu, ng.nodes))
+    den, root = _road_symbol(xi_sq, mu * mu, d, 0.3, 4.0)
     assert np.array_equal(plan.den, den) and np.array_equal(plan.root, root)
+    assert np.array_equal(plan.freq_norm_sq, xi_sq)
 
 
 @pytest.mark.parametrize("dim, N, L", [(1, 64, 2.0 * math.pi), (2, 16, 3.0), (3, 4, 2.0 * math.pi)])
 @pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.3 - 0.2j])
 def test_ch_plan_reads_its_symbol_per_mode_bits(dim, N, L, mu):
-    # the boundary symbol is evaluated per distinct |xi|^2 and gathered
+    # the boundary symbol is evaluated per distinct |xi|^2 and gathered, one mode per entry
     tg, ng = make_grids(dim=dim, N=N, M=8, L=L)
     plan = dynbc._ch_plan(DynBCProblem("CahnHilliardBoundary", tg, ng), mu)
-    num, den = _ch_symbol(tg.freq_norm_sq, mu)
+    num, den = _ch_symbol(tg.freq_norm_sq.ravel(), mu)
     assert np.array_equal(plan.num, num) and np.array_equal(plan.den, den)
 
 
@@ -544,8 +545,9 @@ def test_record_norms_do_not_follow_the_state_layout(monkeypatch, variant, relay
 
     def relaid(*args):
         uspec, vspec, diags = entry.step(*args)
-        uspec, vspec = None if uspec is None else relayout(uspec), relayout(vspec)
-        assert not vspec.flags.c_contiguous
+        # the step returns one mode per row: the bulk rows take the drawn layout, the 1-d boundary rows run backwards
+        uspec, vspec = None if uspec is None else relayout(uspec), reversed_view(vspec)
+        assert not vspec.flags.c_contiguous and (uspec is None or not uspec.flags.c_contiguous)
         return uspec, vspec, diags
 
     monkeypatch.setitem(_VARIANTS, variant, entry._replace(step=relaid))
@@ -703,6 +705,13 @@ def _masked_noise(rng, mask, shape):
     return values * mask.reshape(mask.shape + (1,) * (len(shape) - mask.ndim))
 
 
+def _representatives(plan):
+    """Every array of a plan held per ``grid.radial`` representative: its array fields but ``index``."""
+    return [getattr(plan, f.name) for f in fields(plan)
+            if f.name != "index" and isinstance(getattr(plan, f.name), np.ndarray)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
@@ -714,11 +723,12 @@ def _masked_noise(rng, mask, shape):
     with_v0=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_heat_step_on_its_active_modes_equals_the_full_step(
-    dim, M, support, g_on_all, with_f, with_u0, with_v0, seed
+def test_steps_on_their_support_equal_the_full_step(
+    variant, dim, M, support, g_on_all, with_f, with_u0, with_v0, seed
 ):
-    # the step on the plan gathered to the modes its data reach against the step on every mode: the same
-    # spectra, norms, changes and diagnostics; the data enter as their own spectra, so their supports are exact
+    # a trajectory on its support, the modes its state and its data reach, against the same trajectory forced
+    # onto every mode: the same spectra, norms, changes and diagnostics; the data enter as their own spectra,
+    # so their supports are exact.  The supports drawn include the empty one, one mode, and one that grows
     tg, ng = make_grids(dim=dim, N=8, M=M, X_max=4.0)
     modes = tg.shape[0] ** dim
     rng = np.random.default_rng(seed)
@@ -731,18 +741,21 @@ def test_heat_step_on_its_active_modes_equals_the_full_step(
 
     def reach():
         # each datum reaches part of the drawn support, so f may reach a mode g does not
-        return (drawn & (rng.random(modes) < 0.7)).reshape(tg.shape)
+        return drawn & (rng.random(modes) < 0.7)
 
     bulk_shape = tg.shape + (ng.M,)
-    g1 = BoundaryField(tg, _masked_noise(rng, drawn.reshape(tg.shape) if g_on_all else reach(), tg.shape))
-    g2 = BoundaryField(tg, _masked_noise(rng, reach(), tg.shape))  # from the second step: the support may grow
-    f1 = _masked_noise(rng, reach(), bulk_shape)
-    u0 = HalfSpaceField(tg, ng, _masked_noise(rng, reach(), bulk_shape)) if with_u0 else None
-    v0 = BoundaryField(tg, _masked_noise(rng, reach(), tg.shape)) if with_v0 else None
+    reach_g1 = drawn if g_on_all else reach()
+    reach_g2, reach_f = reach(), reach()  # g2 from the second step: the support may grow
+    g1 = BoundaryField(tg, _masked_noise(rng, reach_g1.reshape(tg.shape), tg.shape))
+    g2 = BoundaryField(tg, _masked_noise(rng, reach_g2.reshape(tg.shape), tg.shape))
+    f1 = _masked_noise(rng, reach_f.reshape(tg.shape), bulk_shape)
+    u0 = HalfSpaceField(tg, ng, _masked_noise(rng, reach().reshape(tg.shape), bulk_shape)) if with_u0 else None
+    v0 = BoundaryField(tg, _masked_noise(rng, reach().reshape(tg.shape), tg.shape)) if with_v0 else None
+    with_f = with_f and _VARIANTS[variant].reads_f  # the other variants take no interior data
     f_of_t = (lambda t: HalfSpaceField(tg, ng, t * f1)) if with_f else None
     g_of_t = lambda t: g1 if t < 0.2 else g2
     plans = []
-    entry = _VARIANTS["HeatDynBC"]
+    entry = _VARIANTS[variant]
 
     def kept(problem, mu):
         plans.append(entry.plan(problem, mu))
@@ -751,29 +764,44 @@ def test_heat_step_on_its_active_modes_equals_the_full_step(
     def run(full):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynbc, "_tfft", lambda samples, dim: np.array(samples, dtype=complex))
-            mp.setitem(_VARIANTS, "HeatDynBC", entry._replace(plan=kept))
-            if full:
-                mp.setattr(dynbc, "_active_modes", lambda fspec, gspec: None)
-            prob = DynBCProblem("HeatDynBC", tg, ng)
-            return list(implicit_euler_evolve(prob, f_of_t, g_of_t, 0.125, 0.375, u0=u0, v0=v0))
+            mp.setitem(_VARIANTS, variant, entry._replace(plan=kept))
+            prob = DynBCProblem(variant, tg, ng)
+            # a given initial state is taken to reach every mode: a zero v0 forces the full path
+            start = BoundaryField.zero(tg) if full and v0 is None else v0
+            return list(implicit_euler_evolve(prob, f_of_t, g_of_t, 0.125, 0.375, u0=u0, v0=start))
 
     full, restricted = run(True), run(False)
     plan = plans[-1]
-    for a, b in zip(full, restricted, strict=True):
+    # the support is the union of the modes reached so far, None once that is every mode
+    reached, supports = np.full(modes, with_u0 or with_v0), []
+    for g_reach in (reach_g1, reach_g2, reach_g2):
+        reached |= g_reach | (reach_f & with_f)
+        supports.append(None if reached.all() else np.flatnonzero(reached))
+    for a, b, want in zip(full, restricted, supports, strict=True):
+        assert a.support is None
+        assert (b.support is None) if want is None else np.array_equal(b.support, want)
         assert np.array_equal(a.uspec, b.uspec) and np.array_equal(a.vspec, b.vspec)
-        assert (a.boundary_norm, a.interior_norm, a.delta) == (b.boundary_norm, b.interior_norm, b.delta)
-        assert a.diagnostics == b.diagnostics
-    # a step whose solution reaches some modes but not all ran on the plan gathered to exactly those
-    # modes, one alone included: the last such step's plan is the one kept
-    reached = [np.flatnonzero(np.any(rec.uspec.reshape(modes, -1), axis=1)) for rec in restricted]
-    partial = [r for r in reached if 0 < r.size < modes]
+        assert a.interior_norm == b.interior_norm and a.diagnostics == b.diagnostics
+        # the boundary sum is one pairwise sum over the modes or over the support's rows: on more than one
+        # mode its grouping differs, by at most the rounding of 2 * modes terms
+        if want is None or want.size <= 1:
+            assert (a.boundary_norm, a.delta) == (b.boundary_norm, b.delta)
+        else:
+            assert b.boundary_norm == pytest.approx(a.boundary_norm, rel=2 * modes * 2.0**-53, abs=0.0)
+            assert b.delta == pytest.approx(a.delta, rel=2 * modes * 2.0**-53, abs=0.0)
+    # a step on part of the modes ran on the plan gathered to its support, over just the representatives the
+    # support reads (one alone for one mode): the last such step's plan is the one kept
+    partial = [want for want in supports if want is not None]
     assert ("gathered" in vars(plan)) == bool(partial)
     if partial:
         kept_modes, gathered = vars(plan)["gathered"]
-        assert np.array_equal(kept_modes, partial[-1]) and gathered.index.size == partial[-1].size
-        assert np.array_equal(gathered.index, plan.index[partial[-1]])
+        assert np.array_equal(kept_modes, partial[-1])
+        assert np.array_equal(gathered.den, plan.den[partial[-1]])
+        read = np.unique(plan.index[partial[-1]]).size
+        assert all(values.size == read for values in _representatives(gathered))
     tables = list(_plan_arrays(plan))
-    assert not any(np.shares_memory(a, t) for rec in restricted for a in (rec.uspec, rec.vspec) for t in tables)
+    owned = [a for rec in restricted for a in (rec.urows, rec.vrows) if a is not None]
+    assert not any(np.shares_memory(a, t) for a in owned for t in tables)
 
 
 def test_heat_step_allocates_only_its_new_state():
@@ -800,6 +828,30 @@ def test_heat_step_allocates_only_its_new_state():
         tracemalloc.stop()
     assert rec.diagnostics["interior"] > 0.0  # the steps measured had interior data
     assert max(peaks) <= 1.5 * bulk + 64 * modes * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("variant", ["HeatDynBC", "KPPRoadField"])
+def test_a_step_on_one_mode_allocates_a_fraction_of_a_bulk(variant):
+    # constant boundary data reach one mode of the default grid: past the first two steps, which gather
+    # the plan to it and build its sweep, a step's forcing, change, norms and new state are that mode's
+    # rows, not a bulk
+    tg, ng = make_grids()
+    bulk = tg.shape[0] * ng.M * np.dtype(complex).itemsize
+    steps = implicit_euler_evolve(DynBCProblem(variant, tg, ng), None, lambda t: _const_boundary(tg), 0.01, 0.05)
+    rec = next(steps)
+    rec = next(steps)
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rec = next(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert rec.interior_norm > 0.0
+    assert max(peaks) < bulk / 10
 
 
 def test_evolve_zero_data_stays_zero():

@@ -4,10 +4,11 @@ one builder for the decay and constant kernels, one resolvent path, one solution
 norm engine, one evaluator of a kernel's normal derivatives, radial kernels evaluated per
 distinct |xi|^2, radial products gathered to the modes only for a tangential q other than 2,
 sign sums without per-trial contractions, an Euler step loop that allocates no bulk, one
-kernel rescaling, a kpp plan from one decay rate, a heat plan that is its decay rates, no
-threads, processes or environment reads, a CLI that checks its configs without jsonschema,
-no public pass-through, random draws from one seed tree, and one artifact writer and one
-config echo in the CLI."""
+kernel rescaling, a kpp plan from one decay rate, a heat plan that is its decay rates, a
+step's support found and its rows scattered in one place each, no threads, processes or
+environment reads, a CLI that checks its configs without jsonschema, no public
+pass-through, random draws from one seed tree, and one artifact writer and one config echo
+in the CLI."""
 from __future__ import annotations
 
 import ast
@@ -269,7 +270,7 @@ def test_the_heat_plan_derives_each_table_once():
     plan_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_HeatPlan")
     fields = [n.target.id for n in plan_class.body if isinstance(n, ast.AnnAssign)]
     assert fields == ["mu2", "ngrid", "rates", "index"]
-    for builder in (_function(tree, "_heat_plan"), _function(plan_class, "gather")):
+    for builder in (_function(tree, "_heat_plan"), _function(tree, "gather")):
         assert _called_names(builder) & {"exp", "take", "ascontiguousarray"} == set()
     # the sweep reads its flux off the backward recursion, not from a second pass
     assert _call_count(_function(tree, "_green_sweep"), "sum") == 0
@@ -381,6 +382,26 @@ def test_the_euler_step_loop_allocates_no_bulk():
     assert _called_names(loop) & {"normal_derivative", "zeros"} == set()
     assert "zeros" not in _called_names(_function(tree, "_spectra"))
     assert "normal_derivative" not in _called_names(tree)
+
+
+def test_the_support_is_found_and_scattered_in_one_place_each():
+    # the modes the data reach are found only by the support helper, the support's rows are scattered
+    # into full spectra only by their record, the heat step neither zero-fills spectra nor scans for
+    # its modes, and the kpp step reads |xi|^2 from its plan, not from the grid
+    tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
+    finds = lambda call: (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) == "flatnonzero"
+    assert _call_sites(tree, finds) == {"_support_step"}
+    scatters = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Assign)
+        and not isinstance(node.value, ast.Constant)
+        and any(isinstance(t, ast.Subscript) and isinstance(t.slice, (ast.Name, ast.Attribute)) for t in node.targets)
+    }
+    assert scatters == {"ResolventOutput"}
+    assert _called_names(_function(tree, "_heat_step")) & {"zeros", "_active_modes"} == set()
+    assert "tangential" not in _identifiers(_function(tree, "_kpp_step"))
 
 
 def _squared_moduli(tree: ast.Module) -> set[str]:

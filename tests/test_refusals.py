@@ -28,6 +28,10 @@ REFUSALS = [
     pytest.param(lambda: TangentialGrid(1, 8, math.inf), "L must be positive and finite", id="grid-side-inf"),
     pytest.param(lambda: NormalGrid(8, X_max=math.inf), "X_max must be positive and finite", id="normal-extent-inf"),
     pytest.param(lambda: NormalGrid(8, r=math.inf), "grading ratio must exceed 1 and be finite", id="grading-inf"),
+    # at r = 1.05 the first spacings reach the subnormals from M = 14,492, where two nodes coincide
+    pytest.param(lambda: NormalGrid(14_492), "not strictly increasing at M=14492", id="normal-nodes-collapse"),
+    pytest.param(lambda: NormalGrid(3, r=1e300), "overflow", id="normal-nodes-overflow"),
+    pytest.param(lambda: TangentialGrid(3, 2, 1e-300), "got 0.0 at L=1e-300", id="grid-cell-underflow"),
     pytest.param(lambda: weak_lp_norm([1.0], [1.0], 0.5), "need p >= 1", id="weak-lp-exponent"),
     pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), -1), "nonnegative", id="derivative-order"),
     pytest.param(lambda: RademacherSampler(seed=0).unit(0), "at least 1", id="sampler-count"),
