@@ -99,15 +99,17 @@ class DynBCProblem:
         if off_grid or (v is not None and v.grid != self.tangential):
             raise ValueError("data must live on the problem's grids")
 
-    def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField) -> tuple:
+    def _spectra(self, f: Optional[HalfSpaceField], g: BoundaryField, gspec: Optional[np.ndarray] = None) -> tuple:
         """Spectra of the data the variant reads, after one check of their grids.
 
         ``fspec`` is ``None`` for an absent ``f``, and for a variant without
-        interior data, which must then be absent or zero.
+        interior data, which must then be absent or zero.  A given ``gspec``
+        is taken as ``g``'s spectrum, not transformed again.
         """
         self._require_grids(f, g)
         dim = self.tangential.dim
-        gspec = _tfft(g.samples, dim)
+        if gspec is None:
+            gspec = _tfft(g.samples, dim)
         if f is None:
             return None, gspec
         if not _VARIANTS[self.variant].reads_f:
@@ -196,18 +198,36 @@ def _l2(problem: DynBCProblem, uspec: Optional[np.ndarray], vspec: Optional[np.n
 
 
 class _SweepScratch(NamedTuple):
-    """The stacked decay table of :func:`_green_sweep` and the scratch every sweep overwrites.
+    """The tables of :func:`_green_sweep`'s blocked recursion and the scratch every sweep overwrites.
 
-    ``decay[i, 0]`` is ``exp(-tau (x_{i+1} - x_i))`` and ``decay[i, 1]`` the
-    same over the reversed nodes, ``decay[M - 2 - i, 0]``.  The accumulator
-    ``acc``, the row temporary ``row`` and the node-major solution ``u`` are
-    scratch; ``chain`` holds the recursion's ``(acc[i], acc[i + 1], decay[i])``
-    views, made once.
+    The nodes are cut into ``nb = ceil(M / B)`` blocks of ``B = plan.block``;
+    the padded node axis has ``nb B`` entries, the last block's pad holding
+    zero links.  ``decay[i, 0]`` is ``exp(-tau (x_{i+1} - x_i))`` and
+    ``decay[i, 1]`` the same over the reversed nodes, ``decay[M - 2 - i, 0]``:
+    a view of the padded link table.  ``products[k - 1, j]`` is the product of
+    the ``j + 1`` links from the last node of block ``k - 1`` to node ``j`` of
+    block ``k``, taken by one ``multiply.accumulate`` over the link table.  The
+    accumulator ``acc`` is the first ``M`` nodes of a padded, contiguous
+    buffer; it and the node-major solution ``u`` are scratch.  ``chain`` holds
+    every step of the recursion as ``(prev, cur, factor, out)`` views, made
+    once, run as ``cur += factor * prev`` with the product in ``out``: the
+    ``B - 1`` steps within every block at once, the ``nb - 1`` carries of the
+    block ends, and one fix-up per row, which adds each block's incoming carry
+    times its products into the block, with ``u`` as the product's scratch.
+
+    One block (``B = M``) is the per-node loop, operation for operation.  More
+    blocks sum the same terms ``E_{j..i} c_j`` in another grouping, each link
+    product formed from the partial products of the blocks it spans, with a
+    few roundings per link either way.  The links have modulus at most one,
+    so at node ``i`` each evaluation is within about ``2 M`` units of
+    roundoff of the sum of the moduli ``|E_{j..i}| |c_j|``, and the two within
+    twice that of each other; on the Euler gate's deep grid (M = 1024,
+    blocks of 16) they differ by about 1e-15 relative.
     """
 
     decay: np.ndarray  # (M - 1, 2, modes)
+    products: np.ndarray  # (nb - 1, B, 2, modes)
     acc: np.ndarray  # (M, 2, modes)
-    row: np.ndarray  # (2, modes)
     u: np.ndarray  # (M, modes)
     chain: list
 
@@ -220,8 +240,8 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     solution samples, shaped like ``fspec``, and the flux
     ``sum_j exp(-tau y_j) w_j f_j``, one entry per mode.  The solution is a
     view of the plan's node-major scratch ``u``: the next sweep on the same
-    plan overwrites it.  Apart from the flux (and the decay table and
-    scratch on a first sweep), the sweep creates no array.
+    plan overwrites it.  Apart from the flux (and the tables and scratch on a
+    first sweep), the sweep creates no array.
 
     Per mode the solution of ``(tau^2 - d^2/dx^2) u = f, u(0) = 0`` bounded at
     infinity is the integral of the reflected kernel
@@ -234,22 +254,34 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     ``B_i = exp(-tau (x_{i+1} - x_i)) (B_{i+1} + w_{i+1} f_{i+1})`` covers
     ``y > x``.  The backward accumulator also holds its own node, so at
     ``x_0 = 0`` it is the flux, ``B_0 + w_0 f_0``; the image, the rank-one
-    term ``exp(-tau x_i)`` times the flux, is subtracted after the loop.
+    term ``exp(-tau x_i)`` times the flux, is subtracted after the recursion.
     The boundary node is set to zero exactly.  The backward recursion is the
-    forward one over the reversed nodes, so one loop runs both on a stacked
-    pair of rows, with the stacked decay table built once, on the first
-    sweep, by ``_HeatPlan.scratch``.  The sweep is elementwise per mode.
+    forward one over the reversed nodes, so one recursion runs both on a
+    stacked pair of rows.  The sweep is elementwise per mode.
+
+    The recursion ``x_{i+1} = E_i x_i + c_{i+1}`` is a chunked linear
+    recurrence scan (Kogge & Stone, IEEE Trans. Comput. C-22, 1973; Blelloch,
+    CMU-CS-90-190, 1990) over blocks of ``plan.block`` nodes: it runs inside
+    every block at once, carries the block ends across the blocks, and adds
+    each block's carry times the plan's within-block link products
+    (:class:`_SweepScratch`, which also bounds the rounding).  That takes
+    ``B + ceil(M / B)`` Python steps in place of ``M - 1``, which pays where
+    the step's fixed cost dominates: on grids of few modes and many nodes.
+    ``_heat_plan`` fixes ``B`` from the grid, never from the modes a sweep
+    runs on, so a trajectory on its support keeps the bits of the same
+    trajectory on every mode; grids of many modes keep one block, the per-node
+    loop, whose bits do not depend on ``B``.
     """
     ngrid, tau, image = plan.ngrid, plan.tau, plan.image
-    decay, acc, row, u, chain = plan.scratch
+    decay, _, acc, u, chain = plan.scratch
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
     # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
     # both are filled from u: numpy copies an operand that shares acc's memory bounds
     fwd, bwd = acc[:, 0], acc[::-1, 1]
     np.multiply(fspec.reshape(tau.size, ngrid.M).T, ngrid.weights[:, None], out=u)
     fwd[...], bwd[...] = u, u
-    for prev, cur, factor in chain:
-        cur += np.multiply(factor, prev, row)  # out as a positional: the loop runs per node
+    for prev, cur, factor, out in chain:
+        cur += np.multiply(factor, prev, out)  # out as a positional: the loop runs per step
     flux = bwd[0].copy()  # the flux, out of the scratch the next sweep overwrites
     np.subtract(fwd, np.multiply(image, flux, out=u), out=u)
     # decay[i, 0] * bwd[i + 1] for i < M - 1, formed in node order: decay[:, 1] is decay[::-1, 0]
@@ -317,6 +349,7 @@ class _HeatPlan(_RadialPlan):
 
     mu2: complex
     ngrid: NormalGrid
+    block: int  # the Green sweep's block length, fixed by the grid
     rates: np.ndarray  # (K,)
     index: np.ndarray  # (modes,)
 
@@ -331,12 +364,23 @@ class _HeatPlan(_RadialPlan):
 
     @cached_property
     def scratch(self) -> _SweepScratch:
-        decay = np.take(np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates), self.index, axis=1)
-        decay = np.stack([decay, decay[::-1]], axis=1)
-        M, modes = self.ngrid.M, self.index.size
-        acc = np.empty((M, 2, modes), dtype=complex)
-        row, u = np.empty((2, modes), dtype=complex), np.empty((M, modes), dtype=complex)
-        return _SweepScratch(decay, acc, row, u, list(zip(acc[:-1], acc[1:], decay)))
+        M, B, modes = self.ngrid.M, self.block, self.index.size
+        nb = -(-M // B)
+        decay = np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates)
+        links = np.zeros((nb * B, 2, modes), dtype=decay.dtype)  # link i joins node i to i + 1
+        for r, table in enumerate((decay, decay[::-1])):  # mode clip: take fills out without a buffer
+            np.take(table, self.index, axis=1, out=links[: M - 1, r], mode="clip")
+        # block k's products run over the links from node k B - 1, the last node of block k - 1
+        products = np.multiply.accumulate(links[B - 1 : nb * B - 1].reshape(nb - 1, B, 2, modes), axis=1)
+        buf = np.zeros((nb * B, 2, modes), dtype=complex)  # the accumulator, padded to whole blocks
+        row, u = np.empty((nb, 2, modes), dtype=complex), np.empty((M, modes), dtype=complex)
+        blocks, factors, ends = buf.reshape(nb, B, 2, modes), links.reshape(nb, B, 2, modes), buf[B - 1 :: B]
+        chain = [(blocks[:, j - 1], blocks[:, j], factors[:, j - 1], row) for j in range(1, B)]
+        chain += [(ends[k - 1], ends[k], products[k - 1, B - 1], row[0]) for k in range(1, nb)]
+        if nb > 1:  # the fix-up, one row at a time: u is free scratch until the sweep's image term
+            spare = u.reshape(-1)[: (nb - 1) * (B - 1) * modes].reshape(nb - 1, B - 1, modes)
+            chain += [(ends[:-1, None, r], blocks[1:, : B - 1, r], products[:, : B - 1, r], spare) for r in (0, 1)]
+        return _SweepScratch(links[: M - 1], products, buf[:M], u, chain)
 
     @cached_property
     def residual(self) -> np.ndarray:
@@ -349,7 +393,11 @@ def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
     """The heat step's plan: ``heat_kernel``'s rate at ``grid.radial``'s representatives, and each mode's
     representative."""
     reps, inverse = problem.tangential.radial
-    return _HeatPlan(mu * mu, problem.normal, heat_kernel.rate(reps, mu), np.ravel(inverse))
+    M = problem.normal.M
+    # the sweep's blocks pay where its fixed cost per step outweighs the element work they add: on grids
+    # of at most 32 modes and at least 32 nodes (measured: at 64 modes they break even for M = 256 to 1024)
+    block = max(4, round(math.sqrt(M) / 2)) if inverse.size <= 32 <= M else M
+    return _HeatPlan(mu * mu, problem.normal, block, heat_kernel.rate(reps, mu), np.ravel(inverse))
 
 
 def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
@@ -588,7 +636,10 @@ def implicit_euler_evolve(
     stays spectral, on its support (:func:`_support_step`; a given ``u0`` or
     ``v0`` reaches every mode).  Each record owns its rows, which no later
     step writes; the trajectory's one bulk buffer takes the heat forcing
-    ``u-hat / dt`` and the bulk change.
+    ``u-hat / dt`` and the bulk change.  The boundary data are transformed
+    only when their samples differ, bit for bit, from the last step's, so data
+    constant in time, as the CLI's are, are transformed once; the kept
+    spectrum is read-only.
     """
     if not (0 < dt < math.inf and 0 < T < math.inf):
         raise ValueError(f"step size and horizon must be positive and finite, got dt={dt!r}, T={T!r}")
@@ -603,11 +654,16 @@ def implicit_euler_evolve(
     def steps(state: Optional[tuple]) -> Iterator[EvolveRecord]:
         zero_g = BoundaryField.zero(grid)
         bulk = np.empty((modes, M), dtype=complex)
+        kept = gspec = None  # the last boundary samples, as bytes, and their spectrum
         for m in range(1, nsteps + 1):
             t = m * dt
             fdat = f_of_t(t) if f_of_t is not None else None
             gdat = g_of_t(t) if g_of_t is not None else zero_g
-            state, (u, v, diags) = _support_step(problem, plan, *problem._spectra(fdat, gdat), state, invdt, bulk)
+            samples = gdat.samples.tobytes()  # a copy: samples written in place later differ from it
+            fspec, gspec = problem._spectra(fdat, gdat, gspec if samples == kept else None)
+            kept = samples
+            gspec.flags.writeable = False
+            state, (u, v, diags) = _support_step(problem, plan, fspec, gspec, state, invdt, bulk)
             support, uhat, vhat = state
             # a None spectrum is zero: the change is then the other state's spectrum, up to its sign
             du = uhat if u is None else u if uhat is None else np.subtract(u, uhat, out=bulk[: len(u)])

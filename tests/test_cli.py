@@ -2,19 +2,24 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
@@ -797,3 +802,97 @@ def test_a_number_entry_beyond_the_float_range_is_refused(tmp_path, capsys):
     cfg.write_text('{"mu": 1' + "0" * 400 + "}")
     assert main(["verify-symbol", "--kernel", "heat", "--N", "1", "--config", str(cfg)]) == 2
     assert "is not a finite number" in capsys.readouterr().err
+
+
+# the sizes of a drawn run: no run allocates more than a few MB
+_CAPS = {"grid_N": 16, "grid_M": 32, "mu_points": 6, "batch_size": 8, "trials": 6, "restarts": 2, "road_n": 20}
+
+
+def _finite_numbers(low=None, exclusive=False):
+    """Finite floats from ``low`` (excluded if ``exclusive``): hypothesis's own, or a signed power of ten
+    from 1e-323 to 1e308."""
+    decades = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.integers(-323, 308))
+    if low is not None:
+        decades = decades.filter(lambda v: v > low if exclusive else v >= low)
+    return st.floats(min_value=low, exclude_min=exclusive, allow_nan=False, allow_infinity=False) | decades
+
+
+def _valid_entry(key: str):
+    """Values of one key within ``CONFIG_SCHEMA``, the sizes under ``_CAPS``."""
+    prop = _PROPERTIES[key]
+    if "enum" in prop:
+        return st.sampled_from(prop["enum"])
+    if key == "grid_N":  # mostly powers of two, which the grid takes
+        return st.sampled_from([2, 4, 8, 16]) | st.integers(2, _CAPS[key])
+    if key in ("mu_points", "batch_size"):  # at the caps and at one now and then, so that scans fit their rows
+        return st.sampled_from([_CAPS[key], 1]) | st.integers(1, _CAPS[key])
+    kind = prop["type"]
+    if kind == "integer":
+        return st.integers(prop.get("minimum", 0), _CAPS.get(key, prop.get("maximum", 2**70)))
+    if kind == "number":
+        return _finite_numbers(prop.get("minimum", prop.get("exclusiveMinimum")), "exclusiveMinimum" in prop)
+    if kind == "array":
+        return st.lists(_finite_numbers(), min_size=1, max_size=3)
+    if kind == "boolean":
+        return st.booleans()
+    return st.sampled_from(["const", "zero", "mode1", "mode-1", "mode3", "mode-8", "sin"])  # g, the one free string
+
+
+@st.composite
+def _valid_runs(draw):
+    """A command and a value for every key it takes but ``out``, with at most ten Euler steps."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    keys = cli._COMMANDS[command].keys
+    cfg = {key: draw(_valid_entry(key)) for key in keys if key not in ("out", "T")}
+    if "T" in keys:  # T <= 10 dt, a whole multiple of dt now and then
+        cfg["T"] = cfg["dt"] * draw(st.integers(1, 10) | st.floats(0.0, 10.0, exclude_min=True))
+    return command, cfg
+
+
+def _argv_flags(cfg: dict) -> list[str]:
+    """Each entry as its flag, ``--key=value``, so that a value may begin with a minus sign."""
+    argv = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(map(repr, value))}")
+        else:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+def _artifacts(out: str) -> dict:
+    return {path.name: path.read_bytes() for path in Path(out).iterdir()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_valid_runs(), rerun=st.sampled_from([False, False, False, True]))
+# the grid overflows that once escaped main as OverflowError tracebacks
+@example(run=("solve", {"problem": "ch", "grid_N": 2, "grid_M": 3, "grid_r": 1e300}), rerun=False)
+@example(run=("solve", {"problem": "kpp", "grid_dim": 2, "grid_N": 2, "grid_L": 1e300}), rerun=False)
+def test_every_schema_valid_run_exits_0_1_or_2(run, rerun):
+    # a drawn run ends in exit 0, 1 or 2 and raises nothing; one that completes writes finite artifacts, and
+    # a rerun writes the same bytes.  As at the console, numpy's RuntimeWarnings stay
+    # warnings, which the suite makes errors (the nonfinite-step test runs a subprocess for the same reason);
+    # the runs' own output is dropped
+    command, cfg = run
+    with (
+        tempfile.TemporaryDirectory() as out,
+        warnings.catch_warnings(),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        argv = [command, *_argv_flags(cfg), f"--out={out}"]
+        code = main(argv)
+        first = _artifacts(out)
+        if rerun:
+            for path in Path(out).iterdir():
+                path.unlink()
+            assert main(argv) == code
+            assert _artifacts(out) == first
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert not re.findall(rb"\b(?:nan|inf|NaN|Infinity)\b", b"".join(first.values()))

@@ -9,7 +9,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from norm_reference import reversed_view, transposed_view
@@ -70,15 +70,19 @@ def test_dirichlet_resolvent_zero_data():
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
-    M=st.integers(2, 64),
+    # eight points a side, or two: few-mode grids of up to 1,100 nodes, which the sweep cuts into blocks from
+    # M = 32 on, the last block mostly ragged
+    N_M=st.tuples(st.just(8), st.integers(2, 64)) | st.tuples(st.just(2), st.integers(2, 1100)),
     r=st.floats(1.0005, 1.2),
     X_max=st.floats(0.5, 16.0),
     mu_abs=st.floats(0.1, 10.0),
     mu_arg=st.floats(-0.44 * math.pi, 0.44 * math.pi),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed):
-    tg, ng = make_grids(dim=dim, N=8, M=M, X_max=X_max, r=r)
+@example(dim=1, N_M=(2, 1001), r=1.0005, X_max=2.0, mu_abs=5.0, mu_arg=0.0, seed=0)  # blocks of 16, 9 in the last
+def test_green_sweep_matches_dense_kernel(dim, N_M, r, X_max, mu_abs, mu_arg, seed):
+    N, M = N_M
+    tg, ng = make_grids(dim=dim, N=N, M=M, X_max=X_max, r=r)
     mu = mu_abs * complex(math.cos(mu_arg), math.sin(mu_arg))
     plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), mu)
     tau = plan.tau.ravel()
@@ -86,15 +90,53 @@ def test_green_sweep_matches_dense_kernel(dim, M, r, X_max, mu_abs, mu_arg, seed
     f = rng.standard_normal((tau.size, M)) + 1j * rng.standard_normal((tau.size, M))
     u, flux = _green_sweep(f, plan)
 
-    # dense reflected-kernel trapezoid sum, O(modes * M^2)
-    x, t = ng.nodes, tau[:, None, None]
-    green = (np.exp(-t * np.abs(x[:, None] - x[None, :])) - np.exp(-t * (x[:, None] + x[None, :]))) / (2.0 * t)
-    want = np.einsum("myx,mx->my", green, f * ng.weights)
+    # dense reflected-kernel trapezoid sum, O(modes * M^2), a block of 128 rows at a time
+    x, t, fw = ng.nodes, tau[:, None, None], f * ng.weights
+    want = np.empty_like(u)
+    for lo in range(0, M, 128):
+        y = x[lo : lo + 128, None]
+        green = (np.exp(-t * np.abs(y - x)) - np.exp(-t * (y + x))) / (2.0 * t)
+        want[:, lo : lo + 128] = np.einsum("myx,mx->my", green, fw)
     assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.all(u[:, 0] == 0.0)
 
     terms = np.exp(-tau[:, None] * x) * ng.weights * f
     assert np.all(np.abs(flux.ravel() - terms.sum(axis=-1)) <= 1e-12 * np.abs(terms).sum(axis=-1))
+
+
+def _per_node_sweep(f, plan):
+    """The Green sweep with one recursion step per node: the stacked forward and reversed backward rows, each
+    step ``acc[i] += decay[i - 1] * acc[i - 1]``, then the image and the far side as the sweep adds them."""
+    ng, modes = plan.ngrid, plan.index.size
+    decay = np.exp(-np.diff(ng.nodes)[:, None] * plan.rates)[:, plan.index]
+    decay = np.stack([decay, decay[::-1]], axis=1)
+    acc = np.empty((ng.M, 2, modes), dtype=complex)
+    acc[:, 0] = acc[::-1, 1] = f.reshape(modes, ng.M).T * ng.weights[:, None]
+    for i in range(1, ng.M):
+        acc[i] += decay[i - 1] * acc[i - 1]
+    flux = acc[-1, 1].copy()
+    u = acc[:, 0] - plan.image * flux
+    u[:-1] += (decay[:, 1] * acc[:-1, 1])[::-1]
+    u /= 2.0 * plan.tau
+    u[0] = 0.0
+    return u.T.reshape(f.shape), flux
+
+
+@pytest.mark.parametrize(
+    "dim, N, M",
+    [(1, 64, 200), (2, 8, 97), (1, 256, 256), (1, 2, 31), (2, 2, 3)],
+    ids=["64-modes", "2d-64-modes", "default-grid", "31-nodes", "3-nodes"],
+)
+def test_a_one_block_sweep_is_the_per_node_recursion(dim, N, M):
+    # grids of many modes or few nodes keep one block: the sweep is the per-node recursion, bit for bit
+    tg, ng = make_grids(dim=dim, N=N, M=M, X_max=4.0)
+    plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), 2.0 + 1.0j)
+    assert plan.block == M
+    rng = np.random.default_rng(M)
+    f = rng.standard_normal(tg.shape + (M,)) + 1j * rng.standard_normal(tg.shape + (M,))
+    u, flux = _green_sweep(f, plan)
+    want_u, want_flux = _per_node_sweep(f, plan)
+    assert np.array_equal(u, want_u) and np.array_equal(flux, want_flux)
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,7 +624,8 @@ def test_evolve_is_an_iterator_checked_on_call():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_evolve_builds_one_plan_per_trajectory(monkeypatch, variant):
+def test_evolve_builds_one_plan_per_trajectory(monkeypatch, forward_transforms, variant):
+    # and transforms data constant in time once, though each step's field is a new one
     built = []
     entry = _VARIANTS[variant]
 
@@ -596,6 +639,44 @@ def test_evolve_builds_one_plan_per_trajectory(monkeypatch, variant):
     records = list(implicit_euler_evolve(prob, None, lambda t: _const_boundary(tg), 0.125, 1.0))
     assert len(records) == 8
     assert built == [complex(1.0 / math.sqrt(0.125))]
+    assert [spec.shape for spec in forward_transforms] == [tg.shape]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evolve_transforms_boundary_data_written_in_place_again(forward_transforms, variant):
+    # one field whose samples the data callable writes in place: a step whose samples changed transforms
+    # them again, so the records are those of a new field each step; the spectra kept are read-only
+    tg, ng = make_grids(N=8, M=32)
+    prob = DynBCProblem(variant, tg, ng)
+    shared = BoundaryField.zero(tg)
+
+    def written(t):
+        shared.samples[...] = np.cos(tg.points_1d) * min(t, 0.5)  # changes up to t = 0.5, then holds
+        return shared
+
+    def fresh(t):
+        return BoundaryField(tg, np.cos(tg.points_1d) * min(t, 0.5))
+
+    records = list(implicit_euler_evolve(prob, None, written, 0.125, 1.0))
+    assert len(forward_transforms) == 4
+    assert not any(spec.flags.writeable for spec in forward_transforms)
+    for rec, want in zip(records, implicit_euler_evolve(prob, None, fresh, 0.125, 1.0), strict=True):
+        assert np.array_equal(rec.vspec, want.vspec) and rec.diagnostics == want.diagnostics
+        assert (rec.boundary_norm, rec.interior_norm, rec.delta) == (want.boundary_norm, want.interior_norm, want.delta)
+
+
+@pytest.fixture
+def forward_transforms(monkeypatch):
+    """The spectra ``dynbc`` transforms its data to, in call order."""
+    calls = []
+    forward = dynbc._tfft
+
+    def counted(samples, dim):
+        calls.append(forward(samples, dim))
+        return calls[-1]
+
+    monkeypatch.setattr(dynbc, "_tfft", counted)
+    return calls
 
 
 @pytest.fixture
@@ -715,7 +796,8 @@ def _representatives(plan):
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
-    M=st.integers(12, 40),
+    N=st.sampled_from([8, 2]),  # N = 8 in two dimensions keeps the sweep's one block, the others cut it from M = 32
+    M=st.integers(12, 64),
     support=st.sampled_from(["empty", "one", "two", "subset", "all"]),
     g_on_all=st.booleans(),
     with_f=st.booleans(),
@@ -724,12 +806,12 @@ def _representatives(plan):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_steps_on_their_support_equal_the_full_step(
-    variant, dim, M, support, g_on_all, with_f, with_u0, with_v0, seed
+    variant, dim, N, M, support, g_on_all, with_f, with_u0, with_v0, seed
 ):
     # a trajectory on its support, the modes its state and its data reach, against the same trajectory forced
     # onto every mode: the same spectra, norms, changes and diagnostics; the data enter as their own spectra,
     # so their supports are exact.  The supports drawn include the empty one, one mode, and one that grows
-    tg, ng = make_grids(dim=dim, N=8, M=M, X_max=4.0)
+    tg, ng = make_grids(dim=dim, N=N, M=M, X_max=4.0)
     modes = tg.shape[0] ** dim
     rng = np.random.default_rng(seed)
     if support == "subset":

@@ -269,11 +269,24 @@ def test_the_heat_plan_derives_each_table_once():
     tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
     plan_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_HeatPlan")
     fields = [n.target.id for n in plan_class.body if isinstance(n, ast.AnnAssign)]
-    assert fields == ["mu2", "ngrid", "rates", "index"]
+    assert fields == ["mu2", "ngrid", "block", "rates", "index"]
     for builder in (_function(tree, "_heat_plan"), _function(tree, "gather")):
         assert _called_names(builder) & {"exp", "take", "ascontiguousarray"} == set()
     # the sweep reads its flux off the backward recursion, not from a second pass
     assert _call_count(_function(tree, "_green_sweep"), "sum") == 0
+    # the block length is chosen in _heat_plan alone, from the grid, and a gathered plan inherits it; the
+    # node recursion's loops, steps cur += factor * prev, run in _green_sweep alone
+    assert _callers(tree, {"_HeatPlan"}) == {"_heat_plan"}
+    assert not any(kw.arg == "block" for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords)
+    recursions = {
+        top.name
+        for top in tree.body
+        for loop in ast.walk(top)
+        if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.AugAssign) and isinstance(node.value, ast.Call) and _call_count(node.value, "multiply")
+    }
+    assert recursions == {"_green_sweep"}
 
 
 def test_the_kpp_plan_takes_its_decay_rate_once():
