@@ -271,9 +271,10 @@ def rbound_batch_scan(
 
     Each batch of consecutive |mu| values on a ray forms one operator family,
     the multipliers ``<mu>^exponent k(xi, mu; x)``, each evaluated once at the
-    grid's radial representatives, shape ``(K, M)``; the row magnitude is the
-    batch's largest |mu|, so per-ray rows stay strictly increasing.  Batch
-    ``idx``, counted over the rays in order, draws from child ``idx`` of ``seed``.
+    grid's radial representatives, shape ``(K, M)``, stacked into one array
+    (real on the real axis); the row magnitude is the batch's largest |mu|,
+    so per-ray rows stay strictly increasing.  Batch ``idx``, counted over
+    the rays in order, draws from child ``idx`` of ``seed``.
     """
     plan = _row_plan(mu_values, rays, batch)
     inputs = probe_dictionary(grid)
@@ -287,7 +288,7 @@ def rbound_batch_scan(
     for idx, (ray, phase, moduli) in enumerate(plan):
         mus = [m * phase for m in moduli]
         est = rbound_lower(
-            [multiplier(mu) for mu in mus], inputs, ngrid, p=p, out_norm=out_norm, trials=trials,
+            np.stack([multiplier(mu) for mu in mus]), inputs, ngrid, p=p, out_norm=out_norm, trials=trials,
             restarts=restarts, sampler=RademacherSampler(seed).child(idx),
         )
         rows.append((abs(mus[-1]), ray, est.value))

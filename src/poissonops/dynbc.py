@@ -46,7 +46,7 @@ from .symbols import (
     heat_kernel,
     kpp_kernel,
 )
-from .transforms import _itfft, _tfft
+from .transforms import _itfft, _real_rate, _tfft
 
 __all__ = [
     "DynBCProblem",
@@ -186,14 +186,15 @@ def _l2(problem: DynBCProblem, uspec: Optional[np.ndarray], vspec: Optional[np.n
     """``sqrt(cell (sum_j w_j sum_xi |u-hat(xi, x_j)|^2 + sum_xi |v-hat|^2))``; ``None`` is zero.
 
     Each part is summed in C order, copied first if needed: the bits do not follow the layout.
+    The reductions are array methods, which skip the ``np.sum`` wrapper's dispatch on a one-row support.
     An overflow gives an infinite norm, which the record refuses, not a warning.
     """
     total = 0.0
     with np.errstate(over="ignore"):
         for spec, weights in ((uspec, problem.normal.weights), (vspec, None)):
             if spec is not None:
-                sq = np.abs(np.ascontiguousarray(spec)) ** 2
-                total += np.sum(sq) if weights is None else np.sum(sq, axis=tuple(range(sq.ndim - 1))) @ weights
+                sq = np.abs(spec if spec.flags.c_contiguous else np.ascontiguousarray(spec)) ** 2
+                total += sq.sum() if weights is None else sq.sum(axis=tuple(range(sq.ndim - 1))) @ weights
         return math.sqrt(problem.tangential.cell * total)
 
 
@@ -359,8 +360,11 @@ class _HeatPlan(_RadialPlan):
 
     @cached_property
     def image(self) -> np.ndarray:
+        """``exp(-tau x_i)`` per mode, node major: real rates take one real ``exp``, as
+        :func:`~poissonops.transforms._radial_profile` does, and the table is stored complex."""
+        table = np.exp(-self.ngrid.nodes[:, None] * _real_rate(self.rates))
         # np.take keeps the table node-major (C order), as the sweep reads it
-        return np.take(np.exp(-self.ngrid.nodes[:, None] * self.rates), self.index, axis=1)
+        return np.take(table.astype(complex, copy=False), self.index, axis=1)
 
     @cached_property
     def scratch(self) -> _SweepScratch:

@@ -332,8 +332,10 @@ class _Products:
     with ``H[k, l, r] = sum_{xi in r} conj(g_{i_k}) g_{i_l}`` and the pair
     table ``Q[j, j'] = conj(m_j) m_j'``, laid out ``(K, M)`` per pair.  The
     table is built on the first sampled sum, for ``j <= j'`` only (the rest
-    are conjugates).  Any other ``q`` gathers the class profiles to the modes
-    and measures the products as stacks.
+    are conjugates), in the dtype of the term's profiles: a real family's
+    tables are real, half the bytes, and enter the Gram entries through
+    :func:`_class_dot`.  Any other ``q`` gathers the class profiles to the
+    modes and measures the products as stacks.
     """
 
     def __init__(self, form: _StackNorm, mults: np.ndarray, spec: np.ndarray) -> None:
@@ -368,7 +370,7 @@ class _Products:
             for k in range(size):
                 for l in range(k, size):
                     a, b = (k, l) if sel_ops[k] <= sel_ops[l] else (l, k)
-                    gram[:, a, b] = h[a, b] @ table[sel_ops[a], sel_ops[b]]
+                    gram[:, a, b] = _class_dot(h[a, b], table[sel_ops[a], sel_ops[b]])
                     gram[:, b, a] = gram[:, a, b].conj()
             slices.append(form._gram_slices(gram, eps))
         return form._total(slices)
@@ -382,12 +384,23 @@ class _Products:
         for m in self.mults:
             # one block, filled in place: a conjugate copy of the family, freed
             # on every call, made each pass of an rbound scan fault in fresh pages
-            table = np.empty((len(keys),) + m.shape[1:], dtype=complex)
+            table = np.empty((len(keys),) + m.shape[1:], dtype=m.dtype)
             for row, (j, jj) in zip(table, keys):
                 np.conj(m[j], out=row)
                 row *= m[jj]
             tables.append(dict(zip(keys, table)))
         return tables
+
+
+def _class_dot(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``h @ q`` of a complex class row ``h`` and a pair table ``q``, ``(K, M)``.
+
+    A real table enters through one real product on the float view of ``h``:
+    ``h @ q`` would cast the whole table to complex on every call.
+    """
+    if np.iscomplexobj(q):
+        return h @ q
+    return (q.T @ h.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def _stack(a: np.ndarray) -> np.ndarray:

@@ -125,6 +125,10 @@ def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
     if np.any(norms <= 0):
         raise ValueError("norms must be positive for a log fit")
     x = 0.5 * np.log1p(abs_mu**2)  # log <mu>: log1p stays accurate at small |mu|
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(norms)))
+    if bad.size:  # the least squares would fail in LAPACK, naming neither the row nor mu
+        abs_bad, arg_bad = (float(v) for v in rows[bad[0]][:2])
+        raise ValueError(f"norm or log <mu> is not finite in the scan row at |mu|={abs_bad!r}, arg={arg_bad!r}")
     y = np.log(norms)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -275,9 +279,11 @@ def rbound_lower(
     the true randomized bound.  Restart ``r`` draws its size, selections and
     both sign batches, in that order, from ``sampler.child(r)``.  Products are measured
     on the classes (:class:`~poissonops.norms._Products`): no per-mode product
-    stack is formed for a tangential ``q = 2``.  The input norm may be any
-    boundary family and the output norm any family on the multipliers' grid;
-    ``1 <= p < inf``.
+    stack is formed for a tangential ``q = 2``.  The family is measured in
+    ``result_type(float, *multipliers)``, so a real family (a decay kernel on
+    the real axis) stays real, and one already stacked in that dtype is not
+    copied.  The input norm may be any boundary family and the output norm
+    any family on the multipliers' grid; ``1 <= p < inf``.
     """
     if len(multipliers) == 0:
         raise ValueError("operator family must be nonempty")
@@ -297,13 +303,14 @@ def rbound_lower(
     spectra = _spectra(inputs, grid)
     ins = in_form.orders(spectra)
     spec = spectra[..., 0]  # one raw spectrum per row; the input norm's terms may be weighted
-    outs = _Products(out_form, np.asarray(multipliers, dtype=complex).reshape(n_ops, classes, -1), spec)
+    family = np.asarray(multipliers, dtype=np.result_type(float, *multipliers))  # a real family stays real
+    outs = _Products(out_form, family.reshape(n_ops, classes, -1), spec)
     in_norms = in_form.of_sums(ins, np.eye(n_in))
     out_norms = outs.singles()
 
     nonzero = in_norms != 0.0
     ratios = out_norms[:, nonzero] / in_norms[nonzero]
-    best = max(0.0, float(np.max(ratios))) if ratios.size else 0.0
+    best = float(np.max(ratios, initial=0.0))  # a NaN ratio propagates to the estimate
     best_err = 0.0
     for r in range(restarts):
         sub = sampler.child(r)

@@ -55,21 +55,36 @@ def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField
     return BoundaryField(grid=g.grid, samples=out)
 
 
+def _real_rate(r: np.ndarray) -> np.ndarray:
+    """A decay rate as float64 where it has no imaginary part, else as given.
+
+    ``exp(-r x_n)`` of a real rate is then one real exponential, within an
+    ulp of the real part of the complex one, whose imaginary part is 0.
+    """
+    return r.real if np.iscomplexobj(r) and not r.imag.any() else r
+
+
 def _radial_profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
     """Kernel profile ``k(xi, mu; x_j)`` of every radial class, shape ``(K, M)``.
 
     The kernel is radial, so it is evaluated once per distinct ``|xi|^2``, at
-    the representatives ``grid.radial[0]``; ``mu`` is not checked here.
+    the representatives ``grid.radial[0]``; ``mu`` is not checked here.  A
+    decay kernel reads its ``rate`` once: its profile ``exp(-r x_n)`` is
+    float64 from one real exponential when ``r`` is real (a real ``mu``), and
+    otherwise the complex ``exp`` that ``func`` takes, bit for bit.  A kernel
+    without a rate is evaluated by ``func`` and stored complex.
     """
     fv = grid.radial[0][:, None, :]  # broadcast a normal axis before components
-    return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
+    if k.rate is None:
+        return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
+    return np.exp(-_real_rate(k.rate(fv, mu)) * normal.nodes)
 
 
 def _profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
     """Kernel profile ``k(xi, mu; x_j)`` of every mode, the normal nodes on a new last axis.
 
     This is the Poisson operator's spectral multiplier: the class profile of
-    :func:`_radial_profile` gathered back to the modes.
+    :func:`_radial_profile` gathered back to the modes, in its dtype.
     """
     return _radial_profile(k, mu, grid, normal)[grid.radial[1]]
 

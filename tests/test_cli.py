@@ -517,17 +517,18 @@ def test_scan_too_short_for_the_fit_is_refused_before_any_row(tmp_path, monkeypa
 
 def test_readme_rbound_scan_evaluates_each_kernel_once():
     # one multiplier per mu serves every probe input: 20 evaluations, not 20 * 19,
-    # each at the N/2 + 1 distinct |xi|^2 of the grid, not at its N modes
+    # each at the N/2 + 1 distinct |xi|^2 of the grid, not at its N modes; the
+    # profile of a decay kernel reads its rate
     seen, sizes = [], set()
 
-    def func(xi, mu, xn):
+    def rate(xi, mu):
         seen.append(mu)
         sizes.add(np.size(_xi_sq(xi)))
-        return heat_kernel.func(xi, mu, xn)
+        return heat_kernel.rate(xi, mu)
 
     grid, ngrid = make_grids()
     rbound_batch_scan(
-        replace(heat_kernel, func=func), p=2.0, q=2.0, weak=True, exponent=0.5,
+        replace(heat_kernel, rate=rate), p=2.0, q=2.0, weak=True, exponent=0.5,
         mu_values=np.geomspace(1.0, 1000.0, 20), rays=(0.0,), grid=grid, ngrid=ngrid,
         trials=24, restarts=8, seed=0, batch=4,
     )

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from norm_reference import RELAYOUTS, is_hilbert, ref_field_norm
 from poissonops.cli import main
-from poissonops.core import BoundaryField, HalfSpaceField, make_grids
-from poissonops.norms import NormSpec, field_norm, lp_norm, opnorm_hilbert
+from poissonops.core import BoundaryField, HalfSpaceField, bracket, make_grids
+from poissonops.norms import NormSpec, _Products, _spectra, _StackNorm, field_norm, lp_norm, opnorm_hilbert
 from poissonops.rbound import (
     RademacherSampler,
     RBoundEstimate,
@@ -420,6 +421,69 @@ def test_rbound_hilbert_case_is_the_largest_operator_norm(dim, N, M, X_max, d, m
     assert rbound_lower(mults, inputs, normal, **kw).value == pytest.approx(want, rel=1e-12, abs=0.0)
     # the constant probe, lattice mode 0, attains the sup; the others stay below it
     assert rbound_lower(mults, inputs[1:], normal, **kw).value <= want * (1.0 + 1e-12)
+
+
+def _readme_family(kernel, mus, grid, normal) -> np.ndarray:
+    """One batch of the README rbound scan: ``<mu>^(1/2)`` times the class profile, stacked."""
+    return np.stack([bracket(0.0, mu) ** 0.5 * _radial_profile(kernel, mu, grid, normal) for mu in mus])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    N=st.sampled_from([4, 8, 16]),
+    M=st.integers(3, 32),
+    kpp=st.booleans(),
+    p=st.sampled_from([1.5, 2.0]),
+    weak=st.booleans(),
+    mus=st.lists(st.floats(0.1, 1000.0), min_size=1, max_size=4),
+    n_in=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_a_real_family_bounds_as_its_complex_cast(dim, N, M, kpp, p, weak, mus, n_in, seed):
+    # on the real axis the family and its pair tables stay real: the estimate is the complex
+    # family's within rounding, and exactly it where the bound is a square sum (p = 2, strong).
+    # Random inputs: the probe dictionary's class sums conj(g_i) g_i' are all real
+    grid, normal = make_grids(dim=dim, N=N, M=M, X_max=8.0, r=1.1)
+    family = _readme_family(kpp_kernel(2.0) if kpp else heat_kernel, mus, grid, normal)
+    assert family.dtype == np.float64
+    kw = dict(p=p, out_norm=NormSpec("Mixed", p=p, q=2.0, weak=weak), trials=8, restarts=6)
+    rng = np.random.default_rng(seed)
+    inputs = [BoundaryField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+              for _ in range(n_in)]
+    real = rbound_lower(family, inputs, normal, sampler=RademacherSampler(seed), **kw)
+    want = rbound_lower(family.astype(complex), inputs, normal, sampler=RademacherSampler(seed), **kw)
+    if p == 2.0 and not weak:
+        assert real == want
+    assert real.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
+    assert real.stderr == pytest.approx(want.stderr, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.0 + 0.5j])
+def test_pair_tables_take_the_family_dtype(mu):
+    grid, normal = make_grids(N=16, M=12)
+    family = _readme_family(heat_kernel, [mu, 2.0 * mu], grid, normal)
+    form = _StackNorm(NormSpec("Mixed", weak=True), grid, normal, radial=True)
+    products = _Products(form, family, _spectra(probe_dictionary(grid), grid)[..., 0])
+    assert {t.dtype for tables in products._pairs for t in tables.values()} == {family.dtype}
+    assert family.dtype == (np.float64 if mu.imag == 0 else np.complex128)
+
+
+def test_readme_rbound_batch_keeps_its_family_real():
+    # one batch of the README p = 2 weak scan, profiles to estimate: with real profiles and pair
+    # tables it peaks at 5.2 MB traced (4.9 family bytes), with a complex family at 8.9 MB (8.4)
+    grid, normal = make_grids()
+    inputs = probe_dictionary(grid)
+    mus = np.geomspace(1.0, 1000.0, 20)[:4]
+    kw = dict(p=2.0, out_norm=NormSpec("Mixed", p=2.0, q=2.0, weak=True), trials=24, restarts=8)
+    tracemalloc.start()
+    try:
+        rbound_lower(_readme_family(heat_kernel, mus, grid, normal), inputs, normal, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    family_bytes = len(mus) * len(grid.radial[0]) * normal.M * np.dtype(float).itemsize
+    assert peak <= 6 * family_bytes
 
 
 def _cli_scan(tmp_path, monkeypatch, norm) -> bytes:

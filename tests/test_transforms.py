@@ -15,6 +15,7 @@ from poissonops.transforms import (
     LPPartition,
     _itfft,
     _profile,
+    _radial_profile,
     _tfft,
     apply_multiplier,
     apply_poisson,
@@ -205,12 +206,32 @@ _PROFILE_KERNELS = {
 def test_profile_matches_the_per_mode_evaluation(name, dim, N, M, L):
     # evaluated once per distinct |xi|^2 and gathered: every mode keeps its bits,
     # also where permuted frequencies round to different |xi|^2 (L = 3)
+    # a decay kernel at a real mu is the real exponential of its rate, per mode
     k, mu = _PROFILE_KERNELS[name]
     grid, ngrid = make_grids(dim=dim, N=N, M=M, L=L)
-    want = np.asarray(k.func(grid.freq_vectors[..., None, :], mu, ngrid.nodes), dtype=complex)
+    if name in ("heat", "kpp"):
+        want = np.exp(-k.rate(grid.freq_vectors[..., None, :], mu).real * ngrid.nodes)
+    else:
+        want = np.asarray(k.func(grid.freq_vectors[..., None, :], mu, ngrid.nodes), dtype=complex)
     got = _profile(k, mu, grid, ngrid)
     assert got.shape == grid.shape + (M,) and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILE_KERNELS))
+@pytest.mark.parametrize("dim, N, M, L", [(1, 64, 24, 2.0 * math.pi), (2, 16, 12, 3.0)])
+def test_a_decay_profile_is_one_real_exponential_on_the_real_axis(name, dim, N, M, L):
+    # at a real mu a decay kernel's profile is float64, within an ulp of the real part of func,
+    # whose imaginary part is exactly 0; a complex mu or a kernel without a rate keeps func's bits
+    k, mu = _PROFILE_KERNELS[name]
+    grid, ngrid = make_grids(dim=dim, N=N, M=M, L=L)
+    want = np.asarray(k.func(grid.radial[0][:, None, :], mu, ngrid.nodes), dtype=complex)
+    got = _radial_profile(k, mu, grid, ngrid)
+    if name in ("heat", "kpp"):
+        assert got.dtype == np.float64 and np.all(want.imag == 0.0)
+        assert np.all(np.abs(got - want.real) <= np.spacing(np.abs(want.real)))
+    else:
+        assert got.dtype == np.complex128 and np.array_equal(got, want)
 
 
 def test_partition_profile_plateaus():
