@@ -69,6 +69,8 @@ class Sector:
             if not self.is_empty:
                 raise SectorError("spectral parameter required for a nonempty sector")
             return None
+        if self.is_empty:
+            raise SectorError(f"mu={mu} given to the empty sector, which admits no spectral parameter")
         if not self.contains(mu):
             raise SectorError(f"mu={mu} outside the admissible sector")
         return complex(mu)

@@ -46,7 +46,7 @@ from .symbols import (
     heat_kernel,
     kpp_kernel,
 )
-from .transforms import _itfft, _real_rate, _tfft
+from .transforms import _decay_profile, _itfft, _tfft
 
 __all__ = [
     "DynBCProblem",
@@ -123,11 +123,11 @@ class DynBCProblem:
 class ResolventOutput:
     """A solution's spectra on its support, their L^2 norms by Plancherel, and per-mode residual maxima.
 
-    ``urows`` and ``vrows`` are the spectra's rows on the sorted flat modes
-    ``support`` (``None``: every mode, the rows flat or grid-shaped); other
-    modes are zero, and ``urows`` is ``None`` for a zero bulk.  A non-finite
-    norm or residual is refused.  The grid-shaped ``uspec``, ``vspec`` and
-    the physical pair ``u``, ``v`` are formed on first read.
+    ``urows`` and ``vrows`` are the spectra's flat rows on the sorted flat
+    modes ``support`` (``None``: every mode); other modes are zero, and
+    ``urows`` is ``None`` for a zero bulk.  A non-finite norm or residual is
+    refused.  The grid-shaped ``uspec``, ``vspec`` and the physical pair
+    ``u``, ``v`` are formed on first read.
     """
 
     problem: DynBCProblem = field(repr=False, compare=False)
@@ -205,16 +205,15 @@ class _SweepScratch(NamedTuple):
     the padded node axis has ``nb B`` entries, the last block's pad holding
     zero links.  ``decay[i, 0]`` is ``exp(-tau (x_{i+1} - x_i))`` and
     ``decay[i, 1]`` the same over the reversed nodes, ``decay[M - 2 - i, 0]``:
-    a view of the padded link table.  ``products[k - 1, j]`` is the product of
-    the ``j + 1`` links from the last node of block ``k - 1`` to node ``j`` of
-    block ``k``, taken by one ``multiply.accumulate`` over the link table.  The
-    accumulator ``acc`` is the first ``M`` nodes of a padded, contiguous
-    buffer; it and the node-major solution ``u`` are scratch.  ``chain`` holds
-    every step of the recursion as ``(prev, cur, factor, out)`` views, made
-    once, run as ``cur += factor * prev`` with the product in ``out``: the
-    ``B - 1`` steps within every block at once, the ``nb - 1`` carries of the
-    block ends, and one fix-up per row, which adds each block's incoming carry
-    times its products into the block, with ``u`` as the product's scratch.
+    a view of the padded link table.  The accumulator ``acc`` is the first
+    ``M`` nodes of a padded, contiguous buffer; it and the node-major solution
+    ``u`` are scratch.  ``chain`` holds every step of the recursion as
+    ``(prev, cur, factor, out)`` views, made once, run as
+    ``cur += factor * prev`` with the product in ``out``: the ``B - 1`` steps
+    within every block at once, the ``nb - 1`` carries of the block ends, and
+    one fix-up per row, which adds each block's incoming carry times its link
+    products (from the block's start, one ``multiply.accumulate`` over the
+    link table) into the block, with ``u`` as the product's scratch.
 
     One block (``B = M``) is the per-node loop, operation for operation.  More
     blocks sum the same terms ``E_{j..i} c_j`` in another grouping, each link
@@ -227,7 +226,6 @@ class _SweepScratch(NamedTuple):
     """
 
     decay: np.ndarray  # (M - 1, 2, modes)
-    products: np.ndarray  # (nb - 1, B, 2, modes)
     acc: np.ndarray  # (M, 2, modes)
     u: np.ndarray  # (M, modes)
     chain: list
@@ -255,7 +253,8 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     ``B_i = exp(-tau (x_{i+1} - x_i)) (B_{i+1} + w_{i+1} f_{i+1})`` covers
     ``y > x``.  The backward accumulator also holds its own node, so at
     ``x_0 = 0`` it is the flux, ``B_0 + w_0 f_0``; the image, the rank-one
-    term ``exp(-tau x_i)`` times the flux, is subtracted after the recursion.
+    term ``exp(-tau x_i)`` times the flux, is subtracted after the recursion,
+    read off the plan's Poisson profile, transposed.
     The boundary node is set to zero exactly.  The backward recursion is the
     forward one over the reversed nodes, so one recursion runs both on a
     stacked pair of rows.  The sweep is elementwise per mode.
@@ -273,8 +272,8 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     trajectory on every mode; grids of many modes keep one block, the per-node
     loop, whose bits do not depend on ``B``.
     """
-    ngrid, tau, image = plan.ngrid, plan.tau, plan.image
-    decay, _, acc, u, chain = plan.scratch
+    ngrid, tau, image = plan.ngrid, plan.tau, plan.profile.T
+    decay, acc, u, chain = plan.scratch
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
     # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
     # both are filled from u: numpy copies an operand that shares acc's memory bounds
@@ -335,17 +334,23 @@ class _RadialPlan:
         return last[1]
 
 
+class _DecayPlan(_RadialPlan):
+    """A plan that lifts its trace through a decay kernel of ``rates``: ``profile`` is ``exp(-rate x_n)`` per mode,
+    ``(modes, M)``, C-contiguous and stored complex, from one :func:`~poissonops.transforms._decay_profile`."""
+
+    profile = cached_property(
+        lambda self: np.asarray(_decay_profile(self.rates, self.ngrid.nodes), dtype=complex)[self.index])
+
+
 @dataclass(eq=False, repr=False)
-class _HeatPlan(_RadialPlan):
+class _HeatPlan(_DecayPlan):
     """The heat step's decay rates; every table the step derives from them is built on first use.
 
     ``rates`` holds one ``tau`` per representative.  The tables are flat,
     one entry or row per mode: ``tau``, ``den = mu^2 + tau`` (the boundary
-    multiplier's denominator), ``image[i] = exp(-tau x_i)``, node major, from
-    one ``exp`` over the representatives, and its C-contiguous copy
-    ``profile``, ``(modes, M)``, the Poisson lift of a unit trace; then the
-    Green sweep's ``scratch`` and the ``residual`` stencil, which a step
-    without interior data never builds.
+    multiplier's denominator) and the ``profile``, whose transpose is also the
+    Green sweep's image table; then the sweep's ``scratch`` and the
+    ``residual`` stencil, which a step without interior data never builds.
     """
 
     mu2: complex
@@ -356,15 +361,6 @@ class _HeatPlan(_RadialPlan):
 
     tau = cached_property(lambda self: self.rates[self.index])
     den = cached_property(lambda self: self.mu2 + self.tau)
-    profile = cached_property(lambda self: np.ascontiguousarray(self.image.T))
-
-    @cached_property
-    def image(self) -> np.ndarray:
-        """``exp(-tau x_i)`` per mode, node major: real rates take one real ``exp``, as
-        :func:`~poissonops.transforms._radial_profile` does, and the table is stored complex."""
-        table = np.exp(-self.ngrid.nodes[:, None] * _real_rate(self.rates))
-        # np.take keeps the table node-major (C order), as the sweep reads it
-        return np.take(table.astype(complex, copy=False), self.index, axis=1)
 
     @cached_property
     def scratch(self) -> _SweepScratch:
@@ -384,7 +380,7 @@ class _HeatPlan(_RadialPlan):
         if nb > 1:  # the fix-up, one row at a time: u is free scratch until the sweep's image term
             spare = u.reshape(-1)[: (nb - 1) * (B - 1) * modes].reshape(nb - 1, B - 1, modes)
             chain += [(ends[:-1, None, r], blocks[1:, : B - 1, r], products[:, : B - 1, r], spare) for r in (0, 1)]
-        return _SweepScratch(links[: M - 1], products, buf[:M], u, chain)
+        return _SweepScratch(links[: M - 1], buf[:M], u, chain)
 
     @cached_property
     def residual(self) -> np.ndarray:
@@ -487,11 +483,11 @@ def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], 
 
 
 @dataclass(eq=False, repr=False)
-class _KPPPlan(_RadialPlan):
+class _KPPPlan(_DecayPlan):
     """The road symbol ``dens``, ``roots``, ``|xi|^2`` and ``kpp_kernel(d)``'s decay ``rates`` per representative.
 
-    Per mode: ``den``, ``root``, ``freq_norm_sq``, the kernel profile ``exp(-rate x_n)`` at the normal nodes (the
-    Poisson lift of a unit trace), and its Robin derivative, ``d_n`` at 0, ``dn = -rate``.
+    Per mode: ``den``, ``root``, ``freq_norm_sq``, the kernel ``profile`` and its Robin derivative, ``d_n`` at 0,
+    ``dn = -rate``.
     """
 
     mu2: complex
@@ -506,7 +502,6 @@ class _KPPPlan(_RadialPlan):
     root = cached_property(lambda self: self.roots[self.index])
     freq_norm_sq = cached_property(lambda self: self.sq_norms[self.index])
     dn = cached_property(lambda self: -self.rates[self.index])
-    profile = cached_property(lambda self: np.exp(-self.rates[:, None] * self.ngrid.nodes)[self.index])
 
 
 def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:

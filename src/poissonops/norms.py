@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, _xi_sq, bracket
 from .symbols import SymbolKernel
-from .transforms import LPPartition, _itfft, _tfft
+from .transforms import LPPartition, _decay_profile, _itfft, _tfft
 
 __all__ = [
     "NormSpec",
@@ -187,25 +187,26 @@ def opnorm_hilbert(
     radial), so the supremum is taken over the distinct ``|xi|^2`` of the
     grid, one representative frequency each.  A decay kernel, one with a
     ``rate`` ``r``, takes one real exponential per ``mu``: the order-``n``
-    norm is ``|r|^n`` times the order-0 one, ``exp(-2 Re(r) x_n)`` summed.
-    Any other kernel squares ``func`` at the derivative order.
+    norm is ``|r|^n`` times the order-0 one, whose square sums the decay
+    profile of the real rate ``2 Re(r)``.  Any other kernel squares ``func``
+    at the derivative order.
     """
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
     k.sector.require(mu)
     reps = grid.radial[0]
-    fv = reps[:, None, :]
     if k.rate is None:
+        fv = reps[:, None, :]
 
         def l2_of(order):
             return np.sqrt(np.sum(np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2 * ngrid.weights, axis=-1))
 
     else:
-        r = k.rate(fv, mu)
-        decay = np.sqrt(np.sum(np.exp(-2.0 * np.real(r) * ngrid.nodes) * ngrid.weights, axis=-1))
+        r = k.rate(reps, mu)
+        decay = np.sqrt(np.sum(_decay_profile(2.0 * np.real(r), ngrid.nodes) * ngrid.weights, axis=-1))
 
         def l2_of(order):
-            return np.abs(r[:, 0]) ** order * decay
+            return np.abs(r) ** order * decay
 
     l2 = l2_of(0)
     bxi = bracket(reps)

@@ -55,13 +55,15 @@ def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField
     return BoundaryField(grid=g.grid, samples=out)
 
 
-def _real_rate(r: np.ndarray) -> np.ndarray:
-    """A decay rate as float64 where it has no imaginary part, else as given.
+def _decay_profile(rates: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``exp(-r x_n)`` of each decay rate ``r`` over the normal ``nodes``, on a new last axis.
 
-    ``exp(-r x_n)`` of a real rate is then one real exponential, within an
-    ulp of the real part of the complex one, whose imaginary part is 0.
+    Where no rate has an imaginary part (a heat or kpp rate at a real ``mu``)
+    it is one real exponential, float64, within an ulp of the real part of the
+    complex one; otherwise it is the complex ``exp`` that ``func`` takes, bit for bit.
     """
-    return r.real if np.iscomplexobj(r) and not r.imag.any() else r
+    real = np.iscomplexobj(rates) and not rates.imag.any()
+    return np.exp(-(rates.real if real else rates)[..., None] * nodes)
 
 
 def _radial_profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:
@@ -69,15 +71,14 @@ def _radial_profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGri
 
     The kernel is radial, so it is evaluated once per distinct ``|xi|^2``, at
     the representatives ``grid.radial[0]``; ``mu`` is not checked here.  A
-    decay kernel reads its ``rate`` once: its profile ``exp(-r x_n)`` is
-    float64 from one real exponential when ``r`` is real (a real ``mu``), and
-    otherwise the complex ``exp`` that ``func`` takes, bit for bit.  A kernel
-    without a rate is evaluated by ``func`` and stored complex.
+    decay kernel reads its ``rate`` once, and its profile is
+    :func:`_decay_profile`'s, float64 at a real rate.  A kernel without a rate
+    is evaluated by ``func`` and stored complex.
     """
-    fv = grid.radial[0][:, None, :]  # broadcast a normal axis before components
+    reps = grid.radial[0]
     if k.rate is None:
-        return np.asarray(k.func(fv, mu, normal.nodes), dtype=complex)
-    return np.exp(-_real_rate(k.rate(fv, mu)) * normal.nodes)
+        return np.asarray(k.func(reps[:, None, :], mu, normal.nodes), dtype=complex)
+    return _decay_profile(k.rate(reps, mu), normal.nodes)
 
 
 def _profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:

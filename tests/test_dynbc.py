@@ -115,7 +115,7 @@ def _per_node_sweep(f, plan):
     for i in range(1, ng.M):
         acc[i] += decay[i - 1] * acc[i - 1]
     flux = acc[-1, 1].copy()
-    u = acc[:, 0] - plan.image * flux
+    u = acc[:, 0] - plan.profile.T * flux
     u[:-1] += (decay[:, 1] * acc[:-1, 1])[::-1]
     u /= 2.0 * plan.tau
     u[0] = 0.0
@@ -306,15 +306,18 @@ def test_solvers_extend_through_the_one_poisson_operator():
     assert max(kpp.diagnostics.values()) <= 1e-10
 
 
+@pytest.mark.parametrize("variant", ["HeatDynBC", "KPPRoadField"])
 @pytest.mark.parametrize("dim, N, M", [(1, 64, 48), (2, 8, 32), (3, 4, 16)])
 @pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.3 - 0.2j])
-def test_heat_plan_lifts_through_its_image_table(dim, N, M, mu):
-    # one exp table serves the sweep's image term and the Poisson lift: it is
-    # the heat kernel profile entry for entry, one mode per row, laid out C-contiguous
+def test_decay_plan_lifts_through_its_profile_table(variant, dim, N, M, mu):
+    # a decay plan holds one exp table, which serves the Poisson lift (and the heat sweep's image term,
+    # transposed): it is its kernel's profile entry for entry, one real exp at a real mu, one mode per
+    # row, laid out C-contiguous and stored complex
     tg, ng = make_grids(dim=dim, N=N, M=M)
-    plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), mu)
-    assert plan.profile.flags.c_contiguous
-    np.testing.assert_array_equal(plan.profile, _profile(heat_kernel, mu, tg, ng).reshape(-1, M))
+    kernel = heat_kernel if variant == "HeatDynBC" else kpp_kernel(2.5)
+    plan = _VARIANTS[variant].plan(DynBCProblem(variant, tg, ng, d=2.5), mu)
+    assert plan.profile.flags.c_contiguous and plan.profile.dtype == complex
+    np.testing.assert_array_equal(plan.profile, _profile(kernel, mu, tg, ng).reshape(-1, M))
 
 
 @pytest.mark.parametrize("dim, N, M, L", [(1, 64, 48, 2.0 * math.pi), (2, 16, 32, 3.0)])
@@ -327,7 +330,7 @@ def test_kpp_plan_reads_its_kernel_per_mode_bits(dim, N, M, L, mu, d):
     plan = dynbc._kpp_plan(DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=0.3, kcoef=4.0), mu)
     kern, xi, xi_sq = kpp_kernel(d), tg.freq_vectors.reshape(-1, dim), tg.freq_norm_sq.ravel()
     assert np.array_equal(plan.dn, kern.func(xi, mu, 0.0, 1))
-    assert np.array_equal(plan.profile, kern.func(xi[:, None, :], mu, ng.nodes))
+    assert np.array_equal(plan.profile, _profile(kern, mu, tg, ng).reshape(-1, M))
     den, root = _road_symbol(xi_sq, mu * mu, d, 0.3, 4.0)
     assert np.array_equal(plan.den, den) and np.array_equal(plan.root, root)
     assert np.array_equal(plan.freq_norm_sq, xi_sq)
@@ -344,8 +347,9 @@ def test_ch_plan_reads_its_symbol_per_mode_bits(dim, N, L, mu):
 
 
 def test_heat_resolvent_without_interior_data_builds_no_sweep_scratch(monkeypatch):
-    # the certify heat resolvent: only tau and the image table are built; the
-    # stacked decay table and the sweep's scratch wait for a sweep, which builds them once
+    # the certify heat resolvent: the step, on the plan gathered to the one mode the data reach, builds
+    # only tau, den and the profile; the stacked decay table and the sweep's scratch wait for a sweep,
+    # which builds them once
     plans = []
     entry = _VARIANTS["HeatDynBC"]
 
@@ -358,7 +362,9 @@ def test_heat_resolvent_without_interior_data_builds_no_sweep_scratch(monkeypatc
     out = DynBCProblem("HeatDynBC", tg, ng).solve(None, _const_boundary(tg), 1.0)
     plan = plans[0]
     assert max(out.diagnostics.values()) <= 1e-10
-    assert "scratch" not in vars(plan) and "residual" not in vars(plan)
+    assert set(vars(plan)) - {f.name for f in fields(plan)} == {"gathered"}
+    _, ran = vars(plan)["gathered"]
+    assert set(vars(ran)) - {f.name for f in fields(ran)} == {"tau", "den", "profile"}
     _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), plan)
     scratch = plan.scratch
     _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), plan)
@@ -717,7 +723,7 @@ def _plan_arrays(plan):
     """Every array a plan holds, its tables and its scratch."""
     if isinstance(plan, np.ndarray):
         yield plan
-    elif isinstance(plan, tuple):
+    elif isinstance(plan, (tuple, list)):
         for item in plan:
             yield from _plan_arrays(item)
     elif is_dataclass(plan):

@@ -249,9 +249,10 @@ def _identifiers(tree: ast.AST) -> set[str]:
 
 def test_normal_derivatives_come_from_the_kernel_evaluator():
     # a kernel's d^n k / dx_n^n is func(xi, mu, xn, n): no second hook, no
-    # finite-difference stand-in in the symbol calculus or the operator norm,
-    # and the heat plan lifts through its sweep's image table, not a second exp:
-    # one exp for the image table, one for the decay table in its scratch
+    # finite-difference stand-in in the symbol calculus or the operator norm;
+    # a decay profile exp(-r x_n) is built by transforms._decay_profile alone (and
+    # by the kernel's func): the plans and opnorm_hilbert take no exp of their own
+    # but the heat sweep's link table, and dynbc's others are the road lattice's rays
     trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
     assert {name for name, tree in trees.items() if "xn_derivative" in _identifiers(tree)} == set()
     assert "normal_derivative" not in _called_names(trees["symbols.py"])
@@ -259,8 +260,10 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
     heat_plan = _function(trees["dynbc.py"], "_heat_plan")
     plan_class = next(n for n in trees["dynbc.py"].body if isinstance(n, ast.ClassDef) and n.name == "_HeatPlan")
     assert _called_names(heat_plan) & {"_profile", "func"} == set()
-    assert [_call_count(_function(plan_class, name), "exp") for name in ("image", "scratch")] == [1, 1]
-    assert _call_count(plan_class, "exp") == 2
+    assert _np_owners(trees["transforms.py"], "exp") == ["_decay_profile"]
+    assert _np_owners(trees["norms.py"], "exp") == []
+    assert _np_owners(trees["dynbc.py"], "exp") == ["_HeatPlan", "road_symbol_scan", "road_symbol_scan"]
+    assert _call_count(_function(plan_class, "scratch"), "exp") == 1
 
 
 def test_the_heat_plan_derives_each_table_once():

@@ -68,6 +68,15 @@ def test_argument_checks_refuse(call, message):
         call()
 
 
+@pytest.mark.parametrize("mode", ["opnorm", "rbound"])
+@pytest.mark.parametrize("kernel", ["zero", "constant-one"])
+def test_a_scan_of_a_kernel_without_spectral_parameter_names_the_empty_sector(tmp_path, capsys, mode, kernel):
+    # the zero and constant-one kernels live on the empty sector: the first row's mu is refused as such
+    argv = ["scan", "--mode", mode, "--kernel", kernel, "--grid-N", "8", "--grid-M", "16", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "mu=(1+0j) given to the empty sector, which admits no spectral parameter" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode, points, row", [("opnorm", 6, 3), ("rbound", 20, 11)])
 def test_a_nonfinite_scan_row_is_refused_before_the_fit(tmp_path, capsys, mode, points, row):
     # mu^2 overflows in tau above |mu| ~ 1.3e154: the first row past it is named (rbound's batches of
