@@ -287,10 +287,11 @@ def rbound_batch_scan(
     rows = []
     for idx, (ray, phase, moduli) in enumerate(plan):
         mus = [m * phase for m in moduli]
-        est = rbound_lower(
-            np.stack([multiplier(mu) for mu in mus]), inputs, ngrid, p=p, out_norm=out_norm, trials=trials,
-            restarts=restarts, sampler=RademacherSampler(seed).child(idx),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the fit refuses a non-finite row by its |mu|
+            est = rbound_lower(
+                np.stack([multiplier(mu) for mu in mus]), inputs, ngrid, p=p, out_norm=out_norm, trials=trials,
+                restarts=restarts, sampler=RademacherSampler(seed).child(idx),
+            )
         rows.append((abs(mus[-1]), ray, est.value))
     return ScanResult.from_rows(rows, metadata={"seed": seed})
 
@@ -332,7 +333,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             val = opnorm_hilbert(kern, m * phase, args.s, args.t, grid, ngrid)
             return (m, ray, bracket(0.0, m) ** args.prefactor_exponent * val)
 
-        rows = [one(ray, phase, m) for ray, phase, (m,) in plan]
+        with np.errstate(over="ignore", invalid="ignore"):  # the fit refuses a non-finite row by its |mu|
+            rows = [one(ray, phase, m) for ray, phase, (m,) in plan]
         scan = ScanResult.from_rows(rows, metadata={"seed": args.seed})
     else:
         weak = args.normal_class == "weak"

@@ -185,16 +185,16 @@ def _require_finite(values: dict, kind: str) -> None:
 def _l2(problem: DynBCProblem, uspec: Optional[np.ndarray], vspec: Optional[np.ndarray]) -> float:
     """``sqrt(cell (sum_j w_j sum_xi |u-hat(xi, x_j)|^2 + sum_xi |v-hat|^2))``; ``None`` is zero.
 
-    Each part is summed in C order, copied first if needed: the bits do not follow the layout.
-    The reductions are array methods, which skip the ``np.sum`` wrapper's dispatch on a one-row support.
+    Summed in C order, copied first if needed, the nodes by :meth:`NormalGrid.integrate`: the bits follow neither the
+    layout nor the BLAS thread count.  Array-method sums skip ``np.sum``'s dispatch on a one-row support.
     An overflow gives an infinite norm, which the record refuses, not a warning.
     """
     total = 0.0
     with np.errstate(over="ignore"):
-        for spec, weights in ((uspec, problem.normal.weights), (vspec, None)):
+        for spec, bulk in ((uspec, True), (vspec, False)):
             if spec is not None:
                 sq = np.abs(spec if spec.flags.c_contiguous else np.ascontiguousarray(spec)) ** 2
-                total += sq.sum() if weights is None else sq.sum(axis=tuple(range(sq.ndim - 1))) @ weights
+                total += problem.normal.integrate(sq.sum(axis=tuple(range(sq.ndim - 1)))) if bulk else sq.sum()
         return math.sqrt(problem.tangential.cell * total)
 
 
@@ -397,7 +397,11 @@ def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
     # the sweep's blocks pay where its fixed cost per step outweighs the element work they add: on grids
     # of at most 32 modes and at least 32 nodes (measured: at 64 modes they break even for M = 256 to 1024)
     block = max(4, round(math.sqrt(M) / 2)) if inverse.size <= 32 <= M else M
-    return _HeatPlan(mu * mu, problem.normal, block, heat_kernel.rate(reps, mu), np.ravel(inverse))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = heat_kernel.rate(reps, mu)
+    if not np.all(np.isfinite(tau)):
+        raise ValueError(f"the heat decay rate overflows at mu={mu}")
+    return _HeatPlan(mu * mu, problem.normal, block, tau, np.ravel(inverse))
 
 
 def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
@@ -465,20 +469,23 @@ class _CHPlan(_RadialPlan):
 def _ch_plan(problem: DynBCProblem, mu: complex) -> _CHPlan:
     """The boundary symbol's numerator and denominator, evaluated per distinct ``|xi|^2``."""
     reps, inverse = problem.tangential.radial
-    return _CHPlan(mu * mu, *_ch_symbol(_xi_sq(reps), mu), np.ravel(inverse))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the record, which refuses it
+        return _CHPlan(mu * mu, *_ch_symbol(_xi_sq(reps), mu), np.ravel(inverse))
 
 
 def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
     """Boundary dynamics ``mu^2 v = b(D', mu) g`` of the Cahn-Hilliard problem.
 
-    The bulk stays zero, so no bulk spectrum is returned (``None``).
+    The bulk stays zero, so no bulk spectrum is returned (``None``).  An
+    overflow gives a non-finite norm or residual, which the record refuses.
     """
     mu2, num, den = plan.mu2, plan.num, plan.den
-    vspec = num / den * gspec / mu2
-    # denominator-cleared per-mode residual of the boundary dynamics line
-    rhs = num * gspec
-    scale = max(float(np.max(np.abs(rhs), initial=0.0)), 1e-30)
-    res = float(np.max(np.abs(den * mu2 * vspec - rhs), initial=0.0)) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        vspec = num / den * gspec / mu2
+        # denominator-cleared per-mode residual of the boundary dynamics line
+        rhs = num * gspec
+        scale = max(float(np.max(np.abs(rhs), initial=0.0)), 1e-30)
+        res = float(np.max(np.abs(den * mu2 * vspec - rhs), initial=0.0)) / scale
     return None, vspec, {"boundary_dynamics": res}
 
 
@@ -508,7 +515,13 @@ def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
     """The road symbol and ``kpp_kernel(d)``'s decay rate, from one read of its ``rate``, per distinct ``|xi|^2``."""
     reps, inverse = problem.tangential.radial
     mu2, sq_norms = mu * mu, _xi_sq(reps)
-    den, root = _road_symbol(sq_norms, mu2, problem.d, problem.dprime, problem.kcoef)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den, root = _road_symbol(sq_norms, mu2, problem.d, problem.dprime, problem.kcoef)
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(root))):
+        raise ValueError(
+            f"the road symbol overflows at mu={mu}, d={problem.d}, dprime={problem.dprime}, k={problem.kcoef}"
+            f" and |xi|^2 up to {sq_norms[-1]}"
+        )
     rate = kpp_kernel(problem.d).rate(reps, mu)
     return _KPPPlan(mu2, problem.normal, den, root, rate, sq_norms, np.ravel(inverse))
 

@@ -83,7 +83,7 @@ def lp_norm(f, p: float) -> float:
     if isinstance(f, BoundaryField):
         return float((np.sum(a) * f.grid.cell) ** (1.0 / p))
     total = np.sum(a, axis=tuple(range(f.tangential.dim))) * f.tangential.cell
-    return float(np.sum(total * f.normal.weights) ** (1.0 / p))
+    return float(f.normal.integrate(total) ** (1.0 / p))
 
 
 def weak_lp_norm(values, measures, p: float) -> float:
@@ -103,20 +103,18 @@ def weak_lp_norm(values, measures, p: float) -> float:
         raise ValueError("values must be nonnegative")
     if np.any(m <= 0):
         raise ValueError("measures must be positive")
-    return float(_normal_lp(v, m, p, weak=True))
+    return float(_weak_lp(v, m, p))
 
 
-def _normal_lp(slices: np.ndarray, weights: np.ndarray, p: float, weak: bool) -> np.ndarray:
-    """(Weak) L^p along the last axis against ``weights``, batched over leading axes.
+def _weak_lp(values: np.ndarray, measures: np.ndarray, p: float) -> np.ndarray:
+    """Weak L^p along the last axis against ``measures``, batched over leading axes.
 
-    The weak branch sorts each row descending and takes ``max_k v_k M_k^{1/p}``
-    as :func:`weak_lp_norm` does; a 1-D row gives the single-field value.
+    Sorts each row descending and takes ``max_k v_k M_k^{1/p}`` as
+    :func:`weak_lp_norm` does; a 1-D row gives the single-field value.
     """
-    if weak:
-        order = np.argsort(slices, axis=-1)[..., ::-1]
-        cum = np.cumsum(weights[order], axis=-1)
-        return np.max(np.take_along_axis(slices, order, axis=-1) * cum ** (1.0 / p), axis=-1)
-    return np.sum(slices**p * weights, axis=-1) ** (1.0 / p)
+    order = np.argsort(values, axis=-1)[..., ::-1]
+    cum = np.cumsum(measures[order], axis=-1)
+    return np.max(np.take_along_axis(values, order, axis=-1) * cum ** (1.0 / p), axis=-1)
 
 
 def _derivative_stencil(ngrid: NormalGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -199,11 +197,11 @@ def opnorm_hilbert(
         fv = reps[:, None, :]
 
         def l2_of(order):
-            return np.sqrt(np.sum(np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2 * ngrid.weights, axis=-1))
+            return np.sqrt(ngrid.integrate(np.abs(k.func(fv, mu, ngrid.nodes, order)) ** 2))
 
     else:
         r = k.rate(reps, mu)
-        decay = np.sqrt(np.sum(_decay_profile(2.0 * np.real(r), ngrid.nodes) * ngrid.weights, axis=-1))
+        decay = np.sqrt(ngrid.integrate(_decay_profile(2.0 * np.real(r), ngrid.nodes)))
 
         def l2_of(order):
             return np.abs(r) ** order * decay
@@ -257,17 +255,17 @@ class _StackNorm:
         self.p, self.weak = spec.p, spec.weak or family == "WeakLp"
         self.r = spec.q if family == "Besov" else 1.0
         self.steps = spec.m if family == "Mixed" else int(spec.s) if family == "TotChar" else 0
-        self.weights = []  # spectral weight of each term, on the flattened modes or the radial classes
+        self.term_weights = []  # spectral weight of each term, on the flattened modes or the radial classes
         if family in _BOUNDARY:
             xi = grid.radial[0] if radial else grid.freq_vectors.reshape(-1, grid.dim)
         if family == "Besov":
             part = LPPartition.for_grid(grid)
             radius = np.sqrt(_xi_sq(xi))
-            self.weights = [2.0 ** (j * spec.s) * part.block_weight(j, radius) for j in range(part.J + 1)]
+            self.term_weights = [2.0 ** (j * spec.s) * part.block_weight(j, radius) for j in range(part.J + 1)]
         elif family == "Bessel2":
-            self.weights = [bracket(xi) ** spec.s]
+            self.term_weights = [bracket(xi) ** spec.s]
         # the mean square of a sign sum is then exactly the sum of squares
-        one_term = self.steps == 0 and len(self.weights) <= 1
+        one_term = self.steps == 0 and len(self.term_weights) <= 1
         self.hilbert = (one_term or self.r == 2) and self.q == 2 and self.p == 2 and not self.weak
 
     @classmethod
@@ -279,7 +277,7 @@ class _StackNorm:
 
     def terms(self, a: np.ndarray) -> list[np.ndarray]:
         """The terms of ``a``, laid out as ``a`` is: ``(size, n, M)``, ``n`` the modes or the radial classes."""
-        terms = [w[:, None] * a for w in self.weights] or [a]
+        terms = [w[:, None] * a for w in self.term_weights] or [a]
         for _ in range(self.steps):
             d = normal_derivative(terms[-1], self.normal, 1)
             terms.append(self.normal.nodes * d if self.family == "TotChar" else d)
@@ -293,8 +291,10 @@ class _StackNorm:
         """Normal (weak) L^p of each term's slices, shaped ``(..., M)``, then l^r over the terms."""
         if self.normal is None:
             terms = [s[..., 0] for s in slices]
+        elif self.weak:
+            terms = [_weak_lp(s, self.normal.weights, self.p) for s in slices]
         else:
-            terms = [_normal_lp(s, self.normal.weights, self.p, self.weak) for s in slices]
+            terms = [self.normal.integrate(s**self.p) ** (1.0 / self.p) for s in slices]
         return sum(t**self.r for t in terms) ** (1.0 / self.r)
 
     def _physical(self, o: np.ndarray) -> np.ndarray:
@@ -345,24 +345,19 @@ class _Products:
 
     def singles(self) -> np.ndarray:
         """Norm of every product ``m_j * g_i``, shape ``(n_ops, n_in)``."""
-        form = self.form
+        form, n_in = self.form, len(self.spec)
         if form.q != 2:
-            inverse = form.grid.radial[1].ravel()
-            eye = np.eye(len(self.spec))
-            gathered = [m[:, inverse] for m in self.mults]
-            products = lambda j: [_stack(m[j] * self.spec[..., None]) for m in gathered]
-            return np.stack([form.of_sums(products(j), eye) for j in range(len(gathered[0]))])
+            sel_in, eye = np.arange(n_in), np.eye(n_in)
+            return np.stack([self.of_sums(np.full(n_in, j), sel_in, eye) for j in range(len(self.mults[0]))])
         power = form.grid.class_sum(np.abs(self.spec) ** 2)
-        slices = [np.sqrt(form.grid.cell * (power @ np.abs(m) ** 2)) for m in self.mults]
-        # in the engine's (M, n_ops, n_in) memory layout, which fixes the order of the node sums
-        return form._total([np.moveaxis(_stack(s), 0, -1) for s in slices])
+        return form._total([np.sqrt(form.grid.cell * (power @ np.abs(m) ** 2)) for m in self.mults])
 
     def of_sums(self, sel_ops: np.ndarray, sel_in: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """Norm of ``sum_k eps[t, k] m_{sel_ops[k]} g_{sel_in[k]}`` for every trial ``t``."""
         form, g = self.form, self.spec[sel_in]
         if form.q != 2:
             inverse = form.grid.radial[1].ravel()
-            return form.of_sums([_stack(m[sel_ops][:, inverse] * g[..., None]) for m in self.mults], eps)
+            return form.of_sums([_stack(m[sel_ops[:, None], inverse] * g[..., None]) for m in self.mults], eps)
         h = form.grid.class_sum(g.conj()[:, None] * g[None])
         size = len(sel_in)
         slices = []

@@ -124,7 +124,8 @@ def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
     norms = np.array([r[2] for r in rows], dtype=float)
     if np.any(norms <= 0):
         raise ValueError("norms must be positive for a log fit")
-    x = 0.5 * np.log1p(abs_mu**2)  # log <mu>: log1p stays accurate at small |mu|
+    with np.errstate(over="ignore"):  # an infinite log <mu> is refused below
+        x = 0.5 * np.log1p(abs_mu**2)  # log <mu>: log1p stays accurate at small |mu|
     bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(norms)))
     if bad.size:  # the least squares would fail in LAPACK, naming neither the row nor mu
         abs_bad, arg_bad = (float(v) for v in rows[bad[0]][:2])

@@ -348,7 +348,7 @@ def char_lp_bound(
     if math.isinf(p):
         nrm = np.max(vals, axis=-1, keepdims=True)
     else:
-        nrm = np.sum(vals**p * ngrid.weights, axis=-1, keepdims=True) ** inv_p
+        nrm = ngrid.integrate(vals**p)[..., None] ** inv_p
     return float(np.max(br ** (-k.order + inv_p + l - lp + a) * nrm))
 
 

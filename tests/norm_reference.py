@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from poissonops.core import HalfSpaceField
-from poissonops.norms import NormSpec, _normal_lp, lp_norm, normal_derivative
+from poissonops.norms import NormSpec, _weak_lp, lp_norm, normal_derivative
 from poissonops.transforms import forward_fft, lp_blocks
 
 
@@ -19,7 +19,8 @@ def _slice_then_normal(samples: np.ndarray, u: HalfSpaceField, p: float, q: floa
     """Tangential L^q per normal slice, then (weak) L^p against node weights."""
     tan_axes = tuple(range(u.tangential.dim))
     slices = (np.sum(np.abs(samples) ** q, axis=tan_axes) * u.tangential.cell) ** (1.0 / q)
-    return float(_normal_lp(slices, u.normal.weights, p, weak))
+    w = u.normal.weights
+    return float(_weak_lp(slices, w, p) if weak else np.sum(slices**p * w) ** (1.0 / p))
 
 
 def mixed_norm(u: HalfSpaceField, p: float, q: float, m: int, weak: bool) -> float:

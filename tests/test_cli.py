@@ -13,7 +13,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,6 +57,14 @@ def _read_csv(path):
 def _read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh]
+
+
+def _run_cli(argv, **env):
+    """``python -m poissonops.cli argv`` in a subprocess of this checkout, ``env`` added to the environment."""
+    src = str(Path(poissonops.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env}
+    return subprocess.run([sys.executable, "-m", "poissonops.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_version_flag(capsys):
@@ -417,10 +424,7 @@ def test_evolve_refuses_a_nonfinite_step_and_keeps_the_finite_ones(tmp_path):
     # step the record refuses ends it with exit 2 instead of an Infinity line
     argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "0.01", "--T", "4",
             "--g", "const", "--grid-N", "2", "--out", str(tmp_path)]
-    src = str(Path(poissonops.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "poissonops.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_cli(argv)
     assert proc.returncode == 2
     assert "nonfinite" in proc.stderr
 
@@ -659,6 +663,22 @@ def test_evolve_rerun_is_byte_identical(tmp_path, g):
     assert (tmp_path / "evolve.jsonl").read_bytes() == first
 
 
+def test_evolve_norms_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 elements across its threads, and the split moves the
+    # last bits of the sum: the 30,000-node trapezoid sums of this trajectory's norms must not go through BLAS
+    argv = ["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "1", "--T", "2", "--g", "const",
+            "--grid-N", "2", "--grid-M", "30000", "--grid-r", "1.0001"]
+    steps = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = _run_cli([*argv, "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        header, *records = _read_jsonl(out / "evolve.jsonl")
+        assert header["record"] == "header" and len(records) == 2
+        steps.append(records)
+    assert steps[0] == steps[1]
+
+
 def test_lemma_report(tmp_path, capsys):
     assert main(["lemma", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -874,18 +894,15 @@ def _artifacts(out: str) -> dict:
 @example(run=("solve", {"problem": "ch", "grid_N": 2, "grid_M": 3, "grid_r": 1e300}), rerun=False)
 @example(run=("solve", {"problem": "kpp", "grid_dim": 2, "grid_N": 2, "grid_L": 1e300}), rerun=False)
 def test_every_schema_valid_run_exits_0_1_or_2(run, rerun):
-    # a drawn run ends in exit 0, 1 or 2 and raises nothing; one that completes writes finite artifacts, and
-    # a rerun writes the same bytes.  As at the console, numpy's RuntimeWarnings stay
-    # warnings, which the suite makes errors (the nonfinite-step test runs a subprocess for the same reason);
-    # the runs' own output is dropped
+    # a drawn run ends in exit 0, 1 or 2 and raises nothing, not even a numpy RuntimeWarning (the suite makes
+    # them errors); one that completes writes finite artifacts, and a rerun writes the same bytes.  The runs'
+    # own output is dropped
     command, cfg = run
     with (
         tempfile.TemporaryDirectory() as out,
-        warnings.catch_warnings(),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):
-        warnings.simplefilter("ignore", RuntimeWarning)
         argv = [command, *_argv_flags(cfg), f"--out={out}"]
         code = main(argv)
         first = _artifacts(out)

@@ -7,8 +7,8 @@ sign sums without per-trial contractions, an Euler step loop that allocates no b
 kernel rescaling, a kpp plan from one decay rate, a heat plan that is its decay rates, a
 step's support found and its rows scattered in one place each, no threads, processes or
 environment reads, a CLI that checks its configs without jsonschema, no public
-pass-through, random draws from one seed tree, and one artifact writer and one config echo
-in the CLI."""
+pass-through, random draws from one seed tree, one artifact writer and one config echo
+in the CLI, and one normal quadrature, whose bits follow neither the memory layout nor BLAS."""
 from __future__ import annotations
 
 import ast
@@ -19,20 +19,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import poissonops
+from poissonops.core import NormalGrid
 
 PKG_DIR = Path(poissonops.__file__).parent
 FFT_CALLS = {"fft", "ifft", "fftn", "ifftn"}
 CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 
 
-def _call_sites(tree: ast.Module, is_target) -> set[str]:
-    """Innermost enclosing function of every call node for which ``is_target`` holds."""
+def _call_sites(tree: ast.Module, is_target, kind: type = ast.Call) -> set[str]:
+    """Innermost enclosing function of every ``kind`` node (a call by default) for which ``is_target`` holds."""
     defs, lines = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             defs.append(node)
-        elif isinstance(node, ast.Call) and is_target(node):
+        elif isinstance(node, kind) and is_target(node):
             lines.append(node.lineno)
     sites = set()
     for line in lines:
@@ -441,6 +446,45 @@ def test_one_solution_norm():
     assert "lp_norm" not in _called_names(ast.parse((PKG_DIR / "cli.py").read_text()))
 
 
+def test_one_normal_quadrature():
+    # the weighted sum over the normal nodes is NormalGrid.integrate, which never goes through BLAS; the
+    # weights' only other reads are the Green sweep's products w_j f_j and the weak quasinorm's measures,
+    # and dynbc.py takes no BLAS product at all
+    trees = {p.name: ast.parse(p.read_text()) for p in PKG_DIR.glob("*.py")}
+    reads = {
+        (name, fn)
+        for name, tree in trees.items()
+        for fn in _call_sites(tree, lambda node: node.attr == "weights", kind=ast.Attribute)
+    }
+    assert reads == {("core.py", "integrate"), ("dynbc.py", "_green_sweep"), ("norms.py", "_total")}
+    blas = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+    dynbc = trees["dynbc.py"]
+    assert not [n for n in ast.walk(dynbc) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+    assert _called_names(dynbc) & blas == set()
+
+
+@settings(max_examples=40)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(2, 300)),
+    seed=st.integers(0, 2**32 - 1),
+    complex_values=st.booleans(),
+)
+def test_the_normal_quadrature_does_not_follow_the_memory_layout(shape, seed, complex_values):
+    # integrate sums each row pairwise in C order: C, Fortran, transposed, reversed and strided copies of the
+    # same values give the same bits
+    ngrid = NormalGrid(shape[-1], r=1.01)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_values else 0.0)
+    want = ngrid.integrate(a).tobytes()
+    copies = [
+        np.asfortranarray(a),
+        np.ascontiguousarray(a.transpose(2, 1, 0)).transpose(2, 1, 0),
+        np.ascontiguousarray(a[::-1, ::-1, ::-1])[::-1, ::-1, ::-1],
+        a.repeat(2, axis=-1)[..., ::2],
+    ]
+    assert all(ngrid.integrate(c).tobytes() == want for c in copies)
+
+
 def test_one_norm_engine():
     # every NormSpec norm is evaluated by norms._StackNorm; rbound only samples and searches
     definers = {
@@ -451,7 +495,7 @@ def test_one_norm_engine():
     }
     assert definers == {"norms.py"}
     rbound_calls = _called_names(ast.parse((PKG_DIR / "rbound.py").read_text()))
-    assert rbound_calls & {"normal_derivative", "_normal_lp"} == set()
+    assert rbound_calls & {"normal_derivative", "_weak_lp", "integrate"} == set()
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

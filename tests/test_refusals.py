@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,11 +79,33 @@ def test_a_scan_of_a_kernel_without_spectral_parameter_names_the_empty_sector(tm
 @pytest.mark.parametrize("mode, points, row", [("opnorm", 6, 3), ("rbound", 20, 11)])
 def test_a_nonfinite_scan_row_is_refused_before_the_fit(tmp_path, capsys, mode, points, row):
     # mu^2 overflows in tau above |mu| ~ 1.3e154: the first row past it is named (rbound's batches of
-    # four end at mu 3, 7, 11, ...), not handed to the least squares, whose LAPACK failure names neither.
-    # As at the console, numpy's RuntimeWarnings stay warnings, which the suite makes errors
+    # four end at mu 3, 7, 11, ...), not handed to the least squares, whose LAPACK failure names neither,
+    # and without a numpy RuntimeWarning, which the suite makes an error
     mu = float(np.geomspace(1.0, 1e300, points)[row])
     argv = ["scan", "--mode", mode, "--mu-max", "1e300", "--mu-points", str(points), "--grid-N", "8", "--grid-M", "16"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert main([*argv, "--out", str(tmp_path)]) == 2
     assert f"not finite in the scan row at |mu|={mu!r}, arg=0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--problem", "kpp", "--dprime", "1.7e308", "--grid-N", "2", "--grid-M", "8"],
+         "the road symbol overflows at mu=(1+0j), d=1.0, dprime=1.7e+308, k=1.0 and |xi|^2 up to 1.0"),
+        (["solve", "--problem", "ch", "--mu", "4.5e86", "--k", "4.5e86", "--grid-N", "2", "--grid-M", "24"],
+         "nonfinite residual for boundary_dynamics"),
+        (["solve", "--problem", "heat-dynbc", "--mu", "1e200", "--grid-N", "2", "--grid-M", "8"],
+         "the heat decay rate overflows at mu=(1e+200+0j)"),
+        (["scan", "--mode", "opnorm", "--prefactor-exponent", "200", "--grid-N", "8", "--grid-M", "16"],
+         "not finite in the scan row at |mu|=37.926901907322495, arg=0.0"),
+        (["scan", "--mode", "rbound", "--prefactor-exponent", "200", "--grid-N", "8", "--grid-M", "16",
+          "--trials", "4", "--restarts", "1"],
+         "not finite in the scan row at |mu|=12.742749857031335, arg=0.0"),
+    ],
+    ids=["kpp-road-symbol", "ch-residual", "heat-rate", "opnorm-prefactor", "rbound-prefactor"],
+)
+def test_an_overflow_is_refused_without_a_warning(tmp_path, capsys, argv, message):
+    # in process, under the suite's error::RuntimeWarning filter: an overflow in a plan, a step or a
+    # scan row is refused by name with exit 2, not raised out of main as a numpy warning
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
