@@ -123,6 +123,12 @@ class TangentialGrid:
             raise ValueError(
                 f"cell (L/N)^dim must be positive and finite, got {cell} at L={self.L}, N={self.N}, dim={self.dim}"
             )
+        try:
+            top = self.dim * self.nyquist**2
+        except OverflowError:
+            top = math.inf
+        if not top < math.inf:  # every kernel and weight reads the frequencies through |xi|^2
+            raise ValueError(f"|xi|^2 must be finite, got {top} at L={self.L}, N={self.N}, dim={self.dim}")
 
     @property
     def cell(self) -> float:

@@ -222,7 +222,7 @@ def opnorm_hilbert(
 
 
 class _StackNorm:
-    """A :class:`NormSpec` norm of sign sums ``sum_k eps_k O_k`` of spectral arrays, every trial at once.
+    """A :class:`NormSpec` norm of sign sums ``sum_k eps_k O_k`` of spectral arrays, every sign row at once.
 
     Every norm is an outer l^r sum over terms, each term the normal (weak)
     L^p of the tangential L^q slices of one stack.  Lp and WeakLp have one
@@ -233,10 +233,11 @@ class _StackNorm:
 
     A stack is laid out ``(M, size, modes)``: normal nodes first (``M = 1``
     on the boundary), then the summands, then the flattened modes of the
-    unscaled orthonormal tangential transform.  For tangential ``q = 2`` each
-    slice is the Gram form ``cell * Re(eps^* G[x] eps)`` with
-    ``G[x] = conj(O_x) O_x^T`` (Plancherel); any other ``q`` transforms the
-    stack back once and forms every trial in one matmul.
+    unscaled orthonormal tangential transform.  Signs are real (Rademacher
+    ``+-1``), so for tangential ``q = 2`` each slice is the real Gram form
+    ``cell * eps^T G[x] eps`` with ``G[x] = Re(conj(O_x) O_x^T) = v_x v_x^T``,
+    ``v`` the float view of the stack (Plancherel); any other ``q`` transforms
+    the stack back once and forms every sign row in one matmul.
 
     A ``radial`` form measures products of radial multipliers with spectra
     (:class:`_Products`): its stacks run over the ``K`` radial classes of
@@ -302,21 +303,25 @@ class _StackNorm:
         return np.moveaxis(_itfft(a, self.grid.dim), (-2, -1), (0, 1)).reshape(o.shape)
 
     def of_sums(self, stacks: list[np.ndarray], eps: np.ndarray) -> np.ndarray:
-        """Norm of ``sum_k eps[t, k] O_k`` for every trial ``t``, from the stacks of :meth:`orders`."""
+        """Norm of ``sum_k eps[t, k] O_k`` for every real sign row ``t``, from the stacks of :meth:`orders`."""
         cell, q = self.grid.cell, self.q
         slices = []
         for o in stacks:
             if q == 2:
-                slices.append(self._gram_slices(o.conj() @ o.transpose(0, 2, 1), eps))
+                v = o.view(float)  # real and imaginary parts side by side: v @ v^T is Re(conj(o) o^T)
+                slices.append(self._gram_slices(v @ v.transpose(0, 2, 1), eps))
             else:
                 combo = eps @ self._physical(o)
                 slices.append(((np.sum(np.abs(combo) ** q, axis=-1) * cell) ** (1.0 / q)).T)
         return self._total(slices)
 
     def _gram_slices(self, gram: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Tangential L^2 slice ``(cell Re(eps^* G[x] eps))^(1/2)`` of every trial and node, shape ``(trials, M)``."""
-        signs = (eps.conj()[:, :, None] * eps[:, None, :]).reshape(len(eps), -1)
-        sq = (signs @ gram.reshape(len(gram), -1).T).real
+        """Tangential L^2 slice ``(cell eps^T G[x] eps)^(1/2)`` of every sign row and node, shape ``(rows, M)``.
+
+        ``gram`` is the real Gram ``(M, size, size)`` and ``eps`` holds real signs, ``(rows, size)``.
+        """
+        signs = (eps[:, :, None] * eps[:, None, :]).reshape(len(eps), -1)
+        sq = signs @ gram.reshape(len(gram), -1).T
         # a nearly cancelling sum can round to a tiny negative square
         return np.sqrt(np.maximum(sq, 0.0) * self.grid.cell)
 
@@ -329,14 +334,16 @@ class _Products:
     per row, ``(n_in, modes)``.  No product stack is formed for tangential
     ``q = 2``: with ``P[i, r] = sum_{xi in r} |g_i(xi)|^2`` the singleton
     slices are one matmul ``cell P @ |m_j|^2``, and a sign sum of summands
-    ``(j_k, i_k)`` has the Gram matrix ``G[x, k, l] = H[k, l] @ Q[j_k, j_l][:, x]``
-    with ``H[k, l, r] = sum_{xi in r} conj(g_{i_k}) g_{i_l}`` and the pair
-    table ``Q[j, j'] = conj(m_j) m_j'``, laid out ``(K, M)`` per pair.  The
-    table is built on the first sampled sum, for ``j <= j'`` only (the rest
-    are conjugates), in the dtype of the term's profiles: a real family's
-    tables are real, half the bytes, and enter the Gram entries through
-    :func:`_class_dot`.  Any other ``q`` gathers the class profiles to the
-    modes and measures the products as stacks.
+    ``(j_k, i_k)`` has the real Gram matrix
+    ``G[x, k, l] = Re(H[k, l] @ Q[j_k, j_l][:, x])`` with
+    ``H[k, l, r] = sum_{xi in r} conj(g_{i_k}) g_{i_l}`` and the pair product
+    ``Q[j, j'] = conj(m_j) m_j'``, ``(K, M)`` per pair.  The pair tables hold
+    ``Re Q`` as one real matrix per pair, built on the first sampled sum for
+    ``j <= j'`` only (``G`` is symmetric): ``Q`` itself, ``(K, M)``, for a real
+    term, and for a complex one the rows ``Re Q[r]`` and ``-Im Q[r]``
+    interleaved, ``(2K, M)``, which meet the float view of ``H``.  Either way
+    a Gram entry is one real product.  Any other ``q`` gathers the class
+    profiles to the modes and measures the products as stacks.
     """
 
     def __init__(self, form: _StackNorm, mults: np.ndarray, spec: np.ndarray) -> None:
@@ -353,7 +360,7 @@ class _Products:
         return form._total([np.sqrt(form.grid.cell * (power @ np.abs(m) ** 2)) for m in self.mults])
 
     def of_sums(self, sel_ops: np.ndarray, sel_in: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Norm of ``sum_k eps[t, k] m_{sel_ops[k]} g_{sel_in[k]}`` for every trial ``t``."""
+        """Norm of ``sum_k eps[t, k] m_{sel_ops[k]} g_{sel_in[k]}`` for every real sign row ``t``."""
         form, g = self.form, self.spec[sel_in]
         if form.q != 2:
             inverse = form.grid.radial[1].ravel()
@@ -361,42 +368,40 @@ class _Products:
         h = form.grid.class_sum(g.conj()[:, None] * g[None])
         size = len(sel_in)
         slices = []
-        for table in self._pairs:
-            gram = np.empty((self.mults[0].shape[-1], size, size), dtype=complex)
+        for interleaved, table in self._pairs:
+            rows = h.view(float) if interleaved else np.ascontiguousarray(h.real)
+            gram = np.empty((self.mults[0].shape[-1], size, size))
             for k in range(size):
                 for l in range(k, size):
                     a, b = (k, l) if sel_ops[k] <= sel_ops[l] else (l, k)
-                    gram[:, a, b] = _class_dot(h[a, b], table[sel_ops[a], sel_ops[b]])
-                    gram[:, b, a] = gram[:, a, b].conj()
+                    gram[:, k, l] = gram[:, l, k] = rows[a, b] @ table[sel_ops[a], sel_ops[b]]
             slices.append(form._gram_slices(gram, eps))
         return form._total(slices)
 
     @cached_property
-    def _pairs(self) -> list[dict]:
-        """Per term, ``conj(m_j) m_j'`` laid out ``(K, M)`` for every ``j <= j'``, keyed ``(j, j')``."""
+    def _pairs(self) -> list[tuple[bool, dict]]:
+        """Per term, whether it is complex (rows interleaved) and ``Re Q`` of every ``j <= j'``, keyed ``(j, j')``."""
         n_ops = len(self.mults[0])
         keys = [(j, jj) for j in range(n_ops) for jj in range(j, n_ops)]
         tables = []
         for m in self.mults:
-            # one block, filled in place: a conjugate copy of the family, freed
-            # on every call, made each pass of an rbound scan fault in fresh pages
-            table = np.empty((len(keys),) + m.shape[1:], dtype=m.dtype)
+            interleaved = np.iscomplexobj(m)
+            K, M = m.shape[1:]
+            # one block, filled in place: a copy of the family, freed on every
+            # call, made each pass of an rbound scan fault in fresh pages
+            table = np.empty((len(keys), 2 * K if interleaved else K, M))
+            if interleaved:
+                conj_q = np.empty((K, M), dtype=m.dtype)
             for row, (j, jj) in zip(table, keys):
-                np.conj(m[j], out=row)
-                row *= m[jj]
-            tables.append(dict(zip(keys, table)))
+                if interleaved:
+                    np.conj(m[jj], out=conj_q)
+                    conj_q *= m[j]  # conj(Q): its parts are Re Q and -Im Q
+                    pairs = row.reshape(K, 2, M)
+                    pairs[:, 0], pairs[:, 1] = conj_q.real, conj_q.imag
+                else:
+                    np.multiply(m[j], m[jj], out=row)
+            tables.append((interleaved, dict(zip(keys, table))))
         return tables
-
-
-def _class_dot(h: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``h @ q`` of a complex class row ``h`` and a pair table ``q``, ``(K, M)``.
-
-    A real table enters through one real product on the float view of ``h``:
-    ``h @ q`` would cast the whole table to complex on every call.
-    """
-    if np.iscomplexobj(q):
-        return h @ q
-    return (q.T @ h.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def _stack(a: np.ndarray) -> np.ndarray:

@@ -1,21 +1,26 @@
-"""Randomization tools: unit-modulus sign sums, R-bound search, decay fits.
+"""Randomization tools: Rademacher sign sums, R-bound search, decay fits.
 
 An operator family is probed from below: random subsets act on random
 dictionary inputs, and the ratio of randomized output to input norms is
-maximized over restarts.  The best observed ratio is a certified lower bound
-only where every ratio is exact (single summands, and ``p = 2`` with Hilbert
-norms); a Monte-Carlo ratio is noisy, and its maximum over restarts is biased
-upward, so it can exceed the true randomized bound.  The family is given as
-radial spectral multipliers, one row per radial class of the grid, and sign
-sums are evaluated in spectral space, every trial at once.  Decay claims are
-quantified by least-squares slopes of log norm against the log bracket weight
-of the spectral parameter.
+maximized over restarts.  Sign sums average over Rademacher signs
+``eps_k = +-1``.  A norm does not see a global sign flip, so a sum of ``n``
+terms needs only the ``2^(n-1)`` sign patterns with ``eps_0 = +1``; when
+they number at most ``trials`` their average is taken exactly, with
+standard error 0, and otherwise ``trials`` sign vectors are drawn by
+Monte-Carlo.  The best observed ratio is a certified lower bound when every
+ratio is exact (at the CLI's default batches of 4 operators and 24 trials
+every one is); a Monte-Carlo ratio is noisy, and its maximum over restarts
+is biased upward, so it can exceed the true randomized bound.  The family
+is given as radial spectral multipliers, one row per radial class of the
+grid, and sign sums are evaluated in spectral space, every sign vector at
+once.  Decay claims are quantified by least-squares slopes of log norm
+against the log bracket weight of the spectral parameter.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,13 +40,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RademacherSampler:
-    """Deterministic source of uniform unit-modulus complex signs.
+    """Deterministic source of random sizes, selections and signs.
 
-    The node ``(seed, key)`` of one :class:`numpy.random.SeedSequence` tree:
-    ``child(i)`` is the node ``spawn`` hands out ``i``-th, so distinct nodes
-    draw independent streams.  ``unit`` and ``integers`` continue one Philox
-    generator, seeded by the node alone and built on the first draw.  The
-    functions handed a sampler draw only from its children, never advancing it.
+    ``integers`` draws the sizes and selections of an R-bound restart and the
+    Rademacher (``+-1``) signs of a Monte-Carlo sign sum; ``unit`` draws
+    uniform unit-modulus complex (Steinhaus) signs, which no sign sum of
+    this package uses.  The sampler is the node ``(seed, key)`` of one
+    :class:`numpy.random.SeedSequence` tree: ``child(i)`` is the node
+    ``spawn`` hands out ``i``-th, so distinct nodes draw independent
+    streams.  ``unit`` and ``integers`` continue one Philox generator, seeded
+    by the node alone and built on the first draw.  The functions handed a
+    sampler draw only from its children, never advancing it.
     """
 
     seed: int
@@ -159,6 +168,18 @@ def _check_common_grid(fields: Sequence) -> None:
             raise ValueError("fields must share one grid")
 
 
+@cache
+def _patterns(n: int) -> np.ndarray:
+    """The ``2^(n-1)`` sign vectors of length ``n`` with ``eps_0 = +1``, shape ``(2^(n-1), n)``, read-only.
+
+    Row ``i`` has ``eps_k = -1`` where bit ``k - 1`` of ``i`` is set.
+    """
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    eps = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    eps.flags.writeable = False
+    return eps
+
+
 def _sign_sum(
     norm: _StackNorm,
     singles: np.ndarray,
@@ -167,26 +188,32 @@ def _sign_sum(
     trials: int,
     sampler: RademacherSampler,
 ) -> tuple[float, float]:
-    """``(E ||sum_k eps_k O_k||^p)^(1/p)`` and its standard error.
+    """``(E ||sum_k eps_k O_k||^p)^(1/p)`` over Rademacher signs ``eps_k = +-1``, and its standard error.
 
-    ``singles`` are the norms of the summands.  One summand needs no
-    sampling (unit modulus drops out), and for ``p = 2`` with a Hilbert norm
-    the expectation is exactly the square sum; otherwise ``trials`` sign
-    vectors are drawn in one call and ``sums(eps)`` gives the norm of every
-    trial's sum.
+    ``singles`` are the norms of the summands.  One summand needs no signs,
+    and for ``p = 2`` with a Hilbert norm the expectation is exactly the
+    square sum.  A norm does not change under a global sign flip, so ``n``
+    summands need only the ``2^(n-1)`` sign patterns with ``eps_0 = +1``:
+    when ``2^(n-1) <= trials`` the average over them is exact, its standard
+    error is 0, and nothing is drawn.  Otherwise ``trials`` sign vectors are drawn
+    in one ``sampler.integers`` call.  ``sums(eps)`` gives the norm of the
+    sum of every row of ``eps``.
     """
     n = len(singles)
     if n == 1:
         return float(singles[0]), 0.0
     if p == 2 and norm.hilbert:
         return math.sqrt(sum(float(s) ** 2 for s in singles)), 0.0
-    eps = sampler.unit(trials * n).reshape(trials, n)
+    exact = 2 ** (n - 1) <= trials
+    eps = _patterns(n) if exact else 1.0 - 2.0 * sampler.integers(0, 2, trials * n).reshape(trials, n)
     draws = sums(eps) ** p
     mean = float(np.mean(draws))
     if mean == 0.0:
         return 0.0, 0.0
-    sem = float(np.std(draws, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     value = mean ** (1.0 / p)
+    if exact or trials == 1:
+        return value, 0.0
+    sem = float(np.std(draws, ddof=1) / math.sqrt(trials))
     return value, sem * value / (p * mean)
 
 
@@ -197,12 +224,14 @@ def eps_p_norm(
     trials: int = 64,
     sampler: RademacherSampler = RademacherSampler(seed=0),
 ) -> float:
-    """Randomized sign-sum norm ``(E ||sum_n eps_n f_n||^p)^(1/p)``.
+    """Randomized sign-sum norm ``(E ||sum_n eps_n f_n||^p)^(1/p)`` over Rademacher signs ``eps_n = +-1``.
 
-    A single field needs no sampling (unit modulus drops out), and for ``p=2``
-    with a Hilbert norm the expectation collapses exactly to the square sum;
-    everything else is Monte-Carlo with signs from ``sampler.child(0)``.  ``norm``
-    may be any family that applies to the fields; ``1 <= p < inf``.
+    A single field needs no signs, and for ``p=2`` with a Hilbert norm the
+    expectation collapses exactly to the square sum.  Otherwise ``n`` fields
+    are averaged exactly over their ``2^(n-1)`` sign patterns with
+    ``eps_0 = +1`` when ``2^(n-1) <= trials``, and by Monte-Carlo over
+    ``trials`` sign vectors from ``sampler.child(0)`` when not.  ``norm`` may be
+    any family that applies to the fields; ``1 <= p < inf``.
     """
     _check_counts(p, trials)
     if not fields:
@@ -273,12 +302,15 @@ def rbound_lower(
     ``r``.  Every dictionary input is first swept through every single
     operator (the exact singleton floor), then ``restarts`` random
     selections with repetition search for sign-sum ratios above that floor.
-    The maximum ratio observed is returned.  It is a certified lower bound
-    when every ratio above the floor is exact: a single summand, or ``p = 2``
-    with Hilbert input and output norms.  Otherwise the ratios are quotients
-    of Monte-Carlo means, and their maximum is biased upward: it may exceed
-    the true randomized bound.  Restart ``r`` draws its size, selections and
-    both sign batches, in that order, from ``sampler.child(r)``.  Products are measured
+    The maximum ratio observed is returned.  Sign sums average over
+    Rademacher signs (:func:`eps_p_norm`): a selection of ``n`` summands is
+    exact when ``2^(n-1) <= trials`` (a single summand, and ``p = 2`` with
+    Hilbert input and output norms, always are), and then ``stderr`` is 0.
+    The estimate is a certified lower bound when every ratio above the floor
+    is exact.  Otherwise some ratios are quotients of Monte-Carlo means, and
+    their maximum is biased upward: it may exceed the true randomized bound.
+    Restart ``r`` draws its size, its selections and then the sign batches of
+    its Monte-Carlo sums, in that order, from ``sampler.child(r)``.  Products are measured
     on the classes (:class:`~poissonops.norms._Products`): no per-mode product
     stack is formed for a tangential ``q = 2``.  The family is measured in
     ``result_type(float, *multipliers)``, so a real family (a decay kernel on

@@ -509,8 +509,8 @@ def kpp_kernel(d: float = 1.0) -> SymbolKernel:
     Unit bounded, but its decay rate degenerates against the bracket weight as
     ``mu`` vanishes, so it is tagged with the weak class as a nominal label.
     """
-    if not 0 < d < math.inf:
-        raise ValueError(f"diffusivity must be positive and finite, got d={d!r}")
+    if not 0 < d < math.inf or not 1.0 / d < math.inf:  # the rate divides by d
+        raise ValueError(f"diffusivity must be positive and finite, and so must 1/d, got d={d!r}")
     return _decay_kernel("kpp", "weak", lambda xi, mu: np.sqrt(np.asarray(mu, dtype=complex) ** 2 / d + _xi_sq(xi)))
 
 

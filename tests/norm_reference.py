@@ -69,7 +69,7 @@ def ref_field_norm(f, spec: NormSpec) -> float:
 
 
 def is_hilbert(spec: NormSpec) -> bool:
-    """Whether ``E ||sum_k eps_k x_k||^2 = sum_k ||x_k||^2`` holds for Steinhaus signs in ``spec``."""
+    """Whether ``E ||sum_k eps_k x_k||^2 = sum_k ||x_k||^2`` holds for Rademacher signs in ``spec``."""
     if spec.family in ("Lp", "Bessel2"):
         return spec.p == 2
     if spec.family == "Besov":

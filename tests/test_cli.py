@@ -549,55 +549,83 @@ RBOUND_JOB_ARGS = (
 )
 
 
-@pytest.mark.parametrize("seed, draws", [(0, [34, 0, 68, 34]), (1, [29, 0, 58, 29])])
-def test_rbound_scans_draw_one_sign_batch_per_sampled_sum(tmp_path, monkeypatch, seed, draws):
-    # counts of the seed tree's restart streams: one sign batch per sampled sum;
-    # the streams, draw counts and restart order are part of the output
+def _record_draws(mp: pytest.MonkeyPatch) -> list[tuple]:
+    """Every draw of every sampler in order, ``(method, low, high, count, draws)``; ``unit`` has no bounds."""
     calls = []
-    unit = RademacherSampler.unit
+    unit, integers = RademacherSampler.unit, RademacherSampler.integers
 
-    def counted(self, count):
-        calls.append(count)
-        return unit(self, count)
+    def recorded_unit(self, count):
+        draws = unit(self, count)
+        calls.append(("unit", None, None, count, draws))
+        return draws
 
-    monkeypatch.setattr(RademacherSampler, "unit", counted)
-    got = []
+    def recorded_integers(self, low, high, count):
+        draws = integers(self, low, high, count)
+        calls.append(("integers", low, high, count, draws))
+        return draws
+
+    mp.setattr(RademacherSampler, "unit", recorded_unit)
+    mp.setattr(RademacherSampler, "integers", recorded_integers)
+    return calls
+
+
+@pytest.mark.parametrize("seed, batches", [(0, 28), (1, 28)])
+def test_rbound_scans_draw_one_sign_batch_per_sampled_sum(tmp_path, monkeypatch, seed, batches):
+    # the README jobs (batches of 4 operators, 24 trials) average every sign sum exactly over its
+    # 2^(n-1) <= 8 patterns: they draw sizes and selections only, and no sign
+    calls = _record_draws(monkeypatch)
     for args in RBOUND_JOB_ARGS:
         calls.clear()
         assert main([*RBOUND_JOB, *args, "--seed", str(seed), "--out", str(tmp_path)]) == 0
-        got.append(len(calls))
-    assert got == draws
+        assert calls and all(kind == "integers" and high != 2 for kind, _, high, _, _ in calls)
+    # with batches of 8, a sum of n >= 6 terms has 2^(n-1) > 24 patterns and draws one batch of 24 n
+    # signs; at p = 1.5 both the denominator and the numerator of such a restart are sampled.  The
+    # streams, draw counts and restart order are part of the output
+    calls.clear()
+    argv = [*RBOUND_JOB, "--p", "1.5", "--normal-class", "strong", *SMALL_GRID, "--mu-points", "40",
+            "--batch-size", "8", "--seed", str(seed), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    sizes = [int(draws[0]) for _, low, _, _, draws in calls if low == 1]
+    assert len(sizes) == 5 * 8  # 5 rows of 8 restarts
+    want = []
+    for n in sizes:  # 8 operators and the 12 probe inputs of the 8-point grid
+        want += [(1, 9, 1), (0, 8, n), (0, 12, n)] + [(0, 2, 24 * n)] * (2 if 2 ** (n - 1) > 24 else 0)
+    assert [(low, high, count) for _, low, high, count, _ in calls] == want
+    assert sum(high == 2 for _, _, high, _, _ in calls) == batches
 
 
-def _signs_by_batch(tmp_path, monkeypatch, seed):
-    """Every sign a small rbound scan draws, one array per batch."""
+def _draws_by_batch(tmp_path, monkeypatch, seed):
+    """The selections and the Monte-Carlo signs a small rbound scan draws, one pair of arrays per batch."""
     batches = []
-    unit, lower = RademacherSampler.unit, cli.rbound_lower
+    with monkeypatch.context() as mp:
+        calls = _record_draws(mp)
+        lower = cli.rbound_lower
 
-    def recorded(self, count):
-        draws = unit(self, count)
-        batches[-1].append(draws)
-        return draws
+        def per_batch(*args, **kwargs):
+            calls.clear()
+            estimate = lower(*args, **kwargs)
+            picks = [draws for _, low, high, _, draws in calls if low == 0 and high != 2]
+            signs = [draws for _, low, high, _, draws in calls if high == 2]
+            batches.append((np.concatenate(picks), np.concatenate(signs)))
+            return estimate
 
-    def per_batch(*args, **kwargs):
-        batches.append([])
-        return lower(*args, **kwargs)
-
-    monkeypatch.setattr(RademacherSampler, "unit", recorded)
-    monkeypatch.setattr(cli, "rbound_lower", per_batch)
-    argv = [*RBOUND_JOB, "--p", "1.5", *SMALL_GRID, "--mu-points", "10", "--batch-size", "2"]
-    assert main([*argv, "--seed", str(seed), "--out", str(tmp_path)]) == 0
-    return [np.concatenate(b) for b in batches]
+        mp.setattr(cli, "rbound_lower", per_batch)
+        # batches of 4 operators at 3 trials: a sum of 3 or 4 terms draws its signs
+        argv = [*RBOUND_JOB, "--p", "1.5", *SMALL_GRID, "--trials", "3"]
+        assert main([*argv, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    return batches
 
 
 def test_rbound_batches_of_different_seeds_draw_different_signs(tmp_path, monkeypatch):
     # batch samplers keyed seed + stride * idx would give --seed <stride> batch 0
-    # the signs of --seed 0 batch 1; children of one seed tree never coincide
+    # the draws of --seed 0 batch 1; children of one seed tree never coincide,
+    # in their selections nor in their Monte-Carlo signs
+    base = _draws_by_batch(tmp_path, monkeypatch, 0)[1]
     for stride in (1, 7919):
-        shifted = _signs_by_batch(tmp_path, monkeypatch, stride)[0]
-        base = _signs_by_batch(tmp_path, monkeypatch, 0)[1]
-        assert shifted.size and base.size
-        assert not np.array_equal(shifted, base)
+        shifted = _draws_by_batch(tmp_path, monkeypatch, stride)[0]
+        for got, other in zip(shifted, base):
+            assert got.size and other.size
+            assert not np.array_equal(got, other)
 
 
 def test_scan_rays_parsing(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -105,6 +106,47 @@ def test_eps_p_norm_exact_vs_monte_carlo():
     stderr_sq = float(np.std(draws, ddof=1) / math.sqrt(trials))
     stderr = stderr_sq / (2.0 * mc)
     assert abs(mc - exact) <= 3.0 * stderr
+
+
+_EXPONENT, _INNER = st.floats(1.1, 4.0), st.floats(1.0, 4.0)
+_NORMS = st.one_of(  # norms only: the weak quasinorms fail the triangle inequality
+    st.builds(NormSpec, st.just("Lp"), p=st.floats(1.0, 4.0)),
+    st.builds(NormSpec, st.just("Besov"), p=_EXPONENT, q=_INNER, s=st.sampled_from([-1.0, 0.5])),
+    st.builds(NormSpec, st.just("Bessel2"), s=st.sampled_from([-1.0, 0.0, 0.5])),
+    st.builds(NormSpec, st.just("Mixed"), p=_EXPONENT, q=_INNER, m=st.integers(0, 2)),
+    st.builds(NormSpec, st.just("TotChar"), p=_EXPONENT, q=_INNER, s=st.sampled_from([0.0, 1.0])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    M=st.integers(3, 8),
+    p=st.floats(1.0, 4.0),
+    norm=_NORMS,
+    half=st.booleans(),
+    scales=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_an_exact_rademacher_average_bounds_every_summand(dim, M, p, norm, half, scales, seed):
+    # contraction principle: (||x + y|| + ||x - y||) / 2 >= ||x|| for a norm, and t^p is convex, so
+    # the exact average (E ||sum_k eps_k x_k||^p)^(1/p) is at least max_k ||x_k||: no restart's
+    # denominator falls below its largest singleton
+    grid, normal = make_grids(dim=dim, N=8, M=M, X_max=4.0, r=1.2)
+    half = norm.family in ("Mixed", "TotChar") or (half and norm.family == "Lp")
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + ((M,) if half else ())
+
+    def field(scale):
+        data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return HalfSpaceField(grid, normal, data) if half else BoundaryField(grid, data)
+
+    fields = [field(scale) for scale in scales]
+    trials = 2 ** (len(fields) - 1)
+    average = eps_p_norm(fields, p, norm, trials=trials)
+    # exact: no sign is drawn, so another seed gives the same bits
+    assert eps_p_norm(fields, p, norm, trials=trials, sampler=RademacherSampler(seed + 1)) == average
+    assert average >= max(field_norm(f, norm) for f in fields) * (1.0 - 1e-12)
 
 
 def test_eps_p_norm_kahane_band():
@@ -293,12 +335,20 @@ def test_rbound_lower_refuses_per_mode_multipliers(dim):
 
 
 def _ref_sign_sum(fields, p, norm, trials, sampler):
-    """One tensordot and one physical reference norm per trial."""
-    if len(fields) == 1:
+    """One tensordot and one physical reference norm per Rademacher sign vector.
+
+    Every sign vector with ``eps_0 = +1`` when there are at most ``trials``
+    of them, else ``trials`` vectors of ``+-1`` signs drawn by ``integers``.
+    """
+    n = len(fields)
+    if n == 1:
         return ref_field_norm(fields[0], norm)
     if p == 2 and is_hilbert(norm):
         return math.sqrt(sum(ref_field_norm(f, norm) ** 2 for f in fields))
-    eps = sampler.unit(trials * len(fields)).reshape(trials, len(fields))
+    if 2 ** (n - 1) <= trials:
+        eps = np.array([(1.0, *signs) for signs in itertools.product((1.0, -1.0), repeat=n - 1)])
+    else:
+        eps = np.where(sampler.integers(0, 2, trials * n) == 0, 1.0, -1.0).reshape(trials, n)
     stack = np.stack([f.samples for f in fields])
     first = fields[0]
     draws = []
@@ -326,7 +376,7 @@ def _ref_rbound(mults, inputs, normal, p, in_norm, out_norm, trials, restarts, s
             best = max(best, ref_field_norm(u, out_norm) / in_norms[i])
     n_ops, n_in = len(mults), len(inputs)
     for r in range(restarts):
-        # restart r replays child r of the seed tree: size, selections, then both sign batches
+        # restart r replays child r of the seed tree: size, selections, then the Monte-Carlo sign batches
         sub = RademacherSampler(sampler.seed, (*sampler.key, r))
         size = int(sub.integers(1, n_ops + 1, 1)[0])
         sel_ops = sub.integers(0, n_ops, size)
@@ -409,7 +459,7 @@ def test_rbound_engine_matches_per_trial_physical_reference(
     ),
 )
 def test_rbound_hilbert_case_is_the_largest_operator_norm(dim, N, M, X_max, d, mus):
-    # with Steinhaus signs E|sum eps_k x_k|^2 = sum |x_k|^2, so for p = 2 between
+    # with Rademacher signs E|sum eps_k x_k|^2 = sum |x_k|^2, so for p = 2 between
     # L^2 spaces the randomized bound of a family is the sup of its operator norms
     kernel = heat_kernel if d is None else kpp_kernel(d)
     grid, normal = make_grids(dim=dim, N=N, M=M, X_max=X_max, r=1.1)
@@ -460,13 +510,37 @@ def test_a_real_family_bounds_as_its_complex_cast(dim, N, M, kpp, p, weak, mus, 
 
 
 @pytest.mark.parametrize("mu", [1.0, 1.0 + 0.5j])
-def test_pair_tables_take_the_family_dtype(mu):
+def test_pair_tables_are_real_and_give_the_real_gram_entry(mu):
+    # a real family's table is Q = m_j m_j' itself, (K, M); a complex family's interleaves the rows
+    # Re Q and -Im Q, (2K, M), so a complex class row's float view meets it in one real product Re(h @ Q)
     grid, normal = make_grids(N=16, M=12)
     family = _readme_family(heat_kernel, [mu, 2.0 * mu], grid, normal)
+    assert family.dtype == (np.float64 if mu.imag == 0 else np.complex128)
     form = _StackNorm(NormSpec("Mixed", weak=True), grid, normal, radial=True)
     products = _Products(form, family, _spectra(probe_dictionary(grid), grid)[..., 0])
-    assert {t.dtype for tables in products._pairs for t in tables.values()} == {family.dtype}
-    assert family.dtype == (np.float64 if mu.imag == 0 else np.complex128)
+    [(interleaved, tables)] = products._pairs
+    K = len(grid.radial[0])
+    assert interleaved == (family.dtype == np.complex128)
+    assert sorted(tables) == [(0, 0), (0, 1), (1, 1)]
+    assert {(t.dtype, t.shape) for t in tables.values()} == {(np.dtype(float), ((1 + interleaved) * K, normal.M))}
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    rows = h.view(float) if interleaved else h.real
+    for (j, jj), table in tables.items():
+        want = np.real(h @ (family[j].conj() * family[jj]))
+        np.testing.assert_allclose(rows @ table, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("p, weak, mu", [(2.0, True, 1.0), (1.5, False, 1.0), (2.0, True, complex(0.8, 0.6))])
+def test_readme_size_families_are_exact_whatever_the_trial_count(p, weak, mu):
+    # batches of 4 operators have sums of at most 4 terms, at most 8 sign patterns: from 8 trials on every
+    # sum is averaged exactly, so the estimate has no error and more trials give the same bits
+    grid, normal = make_grids(N=16, M=24)
+    family = _readme_family(heat_kernel, [mu * m for m in (1.0, 2.0, 4.0, 8.0)], grid, normal)
+    kw = dict(p=p, out_norm=NormSpec("Mixed", p=p, q=2.0, weak=weak), restarts=8, sampler=RademacherSampler(5))
+    estimate = rbound_lower(family, probe_dictionary(grid), normal, trials=8, **kw)
+    assert estimate.stderr == 0.0
+    assert rbound_lower(family, probe_dictionary(grid), normal, trials=64, **kw) == estimate
 
 
 def test_readme_rbound_batch_keeps_its_family_real():

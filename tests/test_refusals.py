@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,8 @@ REFUSALS = [
     pytest.param(lambda: NormalGrid(14_492), "not strictly increasing at M=14492", id="normal-nodes-collapse"),
     pytest.param(lambda: NormalGrid(3, r=1e300), "overflow", id="normal-nodes-overflow"),
     pytest.param(lambda: TangentialGrid(3, 2, 1e-300), "got 0.0 at L=1e-300", id="grid-cell-underflow"),
+    pytest.param(lambda: TangentialGrid(1, 8, 1e-263), re.escape("|xi|^2 must be finite, got inf at L=1e-263"),
+                 id="grid-frequency-overflow"),
     pytest.param(lambda: weak_lp_norm([1.0], [1.0], 0.5), "need p >= 1", id="weak-lp-exponent"),
     pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), -1), "nonnegative", id="derivative-order"),
     pytest.param(lambda: RademacherSampler(seed=0).unit(0), "at least 1", id="sampler-count"),
@@ -40,6 +43,7 @@ REFUSALS = [
     pytest.param(lambda: ScanResult(rows=(), slope=math.nan, residual=0.0), "slope must be finite", id="scan-slope"),
     pytest.param(lambda: eps_p_norm([], 2.0, NormSpec("Lp")), "at least one field", id="sign-sum-empty"),
     pytest.param(lambda: replace(heat_kernel, kind="mild"), "kind must be", id="kernel-kind"),
+    pytest.param(lambda: kpp_kernel(5e-324), "so must 1/d, got d=5e-324", id="kpp-kernel-reciprocal"),
     pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, -1, 0, 0), "nonnegative", id="char-weight-order"),
     pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, 0, -1, 0), "nonnegative", id="char-normal-order"),
     # |alpha| = 1, but no derivative of order -1 exists
@@ -101,11 +105,29 @@ def test_a_nonfinite_scan_row_is_refused_before_the_fit(tmp_path, capsys, mode, 
         (["scan", "--mode", "rbound", "--prefactor-exponent", "200", "--grid-N", "8", "--grid-M", "16",
           "--trials", "4", "--restarts", "1"],
          "not finite in the scan row at |mu|=12.742749857031335, arg=0.0"),
+        (["verify-symbol", "--kernel", "kpp", "--d", "5e-324", "--N", "1"],
+         "diffusivity must be positive and finite, and so must 1/d, got d=5e-324"),
+        (["verify-symbol", "--kernel", "kpp", "--d", "1e-307", "--N", "1"],
+         "kernel 'kpp': non-finite seminorm lattice value at order 0"),
+        (["scan", "--mode", "opnorm", "--mu-min", "1e308", "--mu-max", "1.7976931348623157e308", "--mu-points", "5",
+          "--grid-N", "8", "--grid-M", "16"],
+         "not finite in the scan row at |mu|=1e+308, arg=0.0"),
+        (["scan", "--mode", "rbound", "--grid-L", "1e-263", "--grid-N", "8", "--grid-M", "16"],
+         "|xi|^2 must be finite, got inf at L=1e-263, N=8, dim=1"),
     ],
-    ids=["kpp-road-symbol", "ch-residual", "heat-rate", "opnorm-prefactor", "rbound-prefactor"],
+    ids=["kpp-road-symbol", "ch-residual", "heat-rate", "opnorm-prefactor", "rbound-prefactor", "kpp-rate-reciprocal",
+         "kpp-rate-lattice", "mu-grid-near-float-max", "grid-frequency-overflow"],
 )
 def test_an_overflow_is_refused_without_a_warning(tmp_path, capsys, argv, message):
     # in process, under the suite's error::RuntimeWarning filter: an overflow in a plan, a step or a
     # scan row is refused by name with exit 2, not raised out of main as a numpy warning
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["0", "-1e-7", "1e-200"])
+def test_a_resolvent_at_a_small_mu_is_refused_by_its_value(tmp_path, capsys, mu):
+    # the message names the value given, not mu = 0
+    argv = ["solve", "--problem", "heat-dynbc", f"--mu={mu}", "--grid-N", "2", "--grid-M", "24"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"need |mu| >= 1e-6, got mu={float(mu)!r}" in capsys.readouterr().err
