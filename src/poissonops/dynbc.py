@@ -691,9 +691,9 @@ def implicit_euler_evolve(
 # road lattice rays: z just off the real axis, mu spread over the sector's half-angle 0.45 pi
 _ROAD_Z_ANGLE = 0.02
 _ROAD_MU_ANGLES = (0.0, 0.35 * math.pi, -0.35 * math.pi, 0.44 * math.pi, -0.44 * math.pi)
-# lattice points evaluated at once (32 z rows of the 1,200 mu at n = 240): a
-# block's temporaries stay a few MiB however fine the lattice
-_ROAD_BLOCK_SIZE = 38_400
+# lattice points evaluated at once (8 z rows of the 1,200 mu at n = 240): a
+# block's temporaries stay about 1 MiB however fine the lattice
+_ROAD_BLOCK_SIZE = 9_600
 # shell radii; a point of radius hypot(|z|, |mu|) >= max(|z|, |mu|) reaches the
 # inner shell only if |z| and |mu| both do, and the outer one only if |z| or
 # |mu| reaches 1e3 / sqrt(2) ~ 707, so 700 leaves a safe margin

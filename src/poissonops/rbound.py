@@ -139,6 +139,9 @@ def _fit_rows(rows: Sequence[tuple]) -> tuple[float, float]:
     if bad.size:  # the least squares would fail in LAPACK, naming neither the row nor mu
         abs_bad, arg_bad = (float(v) for v in rows[bad[0]][:2])
         raise ValueError(f"norm or log <mu> is not finite in the scan row at |mu|={abs_bad!r}, arg={arg_bad!r}")
+    if np.ptp(x) < np.finfo(float).eps:  # below float resolution: polyfit would divide by a zero column norm
+        lo, hi = float(abs_mu.min()), float(abs_mu.max())
+        raise ValueError(f"log <mu> has no spread to fit a slope over the scan's |mu| from {lo!r} to {hi!r}")
     y = np.log(norms)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -18,7 +18,7 @@ against the leading axes of ``xi``.
 """
 from __future__ import annotations
 
-import functools
+import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -258,11 +258,38 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
     if not np.array_equal(xi[mirror], -xi):
         raise RuntimeError("probe xi values are not symmetric about 0")
 
-    # a separate cache, not a self-calling cached `at`: that would be a
-    # reference cycle keeping every sample alive until the cyclic GC runs
-    @functools.cache
-    def sample(offsets: tuple[int, int, int, int]) -> np.ndarray:
+    strong = k.kind == "strong"
+    max_mu_order = N if mu is not None else 0
+    # the (a, b1, b2) groups, even xi-orders first: an odd stencil has no 0 offset, so only they read the
+    # i = 0 samples, which are then let go early; a = 0 stays first, and every reduction is an exact max
+    groups = sorted(
+        (
+            (a, b1, b2)
+            for a in range(N + 1)
+            for b1 in range(max_mu_order + 1)
+            for b2 in range(max_mu_order + 1)
+            if a + b1 + b2 <= N
+        ),
+        key=lambda g: g[0] % 2,
+    )
+    # a dry pass of the same differences counts each sample's reads, offsets folded to i >= 0
+    reads = collections.Counter()
+
+    def tally(offsets: tuple[int, int, int, int]) -> float:
         i, p, q, s = offsets
+        reads[abs(i), p, q, s] += 1
+        return 0.0
+
+    for a, b1, b2 in groups:
+        for j in range(N - a - b1 - b2 + 1):
+            _central_difference(tally, (a, b1, b2, j), 1.0)
+
+    # each sample is held from its first read to its last, not for the whole table: at most 28 of a
+    # heat N = 4 table's 97 at once.  A plain dict, not a self-calling cached `at`: that would be a
+    # reference cycle keeping every sample alive until the cyclic GC runs
+    held: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+    def sample(i: int, p: int, q: int, s: int) -> np.ndarray:
         xs = xi + i * h
         ms = None if mu is None else mu + (p + 1j * q) * h
         ts = np.maximum(t + s * h, 0.0)
@@ -270,35 +297,34 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
 
     def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
         i, p, q, s = offsets
-        return sample(offsets) if i >= 0 else sample((-i, p, q, s))[..., mirror, :]
+        key = (abs(i), p, q, s)
+        v = held.pop(key) if key in held else sample(*key)
+        reads[key] -= 1
+        if reads[key]:
+            held[key] = v
+        return v if i >= 0 else v[..., mirror, :]
 
-    strong = k.kind == "strong"
     per_order = [0.0] * (N + 1)
-    max_mu_order = N if mu is not None else 0
-    for a in range(N + 1):
-        for b1 in range(max_mu_order + 1):
-            for b2 in range(max_mu_order + 1):
-                rem = N - a - b1 - b2
-                if rem < 0:
-                    continue
-                wscale = br ** (-k.order + a + b1 + b2)
-                gs = [_central_difference(at, (a, b1, b2, j), h) for j in range(rem + 1)]
-                for m in range(rem + 1):
-                    # order-m normal term: D_t^m (strong) or (t D_t)^m (weak)
-                    g = gs[m] if strong else sum(c * t**j * gs[j] for j, c in _STIRLING2[m].items())
-                    # central t-stencils must not reach below t = 0
-                    ok = t - _STEN_RADIUS[m] * h >= 0.0
-                    for l in range(rem - m + 1):
-                        if strong:
-                            vals = np.abs(t**l * g) * wscale
-                        else:
-                            # <t>^l in one power: bracket(t) ** l rounds twice and would move the tables
-                            vals = np.abs(g) * (1.0 + t * t) ** (0.5 * l) * wscale
-                        n = a + b1 + b2 + m + l
-                        top = float(np.max(np.where(ok, vals, 0.0)))
-                        if not math.isfinite(top):  # max() below would drop a NaN silently
-                            raise ValueError(f"kernel {k.name!r}: non-finite seminorm lattice value at order {n}")
-                        per_order[n] = max(per_order[n], top)
+    for a, b1, b2 in groups:
+        rem = N - a - b1 - b2
+        wscale = br ** (-k.order + a + b1 + b2)
+        gs = [_central_difference(at, (a, b1, b2, j), h) for j in range(rem + 1)]
+        for m in range(rem + 1):
+            # order-m normal term: D_t^m (strong) or (t D_t)^m (weak)
+            g = gs[m] if strong else sum(c * t**j * gs[j] for j, c in _STIRLING2[m].items())
+            # central t-stencils must not reach below t = 0
+            ok = t - _STEN_RADIUS[m] * h >= 0.0
+            for l in range(rem - m + 1):
+                if strong:
+                    vals = np.abs(t**l * g) * wscale
+                else:
+                    # <t>^l in one power: bracket(t) ** l rounds twice and would move the tables
+                    vals = np.abs(g) * (1.0 + t * t) ** (0.5 * l) * wscale
+                n = a + b1 + b2 + m + l
+                top = float(np.max(np.where(ok, vals, 0.0)))
+                if not math.isfinite(top):  # max() below would drop a NaN silently
+                    raise ValueError(f"kernel {k.name!r}: non-finite seminorm lattice value at order {n}")
+                per_order[n] = max(per_order[n], top)
     return list(itertools.accumulate(per_order, max))
 
 

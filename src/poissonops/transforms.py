@@ -8,6 +8,7 @@ per frequency mode, hence exact on the discrete torus.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,19 @@ def _decay_profile(rates: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     Where no rate has an imaginary part (a heat or kpp rate at a real ``mu``)
     it is one real exponential, float64, within an ulp of the real part of the
     complex one; otherwise it is the complex ``exp`` that ``func`` takes, bit for bit.
+    A finite rate component whose product with the last node overflows is
+    refused by its size, from one scalar bound taken before the product (an
+    infinite one is left to the caller's finiteness checks).
     """
     real = np.iscomplexobj(rates) and not rates.imag.any()
-    return np.exp(-(rates.real if real else rates)[..., None] * nodes)
+    rates = rates.real if real else rates
+    # r x_n forms each component of r times x_n, so its largest one is top * x_M (a Python float: no warning)
+    parts = (rates.real, rates.imag) if np.iscomplexobj(rates) else (rates,)
+    top = max(float(np.max(np.abs(part), where=np.isfinite(part), initial=0.0)) for part in parts)
+    x_max = float(nodes[-1])
+    if top * x_max > sys.float_info.max:
+        raise ValueError(f"the decay profile overflows: a rate component of {top!r} times x_n up to {x_max!r}")
+    return np.exp(-rates[..., None] * nodes)
 
 
 def _radial_profile(k: SymbolKernel, mu, grid: TangentialGrid, normal: NormalGrid) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -717,6 +718,16 @@ def test_lemma_report(tmp_path, capsys):
     assert report["road_base"]["min_f_minus_k"] > 0.0
 
 
+def test_lemma_envelope_maxima_in_blocks_are_the_one_pass_maxima():
+    # the blocks of s-values only bound the working set: each value is formed as over the whole lattice, and
+    # a max is exact
+    svals = np.geomspace(1.0, 1e4, 100_000)
+    maxima = cli._envelope_maxima()
+    assert list(maxima) == list(itertools.product((1.5, 2.0, 3.0), (0.3, 0.7, 0.9), (1e-3, 1.0, 1e3)))
+    for (rho, frac, t), top in maxima.items():
+        assert top == float(np.max(svals ** (frac * rho) * (1.0 + (t * svals) ** 2) ** (-0.5 * rho)))
+
+
 def _near_bounds(prop: dict) -> list:
     """Numbers inside, on and beyond each bound of a property, as ints and as floats."""
     bounds = [prop[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in prop] or [0]
@@ -916,11 +927,18 @@ def _artifacts(out: str) -> dict:
     return {path.name: path.read_bytes() for path in Path(out).iterdir()}
 
 
-@settings(max_examples=60, deadline=None)
+# 60 derandomized draws, or the whole-cli profile's seeded ones (tests/conftest.py)
+@settings(max_examples=settings.default.max_examples if settings.get_current_profile_name() == "whole-cli" else 60,
+          deadline=None)
 @given(run=_valid_runs(), rerun=st.sampled_from([False, False, False, True]))
 # the grid overflows that once escaped main as OverflowError tracebacks
 @example(run=("solve", {"problem": "ch", "grid_N": 2, "grid_M": 3, "grid_r": 1e300}), rerun=False)
 @example(run=("solve", {"problem": "kpp", "grid_dim": 2, "grid_N": 2, "grid_L": 1e300}), rerun=False)
+# the numpy warnings that once escaped main: a decay profile's product and a fit without spread
+@example(run=("solve", {"problem": "heat-dynbc", "mu": 5663358057880019.0, "grid_N": 2, "grid_M": 2, "grid_L": 1.0,
+                        "grid_X_max": 3.1742530076497608e+292, "grid_r": 2.0}), rerun=False)
+@example(run=("scan", {"mode": "opnorm", "mu_min": 5e-324, "mu_max": 1e-81, "mu_points": 6, "grid_N": 2, "grid_M": 2,
+                       "grid_L": 1.0, "grid_X_max": 1.0, "grid_r": 2.0}), rerun=False)
 def test_every_schema_valid_run_exits_0_1_or_2(run, rerun):
     # a drawn run ends in exit 0, 1 or 2 and raises nothing, not even a numpy RuntimeWarning (the suite makes
     # them errors); one that completes writes finite artifacts, and a rerun writes the same bytes.  The runs'

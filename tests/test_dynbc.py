@@ -1077,14 +1077,25 @@ def test_road_symbol_scan_refuses_angles_not_closed_under_conjugation(monkeypatc
 @pytest.mark.parametrize("n", [480, 2000])
 def test_road_symbol_scan_memory_does_not_grow_with_the_lattice(n):
     # the whole n = 2000 lattice is 4000 x 10000 complex values, 610 MiB per
-    # array; a block holds 38,400 lattice points, a few MiB with its temporaries
+    # array; a block holds 9,600 lattice points (one row of 10,000 at n = 2000),
+    # 1.0 and 1.7 MiB with their temporaries, where blocks of 38,400 took 3.0
     tracemalloc.start()
     try:
         road_symbol_scan(n=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 7, 120, 241, 480])
+def test_road_symbol_scan_does_not_depend_on_the_block_size(monkeypatch, n):
+    # max and min are exact, so blocks of 38,400 and of 9,600 points report the same scan
+    reports = []
+    for size in (38_400, 9_600):
+        monkeypatch.setattr(dynbc, "_ROAD_BLOCK_SIZE", size)
+        reports.append(road_symbol_scan(n=n))
+    assert reports[0] == reports[1]
 
 
 def test_boundary_symbol_gain_bounded():

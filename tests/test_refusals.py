@@ -114,9 +114,18 @@ def test_a_nonfinite_scan_row_is_refused_before_the_fit(tmp_path, capsys, mode, 
          "not finite in the scan row at |mu|=1e+308, arg=0.0"),
         (["scan", "--mode", "rbound", "--grid-L", "1e-263", "--grid-N", "8", "--grid-M", "16"],
          "|xi|^2 must be finite, got inf at L=1e-263, N=8, dim=1"),
+        # rate * x_n passes the float range before exp takes it to 0
+        (["solve", "--problem", "heat-dynbc", "--mu", "5663358057880019.0", "--grid-N", "2", "--grid-M", "2",
+          "--grid-L", "1", "--grid-X-max", "3.1742530076497608e+292", "--grid-r", "2"],
+         "the decay profile overflows: a rate component of 5663358057880019.0 times x_n up to 3.1742530076497608e+292"),
+        # every |mu|^2 but the last underflows, and the last one's square in polyfit's column norm
+        (["scan", "--mode", "opnorm", "--mu-min", "5e-324", "--mu-max", "1e-81", "--mu-points", "6", "--grid-N", "2",
+          "--grid-M", "2", "--grid-L", "1", "--grid-X-max", "1", "--grid-r", "2"],
+         "log <mu> has no spread to fit a slope over the scan's |mu| from 5e-324 to 1e-81"),
     ],
     ids=["kpp-road-symbol", "ch-residual", "heat-rate", "opnorm-prefactor", "rbound-prefactor", "kpp-rate-reciprocal",
-         "kpp-rate-lattice", "mu-grid-near-float-max", "grid-frequency-overflow"],
+         "kpp-rate-lattice", "mu-grid-near-float-max", "grid-frequency-overflow", "decay-profile-overflow",
+         "fit-without-spread"],
 )
 def test_an_overflow_is_refused_without_a_warning(tmp_path, capsys, argv, message):
     # in process, under the suite's error::RuntimeWarning filter: an overflow in a plan, a step or a

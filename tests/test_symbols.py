@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -242,24 +243,55 @@ def test_seminorm_table_refuses_asymmetric_xi_values(monkeypatch):
         seminorm_table(heat_kernel, 2)
 
 
-def test_seminorm_table_frees_its_samples_without_the_cyclic_gc():
-    # the lattice cache goes by reference counting when the call returns; a
-    # cached closure that called itself would be a cycle that outlives the table
-    seminorm_table(heat_kernel, 4)  # lazy state, once per process
+def _traced_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> tuple[int, int]:
+    """Bytes held after ``seminorm_table`` returns and at its peak, beyond those held before, with the cyclic GC off."""
+    seminorm_table(k, N, probe)  # lazy state, once per process
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        seminorm_table(heat_kernel, 4)
+        seminorm_table(k, N, probe)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gc.enable()
-    # the samples were held, about 2 MiB, and let go: what stays is the
-    # interpreter's free lists of small tuples and floats
-    assert peak - before > 2**20
-    assert after - before < 2**18
+    return after - before, peak - before
+
+
+def test_seminorm_table_frees_its_samples_without_the_cyclic_gc():
+    # each sample goes by reference counting at its last read; a cached closure
+    # that called itself would be a cycle that outlives the table.  What stays
+    # is the interpreter's free lists of small tuples and floats
+    after, peak = _traced_table(heat_kernel, 4)
+    # 0.81 MiB; holding every sample to the end took 2.1
+    assert peak < 2**20
+    assert after < 2**18
+
+
+@pytest.mark.parametrize("level, ceiling", [(1, 4 * 2**20), (2, 24 * 2**20)])
+def test_seminorm_table_peak_at_finer_levels(level, ceiling):
+    # heat N = 4 peaks at 3.5 MiB at level 1 and 19.6 MiB at level 2; holding
+    # all 97 samples to the end took 9.7 and 55.4
+    assert _traced_table(heat_kernel, 4, ProbeSpec(level))[1] < ceiling
+
+
+def test_seminorm_table_holds_at_most_28_samples_at_once():
+    # a sample is let go at its last read, and the groups of even xi-order,
+    # the only readers of the i = 0 samples, come first: 28 of the 97 live at
+    # most (46 with the groups in xi-order, 97 with every sample kept)
+    live, most = [0], [0]
+
+    def func(*args):
+        value = np.asarray(heat_kernel.func(*args), dtype=complex)  # seminorm_table's own asarray keeps it
+        live[0] += 1
+        most[0] = max(most[0], live[0])
+        weakref.finalize(value, lambda: live.__setitem__(0, live[0] - 1))
+        return value
+
+    seminorm_table(replace(heat_kernel, func=func), 4, ProbeSpec(1))
+    assert most[0] <= 28
+    assert live[0] == 0
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 3])
