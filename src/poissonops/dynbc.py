@@ -4,12 +4,13 @@ Covered variants: heat flow with a dynamic boundary condition, the boundary
 dynamics of a Cahn-Hilliard type problem, and a road-field reaction model
 coupling a half-plane bulk to a line.  ``DynBCProblem.solve`` is the one
 resolvent: it checks the parameter and the data grids once, transforms the
-data once, builds the variant's plan (its decay rates and symbols at
-``grid.radial``'s representatives), and runs the variant's spectral step,
-which reports per-mode residual maxima for every equation line.  Implicit
-Euler time stepping is included because each step is one resolvent
-application at the fixed real spectral parameter ``1/sqrt(dt)``: a
-trajectory builds its plan once and yields each step as it completes.
+data once, builds the variant's plan (its decay rates and symbols, each
+evaluated once per distinct ``|xi|^2`` and held one row per mode), and runs
+the variant's spectral step, which reports per-mode residual maxima for
+every equation line.  Implicit Euler time stepping is included because each
+step is one resolvent application at the fixed real spectral parameter
+``1/sqrt(dt)``: a trajectory builds its plan once and yields each step as it
+completes.
 
 Every step is diagonal in the modes, so a mode that neither the state nor
 the data reach stays exactly zero.  A resolvent and a trajectory keep only
@@ -235,8 +236,8 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     """Reflected Green quadrature per mode, and its boundary flux.
 
     ``fspec`` holds one mode per row along the last axis, and ``plan`` the
-    decay rates ``tau``, one per mode, with their tables.  Returns the
-    solution samples, shaped like ``fspec``, and the flux
+    decay rates ``tau``, its ``rate``, one per mode, with their tables.
+    Returns the solution samples, shaped like ``fspec``, and the flux
     ``sum_j exp(-tau y_j) w_j f_j``, one entry per mode.  The solution is a
     view of the plan's node-major scratch ``u``: the next sweep on the same
     plan overwrites it.  Apart from the flux (and the tables and scratch on a
@@ -272,7 +273,7 @@ def _green_sweep(fspec: np.ndarray, plan: _HeatPlan) -> tuple[np.ndarray, np.nda
     trajectory on every mode; grids of many modes keep one block, the per-node
     loop, whose bits do not depend on ``B``.
     """
-    ngrid, tau, image = plan.ngrid, plan.tau, plan.profile.T
+    ngrid, tau, image = plan.ngrid, plan.rate, plan.profile.T
     decay, acc, u, chain = plan.scratch
     # row 0: sum over y_j <= x_i of exp(-tau (x_i - y_j)) w_j f_j;
     # row 1: the same over y_j >= x_i, with exp(-tau (y_j - x_i)), in reversed node order;
@@ -298,78 +299,75 @@ def _residual_band(ngrid: NormalGrid) -> np.ndarray:
     Row ``i - 1`` holds the weights of nodes ``i - 2 .. i + 2`` in the second
     derivative at interior node ``i``: the first-derivative stencil applied to
     itself, its one-sided end rows included, built in O(M) from
-    :func:`norms._derivative_stencil`.  The weights of nodes off the grid are zero.
+    :func:`norms._derivative_stencil`.  The weights of nodes off the grid are
+    zero, and a weight that overflows is refused.
     """
     coef, start = _derivative_stencil(ngrid)
     i = np.arange(1, ngrid.M - 1)
     band = np.zeros((5, ngrid.M - 2))
-    for a in range(3):
-        j = start[i] + a  # the first derivative at node j enters row i with weight coef[a, i]
-        for b in range(3):
-            band[start[j] + b - i + 2, i - 1] += coef[a, i] * coef[b, j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(3):
+            j = start[i] + a  # the first derivative at node j enters row i with weight coef[a, i]
+            for b in range(3):
+                band[start[j] + b - i + 2, i - 1] += coef[a, i] * coef[b, j]
+    if not np.all(np.isfinite(band)):
+        raise ValueError(f"the second derivative stencil overflows at M={ngrid.M}, r={ngrid.r!r}")
     return band
 
 
 class _RadialPlan:
-    """A step plan: each array field but ``index`` holds one value per ``grid.radial`` representative, mode ``k``
-    reads representative ``index[k]``, and the per-mode tables are cached properties derived on first use.
+    """A step plan: each array field holds one row per flat mode, and the tables derived from the fields are
+    cached properties built on first use.
 
     Plans are plain dataclasses, not frozen and without a ``repr``, which keeps defining them cheap at import
     (a frozen dataclass takes about 1 ms more); nothing assigns a plan's fields after construction.
     """
 
     def gather(self, modes: np.ndarray):
-        """The plan on the sorted flat ``modes``, over just the representatives they read, with tables of its own.
+        """The plan on the sorted flat ``modes``: the rows of every array field there, with tables of its own.
 
         The plan for the last ``modes`` is kept, so a trajectory whose support settles builds its tables once.
         """
         last = vars(self).get("gathered")
         if last is None or not np.array_equal(last[0], modes):
-            index = self.index[modes]
-            keep = np.bincount(index).nonzero()[0]  # the representatives read, sorted
-            reps = {f.name: getattr(self, f.name)[keep] for f in fields(self)
-                    if f.name != "index" and isinstance(getattr(self, f.name), np.ndarray)}
-            plan = replace(self, index=np.searchsorted(keep, index), **reps)
-            last = self.gathered = (modes, plan)
+            rows = {f.name: getattr(self, f.name)[modes] for f in fields(self)
+                    if isinstance(getattr(self, f.name), np.ndarray)}
+            last = self.gathered = (modes, replace(self, **rows))
         return last[1]
 
 
 class _DecayPlan(_RadialPlan):
-    """A plan that lifts its trace through a decay kernel of ``rates``: ``profile`` is ``exp(-rate x_n)`` per mode,
+    """A plan that lifts its trace through a decay kernel of ``rate``: ``profile`` is ``exp(-rate x_n)`` per mode,
     ``(modes, M)``, C-contiguous and stored complex, from one :func:`~poissonops.transforms._decay_profile`."""
 
-    profile = cached_property(
-        lambda self: np.asarray(_decay_profile(self.rates, self.ngrid.nodes), dtype=complex)[self.index])
+    profile = cached_property(lambda self: np.asarray(_decay_profile(self.rate, self.ngrid.nodes), dtype=complex))
 
 
 @dataclass(eq=False, repr=False)
 class _HeatPlan(_DecayPlan):
     """The heat step's decay rates; every table the step derives from them is built on first use.
 
-    ``rates`` holds one ``tau`` per representative.  The tables are flat,
-    one entry or row per mode: ``tau``, ``den = mu^2 + tau`` (the boundary
-    multiplier's denominator) and the ``profile``, whose transpose is also the
-    Green sweep's image table; then the sweep's ``scratch`` and the
-    ``residual`` stencil, which a step without interior data never builds.
+    ``rate`` holds one ``tau`` per mode.  The tables are flat, one entry or
+    row per mode: ``den = mu^2 + tau`` (the boundary multiplier's
+    denominator) and the ``profile``, whose transpose is also the Green
+    sweep's image table; then the sweep's ``scratch`` and the ``residual``
+    stencil, which a step without interior data never builds.
     """
 
     mu2: complex
     ngrid: NormalGrid
     block: int  # the Green sweep's block length, fixed by the grid
-    rates: np.ndarray  # (K,)
-    index: np.ndarray  # (modes,)
+    rate: np.ndarray  # (modes,)
 
-    tau = cached_property(lambda self: self.rates[self.index])
-    den = cached_property(lambda self: self.mu2 + self.tau)
+    den = cached_property(lambda self: self.mu2 + self.rate)
 
     @cached_property
     def scratch(self) -> _SweepScratch:
-        M, B, modes = self.ngrid.M, self.block, self.index.size
+        M, B, modes = self.ngrid.M, self.block, self.rate.size
         nb = -(-M // B)
-        decay = np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rates)
+        decay = np.exp(-np.diff(self.ngrid.nodes)[:, None] * self.rate)
         links = np.zeros((nb * B, 2, modes), dtype=decay.dtype)  # link i joins node i to i + 1
-        for r, table in enumerate((decay, decay[::-1])):  # mode clip: take fills out without a buffer
-            np.take(table, self.index, axis=1, out=links[: M - 1, r], mode="clip")
+        links[: M - 1, 0], links[: M - 1, 1] = decay, decay[::-1]
         # block k's products run over the links from node k B - 1, the last node of block k - 1
         products = np.multiply.accumulate(links[B - 1 : nb * B - 1].reshape(nb - 1, B, 2, modes), axis=1)
         buf = np.zeros((nb * B, 2, modes), dtype=complex)  # the accumulator, padded to whole blocks
@@ -390,8 +388,7 @@ class _HeatPlan(_DecayPlan):
 
 
 def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
-    """The heat step's plan: ``heat_kernel``'s rate at ``grid.radial``'s representatives, and each mode's
-    representative."""
+    """The heat step's plan: ``heat_kernel``'s rate, evaluated at ``grid.radial``'s representatives, per mode."""
     reps, inverse = problem.tangential.radial
     M = problem.normal.M
     # the sweep's blocks pay where its fixed cost per step outweighs the element work they add: on grids
@@ -401,7 +398,7 @@ def _heat_plan(problem: DynBCProblem, mu: complex) -> _HeatPlan:
         tau = heat_kernel.rate(reps, mu)
     if not np.all(np.isfinite(tau)):
         raise ValueError(f"the heat decay rate overflows at mu={mu}")
-    return _HeatPlan(mu * mu, problem.normal, block, tau, np.ravel(inverse))
+    return _HeatPlan(mu * mu, problem.normal, block, tau[np.ravel(inverse)])
 
 
 def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
@@ -415,7 +412,7 @@ def _interior_residual(plan: _HeatPlan, fspec: np.ndarray) -> float:
     band, scratch = plan.residual, plan.scratch
     u, M = scratch.u, plan.ngrid.M
     res, prod = scratch.acc.reshape(2, *u.shape)[:, 1:-1]
-    np.multiply(plan.tau**2, u[1:-1], out=res)
+    np.multiply(plan.rate**2, u[1:-1], out=res)
     for k, diag in zip(range(-2, 3), band):
         # rows i of the interior whose node i + k lies on the grid
         lo, hi = max(1, -k) - 1, min(M - 2, M - 1 - k)
@@ -447,7 +444,7 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
         uspec += u1spec
 
     # line 2: mu^2 v + d_nu u - g per mode; Poisson part contributes +tau v
-    res2 = float(np.max(np.abs(plan.mu2 * vspec + plan.tau * vspec - flux1 - gspec), initial=0.0))
+    res2 = float(np.max(np.abs(plan.mu2 * vspec + plan.rate * vspec - flux1 - gspec), initial=0.0))
     # line 3: trace matching; the interior solve vanishes at the boundary exactly
     res3 = float(np.max(np.abs(uspec[:, 0] - vspec), initial=0.0))
     return uspec, vspec, {"interior": res1, "dynamic_bc": res2, "trace": res3}
@@ -455,22 +452,20 @@ def _heat_step(problem: DynBCProblem, plan: _HeatPlan, fspec: Optional[np.ndarra
 
 @dataclass(eq=False, repr=False)
 class _CHPlan(_RadialPlan):
-    """The boundary symbol's numerator and denominator, ``nums`` and ``dens`` per representative."""
+    """The boundary symbol's numerator and denominator, ``num`` and ``den`` per mode."""
 
     mu2: complex
-    nums: np.ndarray  # (K,)
-    dens: np.ndarray  # (K,)
-    index: np.ndarray  # (modes,)
-
-    num = cached_property(lambda self: self.nums[self.index])
-    den = cached_property(lambda self: self.dens[self.index])
+    num: np.ndarray  # (modes,)
+    den: np.ndarray  # (modes,)
 
 
 def _ch_plan(problem: DynBCProblem, mu: complex) -> _CHPlan:
-    """The boundary symbol's numerator and denominator, evaluated per distinct ``|xi|^2``."""
+    """The boundary symbol's numerator and denominator, evaluated per distinct ``|xi|^2``, per mode."""
     reps, inverse = problem.tangential.radial
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the record, which refuses it
-        return _CHPlan(mu * mu, *_ch_symbol(_xi_sq(reps), mu), np.ravel(inverse))
+        num, den = _ch_symbol(_xi_sq(reps), mu)
+    index = np.ravel(inverse)
+    return _CHPlan(mu * mu, num[index], den[index])
 
 
 def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -491,24 +486,17 @@ def _ch_step(problem: DynBCProblem, plan: _CHPlan, fspec: Optional[np.ndarray], 
 
 @dataclass(eq=False, repr=False)
 class _KPPPlan(_DecayPlan):
-    """The road symbol ``dens``, ``roots``, ``|xi|^2`` and ``kpp_kernel(d)``'s decay ``rates`` per representative.
+    """The road symbol ``den`` and ``root``, ``freq_norm_sq`` and ``kpp_kernel(d)``'s decay ``rate``, per mode.
 
-    Per mode: ``den``, ``root``, ``freq_norm_sq``, the kernel ``profile`` and its Robin derivative, ``d_n`` at 0,
-    ``dn = -rate``.
+    The kernel ``profile``'s Robin derivative, ``d_n`` at 0, is ``-rate``.
     """
 
     mu2: complex
     ngrid: NormalGrid
-    dens: np.ndarray  # (K,)
-    roots: np.ndarray  # (K,)
-    rates: np.ndarray  # (K,)
-    sq_norms: np.ndarray  # (K,) |xi|^2
-    index: np.ndarray  # (modes,)
-
-    den = cached_property(lambda self: self.dens[self.index])
-    root = cached_property(lambda self: self.roots[self.index])
-    freq_norm_sq = cached_property(lambda self: self.sq_norms[self.index])
-    dn = cached_property(lambda self: -self.rates[self.index])
+    den: np.ndarray  # (modes,)
+    root: np.ndarray  # (modes,)
+    rate: np.ndarray  # (modes,)
+    freq_norm_sq: np.ndarray  # (modes,) |xi|^2
 
 
 def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
@@ -522,8 +510,8 @@ def _kpp_plan(problem: DynBCProblem, mu: complex) -> _KPPPlan:
             f"the road symbol overflows at mu={mu}, d={problem.d}, dprime={problem.dprime}, k={problem.kcoef}"
             f" and |xi|^2 up to {sq_norms[-1]}"
         )
-    rate = kpp_kernel(problem.d).rate(reps, mu)
-    return _KPPPlan(mu2, problem.normal, den, root, rate, sq_norms, np.ravel(inverse))
+    rate, index = kpp_kernel(problem.d).rate(reps, mu), np.ravel(inverse)
+    return _KPPPlan(mu2, problem.normal, den[index], root[index], rate[index], sq_norms[index])
 
 
 def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray], gspec: np.ndarray):
@@ -543,7 +531,7 @@ def _kpp_step(problem: DynBCProblem, plan: _KPPPlan, fspec: Optional[np.ndarray]
     # two-by-two system rows and the Robin transmission line, per mode
     row1 = -trace_spec + (mu2 + kcoef + dprime * s) * vspec - gspec
     row2 = root * trace_spec - kcoef * vspec
-    robin = -d * plan.dn * trace_spec + trace_spec - kcoef * vspec
+    robin = d * plan.rate * trace_spec + trace_spec - kcoef * vspec
     scale = max(float(np.max(np.abs(gspec), initial=0.0)), 1e-30)
     diags = {
         "bulk_row": float(np.max(np.abs(row1), initial=0.0)) / scale,

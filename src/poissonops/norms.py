@@ -64,11 +64,12 @@ class NormSpec:
                 raise ValueError(f"{self.family} requires p in (1, inf)")
             if not 1 <= self.q < math.inf:
                 raise ValueError(f"{self.family} requires q in [1, inf)")
-        if self.family == "Mixed" and not 0 <= self.m <= 3:
-            raise ValueError("Mixed requires derivative order m in 0..3")
+        # the range first: int() of a NaN or an infinity raises
+        if self.family == "Mixed" and (not 0 <= self.m <= 3 or self.m != int(self.m)):
+            raise ValueError(f"Mixed requires integer derivative order m in 0..3, got m={self.m!r}")
         if self.family == "TotChar":
-            if self.s != int(self.s) or not 0 <= self.s <= 3:
-                raise ValueError("TotChar requires integer s in 0..3")
+            if not 0 <= self.s <= 3 or self.s != int(self.s):
+                raise ValueError(f"TotChar requires integer s in 0..3, got s={self.s!r}")
         if self.family == "Bessel2" and (self.p != 2 or self.q != 2):
             raise ValueError("Bessel2 is an L2-scale norm; p and q must be 2")
         if self.weak and self.family not in _HALF_SPACE:
@@ -122,7 +123,8 @@ def _derivative_stencil(ngrid: NormalGrid) -> tuple[np.ndarray, np.ndarray]:
 
     Three-point stencils (``a = 0, 1, 2``) adapted to the nonuniform spacing,
     centred on the interior nodes (``start[j] = j - 1``) and one-sided at the
-    endpoints (``start`` 0 and ``M - 3``); ``coef`` is ``(3, M)``.
+    endpoints (``start`` 0 and ``M - 3``); ``coef`` is ``(3, M)``.  A weight
+    that a steep grading makes non-finite is refused, not warned about.
     """
     if ngrid.M < 3:
         raise ValueError(f"normal derivatives need at least three normal nodes, got M={ngrid.M}")
@@ -132,11 +134,15 @@ def _derivative_stencil(ngrid: NormalGrid) -> tuple[np.ndarray, np.ndarray]:
     a1, a2 = x[1] - x[0], x[2] - x[1]
     b1, b2 = x[-2] - x[-3], x[-1] - x[-2]
     coef = np.empty((3, ngrid.M))
-    coef[:, 0] = -(2 * a1 + a2) / (a1 * (a1 + a2)), (a1 + a2) / (a1 * a2), -(a1 / (a2 * (a1 + a2)))
-    coef[0, 1:-1] = -h2 / (h1 * (h1 + h2))
-    coef[1, 1:-1] = (h2 - h1) / (h1 * h2)
-    coef[2, 1:-1] = h1 / (h2 * (h1 + h2))
-    coef[:, -1] = b2 / (b1 * (b1 + b2)), -((b1 + b2) / (b1 * b2)), (b1 + 2 * b2) / (b2 * (b1 + b2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coef[:, 0] = -(2 * a1 + a2) / (a1 * (a1 + a2)), (a1 + a2) / (a1 * a2), -(a1 / (a2 * (a1 + a2)))
+        coef[0, 1:-1] = -h2 / (h1 * (h1 + h2))
+        coef[1, 1:-1] = (h2 - h1) / (h1 * h2)
+        coef[2, 1:-1] = h1 / (h2 * (h1 + h2))
+        coef[:, -1] = b2 / (b1 * (b1 + b2)), -((b1 + b2) / (b1 * b2)), (b1 + 2 * b2) / (b2 * (b1 + b2))
+    if not np.all(np.isfinite(coef)):
+        raise ValueError(
+            f"the normal derivative stencil overflows: first spacing {float(a1)!r} at M={ngrid.M}, r={ngrid.r!r}")
     return coef, np.clip(np.arange(ngrid.M) - 1, 0, ngrid.M - 3)
 
 
@@ -255,7 +261,7 @@ class _StackNorm:
         self.q = spec.p if family in ("Lp", "Besov") else spec.q
         self.p, self.weak = spec.p, spec.weak or family == "WeakLp"
         self.r = spec.q if family == "Besov" else 1.0
-        self.steps = spec.m if family == "Mixed" else int(spec.s) if family == "TotChar" else 0
+        self.steps = int(spec.m) if family == "Mixed" else int(spec.s) if family == "TotChar" else 0
         self.term_weights = []  # spectral weight of each term, on the flattened modes or the radial classes
         if family in _BOUNDARY:
             xi = grid.radial[0] if radial else grid.freq_vectors.reshape(-1, grid.dim)

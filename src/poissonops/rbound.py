@@ -164,10 +164,11 @@ def _check_counts(p: float, trials: int, restarts: int = 0) -> None:
 def _check_common_grid(fields: Sequence) -> None:
     first = fields[0]
     for f in fields[1:]:
-        same = f.grid == first.grid if isinstance(f, BoundaryField) else (
+        # the kinds first: a bulk field has no grid attribute, a boundary field no tangential one
+        same = type(f) is type(first) and (f.grid == first.grid if isinstance(f, BoundaryField) else (
             f.tangential == first.tangential and f.normal == first.normal
-        )
-        if type(f) is not type(first) or not same:
+        ))
+        if not same:
             raise ValueError("fields must share one grid")
 
 
@@ -257,10 +258,13 @@ def probe_dictionary(grid: TangentialGrid) -> list[BoundaryField]:
 
     Single lattice modes concentrate at one frequency, Gaussian bumps at three
     widths spread over low frequencies, and one bump width modulated to eight
-    lattice frequencies covers the midrange.
+    lattice frequencies covers the midrange.  A side ``L`` past about 2.7e154,
+    where the bumps' ``(x - L/2)^2`` leaves the float range, is refused.
     """
     x = grid.points_1d
     L = grid.L
+    if math.isinf((0.5 * L) * (0.5 * L)):
+        raise ValueError(f"the probe bumps overflow: (L/2)^2 leaves the float range at L={L!r}")
     limit = grid.N // 2 - 1
     fields: list[BoundaryField] = []
     for m in (0, 1, -1, 2, -2, 4, 8, 16):

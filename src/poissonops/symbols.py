@@ -146,8 +146,8 @@ class ProbeSpec:
     rays: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"refinement level must be nonnegative, got {self.level}")
+        if not (self.level >= 0 and float(self.level).is_integer()):
+            raise ValueError(f"refinement level must be a nonnegative integer, got {self.level!r}")
         if self.rays is not None and len(self.rays) == 0:
             raise ValueError("rays must pin at least one spectral ray; None gives the default rays")
 
@@ -156,7 +156,7 @@ class ProbeSpec:
 
     @property
     def density(self) -> int:
-        return 2**self.level
+        return 2 ** int(self.level)
 
     def refined(self) -> "ProbeSpec":
         return replace(self, level=self.level + 1)

@@ -869,11 +869,13 @@ _CAPS = {"grid_N": 16, "grid_M": 32, "mu_points": 6, "batch_size": 8, "trials": 
 
 
 def _finite_numbers(low=None, exclusive=False):
-    """Finite floats from ``low`` (excluded if ``exclusive``): hypothesis's own, or a signed power of ten
-    from 1e-323 to 1e308."""
-    decades = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.integers(-323, 308))
-    if low is not None:
-        decades = decades.filter(lambda v: v > low if exclusive else v >= low)
+    """Finite floats from ``low`` (excluded if ``exclusive``): hypothesis's own, or a power of ten from 1e-323
+    to 1e308, signed without ``low`` and past it otherwise."""
+    if low is None:
+        decades = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.integers(-323, 308))
+    else:  # the powers from the first one past low: none is drawn to be rejected
+        first = next(e for e in range(-323, 309) if (10.0**e > low if exclusive else 10.0**e >= low))
+        decades = st.integers(first, 308).map(lambda e: 10.0**e)
     return st.floats(min_value=low, exclude_min=exclusive, allow_nan=False, allow_infinity=False) | decades
 
 
@@ -939,6 +941,10 @@ def _artifacts(out: str) -> dict:
                         "grid_X_max": 3.1742530076497608e+292, "grid_r": 2.0}), rerun=False)
 @example(run=("scan", {"mode": "opnorm", "mu_min": 5e-324, "mu_max": 1e-81, "mu_points": 6, "grid_N": 2, "grid_M": 2,
                        "grid_L": 1.0, "grid_X_max": 1.0, "grid_r": 2.0}), rerun=False)
+# and a derivative stencil on a grading so steep that its weights overflow, and the probe bumps on a huge side
+@example(run=("solve", {"problem": "heat-dynbc", "evolve": True, "dt": 1.0, "T": 2.0, "grid_N": 2, "grid_M": 11,
+                        "grid_X_max": 1.0, "grid_r": 1e18}), rerun=False)
+@example(run=("scan", {"mode": "rbound", "grid_N": 16, "grid_M": 2, "grid_L": 7.62964662868541e+306}), rerun=False)
 def test_every_schema_valid_run_exits_0_1_or_2(run, rerun):
     # a drawn run ends in exit 0, 1 or 2 and raises nothing, not even a numpy RuntimeWarning (the suite makes
     # them errors); one that completes writes finite artifacts, and a rerun writes the same bytes.  The runs'

@@ -85,7 +85,7 @@ def test_green_sweep_matches_dense_kernel(dim, N_M, r, X_max, mu_abs, mu_arg, se
     tg, ng = make_grids(dim=dim, N=N, M=M, X_max=X_max, r=r)
     mu = mu_abs * complex(math.cos(mu_arg), math.sin(mu_arg))
     plan = dynbc._heat_plan(DynBCProblem("HeatDynBC", tg, ng), mu)
-    tau = plan.tau.ravel()
+    tau = plan.rate
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((tau.size, M)) + 1j * rng.standard_normal((tau.size, M))
     u, flux = _green_sweep(f, plan)
@@ -107,8 +107,8 @@ def test_green_sweep_matches_dense_kernel(dim, N_M, r, X_max, mu_abs, mu_arg, se
 def _per_node_sweep(f, plan):
     """The Green sweep with one recursion step per node: the stacked forward and reversed backward rows, each
     step ``acc[i] += decay[i - 1] * acc[i - 1]``, then the image and the far side as the sweep adds them."""
-    ng, modes = plan.ngrid, plan.index.size
-    decay = np.exp(-np.diff(ng.nodes)[:, None] * plan.rates)[:, plan.index]
+    ng, modes = plan.ngrid, plan.rate.size
+    decay = np.exp(-np.diff(ng.nodes)[:, None] * plan.rate)
     decay = np.stack([decay, decay[::-1]], axis=1)
     acc = np.empty((ng.M, 2, modes), dtype=complex)
     acc[:, 0] = acc[::-1, 1] = f.reshape(modes, ng.M).T * ng.weights[:, None]
@@ -117,7 +117,7 @@ def _per_node_sweep(f, plan):
     flux = acc[-1, 1].copy()
     u = acc[:, 0] - plan.profile.T * flux
     u[:-1] += (decay[:, 1] * acc[:-1, 1])[::-1]
-    u /= 2.0 * plan.tau
+    u /= 2.0 * plan.rate
     u[0] = 0.0
     return u.T.reshape(f.shape), flux
 
@@ -165,7 +165,7 @@ def test_interior_residual_is_the_iterated_stencil_residual(dim, M):
     rng = np.random.default_rng(M)
     f = rng.standard_normal(tg.shape + (M,)) + 1j * rng.standard_normal(tg.shape + (M,))
     u, _ = _green_sweep(f, plan)
-    r = (plan.tau**2).reshape(tg.shape)[..., None] * u - normal_derivative(u, ng, 2) - f
+    r = (plan.rate**2).reshape(tg.shape)[..., None] * u - normal_derivative(u, ng, 2) - f
     want = np.max(np.abs(r[..., 1:-1])) / np.max(np.abs(f))
     assert dynbc._interior_residual(plan, f) == pytest.approx(want, rel=1e-9)
 
@@ -306,18 +306,42 @@ def test_solvers_extend_through_the_one_poisson_operator():
     assert max(kpp.diagnostics.values()) <= 1e-10
 
 
+def _array_fields(plan) -> dict:
+    """A plan's array fields by name, each one row per mode of the plan."""
+    return {f.name: getattr(plan, f.name) for f in fields(plan) if isinstance(getattr(plan, f.name), np.ndarray)}
+
+
+def _assert_gathers_rows(plan, support):
+    """``plan.gather(support)`` holds the full plan's rows at ``support``: every array field, the decay
+    profile, and the heat sweep's link table."""
+    part = plan.gather(support)
+    rows = _array_fields(part)
+    assert all(np.array_equal(rows[name], full[support]) for name, full in _array_fields(plan).items())
+    if hasattr(plan, "profile"):
+        assert part.profile.flags.c_contiguous and part.profile.dtype == complex
+        assert np.array_equal(part.profile, plan.profile[support])
+    if hasattr(plan, "scratch"):
+        assert np.array_equal(part.scratch.decay, plan.scratch.decay[..., support])
+
+
+def _partial_support(tg) -> np.ndarray:
+    """Every third flat mode of the grid, from the second: a nonempty part of its modes."""
+    return np.arange(1, math.prod(tg.shape), 3)
+
+
 @pytest.mark.parametrize("variant", ["HeatDynBC", "KPPRoadField"])
 @pytest.mark.parametrize("dim, N, M", [(1, 64, 48), (2, 8, 32), (3, 4, 16)])
 @pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.3 - 0.2j])
 def test_decay_plan_lifts_through_its_profile_table(variant, dim, N, M, mu):
     # a decay plan holds one exp table, which serves the Poisson lift (and the heat sweep's image term,
     # transposed): it is its kernel's profile entry for entry, one real exp at a real mu, one mode per
-    # row, laid out C-contiguous and stored complex
+    # row, laid out C-contiguous and stored complex; a plan gathered to part of the modes holds its rows
     tg, ng = make_grids(dim=dim, N=N, M=M)
     kernel = heat_kernel if variant == "HeatDynBC" else kpp_kernel(2.5)
     plan = _VARIANTS[variant].plan(DynBCProblem(variant, tg, ng, d=2.5), mu)
     assert plan.profile.flags.c_contiguous and plan.profile.dtype == complex
     np.testing.assert_array_equal(plan.profile, _profile(kernel, mu, tg, ng).reshape(-1, M))
+    _assert_gathers_rows(plan, _partial_support(tg))
 
 
 @pytest.mark.parametrize("dim, N, M, L", [(1, 64, 48, 2.0 * math.pi), (2, 16, 32, 3.0)])
@@ -329,11 +353,12 @@ def test_kpp_plan_reads_its_kernel_per_mode_bits(dim, N, M, L, mu, d):
     tg, ng = make_grids(dim=dim, N=N, M=M, L=L)
     plan = dynbc._kpp_plan(DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=0.3, kcoef=4.0), mu)
     kern, xi, xi_sq = kpp_kernel(d), tg.freq_vectors.reshape(-1, dim), tg.freq_norm_sq.ravel()
-    assert np.array_equal(plan.dn, kern.func(xi, mu, 0.0, 1))
+    assert np.array_equal(-plan.rate, kern.func(xi, mu, 0.0, 1))
     assert np.array_equal(plan.profile, _profile(kern, mu, tg, ng).reshape(-1, M))
     den, root = _road_symbol(xi_sq, mu * mu, d, 0.3, 4.0)
     assert np.array_equal(plan.den, den) and np.array_equal(plan.root, root)
     assert np.array_equal(plan.freq_norm_sq, xi_sq)
+    _assert_gathers_rows(plan, _partial_support(tg))
 
 
 @pytest.mark.parametrize("dim, N, L", [(1, 64, 2.0 * math.pi), (2, 16, 3.0), (3, 4, 2.0 * math.pi)])
@@ -344,11 +369,12 @@ def test_ch_plan_reads_its_symbol_per_mode_bits(dim, N, L, mu):
     plan = dynbc._ch_plan(DynBCProblem("CahnHilliardBoundary", tg, ng), mu)
     num, den = _ch_symbol(tg.freq_norm_sq.ravel(), mu)
     assert np.array_equal(plan.num, num) and np.array_equal(plan.den, den)
+    _assert_gathers_rows(plan, _partial_support(tg))
 
 
 def test_heat_resolvent_without_interior_data_builds_no_sweep_scratch(monkeypatch):
     # the certify heat resolvent: the step, on the plan gathered to the one mode the data reach, builds
-    # only tau, den and the profile; the stacked decay table and the sweep's scratch wait for a sweep,
+    # only den and the profile; the stacked decay table and the sweep's scratch wait for a sweep,
     # which builds them once
     plans = []
     entry = _VARIANTS["HeatDynBC"]
@@ -364,7 +390,7 @@ def test_heat_resolvent_without_interior_data_builds_no_sweep_scratch(monkeypatc
     assert max(out.diagnostics.values()) <= 1e-10
     assert set(vars(plan)) - {f.name for f in fields(plan)} == {"gathered"}
     _, ran = vars(plan)["gathered"]
-    assert set(vars(ran)) - {f.name for f in fields(ran)} == {"tau", "den", "profile"}
+    assert set(vars(ran)) - {f.name for f in fields(ran)} == {"den", "profile"}
     _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), plan)
     scratch = plan.scratch
     _green_sweep(np.ones(tg.shape + (ng.M,), dtype=complex), plan)
@@ -792,12 +818,6 @@ def _masked_noise(rng, mask, shape):
     return values * mask.reshape(mask.shape + (1,) * (len(shape) - mask.ndim))
 
 
-def _representatives(plan):
-    """Every array of a plan held per ``grid.radial`` representative: its array fields but ``index``."""
-    return [getattr(plan, f.name) for f in fields(plan)
-            if f.name != "index" and isinstance(getattr(plan, f.name), np.ndarray)]
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=60, deadline=None)
 @given(
@@ -877,16 +897,15 @@ def test_steps_on_their_support_equal_the_full_step(
         else:
             assert b.boundary_norm == pytest.approx(a.boundary_norm, rel=2 * modes * 2.0**-53, abs=0.0)
             assert b.delta == pytest.approx(a.delta, rel=2 * modes * 2.0**-53, abs=0.0)
-    # a step on part of the modes ran on the plan gathered to its support, over just the representatives the
-    # support reads (one alone for one mode): the last such step's plan is the one kept
+    # a step on part of the modes ran on the plan gathered to its support, the full plan's rows there: the
+    # last such step's plan is the one kept
     partial = [want for want in supports if want is not None]
     assert ("gathered" in vars(plan)) == bool(partial)
     if partial:
         kept_modes, gathered = vars(plan)["gathered"]
         assert np.array_equal(kept_modes, partial[-1])
-        assert np.array_equal(gathered.den, plan.den[partial[-1]])
-        read = np.unique(plan.index[partial[-1]]).size
-        assert all(values.size == read for values in _representatives(gathered))
+        rows = _array_fields(gathered)
+        assert all(np.array_equal(rows[name], full[partial[-1]]) for name, full in _array_fields(plan).items())
     tables = list(_plan_arrays(plan))
     owned = [a for rec in restricted for a in (rec.urows, rec.vrows) if a is not None]
     assert not any(np.shares_memory(a, t) for a in owned for t in tables)

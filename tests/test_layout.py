@@ -272,14 +272,19 @@ def test_normal_derivatives_come_from_the_kernel_evaluator():
 
 
 def test_the_heat_plan_derives_each_table_once():
-    # the plan is its decay rates: _heat_plan and gather only construct one, and every table
-    # is derived from rates and index on first use, none gathered from another table
+    # the plan is its decay rates, one per mode: _heat_plan and gather only construct one, and every
+    # table is derived from rate on first use, none gathered from another table
     tree = ast.parse((PKG_DIR / "dynbc.py").read_text())
     plan_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_HeatPlan")
     fields = [n.target.id for n in plan_class.body if isinstance(n, ast.AnnAssign)]
-    assert fields == ["mu2", "ngrid", "block", "rates", "index"]
+    assert fields == ["mu2", "ngrid", "block", "rate"]
     for builder in (_function(tree, "_heat_plan"), _function(tree, "gather")):
         assert _called_names(builder) & {"exp", "take", "ascontiguousarray"} == set()
+    # every plan holds one row per mode: none keeps an index to representatives, and gather only selects rows
+    plans = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name.endswith("Plan")]
+    assert all(n.target.id != "index" for plan in plans for n in plan.body if isinstance(n, ast.AnnAssign))
+    assert _called_names(_function(tree, "gather")) & {"bincount", "searchsorted"} == set()
+    assert _called_names(tree) & {"bincount", "take"} == set()
     # the sweep reads its flux off the backward recursion, not from a second pass
     assert _call_count(_function(tree, "_green_sweep"), "sum") == 0
     # the block length is chosen in _heat_plan alone, from the grid, and a gathered plan inherits it; the

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from poissonops.cli import main
-from poissonops.core import NormalGrid, TangentialGrid, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
 from poissonops.dynbc import DynBCProblem, road_symbol_scan
-from poissonops.norms import NormSpec, normal_derivative, weak_lp_norm
-from poissonops.rbound import RademacherSampler, ScanResult, eps_p_norm
-from poissonops.symbols import char_lp_bound, heat_kernel, kpp_kernel, kpp_m2
+from poissonops.norms import NormSpec, field_norm, normal_derivative, weak_lp_norm
+from poissonops.rbound import RademacherSampler, ScanResult, eps_p_norm, rbound_lower
+from poissonops.symbols import ProbeSpec, char_lp_bound, heat_kernel, kpp_kernel, kpp_m2, seminorm_table
 
 # a road-field parameter must be positive and finite: NaN fails both comparisons
 NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
@@ -22,6 +22,13 @@ NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
 def _road_problem(**params) -> DynBCProblem:
     tg, ng = make_grids(N=8, M=8)
     return DynBCProblem("KPPRoadField", tg, ng, **params)
+
+
+def _mixed_kinds(bulk_first: bool) -> list:
+    """A bulk and a boundary field on one grid, in either order."""
+    tg, ng = make_grids(N=8, M=8)
+    pair = [HalfSpaceField.zero(tg, ng), BoundaryField.zero(tg)]
+    return pair if bulk_first else pair[::-1]
 
 
 REFUSALS = [
@@ -42,6 +49,21 @@ REFUSALS = [
     pytest.param(lambda: RademacherSampler(seed=-1), "seed=-1", id="sampler-seed"),
     pytest.param(lambda: ScanResult(rows=(), slope=math.nan, residual=0.0), "slope must be finite", id="scan-slope"),
     pytest.param(lambda: eps_p_norm([], 2.0, NormSpec("Lp")), "at least one field", id="sign-sum-empty"),
+    # a bulk and a boundary field differ in kind before any grid is read
+    *(
+        pytest.param(call, "fields must share one grid", id=f"{name}-{order}")
+        for order, bulk_first in (("bulk-first", True), ("boundary-first", False))
+        for name, call in (
+            ("sign-sum-mixed-kinds", lambda b=bulk_first: eps_p_norm(_mixed_kinds(b), 2.0, NormSpec("Lp"))),
+            ("rbound-mixed-kinds", lambda b=bulk_first: rbound_lower([np.ones(5)], _mixed_kinds(b))),
+        )
+    ),
+    # a non-integral order or refinement level is refused by its value, also where int() would raise
+    pytest.param(lambda: NormSpec("Mixed", m=1.5), re.escape("got m=1.5"), id="mixed-order-fraction"),
+    pytest.param(lambda: NormSpec("Mixed", m=math.inf), re.escape("got m=inf"), id="mixed-order-inf"),
+    pytest.param(lambda: NormSpec("TotChar", s=math.inf), re.escape("got s=inf"), id="totchar-order-inf"),
+    pytest.param(lambda: ProbeSpec(level=1.5), re.escape("got 1.5"), id="probe-level-fraction"),
+    pytest.param(lambda: ProbeSpec(level=math.inf), re.escape("got inf"), id="probe-level-inf"),
     pytest.param(lambda: replace(heat_kernel, kind="mild"), "kind must be", id="kernel-kind"),
     pytest.param(lambda: kpp_kernel(5e-324), "so must 1/d, got d=5e-324", id="kpp-kernel-reciprocal"),
     pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, -1, 0, 0), "nonnegative", id="char-weight-order"),
@@ -69,6 +91,14 @@ REFUSALS = [
 def test_argument_checks_refuse(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_integral_float_orders_run_as_their_ints():
+    # an order or level that passes its check runs: 1.0 as 1
+    tg, ng = make_grids(N=8, M=8)
+    u = HalfSpaceField(tg, ng, np.ones(tg.shape)[:, None] * np.exp(-ng.nodes).astype(complex))
+    assert field_norm(u, NormSpec("Mixed", m=1.0)) == field_norm(u, NormSpec("Mixed", m=1))
+    assert seminorm_table(heat_kernel, 1, ProbeSpec(level=1.0)) == seminorm_table(heat_kernel, 1, ProbeSpec(level=1))
 
 
 @pytest.mark.parametrize("mode", ["opnorm", "rbound"])
@@ -122,10 +152,21 @@ def test_a_nonfinite_scan_row_is_refused_before_the_fit(tmp_path, capsys, mode, 
         (["scan", "--mode", "opnorm", "--mu-min", "5e-324", "--mu-max", "1e-81", "--mu-points", "6", "--grid-N", "2",
           "--grid-M", "2", "--grid-L", "1", "--grid-X-max", "1", "--grid-r", "2"],
          "log <mu> has no spread to fit a slope over the scan's |mu| from 5e-324 to 1e-81"),
+        # a grading so steep that the first spacings' products underflow (M = 12), or that the second
+        # derivative's weights overflow (M = 11): the heat evolve's interior residual stencil
+        (["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "1", "--T", "2", "--grid-N", "2", "--grid-M", "12",
+          "--grid-X-max", "1", "--grid-r", "1e18"],
+         "the normal derivative stencil overflows: first spacing 1.0000000000000141e-180 at M=12, r=1e+18"),
+        (["solve", "--problem", "heat-dynbc", "--evolve", "--dt", "1", "--T", "2", "--grid-N", "2", "--grid-M", "11",
+          "--grid-X-max", "1", "--grid-r", "1e18"],
+         "the second derivative stencil overflows at M=11, r=1e+18"),
+        # the probe dictionary's bumps square x - L/2
+        (["scan", "--mode", "rbound", "--grid-N", "2", "--grid-M", "2", "--grid-L", "2.6815615859885194e+154"],
+         "the probe bumps overflow: (L/2)^2 leaves the float range at L=2.6815615859885194e+154"),
     ],
     ids=["kpp-road-symbol", "ch-residual", "heat-rate", "opnorm-prefactor", "rbound-prefactor", "kpp-rate-reciprocal",
          "kpp-rate-lattice", "mu-grid-near-float-max", "grid-frequency-overflow", "decay-profile-overflow",
-         "fit-without-spread"],
+         "fit-without-spread", "first-derivative-stencil", "second-derivative-stencil", "probe-bumps"],
 )
 def test_an_overflow_is_refused_without_a_warning(tmp_path, capsys, argv, message):
     # in process, under the suite's error::RuntimeWarning filter: an overflow in a plan, a step or a
