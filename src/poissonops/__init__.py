@@ -1,11 +1,10 @@
 """Spectral tools for half-space Poisson operators with a spectral parameter.
 
-The package evaluates symbol-class seminorms and characterization bounds,
-applies Fourier multipliers and Poisson operators on periodic half-space
-grids, measures mixed and weak Lebesgue norms, estimates randomized
-boundedness constants from below (certified on the exact sign-sum paths,
-biased upward by Monte-Carlo noise elsewhere), and solves three dynamic
-boundary condition model problems per tangential mode.
+The package evaluates symbol-class seminorms, applies Poisson operators on
+periodic half-space grids, measures mixed and weak Lebesgue norms, estimates
+randomized boundedness constants from below (certified on the exact sign-sum
+paths, biased upward by Monte-Carlo noise elsewhere), and solves three
+dynamic boundary condition model problems per tangential mode.
 """
 from __future__ import annotations
 
@@ -34,17 +33,8 @@ from .rbound import (
     probe_dictionary,
     rbound_lower,
 )
-from .symbols import (
-    MultiplierSymbol,
-    ProbeSpec,
-    SymbolKernel,
-    char_lp_bound,
-    kernel_catalog,
-    lemma_max_eval,
-    mikhlin_fnorm,
-    seminorm_table,
-)
-from .transforms import LPPartition, apply_multiplier, apply_poisson, lp_blocks
+from .symbols import ProbeSpec, SymbolKernel, kernel_catalog, lemma_max_eval, seminorm_table
+from .transforms import LPPartition, apply_poisson, lp_blocks
 
 __version__ = "0.1.0"
 
@@ -53,7 +43,6 @@ __all__ = [
     "DynBCProblem",
     "HalfSpaceField",
     "LPPartition",
-    "MultiplierSymbol",
     "NormSpec",
     "NormalGrid",
     "ProbeSpec",
@@ -64,11 +53,9 @@ __all__ = [
     "SectorError",
     "SymbolKernel",
     "TangentialGrid",
-    "apply_multiplier",
     "apply_poisson",
     "boundary_symbol_gain",
     "bracket",
-    "char_lp_bound",
     "eps_p_norm",
     "field_norm",
     "implicit_euler_evolve",
@@ -76,7 +63,6 @@ __all__ = [
     "lemma_max_eval",
     "lp_blocks",
     "make_grids",
-    "mikhlin_fnorm",
     "opnorm_hilbert",
     "probe_dictionary",
     "rbound_lower",

@@ -66,9 +66,9 @@ class DynBCProblem:
     The road-field parameters ``d`` (bulk diffusivity), ``dprime`` (road
     diffusivity), and ``kcoef`` (exchange rate) must be positive and finite;
     they are ignored by the other variants.  The sector must lie within the
-    sector ``|arg mu| < 0.45 pi`` of the catalog kernels and multipliers, so
-    it is the only check a parameter passes: ``solve`` and
-    ``boundary_symbol_gain`` reject parameters outside it.
+    sector ``|arg mu| < 0.45 pi`` of the catalog kernels, so it is the only
+    check a parameter passes: ``solve`` and ``boundary_symbol_gain`` reject
+    parameters outside it.
     """
 
     variant: str

@@ -100,9 +100,10 @@ def weak_lp_norm(values, measures, p: float) -> float:
     m = np.asarray(measures, dtype=float)
     if v.shape != m.shape or v.ndim != 1:
         raise ValueError("values and measures must be 1-D arrays of equal length")
-    if np.any(v < 0):
+    # NaN fails every comparison: each entry must pass the check, not merely not fail it
+    if not np.all(v >= 0):
         raise ValueError("values must be nonnegative")
-    if np.any(m <= 0):
+    if not np.all(m > 0):
         raise ValueError("measures must be positive")
     return float(_weak_lp(v, m, p))
 
@@ -339,8 +340,8 @@ class _Products:
     ``(n_ops, K, M)`` (``M = 1`` on the boundary), and ``spec`` one spectrum
     per row, ``(n_in, modes)``.  No product stack is formed for tangential
     ``q = 2``: with ``P[i, r] = sum_{xi in r} |g_i(xi)|^2`` the singleton
-    slices are one matmul ``cell P @ |m_j|^2``, and a sign sum of summands
-    ``(j_k, i_k)`` has the real Gram matrix
+    slices are ``cell P[i] @ |m_j|^2``, one input ``i`` at a time, and a sign
+    sum of summands ``(j_k, i_k)`` has the real Gram matrix
     ``G[x, k, l] = Re(H[k, l] @ Q[j_k, j_l][:, x])`` with
     ``H[k, l, r] = sum_{xi in r} conj(g_{i_k}) g_{i_l}`` and the pair product
     ``Q[j, j'] = conj(m_j) m_j'``, ``(K, M)`` per pair.  The pair tables hold
@@ -363,7 +364,14 @@ class _Products:
             sel_in, eye = np.arange(n_in), np.eye(n_in)
             return np.stack([self.of_sums(np.full(n_in, j), sel_in, eye) for j in range(len(self.mults[0]))])
         power = form.grid.class_sum(np.abs(self.spec) ** 2)
-        return form._total([np.sqrt(form.grid.cell * (power @ np.abs(m) ** 2)) for m in self.mults])
+        slices = []
+        for m in self.mults:
+            sq = np.abs(m)
+            sq *= sq  # |m|^2 in place: one table the size of the family at a time, not two
+            # one input at a time, a vector-matrix product per operator: a matrix product over many
+            # classes may be split across BLAS threads, and its bits then follow the thread count
+            slices.append(np.sqrt(form.grid.cell * np.stack([row @ sq for row in power], axis=1)))
+        return form._total(slices)
 
     def of_sums(self, sel_ops: np.ndarray, sel_in: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """Norm of ``sum_k eps[t, k] m_{sel_ops[k]} g_{sel_in[k]}`` for every real sign row ``t``."""

@@ -331,6 +331,8 @@ def rbound_lower(
         raise ValueError("input dictionary must be nonempty")
     _check_counts(p, trials, restarts)
     _check_common_grid(inputs)
+    if not isinstance(inputs[0], BoundaryField):  # the check above leaves one kind of field
+        raise ValueError(f"inputs must be boundary fields, got {type(inputs[0]).__name__}")
     grid = inputs[0].grid
     in_form = _StackNorm(in_norm or NormSpec("Lp", p=2.0), grid, None)
     out_form = _StackNorm(out_norm or NormSpec("Lp", p=2.0), grid, normal, radial=True)

@@ -1,4 +1,4 @@
-"""Symbol-kernels, multiplier symbols, and numerical seminorm estimators.
+"""Symbol-kernels, their numerical seminorm estimator, and the kernel catalog.
 
 A symbol-kernel ``k(xi', mu; x_n)`` defines a Poisson operator: a tangential
 Fourier multiplier whose value depends on the normal coordinate.  The "strong"
@@ -7,7 +7,9 @@ class asks for Schwartz-type decay of the rescaled kernel
 only for bounded ``(t d/dt)``-derivatives against polynomial weights.  Both
 seminorm families are estimated here by sampling a finite probe lattice with
 central finite differences, which yields lower estimates; refinement stability
-of those estimates is the operational finiteness certificate.
+of those estimates is the operational finiteness certificate.  The module also
+holds the kernel catalog, the Cahn-Hilliard and road-field boundary symbols
+that the dynamic-boundary solvers read, and the closed-form envelope maximum.
 
 Evaluator convention: ``func(xi, mu, xn, order=0)`` is the ``order``-th
 normal derivative ``d^order k / dx_n^order``, the kernel itself at order 0;
@@ -26,24 +28,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NormalGrid, Sector, _xi_sq, bracket
+from .core import Sector, _xi_sq, bracket
 
 __all__ = [
     "SymbolKernel",
-    "MultiplierSymbol",
     "ProbeSpec",
     "seminorm_table",
-    "char_lp_bound",
-    "mikhlin_fnorm",
     "lemma_max_eval",
     "heat_kernel",
-    "heat_dynbc_b",
-    "ch_b",
-    "kpp_m2",
     "kpp_kernel",
     "constant_one",
     "zero_kernel",
-    "freeze_mu",
     "kernel_catalog",
 ]
 
@@ -95,8 +90,7 @@ class SymbolKernel:
     ``core._xi_sq(xi)``, so frequencies with the same computed ``|xi|^2`` get
     the same values bit for bit.  ``opnorm_hilbert`` and the Poisson profile
     evaluate a kernel once per distinct ``|xi|^2`` of the grid
-    (``TangentialGrid.radial``) and rely on it.  A :class:`MultiplierSymbol`
-    makes no such promise and is evaluated at every mode.
+    (``TangentialGrid.radial``) and rely on it.
     """
 
     name: str
@@ -111,15 +105,6 @@ class SymbolKernel:
             raise ValueError(f"kind must be 'strong' or 'weak', got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """A parameter-dependent tangential Fourier multiplier ``a(xi', mu)``, not necessarily radial."""
-
-    name: str
-    func: Callable
-    sector: Sector
-
-
 # ---------------------------------------------------------------------------
 # probe lattices
 
@@ -132,7 +117,7 @@ _MARGIN = 0.01
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Sampling lattice for seminorm and characterization estimates.
+    """Sampling lattice for seminorm estimates.
 
     ``level`` counts refinements: each ``refined()`` doubles the sampling
     density and widens every range by a factor of four, the refinement step
@@ -192,12 +177,6 @@ class ProbeSpec:
         mags = np.geomspace(0.5, self.mu_max, n)
         return [sector.require(m * complex(math.cos(a), math.sin(a))) for a in angles for m in mags]
 
-    def mikhlin_axis_values(self) -> np.ndarray:
-        """Per-axis samples for the multiplier norm; zero excluded."""
-        n = 6 * self.density + 1
-        mags = np.geomspace(1e-2, self.xi_max, n)
-        return np.concatenate([mags, -mags])
-
 
 def _spectral_lattice(probe: ProbeSpec, sector: Sector):
     """The probe's ``(mu, xi)`` lattice with its bracket weights and difference steps.
@@ -244,8 +223,10 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
     Each entry is a lower bound; compare against a refined probe to certify
     finiteness.
     """
-    if not 0 <= N <= 4:
-        raise ValueError("derivative budget N must lie in 0..4")
+    # the range first: int() of a NaN or an infinity raises
+    if not 0 <= N <= 4 or N != int(N):
+        raise ValueError(f"derivative budget N must be an integer in 0..4, got N={N!r}")
+    N = int(N)
     probe = probe or ProbeSpec()
     mu, xi, br, h = _spectral_lattice(probe, k.sector)
     t = probe.t_values()[None, :]  # (1, nt)
@@ -329,91 +310,6 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
 
 
 # ---------------------------------------------------------------------------
-# characterization bound
-
-
-def char_lp_bound(
-    k: SymbolKernel,
-    p: float,
-    l: int,
-    lp: int,
-    alpha,
-    probe: ProbeSpec | None = None,
-    ngrid=None,
-) -> float:
-    """Weighted normal-direction L^p bound characterizing the strong class.
-
-    Estimates the lattice supremum over ``(xi, mu)`` of
-
-        ``<xi, mu>^(-d + 1/p + l - l' + |a|)
-          * || x^l D_x^l' D_xi^a k(xi, mu; .) ||_{L^p(R_+)}``
-
-    with quadrature on a graded normal grid (``p = inf`` takes the pointwise
-    supremum and drops the ``1/p``).  ``D_x^l'`` is the kernel's own
-    ``func(..., l')``; only the ``xi``-derivatives are central differences.
-    Finiteness and refinement stability of this quantity certify strong-class
-    membership numerically.
-    """
-    if not p >= 1:
-        raise ValueError(f"integrability exponent must be >= 1, got {p}")
-    if k.kind != "strong":
-        raise ValueError("characterization bound applies to strong-class kernels")
-    if l < 0 or lp < 0 or np.any(np.asarray(alpha) < 0):
-        raise ValueError("derivative orders must be nonnegative")
-    a = int(np.sum(alpha))
-    if lp + a > 3:
-        raise ValueError("derivative budget l' + |alpha| is capped at 3")
-    mu, xi, br, h = _spectral_lattice(probe or ProbeSpec(), k.sector)
-    ngrid = ngrid or NormalGrid(256)
-    x = ngrid.nodes
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-
-    # D_xi^a D_x^l' k over the (mu, xi, x_n) lattice, then its L^p norm along x_n
-    phi = _central_difference(lambda offs: k.func((xi + offs[0] * h)[..., None], mu, x, lp), (a,), h)
-    vals = np.abs(x**l * phi)
-    if math.isinf(p):
-        nrm = np.max(vals, axis=-1, keepdims=True)
-    else:
-        nrm = ngrid.integrate(vals**p)[..., None] ** inv_p
-    return float(np.max(br ** (-k.order + inv_p + l - lp + a) * nrm))
-
-
-# ---------------------------------------------------------------------------
-# multiplier norm
-
-
-def mikhlin_fnorm(a_sym: MultiplierSymbol, mu, dim: int = 1, probe: ProbeSpec | None = None) -> float:
-    """Lower estimate of the Mikhlin multiplier norm of ``a(., mu)``.
-
-    The norm is the supremum over multi-indices ``|alpha| <= dim`` and over
-    ``xi != 0`` of ``|xi|^|alpha| |D^alpha a(xi, mu)|``; the probe lattice
-    stays away from the origin where the norm is not defined.
-    """
-    if not 1 <= dim <= 3:
-        raise ValueError("dim must lie in 1..3")
-    a_sym.sector.require(mu)
-    probe = probe or ProbeSpec()
-    axis = probe.mikhlin_axis_values()
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)  # (P, dim)
-    norms = np.sqrt(_xi_sq(pts))
-    h = _H_REL * bracket(pts)  # (P,)
-
-    def at(offsets: tuple[int, ...]) -> np.ndarray:
-        shift = np.stack([off * h for off in offsets], axis=-1)
-        return np.asarray(a_sym.func(pts + shift, mu), dtype=complex)
-
-    best = 0.0
-    for alpha in itertools.product(range(dim + 1), repeat=dim):
-        total = sum(alpha)
-        if total > dim:
-            continue
-        deriv = _central_difference(at, alpha, h)
-        best = max(best, float(np.max(norms**total * np.abs(deriv))))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # scalar maximization lemma
 
 
@@ -468,14 +364,6 @@ def _decay_kernel(name: str, kind: str, rate: Callable) -> SymbolKernel:
 heat_kernel = _decay_kernel("heat", "strong", _tau)
 
 
-def _heat_dynbc_eval(xi, mu):
-    mu2 = np.asarray(mu, dtype=complex) ** 2
-    return mu2 / (mu2 + _tau(xi, mu))
-
-
-heat_dynbc_b = MultiplierSymbol(name="heat-dynbc-b", func=_heat_dynbc_eval, sector=_HALF_SECTOR)
-
-
 def _ch_symbol(s, mu):
     """Cahn-Hilliard boundary numerator and denominator at ``|xi|^2 = s``.
 
@@ -489,14 +377,6 @@ def _ch_symbol(s, mu):
     tau2 = np.sqrt(s - 1j * mu_c)
     mu2 = mu_c**2
     return mu2 * (tau1 + tau2), (mu2 + s) * (tau1 + tau2) + 2.0 * tau1 * tau2
-
-
-def _ch_eval(xi, mu):
-    num, den = _ch_symbol(_xi_sq(xi), mu)
-    return num / den
-
-
-ch_b = MultiplierSymbol(name="ch-b", func=_ch_eval, sector=_HALF_SECTOR)
 
 
 def _road_symbol(s, mu2, d, dprime, kcoef):
@@ -515,18 +395,6 @@ def _require_road_params(d: float, dprime: float, kcoef: float) -> None:
     """Refuse road-field parameters that are not positive and finite (NaN fails both comparisons)."""
     if not all(0 < x < math.inf for x in (d, dprime, kcoef)):
         raise ValueError(f"road-field parameters must be positive and finite, got {(d, dprime, kcoef)}")
-
-
-def kpp_m2(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0) -> MultiplierSymbol:
-    """Multiplier sending road data to the road density in the road-field model."""
-    _require_road_params(d, dprime, kcoef)
-
-    def f(xi, mu):
-        mu2 = np.asarray(mu, dtype=complex) ** 2
-        den, root = _road_symbol(_xi_sq(xi), mu2, d, dprime, kcoef)
-        return mu2 * root / den
-
-    return MultiplierSymbol(name="kpp-m2", func=f, sector=_HALF_SECTOR)
 
 
 def kpp_kernel(d: float = 1.0) -> SymbolKernel:
@@ -566,30 +434,6 @@ zero_kernel = SymbolKernel(
     sector=Sector.empty(),
     func=_filled(0.0),
 )
-
-
-def freeze_mu(k: SymbolKernel, mu: complex, kind: str | None = None) -> SymbolKernel:
-    """Freeze the spectral parameter, yielding a kernel with the empty sector.
-
-    The frozen kernel ignores its (absent) parameter and forwards ``func``
-    and ``rate`` of ``k`` at ``mu``; bracket weights in its seminorms then
-    involve the frequency alone.  ``kind`` optionally relabels
-    the claimed class of the frozen family.
-    """
-    if k.sector.require(mu) is None:
-        raise ValueError(f"kernel {k.name!r} has the empty sector: no parameter to freeze")
-
-    def frozen(hook):
-        return None if hook is None else lambda xi, _mu, *rest: hook(xi, mu, *rest)
-
-    return SymbolKernel(
-        name=f"{k.name}@{mu:.6g}",
-        order=k.order,
-        kind=kind or k.kind,
-        sector=Sector.empty(),
-        func=frozen(k.func),
-        rate=frozen(k.rate),
-    )
 
 
 # catalog name -> the kernel, built from the bulk diffusivity d (which only kpp reads)

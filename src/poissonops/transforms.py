@@ -1,9 +1,9 @@
-"""FFT application of multipliers and Poisson operators; dyadic block splitting.
+"""FFT application of Poisson operators; dyadic block splitting.
 
 The discrete transform convention is unitary with cell-measure factors, so the
 spectral array of a field carries its physical L^2 norm: Plancherel holds with
-quadrature-consistent norms.  Multiplier and Poisson application are diagonal
-per frequency mode, hence exact on the discrete torus.
+quadrature-consistent norms.  Poisson application is diagonal per frequency
+mode, hence exact on the discrete torus.
 """
 from __future__ import annotations
 
@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from .symbols import MultiplierSymbol, SymbolKernel
+from .symbols import SymbolKernel
 
 __all__ = [
     "LPPartition",
     "forward_fft",
-    "inverse_fft",
-    "apply_multiplier",
     "apply_poisson",
     "lp_blocks",
 ]
@@ -39,21 +37,6 @@ def _itfft(a: np.ndarray, dim: int) -> np.ndarray:
 def forward_fft(g: BoundaryField) -> np.ndarray:
     """Spectral array of ``g``; unitary FFT scaled so Plancherel is physical."""
     return _tfft(g.samples, g.grid.dim) * math.sqrt(g.grid.cell)
-
-
-def inverse_fft(spec: np.ndarray, grid: TangentialGrid) -> BoundaryField:
-    """Inverse of :func:`forward_fft`."""
-    samples = _itfft(spec, grid.dim) / math.sqrt(grid.cell)
-    return BoundaryField(grid=grid, samples=samples)
-
-
-def apply_multiplier(a: MultiplierSymbol, mu, g: BoundaryField) -> BoundaryField:
-    """Apply the tangential multiplier ``a(., mu)`` to ``g`` spectrally."""
-    a.sector.require(mu)
-    avals = np.asarray(a.func(g.grid.freq_vectors, mu), dtype=complex)
-    spec = _tfft(g.samples, g.grid.dim)
-    out = _itfft(avals * spec, g.grid.dim)
-    return BoundaryField(grid=g.grid, samples=out)
 
 
 def _decay_profile(rates: np.ndarray, nodes: np.ndarray) -> np.ndarray:

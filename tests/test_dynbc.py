@@ -26,8 +26,9 @@ from poissonops.dynbc import (
     road_symbol_scan,
 )
 from poissonops.norms import lp_norm, normal_derivative
-from poissonops.symbols import _ch_symbol, _road_symbol, ch_b, heat_dynbc_b, heat_kernel, kpp_kernel, kpp_m2
-from poissonops.transforms import _profile, apply_poisson, forward_fft, inverse_fft
+from poissonops.symbols import _ch_symbol, _road_symbol, heat_kernel, kpp_kernel
+from poissonops.transforms import _profile, apply_poisson, forward_fft
+from symbol_reference import ch_b, heat_dynbc_b, inverse_fft, kpp_m2
 
 SQRT2 = math.sqrt(2.0)
 VARIANTS = ["HeatDynBC", "CahnHilliardBoundary", "KPPRoadField"]
@@ -285,7 +286,7 @@ def test_kpp_resolvent_matches_road_density_multiplier():
     mu = 1.3 * complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
     d, dprime, kcoef = 1.7, 0.4, 2.5
     out = DynBCProblem("KPPRoadField", tg, ng, d=d, dprime=dprime, kcoef=kcoef).solve(None, g, mu)
-    want = kpp_m2(d, dprime, kcoef).func(tg.freq_vectors, mu) / mu**2
+    want = kpp_m2(d, dprime, kcoef)(tg.freq_vectors, mu) / mu**2
     np.testing.assert_allclose(forward_fft(out.v) / forward_fft(g), want, rtol=1e-13)
 
 
@@ -516,7 +517,7 @@ def test_single_mode_resolvent_residuals_at_random_mu(variant, dim, mode, mu_abs
     assert max(out.diagnostics.values()) <= 1e-8
     # the step's boundary response is the variant's multiplier b(xi, mu) / mu^2
     b = BOUNDARY_SYMBOL[variant](d, dprime, kcoef)
-    want = b.func(tg.freq_vectors[idx], mu) / (mu * mu)
+    want = b(tg.freq_vectors[idx], mu) / (mu * mu)
     assert abs(forward_fft(out.v)[idx] - want) <= 1e-12 * abs(want)
 
 
@@ -1162,7 +1163,7 @@ def test_boundary_symbol_gain_is_the_boundary_symbols_maximum(variant, params, s
     prob = DynBCProblem(variant, tg, ng, *params)
     mu_eff = np.sqrt(mu * mu + shift)
     b = BOUNDARY_SYMBOL[variant](*params)
-    want = np.max(np.abs(b.func(tg.freq_vectors, mu_eff))) / abs(mu_eff * mu_eff)
+    want = np.max(np.abs(b(tg.freq_vectors, mu_eff))) / abs(mu_eff * mu_eff)
     assert boundary_symbol_gain(prob, mu, shift) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 

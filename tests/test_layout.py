@@ -336,9 +336,9 @@ def test_one_kernel_rescaling():
 
 
 def test_one_sweep_per_probe():
-    # the seminorm lattice and char_lp_bound stack every spectral sample on one
-    # axis: only _spectral_lattice reads ProbeSpec.mu_values, and no loop runs
-    # over mu_values(...) or xi_values()
+    # the seminorm lattice stacks every spectral sample on one axis: only
+    # _spectral_lattice reads ProbeSpec.mu_values, and no loop runs over
+    # mu_values(...) or xi_values()
     tree = ast.parse((PKG_DIR / "symbols.py").read_text())
     readers = _call_sites(tree, lambda call: getattr(call.func, "attr", None) == "mu_values")
     assert readers == {"_spectral_lattice"}

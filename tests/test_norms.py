@@ -22,8 +22,9 @@ from poissonops.norms import (
     opnorm_hilbert,
     weak_lp_norm,
 )
-from poissonops.symbols import _HALF_SECTOR, freeze_mu, heat_kernel, kpp_kernel
+from poissonops.symbols import _HALF_SECTOR, heat_kernel, kpp_kernel
 from poissonops.transforms import _radial_profile
+from symbol_reference import freeze_mu
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -26,10 +26,8 @@ from poissonops.rbound import (
     probe_dictionary,
     rbound_lower,
 )
-from poissonops.symbols import MultiplierSymbol, heat_kernel, kpp_kernel
+from poissonops.symbols import heat_kernel, kpp_kernel
 from poissonops.transforms import _itfft, _radial_profile, _tfft
-
-from poissonops.core import Sector
 
 L2 = NormSpec("Lp", p=2.0)
 
@@ -197,12 +195,7 @@ def test_rbound_estimate_is_a_value_and_its_error():
 
 def test_rbound_lower_contraction_multiplier():
     tg, _ = make_grids(N=64)
-    a = MultiplierSymbol(
-        "bracket-inverse",
-        lambda xi, mu: (1.0 + np.sum(np.asarray(xi) ** 2, axis=-1)) ** -0.5,
-        Sector.empty(),
-    )
-    ops = [a.func(tg.radial[0], None)]
+    ops = [(1.0 + np.sum(tg.radial[0] ** 2, axis=-1)) ** -0.5]
     est = rbound_lower(ops, probe_dictionary(tg), p=2.0, in_norm=L2, out_norm=L2, trials=8, restarts=4)
     # the constant probe is untouched by the symbol, so the bound is sharp
     assert est.value == pytest.approx(1.0, rel=1e-6)
@@ -211,12 +204,7 @@ def test_rbound_lower_contraction_multiplier():
 def test_rbound_lower_monotone_in_restarts():
     tg, _ = make_grids(N=32)
     inputs = probe_dictionary(tg)
-    ops = [
-        MultiplierSymbol("m", lambda xi, mu: np.exp(-np.sum(np.asarray(xi) ** 2, axis=-1)), Sector.empty()).func(
-            tg.radial[0], None
-        ),
-        np.full(len(tg.radial[0]), 2.0),
-    ]
+    ops = [np.exp(-np.sum(tg.radial[0] ** 2, axis=-1)), np.full(len(tg.radial[0]), 2.0)]
     vals = [
         rbound_lower(ops, inputs, p=1.5, in_norm=L2, out_norm=L2, trials=8, restarts=r).value
         for r in (0, 2, 6)

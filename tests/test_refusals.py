@@ -13,7 +13,7 @@ from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, Tangentia
 from poissonops.dynbc import DynBCProblem, road_symbol_scan
 from poissonops.norms import NormSpec, field_norm, normal_derivative, weak_lp_norm
 from poissonops.rbound import RademacherSampler, ScanResult, eps_p_norm, rbound_lower
-from poissonops.symbols import ProbeSpec, char_lp_bound, heat_kernel, kpp_kernel, kpp_m2, seminorm_table
+from poissonops.symbols import ProbeSpec, heat_kernel, kpp_kernel, seminorm_table
 
 # a road-field parameter must be positive and finite: NaN fails both comparisons
 NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
@@ -44,6 +44,9 @@ REFUSALS = [
     pytest.param(lambda: TangentialGrid(1, 8, 1e-263), re.escape("|xi|^2 must be finite, got inf at L=1e-263"),
                  id="grid-frequency-overflow"),
     pytest.param(lambda: weak_lp_norm([1.0], [1.0], 0.5), "need p >= 1", id="weak-lp-exponent"),
+    # NaN fails every comparison, so the checks ask each entry to pass, not to fail
+    pytest.param(lambda: weak_lp_norm([math.nan, 1.0], [1.0, 1.0], 2.0), "nonnegative", id="weak-lp-nan-value"),
+    pytest.param(lambda: weak_lp_norm([1.0, 1.0], [1.0, math.nan], 2.0), "positive", id="weak-lp-nan-measure"),
     pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), -1), "nonnegative", id="derivative-order"),
     pytest.param(lambda: RademacherSampler(seed=0).unit(0), "at least 1", id="sampler-count"),
     pytest.param(lambda: RademacherSampler(seed=-1), "seed=-1", id="sampler-seed"),
@@ -58,30 +61,28 @@ REFUSALS = [
             ("rbound-mixed-kinds", lambda b=bulk_first: rbound_lower([np.ones(5)], _mixed_kinds(b))),
         )
     ),
+    pytest.param(lambda: rbound_lower([np.ones(5)], _mixed_kinds(True)[:1]), "inputs must be boundary fields",
+                 id="rbound-bulk-inputs"),
     # a non-integral order or refinement level is refused by its value, also where int() would raise
     pytest.param(lambda: NormSpec("Mixed", m=1.5), re.escape("got m=1.5"), id="mixed-order-fraction"),
     pytest.param(lambda: NormSpec("Mixed", m=math.inf), re.escape("got m=inf"), id="mixed-order-inf"),
     pytest.param(lambda: NormSpec("TotChar", s=math.inf), re.escape("got s=inf"), id="totchar-order-inf"),
     pytest.param(lambda: ProbeSpec(level=1.5), re.escape("got 1.5"), id="probe-level-fraction"),
     pytest.param(lambda: ProbeSpec(level=math.inf), re.escape("got inf"), id="probe-level-inf"),
+    pytest.param(lambda: seminorm_table(heat_kernel, 1.5), re.escape("got N=1.5"), id="seminorm-budget-fraction"),
     pytest.param(lambda: replace(heat_kernel, kind="mild"), "kind must be", id="kernel-kind"),
     pytest.param(lambda: kpp_kernel(5e-324), "so must 1/d, got d=5e-324", id="kpp-kernel-reciprocal"),
-    pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, -1, 0, 0), "nonnegative", id="char-weight-order"),
-    pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, 0, -1, 0), "nonnegative", id="char-normal-order"),
-    # |alpha| = 1, but no derivative of order -1 exists
-    pytest.param(lambda: char_lp_bound(heat_kernel, 2.0, 0, 0, (2, -1)), "nonnegative", id="char-alpha-component"),
     *(
         pytest.param(call, "positive and finite", id=f"{name}-{bad}")
         for bad in NOT_POSITIVE_AND_FINITE
         for name, call in (
-            ("kpp_m2-d", lambda bad=bad: kpp_m2(d=bad)),
-            ("kpp_m2-dprime", lambda bad=bad: kpp_m2(dprime=bad)),
-            ("kpp_m2-kcoef", lambda bad=bad: kpp_m2(kcoef=bad)),
             ("kpp_kernel", lambda bad=bad: kpp_kernel(bad)),
             ("road_symbol_scan-d", lambda bad=bad: road_symbol_scan(d=bad, n=4)),
+            ("road_symbol_scan-dprime", lambda bad=bad: road_symbol_scan(dprime=bad, n=4)),
             ("road_symbol_scan-kcoef", lambda bad=bad: road_symbol_scan(kcoef=bad, n=4)),
             ("DynBCProblem-d", lambda bad=bad: _road_problem(d=bad)),
             ("DynBCProblem-dprime", lambda bad=bad: _road_problem(dprime=bad)),
+            ("DynBCProblem-kcoef", lambda bad=bad: _road_problem(kcoef=bad)),
         )
     ),
 ]
@@ -99,6 +100,7 @@ def test_integral_float_orders_run_as_their_ints():
     u = HalfSpaceField(tg, ng, np.ones(tg.shape)[:, None] * np.exp(-ng.nodes).astype(complex))
     assert field_norm(u, NormSpec("Mixed", m=1.0)) == field_norm(u, NormSpec("Mixed", m=1))
     assert seminorm_table(heat_kernel, 1, ProbeSpec(level=1.0)) == seminorm_table(heat_kernel, 1, ProbeSpec(level=1))
+    assert seminorm_table(heat_kernel, 2.0) == seminorm_table(heat_kernel, 2)
 
 
 @pytest.mark.parametrize("mode", ["opnorm", "rbound"])

@@ -1,4 +1,4 @@
-"""Symbol kernels, seminorm scans, characterization and multiplier bounds."""
+"""Symbol kernels, seminorm scans and the envelope maximum."""
 from __future__ import annotations
 
 import functools
@@ -14,30 +14,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import NormalGrid, Sector, SectorError, _xi_sq, bracket
+from poissonops.core import Sector, SectorError, _xi_sq, bracket
 from poissonops.symbols import (
     _HALF_SECTOR,
     _KERNELS,
-    _STEN,
     _STEN_RADIUS,
     _STIRLING2,
-    MultiplierSymbol,
     ProbeSpec,
     SymbolKernel,
     _central_difference,
     _spectral_lattice,
-    char_lp_bound,
     constant_one,
-    freeze_mu,
-    heat_dynbc_b,
     heat_kernel,
     kernel_catalog,
     kpp_kernel,
     lemma_max_eval,
-    mikhlin_fnorm,
     seminorm_table,
     zero_kernel,
 )
+from symbol_reference import freeze_mu
 
 SQRT2 = math.sqrt(2.0)
 
@@ -294,13 +289,6 @@ def test_seminorm_table_holds_at_most_28_samples_at_once():
     assert live[0] == 0
 
 
-@pytest.mark.parametrize("a", [0, 1, 2, 3])
-def test_char_lp_bound_makes_one_kernel_call_per_stencil_tap(a):
-    k, calls = _counted(heat_kernel)
-    char_lp_bound(k, 2.0, 0, 0, a)
-    assert len(calls) == len(_STEN[a])
-
-
 # every catalog kernel, built from the diffusivity d, and a frozen one
 _FOLD_KERNELS = {**_KERNELS, "heat-frozen": lambda d: freeze_mu(heat_kernel, 2 + 1j)}
 
@@ -355,68 +343,6 @@ def test_probe_rays_outside_the_sector_raise():
     # heat's sector is |arg mu| < 0.45 pi; a pinned ray must not leave it
     with pytest.raises(SectorError):
         seminorm_table(heat_kernel, 1, ProbeSpec(rays=(3.0,)))
-    with pytest.raises(SectorError):
-        char_lp_bound(heat_kernel, 2.0, 0, 0, 0, ProbeSpec(rays=(-2.0,)))
-
-
-@pytest.mark.parametrize("lp", [0, 1, 2])
-def test_char_lp_bound_heat_p2_real_rays(lp):
-    # real-parameter L^2 profile: tau cancels the bracket weight exactly, and
-    # each normal derivative (func at order l') cancels one more
-    got = char_lp_bound(heat_kernel, 2.0, 0, lp, 0, probe=ProbeSpec(rays=(0.0,)))
-    assert got == pytest.approx(2.0 ** (-0.5), rel=5e-3)
-
-
-@pytest.mark.parametrize("lp", [0, 1, 2])
-def test_char_lp_bound_heat_p1_real_rays(lp):
-    got = char_lp_bound(heat_kernel, 1.0, 0, lp, 0, probe=ProbeSpec(rays=(0.0,)))
-    assert got == pytest.approx(1.0, rel=1e-2)
-
-
-def test_char_lp_bound_heat_sup_norm():
-    assert char_lp_bound(heat_kernel, math.inf, 0, 0, 0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_char_lp_bound_validation():
-    with pytest.raises(ValueError):
-        char_lp_bound(heat_kernel, 0.5, 0, 0, 0)
-    with pytest.raises(ValueError):
-        char_lp_bound(kpp_kernel(1.0), 2.0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        char_lp_bound(heat_kernel, 2.0, 0, 2, 2)
-
-
-def test_char_lp_bound_refinement_stable():
-    probe = ProbeSpec(rays=(0.0,))
-    base = char_lp_bound(heat_kernel, 2.0, 0, 0, 0, probe=probe)
-    fine = char_lp_bound(heat_kernel, 2.0, 0, 0, 0, probe=probe.refined(), ngrid=NormalGrid(512))
-    assert abs(fine - base) < 0.10 * base
-
-
-def test_mikhlin_constant_symbol():
-    one = MultiplierSymbol("one", lambda xi, mu: np.ones_like(np.asarray(xi, dtype=float)), Sector.empty())
-    assert mikhlin_fnorm(one, None) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mikhlin_bracket_inverse():
-    a = MultiplierSymbol(
-        "bracket-inverse",
-        lambda xi, mu: (1.0 + np.asarray(xi, dtype=float) ** 2) ** -0.5,
-        Sector.empty(),
-    )
-    assert mikhlin_fnorm(a, None) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_mikhlin_heat_dynbc_symbol():
-    val = mikhlin_fnorm(heat_dynbc_b, 1.0)
-    # the xi -> 0 limit contributes 1/(1+sqrt(2)); the lattice stops at 0.01
-    assert val >= 1.0 / (1.0 + SQRT2) - 1e-4
-    assert val <= 3.0
-
-
-def test_mikhlin_dim_validation():
-    with pytest.raises(ValueError):
-        mikhlin_fnorm(heat_dynbc_b, 1.0, dim=4)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""FFT round trips, multiplier and Poisson application, dyadic partition."""
+"""FFT round trips, Poisson application, dyadic partition."""
 from __future__ import annotations
 
 import math
@@ -8,21 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import BoundaryField, HalfSpaceField, Sector, SectorError, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, make_grids
 from poissonops.norms import lp_norm
-from poissonops.symbols import MultiplierSymbol, freeze_mu, heat_kernel, kernel_catalog, kpp_kernel
+from poissonops.symbols import heat_kernel, kernel_catalog, kpp_kernel
 from poissonops.transforms import (
     LPPartition,
     _itfft,
     _profile,
     _radial_profile,
     _tfft,
-    apply_multiplier,
     apply_poisson,
     forward_fft,
-    inverse_fft,
     lp_blocks,
 )
+from symbol_reference import freeze_mu, inverse_fft
 
 
 def _rng_field(grid, seed=5):
@@ -92,59 +91,24 @@ def test_fft_single_mode_line():
     assert mass.sum() == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
-def test_multiplier_identity_and_linearity():
-    grid, _ = make_grids(N=16)
-    one = MultiplierSymbol("one", lambda xi, mu: np.ones(np.shape(np.asarray(xi)[..., 0])), Sector.empty())
-    g = _rng_field(grid)
-    h = apply_multiplier(one, None, g)
-    np.testing.assert_allclose(h.samples, g.samples, atol=1e-12)
-
-
 def test_multiplier_shift_symbol_rolls_samples():
+    # the pair's sign convention: through it the symbol exp(i h k) is the shift g(x) -> g(x + h)
     grid, _ = make_grids(N=16)
-    h = grid.cell
-
-    def shift(xi, mu):
-        k = np.asarray(xi)[..., 0]
-        return np.exp(1j * h * k)
-
-    sym = MultiplierSymbol("shift", shift, Sector.empty())
     g = _rng_field(grid)
-    rolled = apply_multiplier(sym, None, g)
-    np.testing.assert_allclose(rolled.samples, np.roll(g.samples, -1), atol=1e-12)
+    shift = np.exp(1j * grid.cell * grid.freq_vectors[..., 0])
+    rolled = _itfft(shift * _tfft(g.samples, grid.dim), grid.dim)
+    np.testing.assert_allclose(rolled, np.roll(g.samples, -1), atol=1e-12)
 
 
 def test_multiplier_group_law():
+    # damping by 0.2 and then by 0.3 in |xi|^2 is damping by 0.5
     grid, _ = make_grids(N=32)
-
-    def sym(c):
-        return MultiplierSymbol(
-            "damp", lambda xi, mu, c=c: np.exp(-c * np.sum(np.asarray(xi) ** 2, axis=-1)), Sector.empty()
-        )
-
     g = _rng_field(grid)
-    once = apply_multiplier(sym(0.3), None, apply_multiplier(sym(0.2), None, g))
-    straight = apply_multiplier(sym(0.5), None, g)
-    np.testing.assert_allclose(once.samples, straight.samples, atol=1e-12)
 
+    def damp(c, samples):
+        return _itfft(np.exp(-c * grid.freq_norm_sq) * _tfft(samples, grid.dim), grid.dim)
 
-def test_multiplier_contraction_for_unimodular_bound():
-    grid, _ = make_grids(N=32)
-    a = MultiplierSymbol(
-        "contraction",
-        lambda xi, mu: (1.0 + np.sum(np.asarray(xi) ** 2, axis=-1)) ** -0.5,
-        Sector.empty(),
-    )
-    g = _rng_field(grid)
-    out = apply_multiplier(a, None, g)
-    assert np.sum(np.abs(out.samples) ** 2) <= np.sum(np.abs(g.samples) ** 2) + 1e-12
-
-
-def test_multiplier_sector_check():
-    grid, _ = make_grids(N=16)
-    sym = MultiplierSymbol("sector", lambda xi, mu: np.ones(np.shape(np.asarray(xi)[..., 0])), Sector.symmetric(0.25 * math.pi))
-    with pytest.raises(SectorError):
-        apply_multiplier(sym, 1j, _rng_field(grid))
+    np.testing.assert_allclose(damp(0.3, damp(0.2, g.samples)), damp(0.5, g.samples), atol=1e-12)
 
 
 def test_apply_poisson_heat_constant_data():
