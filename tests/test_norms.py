@@ -492,6 +492,27 @@ def test_radial_products_match_the_per_mode_stacks(dim, norm):
     np.testing.assert_allclose(outs.of_sums(sel_ops, sel_in, eps), form.of_sums(form.orders(stack), eps), rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "norm, M",
+    [(NormSpec("Lp", p=2.0), None), (NormSpec("Lp", p=3.0), None), (NormSpec("Mixed", p=1.5, q=2.0, weak=True), 8)],
+    ids=["L2", "L3", "Mixed"],
+)
+def test_singles_of_an_input_do_not_depend_on_the_other_inputs(dim, norm, M):
+    # each column of singles() is measured from its own input alone, so it keeps its
+    # bits when the other inputs are dropped: no product over the inputs is split
+    grid, _ = make_grids(dim=dim, N=8, L=3.0)
+    ngrid = None if M is None else NormalGrid(M)
+    rng = np.random.default_rng(dim)
+    shape = (3, len(grid.radial[0]), M or 1)
+    mults = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = rng.standard_normal((5, 8**dim)) + 1j * rng.standard_normal((5, 8**dim))
+    form = _StackNorm(norm, grid, ngrid, radial=True)
+    every = _Products(form, mults, spec).singles()
+    for i in range(len(spec)):
+        assert np.array_equal(_Products(form, mults, spec[i : i + 1]).singles()[:, 0], every[:, i])
+
+
 def test_monte_carlo_numerator_allocates_less_than_one_product_stack():
     # once the pair table is built (on the first sampled sum of a family), a
     # size-4 sign sum of Poisson products on the README grid allocates its

@@ -1,4 +1,4 @@
-"""Symbol kernels, seminorm scans and the envelope maximum."""
+"""Symbol kernels, their normal profiles, seminorm scans and the envelope maximum."""
 from __future__ import annotations
 
 import functools
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import Sector, SectorError, _xi_sq, bracket
+from poissonops.core import NormalGrid, Sector, SectorError, _xi_sq, bracket
 from poissonops.symbols import (
     _HALF_SECTOR,
     _KERNELS,
@@ -343,6 +343,47 @@ def test_probe_rays_outside_the_sector_raise():
     # heat's sector is |arg mu| < 0.45 pi; a pinned ray must not leave it
     with pytest.raises(SectorError):
         seminorm_table(heat_kernel, 1, ProbeSpec(rays=(3.0,)))
+
+
+def _heat_normal_profile(lp, probe, ngrid, p):
+    """``<xi, mu>^(1/p - l') || d^l' k / dx_n^l' ||_{L^p(R_+)}`` of the heat kernel over the probe lattice.
+
+    The ``L^p`` norm is the trapezoid sum on ``ngrid`` (the pointwise maximum at ``p = inf``).
+    """
+    mu, xi, br, _ = _spectral_lattice(probe, heat_kernel.sector)
+    vals = np.abs(heat_kernel.func(xi[..., None], mu, ngrid.nodes, lp))
+    if math.isinf(p):
+        return br[..., 0] ** -lp * vals.max(axis=-1)
+    return br[..., 0] ** (1.0 / p - lp) * ngrid.integrate(vals**p) ** (1.0 / p)
+
+
+# on a real ray the decay rate tau is the bracket weight <xi, mu>, and each normal
+# derivative gives one more factor tau: || tau^l' exp(-tau x) ||_p = tau^(l' - 1/p) p^(-1/p)
+@pytest.mark.parametrize("lp", [0, 1, 2])
+def test_heat_normal_profile_p2_real_rays(lp):
+    got = _heat_normal_profile(lp, ProbeSpec(rays=(0.0,)), NormalGrid(256), 2.0)
+    np.testing.assert_allclose(got, 2.0**-0.5, rtol=5e-3)
+
+
+@pytest.mark.parametrize("lp", [0, 1, 2])
+def test_heat_normal_profile_p1_real_rays(lp):
+    got = _heat_normal_profile(lp, ProbeSpec(rays=(0.0,)), NormalGrid(256), 1.0)
+    np.testing.assert_allclose(got, 1.0, rtol=1e-2)
+
+
+@pytest.mark.parametrize("lp", [0, 1, 2])
+def test_heat_normal_profile_sup_norm(lp):
+    # off the real ray |tau|^2 = |1 + |xi|^2 + mu^2| < <xi, mu>^2, so the supremum, taken at x = 0, stays below 1
+    got = _heat_normal_profile(lp, ProbeSpec(), NormalGrid(256), math.inf)
+    assert got.max() == pytest.approx(1.0, rel=1e-12)
+    assert np.all(got <= 1.0 + 1e-12)
+
+
+def test_heat_normal_profile_refinement_stable():
+    probe = ProbeSpec(rays=(0.0,))
+    base = _heat_normal_profile(0, probe, NormalGrid(256), 2.0).max()
+    fine = _heat_normal_profile(0, probe.refined(), NormalGrid(512), 2.0).max()
+    assert abs(fine - base) < 0.10 * base
 
 
 @pytest.mark.parametrize(

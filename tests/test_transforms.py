@@ -1,4 +1,4 @@
-"""FFT round trips, Poisson application, dyadic partition."""
+"""FFT round trips, multipliers through the FFT pair, Poisson application, dyadic partition."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poissonops.core import BoundaryField, HalfSpaceField, make_grids
+from poissonops.core import BoundaryField, HalfSpaceField, SectorError, make_grids
 from poissonops.norms import lp_norm
 from poissonops.symbols import heat_kernel, kernel_catalog, kpp_kernel
 from poissonops.transforms import (
@@ -91,13 +91,54 @@ def test_fft_single_mode_line():
     assert mass.sum() == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
+def _multiply(symbol, samples, grid):
+    """Apply the tangential multiplier ``symbol`` (one value per mode) through the FFT pair."""
+    return _itfft(symbol * _tfft(samples, grid.dim), grid.dim)
+
+
+def test_multiplier_identity_and_linearity():
+    # the symbol 1 returns g, and the pair is linear over complex coefficients
+    grid, _ = make_grids(N=16)
+    f, g = _rng_field(grid, 1), _rng_field(grid, 2)
+    one = np.ones(grid.shape)
+    np.testing.assert_allclose(_multiply(one, g.samples, grid), g.samples, atol=1e-12)
+    decay = np.exp(-grid.freq_norm_sq)
+    lhs = _multiply(decay, 2.0 * f.samples - 1j * g.samples, grid)
+    rhs = 2.0 * _multiply(decay, f.samples, grid) - 1j * _multiply(decay, g.samples, grid)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_multiplier_contraction_for_unimodular_bound():
+    # |<xi>^-1| <= 1 per mode, so by Plancherel it does not raise the L^2 norm
+    grid, _ = make_grids(N=32)
+    g = _rng_field(grid)
+    out = _multiply((1.0 + grid.freq_norm_sq) ** -0.5, g.samples, grid)
+    assert np.sum(np.abs(out) ** 2) <= np.sum(np.abs(g.samples) ** 2) + 1e-12
+
+
+@pytest.mark.parametrize("dim, axis", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_shift_symbol_rolls_each_axis(dim, axis):
+    # per axis the sign convention is the one-dimensional one: exp(i h k_axis) shifts by one cell along it
+    grid, _ = make_grids(dim=dim, N=8)
+    g = _rng_field(grid)
+    shift = np.exp(1j * (grid.L / grid.N) * grid.freq_vectors[..., axis])
+    np.testing.assert_allclose(_multiply(shift, g.samples, grid), np.roll(g.samples, -1, axis=axis), atol=1e-12)
+
+
+def test_apply_poisson_sector_check():
+    # the spectral parameter is checked against the kernel's sector before any transform
+    grid, ngrid = make_grids(N=16, M=8)
+    for mu in (None, -3.0, 2j):
+        with pytest.raises(SectorError):
+            apply_poisson(heat_kernel, mu, _rng_field(grid), ngrid)
+
+
 def test_multiplier_shift_symbol_rolls_samples():
     # the pair's sign convention: through it the symbol exp(i h k) is the shift g(x) -> g(x + h)
     grid, _ = make_grids(N=16)
     g = _rng_field(grid)
     shift = np.exp(1j * grid.cell * grid.freq_vectors[..., 0])
-    rolled = _itfft(shift * _tfft(g.samples, grid.dim), grid.dim)
-    np.testing.assert_allclose(rolled, np.roll(g.samples, -1), atol=1e-12)
+    np.testing.assert_allclose(_multiply(shift, g.samples, grid), np.roll(g.samples, -1), atol=1e-12)
 
 
 def test_multiplier_group_law():
@@ -106,7 +147,7 @@ def test_multiplier_group_law():
     g = _rng_field(grid)
 
     def damp(c, samples):
-        return _itfft(np.exp(-c * grid.freq_norm_sq) * _tfft(samples, grid.dim), grid.dim)
+        return _multiply(np.exp(-c * grid.freq_norm_sq), samples, grid)
 
     np.testing.assert_allclose(damp(0.3, damp(0.2, g.samples)), damp(0.5, g.samples), atol=1e-12)
 
