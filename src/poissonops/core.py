@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +77,13 @@ class Sector:
         return complex(mu)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: an integral float runs as its int, any other value is refused by name."""
+    if isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {name}={value!r}")  # NaN and inf too
+
+
 def _xi_sq(xi) -> np.ndarray:
     """``|xi|^2`` over the last axis of ``xi``; a bare scalar is one component."""
     arr = np.asarray(xi, dtype=float)
@@ -101,7 +109,8 @@ class TangentialGrid:
 
     Frequencies are ``2*pi*k/L`` for ``k in {-N/2, ..., N/2 - 1}`` per axis,
     stored in FFT layout.  ``N`` must be a power of two, and the cell
-    ``(L/N)^dim`` positive and finite.
+    ``(L/N)^dim`` positive and finite; an integral float ``dim`` or ``N``
+    is kept as its int.
     """
 
     dim: int
@@ -109,6 +118,8 @@ class TangentialGrid:
     L: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
+        object.__setattr__(self, "N", _integer("N", self.N))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.N < 2 or self.N & (self.N - 1) != 0:
@@ -207,7 +218,8 @@ class NormalGrid:
 
     Nodes follow ``x_j = X_max * (r^(j-1) - 1) / (r^(M-1) - 1)`` with ratio
     ``r > 1``, clustering toward the boundary.  A grading whose nodes
-    overflow or are not strictly increasing is refused.
+    overflow or are not strictly increasing is refused, and an integral
+    float ``M`` is kept as its int.
     """
 
     M: int
@@ -215,6 +227,7 @@ class NormalGrid:
     r: float = 1.05
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "M", _integer("M", self.M))
         if self.M < 2:
             raise ValueError("M must be >= 2")
         if not 1 < self.r < math.inf:

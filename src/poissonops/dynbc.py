@@ -36,6 +36,7 @@ from .core import (
     NormalGrid,
     Sector,
     TangentialGrid,
+    _integer,
     _xi_sq,
 )
 from .norms import _derivative_stencil
@@ -712,9 +713,10 @@ def road_symbol_scan(d: float = 1.0, dprime: float = 1.0, kcoef: float = 1.0, n:
     every reported maximum and minimum, all of moduli, is reached on the
     ``+_ROAD_Z_ANGLE`` rows alone; only those are evaluated.  (The root's
     radicand ``d mu^2 + d^2 z^2`` is never a negative real on these rays, so
-    no signed zero picks its branch.)
+    no signed zero picks its branch.)  An integral float ``n`` runs as its int.
     """
     _require_road_params(d, dprime, kcoef)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"need a lattice of n >= 1 magnitudes, got n={n}")
     if set(_ROAD_MU_ANGLES) != {-a for a in _ROAD_MU_ANGLES}:

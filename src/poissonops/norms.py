@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, _xi_sq, bracket
+from .core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, _integer, _xi_sq, bracket
 from .symbols import SymbolKernel
 from .transforms import LPPartition, _decay_profile, _itfft, _tfft
 
@@ -152,7 +152,9 @@ def normal_derivative(values: np.ndarray, ngrid: NormalGrid, order: int = 1) -> 
 
     The three-point stencils of :func:`_derivative_stencil`, one-sided at the
     endpoints; second-order accurate, which the >= 1% norm tolerances absorb.
+    An integral float ``order`` runs as its int.
     """
+    order = _integer("order", order)
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     (cm, c0, cp), start = _derivative_stencil(ngrid)
@@ -196,6 +198,9 @@ def opnorm_hilbert(
     profile of the real rate ``2 Re(r)``.  Any other kernel squares ``func``
     at the derivative order.
     """
+    for name, value in (("s", s), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value!r}")
     if t < 0:
         raise ValueError("target smoothness t must be nonnegative")
     k.sector.require(mu)

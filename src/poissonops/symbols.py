@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Sector, _xi_sq, bracket
+from .core import Sector, _integer, _xi_sq, bracket
 
 __all__ = [
     "SymbolKernel",
@@ -124,7 +124,9 @@ class ProbeSpec:
     used for finiteness certificates.  ``rays`` optionally pins the spectral
     samples to one or more explicit argument angles (e.g. ``(0.0,)`` for a
     real-parameter scan) instead of the default three rays spread across the
-    sector interior; every sample must lie in the sector.
+    sector interior; every sample must lie in the sector.  The ``xi`` samples
+    cover ``xi >= 0`` only: by the radial contract of ``SymbolKernel``, a
+    supremum over them is the supremum over every ``xi``.
     """
 
     level: int = 0
@@ -147,9 +149,7 @@ class ProbeSpec:
         return replace(self, level=self.level + 1)
 
     def xi_values(self) -> np.ndarray:
-        n = 4 * self.density + 1
-        mags = np.geomspace(0.25, self.xi_max, n)
-        return np.concatenate([[0.0], mags, -mags])
+        return np.concatenate([[0.0], np.geomspace(0.25, self.xi_max, 4 * self.density + 1)])
 
     def t_values(self) -> np.ndarray:
         n = 8 * self.density + 1
@@ -221,24 +221,16 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
     and for the weak class the analogue with ``(t D_t)^m`` derivatives and
     ``<t>^l`` weights.  Derivatives in ``mu`` act on its two real coordinates.
     Each entry is a lower bound; compare against a refined probe to certify
-    finiteness.
+    finiteness.  The lattice samples ``xi >= 0``, each stencil offset once: by
+    the radial contract of ``SymbolKernel`` its supremum there is the one over
+    every ``xi``.
     """
-    # the range first: int() of a NaN or an infinity raises
-    if not 0 <= N <= 4 or N != int(N):
-        raise ValueError(f"derivative budget N must be an integer in 0..4, got N={N!r}")
-    N = int(N)
+    N = _integer("N", N)
+    if not 0 <= N <= 4:
+        raise ValueError(f"derivative budget N must be in 0..4, got N={N!r}")
     probe = probe or ProbeSpec()
     mu, xi, br, h = _spectral_lattice(probe, k.sector)
     t = probe.t_values()[None, :]  # (1, nt)
-    # the xi values are symmetric, xi[mirror] == -xi, and the lattice reads xi
-    # only through xi^2 (the step h and a SymbolKernel's radial contract), so
-    # the sample at offset (-i, p, q, s) is the one at (i, p, q, s) read at -xi
-    order = np.argsort(xi[:, 0])
-    mirror = np.empty_like(order)
-    mirror[order] = order[::-1]
-    if not np.array_equal(xi[mirror], -xi):
-        raise RuntimeError("probe xi values are not symmetric about 0")
-
     strong = k.kind == "strong"
     max_mu_order = N if mu is not None else 0
     # the (a, b1, b2) groups, even xi-orders first: an odd stencil has no 0 offset, so only they read the
@@ -253,20 +245,19 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
         ),
         key=lambda g: g[0] % 2,
     )
-    # a dry pass of the same differences counts each sample's reads, offsets folded to i >= 0
+    # a dry pass of the same differences counts each sample's reads
     reads = collections.Counter()
 
     def tally(offsets: tuple[int, int, int, int]) -> float:
-        i, p, q, s = offsets
-        reads[abs(i), p, q, s] += 1
+        reads[offsets] += 1
         return 0.0
 
     for a, b1, b2 in groups:
         for j in range(N - a - b1 - b2 + 1):
             _central_difference(tally, (a, b1, b2, j), 1.0)
 
-    # each sample is held from its first read to its last, not for the whole table: at most 28 of a
-    # heat N = 4 table's 97 at once.  A plain dict, not a self-calling cached `at`: that would be a
+    # each sample is held from its first read to its last, not for the whole table: at most 41 of a
+    # heat N = 4 table's 137 at once.  A plain dict, not a self-calling cached `at`: that would be a
     # reference cycle keeping every sample alive until the cyclic GC runs
     held: dict[tuple[int, int, int, int], np.ndarray] = {}
 
@@ -277,13 +268,11 @@ def seminorm_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> l
         return np.asarray(k.func(xs[..., None], ms, ts / bracket(xs[..., None], ms)), dtype=complex)
 
     def at(offsets: tuple[int, int, int, int]) -> np.ndarray:
-        i, p, q, s = offsets
-        key = (abs(i), p, q, s)
-        v = held.pop(key) if key in held else sample(*key)
-        reads[key] -= 1
-        if reads[key]:
-            held[key] = v
-        return v if i >= 0 else v[..., mirror, :]
+        v = held.pop(offsets) if offsets in held else sample(*offsets)
+        reads[offsets] -= 1
+        if reads[offsets]:
+            held[offsets] = v
+        return v
 
     per_order = [0.0] * (N + 1)
     for a, b1, b2 in groups:

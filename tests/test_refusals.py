@@ -11,7 +11,7 @@ import pytest
 from poissonops.cli import main
 from poissonops.core import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid, make_grids
 from poissonops.dynbc import DynBCProblem, road_symbol_scan
-from poissonops.norms import NormSpec, field_norm, normal_derivative, weak_lp_norm
+from poissonops.norms import NormSpec, field_norm, normal_derivative, opnorm_hilbert, weak_lp_norm
 from poissonops.rbound import RademacherSampler, ScanResult, eps_p_norm, rbound_lower
 from poissonops.symbols import ProbeSpec, heat_kernel, kpp_kernel, seminorm_table
 
@@ -22,6 +22,10 @@ NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
 def _road_problem(**params) -> DynBCProblem:
     tg, ng = make_grids(N=8, M=8)
     return DynBCProblem("KPPRoadField", tg, ng, **params)
+
+
+def _opnorm(s: float, t: float) -> float:
+    return opnorm_hilbert(heat_kernel, 1.0, s, t, *make_grids(N=8, M=8))
 
 
 def _mixed_kinds(bulk_first: bool) -> list:
@@ -67,10 +71,25 @@ REFUSALS = [
     pytest.param(lambda: NormSpec("Mixed", m=1.5), re.escape("got m=1.5"), id="mixed-order-fraction"),
     pytest.param(lambda: NormSpec("Mixed", m=math.inf), re.escape("got m=inf"), id="mixed-order-inf"),
     pytest.param(lambda: NormSpec("TotChar", s=math.inf), re.escape("got s=inf"), id="totchar-order-inf"),
+    pytest.param(lambda: TangentialGrid(1.5, 8, 1.0), re.escape("got dim=1.5"), id="grid-dim-fraction"),
+    pytest.param(lambda: TangentialGrid(1, 8.5, 1.0), re.escape("got N=8.5"), id="grid-size-fraction"),
+    pytest.param(lambda: TangentialGrid(1, math.nan, 1.0), re.escape("got N=nan"), id="grid-size-nan"),
+    pytest.param(lambda: NormalGrid(4.5), re.escape("got M=4.5"), id="normal-size-fraction"),
+    pytest.param(lambda: NormalGrid(math.inf), re.escape("got M=inf"), id="normal-size-inf"),
+    pytest.param(lambda: normal_derivative(np.ones(4), NormalGrid(4), 1.5), re.escape("got order=1.5"),
+                 id="derivative-order-fraction"),
+    pytest.param(lambda: road_symbol_scan(n=8.5), re.escape("got n=8.5"), id="road-scan-size-fraction"),
+    pytest.param(lambda: road_symbol_scan(n=math.nan), re.escape("got n=nan"), id="road-scan-size-nan"),
     pytest.param(lambda: ProbeSpec(level=1.5), re.escape("got 1.5"), id="probe-level-fraction"),
     pytest.param(lambda: ProbeSpec(level=math.inf), re.escape("got inf"), id="probe-level-inf"),
     pytest.param(lambda: seminorm_table(heat_kernel, 1.5), re.escape("got N=1.5"), id="seminorm-budget-fraction"),
+    pytest.param(lambda: seminorm_table(heat_kernel, math.nan), re.escape("got N=nan"), id="seminorm-budget-nan"),
     pytest.param(lambda: replace(heat_kernel, kind="mild"), "kind must be", id="kernel-kind"),
+    # a non-finite smoothness index would give nan, overflow or fail in ceil(t) without naming itself
+    pytest.param(lambda: _opnorm(math.nan, 0.5), re.escape("got s=nan"), id="opnorm-s-nan"),
+    pytest.param(lambda: _opnorm(math.inf, 0.5), re.escape("got s=inf"), id="opnorm-s-inf"),
+    pytest.param(lambda: _opnorm(0.5, math.nan), re.escape("got t=nan"), id="opnorm-t-nan"),
+    pytest.param(lambda: _opnorm(0.5, math.inf), re.escape("got t=inf"), id="opnorm-t-inf"),
     pytest.param(lambda: kpp_kernel(5e-324), "so must 1/d, got d=5e-324", id="kpp-kernel-reciprocal"),
     *(
         pytest.param(call, "positive and finite", id=f"{name}-{bad}")
@@ -101,6 +120,13 @@ def test_integral_float_orders_run_as_their_ints():
     assert field_norm(u, NormSpec("Mixed", m=1.0)) == field_norm(u, NormSpec("Mixed", m=1))
     assert seminorm_table(heat_kernel, 1, ProbeSpec(level=1.0)) == seminorm_table(heat_kernel, 1, ProbeSpec(level=1))
     assert seminorm_table(heat_kernel, 2.0) == seminorm_table(heat_kernel, 2)
+    # grid sizes, a derivative order and a lattice size likewise, kept as ints
+    for grid in (TangentialGrid(1, 8.0, 1.0), TangentialGrid(1.0, 8, 1.0)):
+        assert grid == TangentialGrid(1, 8, 1.0) and type(grid.dim) is type(grid.N) is int
+    assert NormalGrid(4.0) == NormalGrid(4) and type(NormalGrid(4.0).M) is int
+    values = np.exp(-NormalGrid(4).nodes)
+    assert np.array_equal(normal_derivative(values, NormalGrid(4.0), 2.0), normal_derivative(values, NormalGrid(4), 2))
+    assert road_symbol_scan(n=8.0) == road_symbol_scan(n=8)
 
 
 @pytest.mark.parametrize("mode", ["opnorm", "rbound"])

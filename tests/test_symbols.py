@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from poissonops.core import NormalGrid, Sector, SectorError, _xi_sq, bracket
 from poissonops.symbols import (
+    _H_REL,
     _HALF_SECTOR,
     _KERNELS,
     _STEN_RADIUS,
@@ -176,12 +177,15 @@ def test_seminorm_table_kernel_calls_do_not_grow_with_the_spectral_samples():
 
 
 def _table_at_every_offset(k: SymbolKernel, N: int, probe: ProbeSpec | None = None, offsets: set | None = None):
-    """Reference seminorm table that evaluates the kernel at every stencil offset, negative xi offsets too.
+    """Reference seminorm table over the whole xi line: the probe's half column and its negation, every offset.
 
     ``offsets``, if given, collects the distinct offsets evaluated.
     """
     probe = probe or ProbeSpec()
-    mu, xi, br, h = _spectral_lattice(probe, k.sector)
+    mu, half, _, _ = _spectral_lattice(probe, k.sector)
+    xi = np.concatenate([half, -half[1:]])  # [0, mags, -mags]
+    br = bracket(xi[..., None], mu)
+    h = _H_REL * br
     t = probe.t_values()[None, :]
 
     @functools.cache
@@ -218,24 +222,43 @@ def _table_at_every_offset(k: SymbolKernel, N: int, probe: ProbeSpec | None = No
 @pytest.mark.parametrize("kind", ["strong", "weak"])
 @pytest.mark.parametrize("name", ["heat", "kpp", "heat-frozen", "constant-one", "zero"])
 def test_seminorm_table_matches_every_offset_evaluated(name, kind, probe):
-    # offsets -i are the samples at +i read at -xi, bit for bit
+    # a radial kernel's supremum over xi >= 0 is its supremum over the whole line, bit for bit
     k = replace(_FOLD_KERNELS[name](0.5), kind=kind)
     assert seminorm_table(k, 4, probe) == _table_at_every_offset(k, 4, probe)
 
 
-def test_seminorm_table_evaluates_each_mirrored_offset_once():
-    # a heat N = 4 table reads 137 stencil offsets, 97 of them with i >= 0
+# the tables as printed before the lattice moved to xi >= 0, when it sampled the whole xi line
+_PINNED_TABLES = {
+    ("heat", 0): [1.0, 1.2153485359223908, 7.979153139523815, 83.60086278762954, 1286.8162289799338],
+    ("heat", 1): [1.0, 1.2285032506687992, 7.765129183648529, 84.84984465357276, 1311.1549780962032],
+    ("heat-weak", 0): [1.0, 1.274494322960587, 7.979153139523815, 83.60086278762954, 1286.8162289799338],
+    ("heat-weak", 1): [1.0, 1.2746144990905774, 7.765129183648529, 84.84984465357276, 1311.1549780962032],
+    ("kpp", 0): [1.0, 2.7304599252411843, 25.30144671021835],
+    ("kpp", 1): [1.0, 2.7304599252411843, 29.616216448950876],
+    ("constant-one", 0): [1.0, 8.0, 64.0],
+    ("constant-one", 1): [1.0, 32.0, 1024.0],
+}
+_PINNED_KERNELS = {
+    "heat": heat_kernel,
+    "heat-weak": replace(heat_kernel, kind="weak"),
+    "kpp": kpp_kernel(1.0),
+    "constant-one": constant_one,
+}
+
+
+@pytest.mark.parametrize("name, level", sorted(_PINNED_TABLES))
+def test_seminorm_table_values_are_pinned(name, level):
+    want = _PINNED_TABLES[name, level]
+    assert seminorm_table(_PINNED_KERNELS[name], len(want) - 1, ProbeSpec(level)) == want
+
+
+def test_seminorm_table_evaluates_each_offset_once():
+    # a heat N = 4 table reads 137 distinct stencil offsets: one kernel call each
     seen: set = set()
     _table_at_every_offset(heat_kernel, 4, offsets=seen)
     k, calls = _counted(heat_kernel)
     seminorm_table(k, 4)
-    assert (len(seen), len({(abs(i), *rest) for i, *rest in seen}), len(calls)) == (137, 97, 97)
-
-
-def test_seminorm_table_refuses_asymmetric_xi_values(monkeypatch):
-    monkeypatch.setattr(ProbeSpec, "xi_values", lambda self: np.array([0.0, 0.25, 1.0, -0.25]))
-    with pytest.raises(RuntimeError, match="not symmetric"):
-        seminorm_table(heat_kernel, 2)
+    assert (len(seen), len(calls)) == (137, 137)
 
 
 def _traced_table(k: SymbolKernel, N: int, probe: ProbeSpec | None = None) -> tuple[int, int]:
@@ -259,34 +282,39 @@ def test_seminorm_table_frees_its_samples_without_the_cyclic_gc():
     # that called itself would be a cycle that outlives the table.  What stays
     # is the interpreter's free lists of small tuples and floats
     after, peak = _traced_table(heat_kernel, 4)
-    # 0.81 MiB; holding every sample to the end took 2.1
-    assert peak < 2**20
+    # 0.64 MiB; 0.81 on the whole xi line, and holding every sample of it to the end took 2.1
+    assert peak < 0.75 * 2**20
     assert after < 2**18
 
 
-@pytest.mark.parametrize("level, ceiling", [(1, 4 * 2**20), (2, 24 * 2**20)])
+@pytest.mark.parametrize("level, ceiling", [(1, 3 * 2**20), (2, 16 * 2**20)])
 def test_seminorm_table_peak_at_finer_levels(level, ceiling):
-    # heat N = 4 peaks at 3.5 MiB at level 1 and 19.6 MiB at level 2; holding
-    # all 97 samples to the end took 9.7 and 55.4
+    # heat N = 4 peaks at 2.55 MiB at level 1 and 13.8 MiB at level 2; 3.5 and 19.6
+    # on the whole xi line, and holding all its samples to the end took 9.7 and 55.4
     assert _traced_table(heat_kernel, 4, ProbeSpec(level))[1] < ceiling
 
 
 def test_seminorm_table_holds_at_most_28_samples_at_once():
     # a sample is let go at its last read, and the groups of even xi-order,
-    # the only readers of the i = 0 samples, come first: 28 of the 97 live at
-    # most (46 with the groups in xi-order, 97 with every sample kept)
-    live, most = [0], [0]
+    # the only readers of the i = 0 samples, come first: 41 of the 137 live at
+    # most.  Each covers the half column xi >= 0, so they hold fewer elements
+    # than the 28 whole-line samples (of 97) that a mirrored lattice held
+    live, most = np.zeros(2, dtype=int), np.zeros(2, dtype=int)  # samples, elements
 
     def func(*args):
         value = np.asarray(heat_kernel.func(*args), dtype=complex)  # seminorm_table's own asarray keeps it
-        live[0] += 1
-        most[0] = max(most[0], live[0])
-        weakref.finalize(value, lambda: live.__setitem__(0, live[0] - 1))
+        np.add(live, (1, value.size), out=live)
+        np.maximum(most, live, out=most)
+        weakref.finalize(value, np.subtract, live, (1, value.size), live)
         return value
 
-    seminorm_table(replace(heat_kernel, func=func), 4, ProbeSpec(1))
-    assert most[0] <= 28
-    assert live[0] == 0
+    probe = ProbeSpec(1)
+    seminorm_table(replace(heat_kernel, func=func), 4, probe)
+    mu, half, _, _ = _spectral_lattice(probe, heat_kernel.sector)
+    whole_line_sample = mu.size * (2 * half.size - 1) * probe.t_values().size
+    assert most[0] <= 41
+    assert most[1] <= 28 * whole_line_sample
+    assert not live.any()
 
 
 # every catalog kernel, built from the diffusivity d, and a frozen one
